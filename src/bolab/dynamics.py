@@ -101,6 +101,15 @@ class Trajectory:
         return cls(grid, times, data, manifest["tag"], manifest["metadata"])
 
 
+def _ifrk4_step(c, E, E2, h, rhs):
+    """One integrating-factor RK4 step of size h; E = exp(-i omega h / 2), E2 = E^2."""
+    k1 = rhs(c)
+    k2 = rhs(E * (c + (h / 2) * k1))
+    k3 = rhs(E * c + (h / 2) * k2)
+    k4 = rhs(E2 * c + h * (E * k3))
+    return E2 * c + (h / 6) * (E2 * k1 + 2 * E * (k2 + k3) + k4)
+
+
 def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
     steps = max(1, int(round(T / dt)))
     h = T / steps  # land exactly on T
@@ -112,11 +121,7 @@ def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
     snaps = [c.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
-            k1 = rhs(c)
-            k2 = rhs(E * (c + (h / 2) * k1))
-            k3 = rhs(E * c + (h / 2) * k2)
-            k4 = rhs(E2 * c + h * (E * k3))
-            c = E2 * c + (h / 6) * (E2 * k1 + 2 * E * (k2 + k3) + k4)
+            c = _ifrk4_step(c, E, E2, h, rhs)
             if not np.all(np.isfinite(c)):
                 raise RuntimeError(
                     f"solution lost finiteness at step {i + 1} of {steps} "
@@ -144,11 +149,7 @@ def _probe_dt(c0, grid, dt, rhs):
         c = np.array(c0, dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(8):
-                k1 = rhs(c)
-                k2 = rhs(E * (c + (h / 2) * k1))
-                k3 = rhs(E * c + (h / 2) * k2)
-                k4 = rhs(E2 * c + h * (E * k3))
-                c = E2 * c + (h / 6) * (E2 * k1 + 2 * E * (k2 + k3) + k4)
+                c = _ifrk4_step(c, E, E2, h, rhs)
                 if not np.all(np.isfinite(c)):
                     return False
             return float(np.sqrt(np.sum(np.abs(c) ** 2))) <= 4.0 * max(norm0, 1e-300)

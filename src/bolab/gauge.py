@@ -17,6 +17,22 @@ the mean correction.  Those band pieces (`rhs_quadratic`, `rhs_cubic`) are
 the objects the normal form machinery expands; `rhs_exact` is the full right
 side and is what the reference solver integrates.
 
+Since Pm dx^2 V + Pm dx (conj(V) V_x) = Pm dx W, the two pieces of one sign
+fuse into a single product,
+
+    Q_+ + C_+ = -P_{+hi}(V_{+hi} . Pm dx W),
+    Q_- + C_- = -P_{-hi}(V_{-hi} . Pp dx W),
+
+which is the exact nonlinearity with (1 + V) replaced by a band projection
+of V.  The band system (`rhs_terms_total_coeffs`) therefore shares its first
+stage with the exact right side: samples of V and V_x, W and its
+coefficients, dx W (3 transforms).  It then takes the samples of Pm dx W,
+Pp dx W, V_{+hi} and V_{-hi} (4), and the forward transforms of
+(1 + V) Pm dx W for the low band and of the two high-band products (3):
+10 padded transforms per evaluation, against 5 for the exact right side.
+`rhs_quadratic` and `rhs_cubic` keep the piece-by-piece form as the oracles
+of that identity.
+
 All products are dealiased on the doubled lattice; cascaded products keep
 their intermediates on the doubled lattice so the restriction to the base
 band is exact.
@@ -24,6 +40,7 @@ band is exact.
 
 import warnings
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +48,7 @@ from .spectral import (
     SpectralField,
     antiderivative_symbol,
     coeffs_to_samples,
+    conj_reflect,
     pad_coeffs,
     padded_grid,
     region_mask,
@@ -49,18 +67,37 @@ def _padded(grid):
     return padded_grid(grid)
 
 
+@lru_cache(maxsize=64)
+def _bands(grid):
+    """Per-grid constants of the right sides, built once: band masks on the
+    base lattice, and the derivative symbol and half-line masks on the
+    doubled lattice.  Masks are complex 0/1 arrays, the values numpy casts a
+    boolean mask to in a complex product, so products are unchanged."""
+    pg = _padded(grid)
+    xi, xi2 = grid.xi, pg.xi
+    masks = {
+        "plus_hi": region_mask(xi, "+hi"),
+        "minus_hi": region_mask(xi, "-hi"),
+        "lo": region_mask(xi, "lo"),
+        "minus2": xi2 < 0.0,
+        "plus2": xi2 > 0.0,
+        "plus_hi2": region_mask(xi2, "+hi"),
+        "minus_hi2": region_mask(xi2, "-hi"),
+    }
+    arrays = {name: m.astype(np.complex128) for name, m in masks.items()}
+    arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)  # symbol of 2i Pm dx^2
+    arrays["ixi2"] = 1j * xi2
+    for a in arrays.values():
+        a.setflags(write=False)
+    return SimpleNamespace(pg=pg, **arrays)
+
+
 def _as_field(obj):
     if isinstance(obj, SpectralField):
         return obj
     if hasattr(obj, "V"):
         return obj.V
     raise TypeError(f"expected a SpectralField or GaugeState, got {type(obj)!r}")
-
-
-def _conj_reflect(c):
-    out = np.zeros_like(c)
-    out[1:] = np.conj(c[1:][::-1])
-    return out
 
 
 def antiderivative(u):
@@ -135,17 +172,15 @@ def gauge_forward(u, control_s=0.5):
     st.u = u
     st.F = F
     st.V = V
-    mask_p = region_mask(g.xi, "+hi")
-    mask_m = region_mask(g.xi, "-hi")
-    mask_lo = region_mask(g.xi, "lo")
-    st.V_plus = SpectralField(g, V.coeffs * mask_p, _checked=True)
-    st.V_minus = SpectralField(g, V.coeffs * mask_m, _checked=True)
-    st.V_lo = SpectralField(g, V.coeffs * mask_lo, _checked=True)
+    b = _bands(g)
+    st.V_plus = SpectralField(g, V.coeffs * b.plus_hi, _checked=True)
+    st.V_minus = SpectralField(g, V.coeffs * b.minus_hi, _checked=True)
+    st.V_lo = SpectralField(g, V.coeffs * b.lo, _checked=True)
     st.w = SpectralField(g, V.coeffs * (1j * g.xi), _checked=True)
 
     margin, uc = _reconstruct(V)
     st.min_one_plus_v = margin
-    herm = 0.5 * (uc + _conj_reflect(uc))
+    herm = 0.5 * (uc + conj_reflect(uc))
     diff = u.coeffs - herm
     st.recon_residual = float(np.sqrt(np.sum(np.abs(diff) ** 2) * g.dxi / (2 * np.pi)))
 
@@ -188,7 +223,7 @@ def gauge_inverse(V):
             f"gauge not invertible at this amplitude: min |1 + V| = {margin:.3g} "
             f"< {GAUGE_FLOOR}"
         )
-    herm = 0.5 * (uc + _conj_reflect(uc))
+    herm = 0.5 * (uc + conj_reflect(uc))
     residue = float(np.max(np.abs(uc - herm)))
     scale = float(np.max(np.abs(herm)))
     if residue > 1e-10 * max(scale, 1e-300):
@@ -265,26 +300,53 @@ def mean_w_squared(V):
     return complex(np.mean(ws * ws))
 
 
+def _w_stage(c, g, b):
+    """First stage shared by the exact and band right sides.
+
+    Returns the padded coefficients of V, the samples of V, the padded
+    coefficients of dx W with W = (1 + conj V) V_x, and mean(W^2).
+    Three padded transforms.
+    """
+    pg = b.pg
+    cpad = pad_coeffs(c, g.n)
+    vs = coeffs_to_samples(cpad, pg)
+    dvs = coeffs_to_samples(cpad * b.ixi2, pg)
+    ws = (1.0 + np.conj(vs)) * dvs
+    dwc = samples_to_coeffs(ws, pg) * b.ixi2
+    return cpad, vs, dwc, np.mean(ws * ws)
+
+
+def _exact_from_stage(c, g, b, vs, gm, mean_w2):
+    """Exact right side from the stage samples and gm = samples of Pm dx W."""
+    out = -2j * unpad_coeffs(samples_to_coeffs((1.0 + vs) * gm, b.pg), g.n)
+    out += b.linear * c
+    out += -1j * mean_w2 * c
+    out[g.n // 2] += -1j * mean_w2 * (2.0 * g.half_length)
+    out[0] = 0.0
+    return out
+
+
+def _band_pieces(cpad, gm, gp, g, b):
+    """Q_+ + C_+ + Q_- + C_- = -P_{+hi}(V_{+hi} gm) - P_{-hi}(V_{-hi} gp), where
+    gm, gp are the samples of Pm dx W and Pp dx W.  Four padded transforms."""
+    pg = b.pg
+    sp = coeffs_to_samples(cpad * b.plus_hi2, pg)
+    sm = coeffs_to_samples(cpad * b.minus_hi2, pg)
+    hi = samples_to_coeffs(sp * gm, pg) * b.plus_hi2
+    hi += samples_to_coeffs(sm * gp, pg) * b.minus_hi2
+    return -unpad_coeffs(hi, g.n)
+
+
 def rhs_exact_coeffs(c, g):
     """Coefficient array of the full gauged right side (everything but -H V_xx).
 
     V_t + H V_xx = -2i (1 + V) Pm dx W + 2i Pm dx^2 V - i mean(W^2) (1 + V).
     Valid for any complex band-limited V, not only gauge images.
     """
-    pg = _padded(g)
-    cpad = pad_coeffs(c, g.n)
-    vs = coeffs_to_samples(cpad, pg)
-    dvs = coeffs_to_samples(cpad * (1j * pg.xi), pg)
-    ws = (1.0 + np.conj(vs)) * dvs
-    wc = samples_to_coeffs(ws, pg)
-    mean_w2 = np.mean(ws * ws)
-    gs = coeffs_to_samples(wc * (1j * pg.xi) * (pg.xi < 0.0), pg)
-    out = -2j * unpad_coeffs(samples_to_coeffs((1.0 + vs) * gs, pg), g.n)
-    out += 2j * (-(g.xi**2)) * (g.xi < 0.0) * c
-    out += -1j * mean_w2 * c
-    out[g.n // 2] += -1j * mean_w2 * (2.0 * g.half_length)
-    out[0] = 0.0
-    return out
+    b = _bands(g)
+    _, vs, dwc, mean_w2 = _w_stage(c, g, b)
+    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
+    return _exact_from_stage(c, g, b, vs, gm, mean_w2)
 
 
 def rhs_exact(V):
@@ -299,12 +361,15 @@ def rhs_terms_total_coeffs(c, g):
 
     The high bands keep only the four paraproduct pieces (the mean correction
     is dropped there); the low band keeps the exact forcing, which is never
-    expanded.
+    expanded.  One fused pass of 10 padded transforms (see the module
+    docstring).
     """
-    V = SpectralField(g, c, _checked=True)
-    total = rhs_exact_coeffs(c, g) * region_mask(g.xi, "lo")
-    for sign in ("+", "-"):
-        total += 2j * (rhs_quadratic(V, sign).coeffs + rhs_cubic(V, sign).coeffs)
+    b = _bands(g)
+    cpad, vs, dwc, mean_w2 = _w_stage(c, g, b)
+    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
+    gp = coeffs_to_samples(dwc * b.plus2, b.pg)
+    total = _exact_from_stage(c, g, b, vs, gm, mean_w2) * b.lo
+    total += 2j * _band_pieces(cpad, gm, gp, g, b)
     total[0] = 0.0
     return total
 
@@ -318,11 +383,13 @@ def profile_time_derivative_sup(state):
     """sup_xi |Q_hat + C_hat| over both signs (the band time-derivative size).
 
     The evolution couples these pieces with coefficient 2i; the returned
-    value carries no such constant.
+    value carries no such constant.  The two signs live on disjoint bands,
+    so this is the sup of their fused sum.
     """
     V = _as_field(state)
-    best = 0.0
-    for sign in ("+", "-"):
-        c = rhs_quadratic(V, sign).coeffs + rhs_cubic(V, sign).coeffs
-        best = max(best, float(np.max(np.abs(c))))
-    return best
+    g = V.grid
+    b = _bands(g)
+    cpad, _, dwc, _ = _w_stage(V.coeffs, g, b)
+    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
+    gp = coeffs_to_samples(dwc * b.plus2, b.pg)
+    return float(np.max(np.abs(_band_pieces(cpad, gm, gp, g, b))))

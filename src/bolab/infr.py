@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .spectral import SpectralField, dispersion, region_mask
+from .spectral import SpectralField, conj_reflect, dispersion, region_mask
 
 COUPLING = 2j  # factor multiplying every term in the evolution equation
 
@@ -331,9 +331,7 @@ def _slot_values(term, inputs, grid):
     for j, f in enumerate(inputs):
         c = _coeffs_of(f, grid)
         if term.conj[j]:
-            b = np.zeros_like(c)
-            b[1:] = np.conj(c[1:][::-1])
-            c = b
+            c = conj_reflect(c)
         reg = term.slot_regions[j]
         if reg is not None:
             c = c * region_mask(grid.xi, reg)

@@ -95,6 +95,8 @@ class SpectralField:
                 f"coefficient array has length {coeffs.shape}, grid expects {grid.n}"
             )
         if not _checked:
+            if not np.all(np.isfinite(coeffs)):
+                raise ValueError("coefficient array holds non-finite values (nan or inf)")
             if coeffs[0] != 0.0:
                 coeffs = coeffs.copy()
                 coeffs[0] = 0.0  # Nyquist has no conjugate partner; hard-zeroed
@@ -134,9 +136,7 @@ class SpectralField:
         For a real-valued function this is the field itself; in general it is
         the transform of the complex conjugate of the physical-space function.
         """
-        c = np.zeros_like(self.coeffs)
-        c[1:] = np.conj(self.coeffs[1:][::-1])
-        return SpectralField(self.grid, c, _checked=True)
+        return SpectralField(self.grid, conj_reflect(self.coeffs), _checked=True)
 
     def reality_residual(self):
         """Max deviation from conjugate symmetry (0 for real-valued fields)."""
@@ -144,6 +144,13 @@ class SpectralField:
 
     def __repr__(self):
         return f"SpectralField(grid={self.grid!r}, ||.||={sobolev_norm(self, 0):.3e})"
+
+
+def conj_reflect(c):
+    """Coefficients conj(c(-xi)); the unpaired Nyquist slot is zero."""
+    out = np.zeros_like(c)
+    out[1:] = np.conj(c[1:][::-1])
+    return out
 
 
 def to_spectral(samples, grid):
@@ -164,13 +171,20 @@ def to_physical(field):
 
 
 # Array-level transform cores (no SpectralField wrapping) for solver hot loops.
+# n is even, so fftshift and ifftshift are the same swap of the two halves;
+# one concatenate does it at a fraction of np.roll's per-call cost.
+
+def _swap_halves(a):
+    h = len(a) // 2
+    return np.concatenate((a[h:], a[:h]))
+
 
 def coeffs_to_samples(coeffs, grid):
-    return np.fft.ifft(np.fft.ifftshift(coeffs * grid._phase)) / grid.dx
+    return np.fft.ifft(_swap_halves(coeffs * grid._phase)) / grid.dx
 
 
 def samples_to_coeffs(samples, grid):
-    c = grid.dx * grid._phase * np.fft.fftshift(np.fft.fft(samples))
+    c = grid.dx * grid._phase * _swap_halves(np.fft.fft(samples))
     c[0] = 0.0
     return c
 
@@ -335,6 +349,10 @@ def read_snapshot(path):
     """Read a snapshot written by write_snapshot; returns (field, time)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise ValueError(
+                f"truncated snapshot header: {len(raw)} of {_HEADER.size} bytes"
+            )
         magic, version, n, half_length, time = _HEADER.unpack(raw)
         if magic != BOSF_MAGIC:
             raise ValueError(f"not a field snapshot: bad magic {magic!r}")

@@ -8,6 +8,7 @@ full right side is checked against the chain rule of the gauge map itself.
 import numpy as np
 import pytest
 
+from bolab import gauge
 from bolab.gauge import (
     GAUGE_FLOOR,
     antiderivative,
@@ -400,7 +401,66 @@ def test_rhs_terms_total_band_structure():
     assert np.max(np.abs(project(total, "hi").coeffs - hi)) < 1e-15
 
 
+def _band_oracle(V):
+    """The band system assembled piece by piece: the exact right side on the
+    low band, 2i (Q_+ + C_+ + Q_- + C_-) on the high bands."""
+    g = V.grid
+    hi = 2j * sum(rhs_quadratic(V, s).coeffs + rhs_cubic(V, s).coeffs for s in "+-")
+    return np.where(region_mask(g.xi, "lo"), rhs_exact_coeffs(V.coeffs, g), hi)
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_rhs_terms_total_fused_matches_piecewise_oracle(n):
+    g = make_grid(n, np.pi)
+    rng = np.random.default_rng(n)
+    for amp in (0.05, 1.0):
+        V = random_complex_field(g, rng, amp=amp)
+        got = rhs_terms_total(V).coeffs
+        want = _band_oracle(V)
+        lo = region_mask(g.xi, "lo")
+        # the low band is the exact right side, operation for operation
+        np.testing.assert_array_equal(got[lo], want[lo])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _count_transforms(monkeypatch):
+    counts = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            counts["n"] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gauge, "coeffs_to_samples", counted(gauge.coeffs_to_samples))
+    monkeypatch.setattr(gauge, "samples_to_coeffs", counted(gauge.samples_to_coeffs))
+    return counts
+
+
+def test_transforms_per_right_side(monkeypatch):
+    g = make_grid(128, np.pi)
+    V = random_complex_field(g, np.random.default_rng(3), amp=0.2)
+    counts = _count_transforms(monkeypatch)
+    for fn, want in ((gauge.rhs_terms_total_coeffs, 10), (gauge.rhs_exact_coeffs, 5)):
+        counts["n"] = 0
+        fn(V.coeffs, g)
+        assert counts["n"] == want, fn.__name__
+
+
 # -- band derivative size -----------------------------------------------------
+
+def test_profile_time_derivative_sup_matches_piecewise_oracle():
+    rng = np.random.default_rng(17)
+    for n in (64, 512):
+        g = make_grid(n, np.pi)
+        V = random_complex_field(g, rng, amp=0.3)
+        want = max(
+            float(np.max(np.abs(rhs_quadratic(V, s).coeffs + rhs_cubic(V, s).coeffs)))
+            for s in "+-"
+        )
+        assert abs(profile_time_derivative_sup(V) - want) <= 1e-14 * want
+
 
 def test_profile_time_derivative_sup_zero_and_scaling():
     g = make_grid(128, np.pi)

@@ -279,3 +279,30 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
         sp.read_snapshot(path)
+
+
+def test_snapshot_truncated_header_is_value_error(tmp_path):
+    path = tmp_path / "short.bosf"
+    path.write_bytes(b"BOSF" + b"\x00" * 6)
+    with pytest.raises(ValueError, match="truncated snapshot header: 10 of 28 bytes"):
+        sp.read_snapshot(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_field_rejects_non_finite_coefficients(bad):
+    g = sp.make_grid(8, np.pi)
+    with pytest.raises(ValueError, match="non-finite"):
+        sp.SpectralField(g, [bad] * 8)
+
+
+def test_conj_reflect_is_the_conjugate_field():
+    rng = np.random.default_rng(43)
+    g = sp.make_grid(32, np.pi)
+    c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    f = sp.SpectralField(g, c)
+    r = sp.conj_reflect(f.coeffs)
+    np.testing.assert_array_equal(f.conj_reflected().coeffs, r)
+    assert r[0] == 0.0
+    # the transform of conj(f(x)) in physical space
+    want = sp.to_spectral(np.conj(sp.to_physical(f)), g).coeffs
+    np.testing.assert_allclose(r, want, rtol=0, atol=1e-13)
