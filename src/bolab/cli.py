@@ -12,9 +12,7 @@ failed or was inconclusive, 2 usage/config error, 3 numerical failure.
 Configuration is a JSON file with the sections in ``DEFAULTS``; flags
 override file values, file values override per-command defaults.  Unknown
 keys are rejected with their field path.  Identical config + seed produce
-byte-identical CSV reports.  ``--jobs`` caps parallelism where cells are
-independent (the per-term operator sweeps of ``estimates``); results do
-not depend on the worker count.
+byte-identical CSV reports.
 """
 
 import argparse
@@ -22,7 +20,6 @@ import copy
 import json
 import os
 import sys
-from concurrent import futures
 
 import numpy as np
 
@@ -51,7 +48,6 @@ _NUMBER = "number"
 _SCHEMA = {
     "command": str,
     "output_dir": str,
-    "jobs": int,
     "grid": {"n_points": int, "half_length": _NUMBER},
     "time": {"T": _NUMBER, "dt": _NUMBER, "snapshot_every": int},
     "data": {"kind": str, "seed": int, "amplitude": _NUMBER,
@@ -66,7 +62,6 @@ _SCHEMA = {
 
 DEFAULTS = {
     "output_dir": None,
-    "jobs": 1,
     "grid": {"n_points": 256, "half_length": 8.0 * np.pi},
     "time": {"T": 0.25, "dt": 1e-3, "snapshot_every": 10},
     "data": {"kind": "gaussian-derivative", "seed": 42, "amplitude": 0.3,
@@ -157,8 +152,6 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
     for name in cfg["experiment"]["terms"]:
         if name not in ("Q+", "Q-", "C+", "C-"):
             raise ConfigError(f"experiment.terms: unknown term {name!r}")
-    if cfg["jobs"] < 1:
-        raise ConfigError("jobs: must be >= 1")
     return cfg
 
 
@@ -252,13 +245,6 @@ def _cmd_params(cfg, outdir):
     return [("params", rep)]
 
 
-def _operator_job(args):
-    name, s, eps, alphas, Ms, trials, grid_n, half_length = args
-    return verify_operator_estimate(name, s, eps, list(alphas), list(Ms),
-                                    trials=trials, grid_n=grid_n,
-                                    half_length=half_length)
-
-
 def _integral_report(s, eps, cutoff):
     """M- and alpha-sweeps of the quadrature oracles with exponent caps.
 
@@ -310,18 +296,13 @@ def _cmd_estimates(cfg, outdir):
     infr = cfg["infr"]
     exp = cfg["experiment"]
     grid_cfg = cfg["grid"]
-    jobs = cfg["jobs"]
-    arglist = [(name, infr["s"], infr["eps"], tuple(exp["alpha_list"]),
-                tuple(exp["M_list"]), exp["trials"], grid_cfg["n_points"],
-                grid_cfg["half_length"]) for name in exp["terms"]]
-    if jobs > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            term_reps = list(pool.map(_operator_job, arglist))
-    else:
-        term_reps = [_operator_job(a) for a in arglist]
     safe = {"Q+": "Qp", "Q-": "Qm", "C+": "Cp", "C-": "Cm"}
     out = []
-    for name, rep in zip(exp["terms"], term_reps):
+    for name in exp["terms"]:
+        rep = verify_operator_estimate(
+            name, infr["s"], infr["eps"], exp["alpha_list"], exp["M_list"],
+            trials=exp["trials"], grid_n=grid_cfg["n_points"],
+            half_length=grid_cfg["half_length"])
         rep.params["config"] = cfg
         out.append((f"operator_{safe[name]}", rep))
     integral = _integral_report(infr["s"], infr["eps"], exp["cutoff"])
@@ -420,8 +401,6 @@ def _build_parser():
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--jobs", type=int, dest="jobs",
-                   help="parallel workers for independent experiment cells")
     p.add_argument("--n-points", type=int, dest="grid.n_points")
     p.add_argument("--half-length", type=float, dest="grid.half_length")
     p.add_argument("--T", type=float, dest="time.T")

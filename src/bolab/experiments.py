@@ -31,7 +31,8 @@ import numpy as np
 from .spectral import Grid, SpectralField, dispersion, sobolev_norm, to_physical
 from .dynamics import evolve_gauged
 from .gauge import gauge_forward, profile_time_derivative_sup
-from .infr import apply_T_alpha_M, bo_terms, gamma_cubic, gamma_quadratic
+from .infr import (NO_TUPLE_CAP, bo_terms, gamma_cubic, gamma_quadratic,
+                   term_values_on_lattice, window_indicator)
 from .reports import EstimateReport
 
 __all__ = ["rough_profile_data", "rough_real_data", "unit_rough_field",
@@ -194,37 +195,38 @@ def verify_operator_estimate(term, s, eps, alpha_list=None, M_list=None,
 
     grid = Grid(grid_n, half_length)
     rng = np.random.default_rng(seed)
-    ensembles = [[unit_rough_field(grid, s, rng) for _ in range(arity)]
-                 for _ in range(trials)]
     sign = -1.0 if term.name.endswith("+") else 1.0
-
-    def cell(alpha, M):
-        strong = weak = 0.0
-        for inputs in ensembles:
-            out = apply_T_alpha_M(term, inputs, alpha, M)
-            strong += sobolev_norm(out, s + eps + 1.0)
-            weak += (np.max(np.abs(out.coeffs))
-                     / min(np.max(np.abs(f.coeffs)) for f in inputs))
-        return strong / trials, weak / trials
-
     m_ref = M_list[0]
     unroll = 2.0 * grid.dxi * (grid.n // 2)
     fit_alphas = [a for a in alpha_list if a >= unroll] or alpha_list
+    anchors = [a for a in fit_alphas if a >= 2.0 * M_list[-1]]
+    if not anchors:
+        anchors = [fit_alphas[-1]]
+    # window cells (alpha, M) -> [strong, weak] sums over the ensemble; each
+    # member's tuples are enumerated once and replayed for every cell
+    cells = {cell: [0.0, 0.0] for cell in
+             [(a, m_ref) for a in fit_alphas]
+             + [(a, M) for a in anchors for M in M_list]}
+    for _ in range(trials):
+        inputs = [unit_rough_field(grid, s, rng) for _ in range(arity)]
+        tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+        floor = min(np.max(np.abs(f.coeffs)) for f in inputs)
+        for (a, M), sums in cells.items():
+            out = tv.field(window_indicator(tv.phase, sign * a, M))
+            sums[0] += sobolev_norm(out, s + eps + 1.0)
+            sums[1] += np.max(np.abs(out.coeffs)) / floor
+
     for a in fit_alphas:
-        strong, weak = cell(sign * a, m_ref)
+        strong, weak = (v / trials for v in cells[(a, m_ref)])
         rep.add_sample(strong, fit="alpha_strong", alpha=a, m=m_ref,
                        alpha_plus_m=a + m_ref, kind="strong")
         rep.add_sample(weak, fit="alpha_weak", alpha=a, m=m_ref,
                        alpha_plus_m=a + m_ref, kind="weak")
-    anchors = [a for a in fit_alphas if a >= 2.0 * M_list[-1]]
-    if not anchors:
-        anchors = [fit_alphas[-1]]
     m_fits = []
     for a in anchors:
         tag = f"m_sweep_alpha{a:g}"
         for M in M_list:
-            strong, _ = cell(sign * a, M)
-            rep.add_sample(strong, fit=tag, alpha=a, m=M,
+            rep.add_sample(cells[(a, M)][0] / trials, fit=tag, alpha=a, m=M,
                            alpha_plus_m=a + M, kind="strong")
         m_fits.append(rep.fit_samples(tag, "m"))
     fit_alpha = rep.fit_samples("alpha_strong", "alpha_plus_m")

@@ -18,22 +18,29 @@ structure directly:
   (no flip; the conjugated-slot value conj(V_hat(-xi_2)) oscillates like a
   plain slot because omega is odd).  The two agree on the quadratic pieces
   and differ by 2 omega(xi_2) on the cubic ones.
+* ``term_values_on_lattice`` materializes the individual lattice tuples of
+  one term application (indices, phases, kernels, values), and
+  ``split_resonant`` partitions them by a threshold on |Phi|.  It is the
+  only place that enumerates tuples.
 * ``apply_T_sigma``, ``apply_T_alpha_M`` and ``dyadic_sigma_from_restricted``
   apply a term with a weight on the resonance function: <Phi>^{-sigma}, the
   window indicator |Phi - alpha| < M, and the dyadic-shell reconstruction of
-  the sigma weight.  sigma = 0 reproduces the plain right-hand-side pieces.
-* ``term_values_on_lattice`` materializes the individual lattice tuples of
-  one term application (indices, phases, kernels, values), and
-  ``split_resonant`` partitions them by a threshold on |Phi|.
+  the sigma weight.  Each replays the materialized tuples,
+  ``TermValues.field(weight(phase))``, so a caller that needs many weights
+  on the same inputs enumerates once and replays per weight.  sigma = 0
+  reproduces the plain right-hand-side pieces.
 * ``infr_params`` fixes the exponent bookkeeping (gamma, beta, sigma, theta,
   delta, the thresholds c_j) for the normal-form iteration at a given
   regularity (s, eps).
 
 All operators sum the lattice directly (no FFT), with modes below
-1e-14 x max|coefficient| dropped per slot; results are deterministic --
-the summation order per output frequency is fixed by the loops below.
+1e-14 x max|coefficient| dropped per slot (except the last, which the
+output fixes).  Results are deterministic: each output frequency sums its
+tuples in enumeration order (i1, then i2, then output index), which
+``term_values_on_lattice`` fixes and ``TermValues.field`` keeps.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -44,6 +51,8 @@ from .spectral import SpectralField, conj_reflect, dispersion, region_mask
 COUPLING = 2j  # factor multiplying every term in the evolution equation
 
 _TRUNC = 1e-14  # relative active-mode cutoff per slot
+
+NO_TUPLE_CAP = 2 ** 62  # max_tuples of the operators: no cost guard
 
 
 @dataclass(frozen=True)
@@ -347,62 +356,11 @@ def _active(values):
     return np.nonzero(m > _TRUNC * top)[0]
 
 
-def _apply(term, inputs, weight_fn):
-    """Sum the term's lattice tuples with weight_fn(Phi) per tuple.
-
-    Phi is the restricted-operator phase (conjugated slots flipped).  The
-    (dxi/2pi)^(k-1) convolution measure and the output region mask are
-    applied at the end; the output end mode is zeroed like everywhere else.
-    """
-    inputs = _slot_inputs(term, inputs)
-    grid = _grid_of(inputs)
-    vals = _slot_values(term, inputs, grid)
-    n = grid.n
-    half = n // 2
-    xi = grid.xi
-    om = dispersion(xi)
-    signs = term.phase_signs()
-    out = np.zeros(n, dtype=complex)
-
-    if term.arity == 2:
-        a1, a2 = vals
-        s1, s2 = signs
-        for i1 in _active(a1):
-            lo = max(0, i1 - half)
-            hi = min(n, i1 + half)
-            if lo >= hi:
-                continue
-            i2 = np.arange(lo, hi) - (i1 - half)
-            m = term.multiplier((xi[i1], xi[i2]))
-            ph = om[lo:hi] - s1 * om[i1] - s2 * om[i2]
-            out[lo:hi] += (a1[i1] * m * weight_fn(ph)) * a2[i2]
-    else:
-        a1, a2, a3 = vals
-        s1, s2, s3 = signs
-        want_neg = term.pair_sign == "-"
-        act2 = _active(a2)
-        for i1 in _active(a1):
-            c1 = a1[i1]
-            base1 = s1 * om[i1]
-            for i2 in act2:
-                off = i1 + i2 - n
-                lo = max(0, off)
-                hi = min(n, n + off)
-                if lo >= hi:
-                    continue
-                i3 = np.arange(lo, hi) - off
-                xi3 = xi[i3]
-                pair = xi[i2] + xi3
-                keep = pair < 0 if want_neg else pair > 0
-                if not keep.any():
-                    continue
-                m = pair * xi3 * keep
-                ph = om[lo:hi] - base1 - s2 * om[i2] - s3 * om[i3]
-                out[lo:hi] += (c1 * a2[i2]) * (m * weight_fn(ph) * a3[i3])
-
-    out *= region_mask(xi, term.out_region) * (grid.dxi / (2.0 * np.pi)) ** (term.arity - 1)
-    out[0] = 0.0
-    return SpectralField(grid, out, _checked=True)
+def window_indicator(ph, alpha, M):
+    """Weight of T^{alpha,M}: 1 where |Phi - alpha| < M (strict), else 0."""
+    if M <= 0:
+        raise ValueError(f"window width M must be positive, got {M}")
+    return (np.abs(ph - float(alpha)) < float(M)).astype(float)
 
 
 def apply_T_sigma(term, inputs, sigma):
@@ -412,24 +370,14 @@ def apply_T_sigma(term, inputs, sigma):
     (gauge.rhs_quadratic / gauge.rhs_cubic).
     """
     sigma = float(sigma)
-
-    def w(ph):
-        return (1.0 + ph * ph) ** (-0.5 * sigma)
-
-    return _apply(term, inputs, w)
+    tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+    return tv.field((1.0 + tv.phase * tv.phase) ** (-0.5 * sigma))
 
 
 def apply_T_alpha_M(term, inputs, alpha, M):
     """Apply the term restricted to the phase window |Phi - alpha| < M (strict)."""
-    if M <= 0:
-        raise ValueError(f"window width M must be positive, got {M}")
-    alpha = float(alpha)
-    M = float(M)
-
-    def w(ph):
-        return (np.abs(ph - alpha) < M).astype(float)
-
-    return _apply(term, inputs, w)
+    tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+    return tv.field(window_indicator(tv.phase, alpha, M))
 
 
 def _shell_index(abs_ph):
@@ -450,16 +398,13 @@ def dyadic_sigma_from_restricted(term, inputs, sigma):
     so the accumulated sums agree bit for bit.
     """
     sigma = float(sigma)
-
-    def w(ph):
-        base = (1.0 + ph * ph) ** (-0.5 * sigma)
-        r = _shell_index(np.abs(ph))
-        total = np.zeros_like(base)
-        for shell in range(int(r.max(initial=0)) + 1):
-            total = total + np.where(r == shell, base, 0.0)
-        return total
-
-    return _apply(term, inputs, w)
+    tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+    base = (1.0 + tv.phase * tv.phase) ** (-0.5 * sigma)
+    r = _shell_index(np.abs(tv.phase))
+    total = np.zeros_like(base)
+    for shell in range(int(r.max(initial=0)) + 1):
+        total = total + np.where(r == shell, base, 0.0)
+    return tv.field(total)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +436,17 @@ class TermValues:
     def __len__(self):
         return self.out_idx.shape[0]
 
-    def field(self):
-        """Accumulate the tuple values into a spectral field."""
-        out = np.zeros(self.grid.n, dtype=complex)
-        np.add.at(out, self.out_idx, self.value)
+    def field(self, weight=None):
+        """Accumulate value (x ``weight`` per tuple) into a spectral field.
+
+        Each output frequency sums its tuples in tuple order, so equal
+        weights give bitwise-equal fields.
+        """
+        v = self.value if weight is None else self.value * weight
+        n = self.grid.n
+        out = np.empty(n, dtype=complex)
+        out.real = np.bincount(self.out_idx, v.real, minlength=n)
+        out.imag = np.bincount(self.out_idx, v.imag, minlength=n)
         return SpectralField(self.grid, out, _checked=True)
 
     def restrict(self, mask):
@@ -521,117 +473,63 @@ class TermValues:
 def term_values_on_lattice(term, inputs, max_tuples=2_000_000):
     """Materialize the active lattice tuples of one term application.
 
-    Active modes are selected per slot exactly as in the operator
-    applications (1e-14 relative cutoff); tuples with zero multiplier, an
-    out-of-band output, or an output on the end mode are dropped, so
-    ``field()`` agrees with ``apply_T_sigma(term, inputs, 0)`` up to
-    accumulation rounding.  Raises if more than ``max_tuples`` tuples would
-    be kept (cost guard for the cubic pieces).
+    The one enumeration of the module: every operator replays its output.
+    Slots 1..k-1 run over their active modes (1e-14 relative cutoff per
+    slot) and the last slot is fixed by the output frequency.  Tuples
+    outside ``term.in_region``, with zero multiplier, a zero last slot or
+    an output on the end mode are dropped.  Tuples come in the order i1,
+    then i2, then output index; ``field()`` sums them in that order and
+    equals ``apply_T_sigma(term, inputs, 0)`` bit for bit.  Raises if more
+    than ``max_tuples`` tuples would be kept (cost guard for the cubic
+    pieces).
     """
     inputs = _slot_inputs(term, inputs)
     grid = _grid_of(inputs)
     vals = _slot_values(term, inputs, grid)
-    n = grid.n
-    half = n // 2
+    n, k = grid.n, term.arity
     xi = grid.xi
-    om = dispersion(xi)
-    signs = term.phase_signs()
-    out_ok = region_mask(xi, term.out_region)
-    out_ok = out_ok.copy()
-    out_ok[0] = False
-    measure = (grid.dxi / (2.0 * np.pi)) ** (term.arity - 1)
-
-    rows_out, rows_slots, rows_ph, rows_osc, rows_kern, rows_val = [], [], [], [], [], []
+    io = np.arange(n)
+    # inner slots 2..k-1 (none when k = 2): rows of active index combinations
+    combos = list(itertools.product(*map(_active, vals[1:-1])))
+    inner = np.array(combos, dtype=int).reshape(len(combos), k - 2)
+    inner_xis = [xi[col][:, None] for col in inner.T]
+    # xi_k = xi - xi_1 - ... - xi_{k-1}, with index i - half <-> xi_i
+    offset = (k - 1) * (n // 2) - inner.sum(axis=1)[:, None]
+    rows = [np.empty((k + 1, 0), dtype=int)]
     count = 0
-
-    def _push(io, slots, kern, val):
-        nonlocal count
-        count += io.size
+    for i1 in _active(vals[0]):
+        last = io + (offset - i1)
+        inside = (last >= 0) & (last < n)
+        last = np.where(inside, last, 0)
+        slot_xis = [xi[i1], *inner_xis, xi[last]]
+        keep = (inside & (io > 0) & term.in_region(xi, slot_xis)
+                & (term.multiplier(slot_xis) != 0.0)
+                & (np.abs(vals[-1][last]) > 0.0))
+        r, c = np.nonzero(keep)
+        count += r.size
         if count > max_tuples:
             raise ValueError(
                 f"term lattice too large: more than {max_tuples} active tuples "
                 f"for {term.name}; raise max_tuples or restrict the inputs"
             )
-        rows_out.append(io)
-        rows_slots.append(slots)
-        ph = om[io].copy()
-        osc = om[io].copy()
-        for s, idx in zip(signs, slots):
-            ph -= s * om[idx]
-            osc -= om[idx]
-        rows_ph.append(ph)
-        rows_osc.append(osc)
-        rows_kern.append(kern)
-        rows_val.append(val)
+        rows.append(np.vstack([c, np.full(r.size, i1), inner[r].T, last[r, c]]))
 
-    if term.arity == 2:
-        a1, a2 = vals
-        s1, s2 = signs
-        for i1 in _active(a1):
-            lo = max(0, i1 - half)
-            hi = min(n, i1 + half)
-            if lo >= hi:
-                continue
-            io = np.arange(lo, hi)
-            i2 = io - (i1 - half)
-            m = term.multiplier((xi[i1], xi[i2]))
-            keep = out_ok[io] & (m != 0.0) & (np.abs(a2[i2]) > 0.0)
-            if not keep.any():
-                continue
-            io = io[keep]
-            i2 = i2[keep]
-            kern = m[keep] * measure
-            _push(io, np.stack([np.full(io.shape, i1), i2]), kern, kern * a1[i1] * a2[i2])
-    else:
-        a1, a2, a3 = vals
-        s1, s2, s3 = signs
-        want_neg = term.pair_sign == "-"
-        act2 = _active(a2)
-        for i1 in _active(a1):
-            for i2 in act2:
-                off = i1 + i2 - n
-                lo = max(0, off)
-                hi = min(n, n + off)
-                if lo >= hi:
-                    continue
-                io = np.arange(lo, hi)
-                i3 = io - off
-                xi3 = xi[i3]
-                pair = xi[i2] + xi3
-                sign_ok = pair < 0 if want_neg else pair > 0
-                m = pair * xi3
-                keep = out_ok[io] & sign_ok & (m != 0.0) & (np.abs(a3[i3]) > 0.0)
-                if not keep.any():
-                    continue
-                io = io[keep]
-                i3 = i3[keep]
-                kern = m[keep] * measure
-                _push(
-                    io,
-                    np.stack([np.full(io.shape, i1), np.full(io.shape, i2), i3]),
-                    kern,
-                    kern * a1[i1] * a2[i2] * a3[i3],
-                )
-
-    if count == 0:
-        k = term.arity
-        empty_i = np.empty(0, dtype=int)
-        return TermValues(
-            term, grid, empty_i, np.empty((k, 0), dtype=int), np.empty((k, 0), dtype=int),
-            np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=complex),
-        )
-
-    out_idx = np.concatenate(rows_out)
-    slot_idx = np.concatenate(rows_slots, axis=1)
+    idx = np.concatenate(rows, axis=1)
+    out_idx, slot_idx = idx[0], idx[1:]
     slot_read = slot_idx.copy()
-    for j in range(term.arity):
+    for j in range(k):
         if term.conj[j]:
             slot_read[j] = n - slot_idx[j]  # slot_idx 0 never appears (zeroed end mode)
-    return TermValues(
-        term, grid, out_idx, slot_idx, slot_read,
-        np.concatenate(rows_ph), np.concatenate(rows_osc),
-        np.concatenate(rows_kern), np.concatenate(rows_val),
-    )
+    om = dispersion(xi)
+    ph = om[out_idx]
+    osc = om[out_idx]
+    for s, col in zip(term.phase_signs(), slot_idx):
+        ph = ph - s * om[col]
+        osc = osc - om[col]
+    kernel = term.multiplier([xi[col] for col in slot_idx]) * (grid.dxi / (2.0 * np.pi)) ** (k - 1)
+    tv = TermValues(term, grid, out_idx, slot_idx, slot_read, ph, osc, kernel, None)
+    tv.value = tv.evaluate(inputs)
+    return tv
 
 
 def split_resonant(term_values, threshold):

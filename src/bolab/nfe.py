@@ -53,7 +53,7 @@ import numpy as np
 
 from .spectral import SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
-from .infr import COUPLING, bo_terms, term_values_on_lattice
+from .infr import COUPLING, NO_TUPLE_CAP, bo_terms, term_values_on_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,7 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000,
     envelope = np.abs(traj.data).max(axis=0).astype(complex)
     envelope[0] = 0.0
     env_field = SpectralField(grid, envelope, _checked=True)
-    cap_tuples = max_composed if not allow_expensive else 2 ** 62
+    cap_tuples = max_composed if not allow_expensive else NO_TUPLE_CAP
     tvs = {name: term_values_on_lattice(term, env_field, max_tuples=cap_tuples)
            for name, term in bo_terms().items()}
 

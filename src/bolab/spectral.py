@@ -160,9 +160,7 @@ def to_spectral(samples, grid):
         raise ValueError(
             f"sample array has length {samples.shape}, grid expects {grid.n}"
         )
-    coeffs = grid.dx * grid._phase * np.fft.fftshift(np.fft.fft(samples))
-    coeffs[0] = 0.0
-    return SpectralField(grid, coeffs, _checked=True)
+    return SpectralField(grid, samples_to_coeffs(samples, grid), _checked=True)
 
 
 def to_physical(field):

@@ -110,12 +110,12 @@ def test_simulate_unstable_dt_names_bound(tmp_path, capsys):
 # experiment commands
 # ---------------------------------------------------------------------------
 
-def test_estimates_light_and_jobs_deterministic(tmp_path, capsys):
+def test_estimates_light_deterministic(tmp_path, capsys):
     args = ("estimates", "--terms", "Q+", "--alpha-list", "64,128,256",
             "--m-list", "8,16,32", "--trials", "2", "--n-points", "64")
     a, b = tmp_path / "a", tmp_path / "b"
     assert main([*args, "--output-dir", str(a)]) == 0
-    assert main([*args, "--jobs", "2", "--output-dir", str(b)]) == 0
+    assert main([*args, "--output-dir", str(b)]) == 0
     capsys.readouterr()
     assert (a / "operator_Qp.csv").read_bytes() == \
         (b / "operator_Qp.csv").read_bytes()

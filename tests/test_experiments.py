@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+import bolab.experiments as experiments
 from bolab.experiments import (bump_shape, lemma21_experiment,
                                lipschitz_experiment, rough_profile_data,
                                rough_real_data, smoothing_experiment,
@@ -101,6 +102,22 @@ def test_operator_empty_windows_never_pass():
                                    alpha_list=[1 << 20, 1 << 21],
                                    M_list=[2, 4], trials=1, grid_n=16)
     assert rep.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("name", ["Q+", "C-"])
+def test_operator_enumerates_once_per_member(name, monkeypatch):
+    # every window cell replays the member's tuples; none enumerates again
+    calls = []
+    real = experiments.term_values_on_lattice
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "term_values_on_lattice", counting)
+    verify_operator_estimate(name, 0.5, 0.4, alpha_list=[64, 128],
+                             M_list=[8, 16], trials=3, grid_n=32)
+    assert calls == [name] * 3
 
 
 @pytest.mark.parametrize("name,arity_cells", [("Q+", 2), ("C-", 3)])

@@ -44,6 +44,22 @@ def omega(x):
     return abs(x) * x
 
 
+def brute_slot_value(term, inputs, j, i):
+    """Value read by slot j at lattice index i (conjugation and region applied)."""
+    n = inputs[0].grid.n
+    if term.conj[j]:
+        ir = n - i
+        if not 0 <= ir < n:
+            return 0.0
+        v = np.conj(inputs[j].coeffs[ir])
+    else:
+        v = inputs[j].coeffs[i]
+    reg = term.slot_regions[j]
+    if reg is not None and not region_mask(np.array([inputs[0].grid.xi[i]]), reg)[0]:
+        return 0.0
+    return v
+
+
 def brute_weighted(term, inputs, weight_fn):
     """Direct tuple-by-tuple evaluation of a weighted term application."""
     g = inputs[0].grid
@@ -52,17 +68,7 @@ def brute_weighted(term, inputs, weight_fn):
     xi = g.xi
 
     def slot_value(j, i):
-        if term.conj[j]:
-            ir = n - i
-            if not 0 <= ir < n:
-                return 0.0
-            v = np.conj(inputs[j].coeffs[ir])
-        else:
-            v = inputs[j].coeffs[i]
-        reg = term.slot_regions[j]
-        if reg is not None and not region_mask(np.array([xi[i]]), reg)[0]:
-            return 0.0
-        return v
+        return brute_slot_value(term, inputs, j, i)
 
     signs = term.phase_signs()
     out = np.zeros(n, dtype=complex)
@@ -417,6 +423,65 @@ def test_term_values_roundtrip():
         assert np.array_equal(again, tv.value)
         doubled = tv.evaluate(tuple(SpectralField(g, 2.0 * V.coeffs) for _ in range(term.arity)))
         assert np.allclose(doubled, 2.0**term.arity * tv.value, rtol=1e-13, atol=0.0)
+
+
+def brute_tuples(term, inputs):
+    """Rows (out, slot_1, ..., slot_k) of every contributing index tuple.
+
+    The rules of brute_weighted, in the order i1, then i2, then output.
+    """
+    n = inputs[0].grid.n
+    half = n // 2
+    xi = inputs[0].grid.xi
+    table = [[brute_slot_value(term, inputs, j, i) for i in range(n)]
+             for j in range(term.arity)]
+    out_ok = [io > 0 and bool(region_mask(np.array([xi[io]]), term.out_region)[0])
+              for io in range(n)]
+    rows = []
+    inner = range(n) if term.arity == 3 else [None]
+    for i1 in range(n):
+        for i2 in inner:
+            for io in range(n):
+                if term.arity == 2:
+                    slots = (i1, io - i1 + half)
+                else:
+                    slots = (i1, i2, io - i1 - i2 + n)
+                if not (out_ok[io] and 0 <= slots[-1] < n):
+                    continue
+                if any(table[j][i] == 0.0 for j, i in enumerate(slots)):
+                    continue
+                if term.arity == 2:
+                    m = xi[slots[1]] ** 2
+                else:
+                    pair = xi[slots[1]] + xi[slots[2]]
+                    if not (pair < 0 if term.pair_sign == "-" else pair > 0):
+                        continue
+                    m = pair * xi[slots[2]]
+                if m != 0.0:
+                    rows.append((io, *slots))
+    return np.array(rows, dtype=int).reshape(-1, term.arity + 1)
+
+
+def test_enumeration_matches_brute_force_order():
+    g = Grid(32, np.pi)
+    rng = np.random.default_rng(37)
+    for term in bo_terms().values():
+        inputs = tuple(random_complex_field(g, rng, 15) for _ in range(term.arity))
+        tv = term_values_on_lattice(term, inputs)
+        want = brute_tuples(term, inputs)
+        assert len(want) > 0
+        got = np.vstack([tv.out_idx, tv.slot_idx]).T
+        assert np.array_equal(got, want), term.name
+
+
+def test_field_replays_T_sigma_bitwise():
+    g = Grid(64, np.pi)
+    rng = np.random.default_rng(41)
+    for term in bo_terms().values():
+        inputs = tuple(random_complex_field(g, rng, 24) for _ in range(term.arity))
+        tv = term_values_on_lattice(term, inputs)
+        assert np.array_equal(tv.field().coeffs,
+                              apply_T_sigma(term, inputs, 0.0).coeffs), term.name
 
 
 def test_split_resonant_partition():
