@@ -9,10 +9,14 @@ lemma21, nfe.  Each writes its JSON + CSV report into the output directory
 0 every verdict passes (or the run is descriptive-only), 1 a verdict
 failed or was inconclusive, 2 usage/config error, 3 numerical failure.
 
-Configuration is a JSON file with the sections in ``DEFAULTS``; flags
-override file values, file values override per-command defaults.  Unknown
-keys are rejected with their field path.  Identical config + seed produce
-byte-identical CSV reports.
+Configuration is a JSON file whose sections and keys are the rows of
+``_SPEC``: each row gives a key's dotted path, flag type, default, flag and
+help.  ``DEFAULTS``, the type checks of config-file values and the flags are
+all derived from it.  Flags override file values, file values override
+per-command defaults.  Unknown keys are rejected with their field path; a
+key whose default is null also accepts null, so the config embedded in a
+report replays as it is.  Identical config + seed produce byte-identical
+CSV reports.
 """
 
 import argparse
@@ -44,37 +48,64 @@ class ConfigError(ValueError):
     """Bad configuration; the message carries the offending field path."""
 
 
-_NUMBER = "number"
-_SCHEMA = {
-    "command": str,
-    "output_dir": str,
-    "grid": {"n_points": int, "half_length": _NUMBER},
-    "time": {"T": _NUMBER, "dt": _NUMBER, "snapshot_every": int},
-    "data": {"kind": str, "seed": int, "amplitude": _NUMBER,
-             "regularity": _NUMBER},
-    "infr": {"s": _NUMBER, "eps": _NUMBER, "eps_list": list,
-             "N_threshold": _NUMBER, "J_max": int},
-    "experiment": {"alpha_list": list, "M_list": list, "cutoff": _NUMBER,
-                   "resolutions": list, "trials": int,
-                   "perturbation_size": _NUMBER, "amplitudes": list,
-                   "terms": list, "c_max": _NUMBER},
-}
+def _floats(text):
+    return [float(x) for x in text.split(",") if x.strip()]
 
-DEFAULTS = {
-    "output_dir": None,
-    "grid": {"n_points": 256, "half_length": 8.0 * np.pi},
-    "time": {"T": 0.25, "dt": 1e-3, "snapshot_every": 10},
-    "data": {"kind": "gaussian-derivative", "seed": 42, "amplitude": 0.3,
-             "regularity": 0.5},
-    "infr": {"s": 0.5, "eps": 0.0, "eps_list": None, "N_threshold": 1000.0,
-             "J_max": 2},
-    "experiment": {"alpha_list": [128.0, 256.0, 512.0, 1024.0],
-                   "M_list": [16.0, 32.0, 64.0, 128.0], "cutoff": 48.0,
-                   "resolutions": [128, 256], "trials": 4,
-                   "perturbation_size": 1e-3,
-                   "amplitudes": [0.05, 0.1, 0.2, 0.35, 0.5],
-                   "terms": ["Q+", "Q-", "C+", "C-"], "c_max": 10.0},
-}
+
+def _ints(text):
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _names(text):
+    return text.split(",")
+
+
+# (dotted path, flag type, default, flag, help); a tuple flag type is the
+# flag's choices.  Rows are in --help order.
+_SPEC = (
+    ("output_dir", str, None, "--output-dir", None),
+    ("grid.n_points", int, 256, "--n-points", None),
+    ("grid.half_length", float, 8.0 * np.pi, "--half-length", None),
+    ("time.T", float, 0.25, "--T", None),
+    ("time.dt", float, 1e-3, "--dt",
+     "time step (smoothing: the N=512 reference step)"),
+    ("time.snapshot_every", int, 10, "--snapshot-every", None),
+    ("data.kind", DATA_KINDS, "gaussian-derivative", "--kind", None),
+    ("data.seed", int, 42, "--seed", None),
+    ("data.amplitude", float, 0.3, "--amplitude", None),
+    ("data.regularity", float, 0.5, "--regularity", None),
+    ("infr.s", float, 0.5, "--s", None),
+    ("infr.eps", float, 0.0, "--eps", None),
+    ("infr.eps_list", _floats, None, "--eps-list", None),
+    ("infr.N_threshold", float, 1000.0, "--n-threshold", None),
+    ("infr.J_max", int, 2, "--j-max", None),
+    ("experiment.alpha_list", _floats, [128.0, 256.0, 512.0, 1024.0],
+     "--alpha-list", None),
+    ("experiment.M_list", _floats, [16.0, 32.0, 64.0, 128.0], "--m-list", None),
+    ("experiment.cutoff", float, 48.0, "--cutoff", None),
+    ("experiment.resolutions", _ints, [128, 256], "--resolutions", None),
+    ("experiment.trials", int, 4, "--trials", None),
+    ("experiment.perturbation_size", float, 1e-3, "--perturbation-size", None),
+    ("experiment.amplitudes", _floats, [0.05, 0.1, 0.2, 0.35, 0.5],
+     "--amplitudes", None),
+    ("experiment.terms", _names, ["Q+", "Q-", "C+", "C-"], "--terms", None),
+    ("experiment.c_max", float, 10.0, "--c-max", None),
+)
+
+
+def _nest(pairs):
+    """Nested config dict from (dotted path, value) pairs."""
+    cfg = {}
+    for path, value in pairs:
+        node = cfg
+        *heads, leaf = path.split(".")
+        for head in heads:
+            node = node.setdefault(head, {})
+        node[leaf] = value
+    return cfg
+
+
+DEFAULTS = _nest((path, default) for path, _, default, _, _ in _SPEC)
 
 # per-command overlays: defaults that make the bare command meaningful
 COMMAND_DEFAULTS = {
@@ -95,32 +126,27 @@ COMMAND_DEFAULTS = {
 }
 
 
-def _join(path, key):
-    return f"{path}.{key}" if path else key
+# flag type -> what a config-file value must be; list flag types are absent
+_EXPECT = {int: ("an integer", int), float: ("a number", (int, float)),
+           str: ("a string", str), DATA_KINDS: ("a string", str)}
+_TYPES = {"command": str, **{path: ftype for path, ftype, _, _, _ in _SPEC}}
+_NULLABLE = {path for path, _, default, _, _ in _SPEC if default is None}
+_SECTIONS = {path.rpartition(".")[0] for path in _TYPES} - {""}
 
 
-def _validate(node, schema, path=""):
+def _validate(node, path=""):
     if not isinstance(node, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
     for key, val in node.items():
-        if key not in schema:
-            raise ConfigError(f"{_join(path, key)}: unknown key")
-        want = schema[key]
-        here = _join(path, key)
-        if isinstance(want, dict):
-            _validate(val, want, here)
-        elif want is _NUMBER:
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"{here}: expected a number")
-        elif want is int:
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"{here}: expected an integer")
-        elif want is list:
-            if val is not None and not isinstance(val, list):
-                raise ConfigError(f"{here}: expected a list")
-        elif want is str:
-            if not isinstance(val, str):
-                raise ConfigError(f"{here}: expected a string")
+        here = f"{path}.{key}" if path else key
+        if here in _SECTIONS:
+            _validate(val, here)
+        elif here not in _TYPES:
+            raise ConfigError(f"{here}: unknown key")
+        elif not (val is None and here in _NULLABLE):
+            noun, types = _EXPECT.get(_TYPES[here], ("a list", list))
+            if isinstance(val, bool) or not isinstance(val, types):
+                raise ConfigError(f"{here}: expected {noun}")
 
 
 def _deep_merge(base, override):
@@ -137,7 +163,7 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
     """Per-command defaults <- config file <- flags, validated strictly."""
     for layer in (file_cfg, flag_cfg):
         if layer:
-            _validate(layer, _SCHEMA)
+            _validate(layer)
     cfg = _deep_merge(DEFAULTS, COMMAND_DEFAULTS.get(command, {}))
     cfg = _deep_merge(cfg, file_cfg or {})
     cfg = _deep_merge(cfg, flag_cfg or {})
@@ -385,14 +411,6 @@ _DISPATCH = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _floats(text):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _ints(text):
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="bolab",
@@ -400,49 +418,15 @@ def _build_parser():
                     "checks, and scaling experiments with JSON/CSV reports.")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--n-points", type=int, dest="grid.n_points")
-    p.add_argument("--half-length", type=float, dest="grid.half_length")
-    p.add_argument("--T", type=float, dest="time.T")
-    p.add_argument("--dt", type=float, dest="time.dt",
-                   help="time step (smoothing: the N=512 reference step)")
-    p.add_argument("--snapshot-every", type=int, dest="time.snapshot_every")
-    p.add_argument("--kind", choices=DATA_KINDS, dest="data.kind")
-    p.add_argument("--seed", type=int, dest="data.seed")
-    p.add_argument("--amplitude", type=float, dest="data.amplitude")
-    p.add_argument("--regularity", type=float, dest="data.regularity")
-    p.add_argument("--s", type=float, dest="infr.s")
-    p.add_argument("--eps", type=float, dest="infr.eps")
-    p.add_argument("--eps-list", type=_floats, dest="infr.eps_list")
-    p.add_argument("--n-threshold", type=float, dest="infr.N_threshold")
-    p.add_argument("--j-max", type=int, dest="infr.J_max")
-    p.add_argument("--alpha-list", type=_floats, dest="experiment.alpha_list")
-    p.add_argument("--m-list", type=_floats, dest="experiment.M_list")
-    p.add_argument("--cutoff", type=float, dest="experiment.cutoff")
-    p.add_argument("--resolutions", type=_ints,
-                   dest="experiment.resolutions")
-    p.add_argument("--trials", type=int, dest="experiment.trials")
-    p.add_argument("--perturbation-size", type=float,
-                   dest="experiment.perturbation_size")
-    p.add_argument("--amplitudes", type=_floats,
-                   dest="experiment.amplitudes")
-    p.add_argument("--terms", type=lambda t: t.split(","),
-                   dest="experiment.terms")
-    p.add_argument("--c-max", type=float, dest="experiment.c_max")
+    for path, ftype, _, flag, help_text in _SPEC:
+        kind = {"choices": ftype} if isinstance(ftype, tuple) else {"type": ftype}
+        p.add_argument(flag, dest=path, help=help_text, **kind)
     return p
 
 
 def _flags_to_config(namespace):
-    cfg = {}
-    for dest, value in vars(namespace).items():
-        if dest in ("command", "config") or value is None:
-            continue
-        node = cfg
-        *heads, leaf = dest.split(".")
-        for head in heads:
-            node = node.setdefault(head, {})
-        node[leaf] = value
-    return cfg
+    return _nest((dest, value) for dest, value in vars(namespace).items()
+                 if dest not in ("command", "config") and value is not None)
 
 
 def main(argv=None):

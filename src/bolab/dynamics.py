@@ -20,13 +20,12 @@ from .spectral import (
     apply_multiplier,
     coeffs_to_samples,
     dispersion,
+    from_padded,
     make_grid,
-    pad_coeffs,
     padded_grid,
     propagator_symbol,
     read_snapshot,
-    samples_to_coeffs,
-    unpad_coeffs,
+    to_padded,
     write_snapshot,
 )
 
@@ -170,13 +169,12 @@ def _probe_dt(c0, grid, dt, rhs):
 def evolve_bo(u0, T, dt, snapshot_every=1, stability_probe=True):
     """Integrate the direct flow u_t + H u_xx = u u_x from real data."""
     g = u0.grid
-    n = g.n
     pg = padded_grid(g)
     half_ixi = 0.5j * g.xi
 
     def rhs(c):
-        s = coeffs_to_samples(pad_coeffs(c, n), pg)
-        return half_ixi * unpad_coeffs(samples_to_coeffs(s * s, pg), n)
+        s = to_padded(c, pg)
+        return half_ixi * from_padded(s * s, pg)
 
     if stability_probe:
         _probe_dt(u0.coeffs, g, dt, rhs)

@@ -33,9 +33,14 @@ Pp dx W, V_{+hi} and V_{-hi} (4), and the forward transforms of
 `rhs_quadratic` and `rhs_cubic` keep the piece-by-piece form as the oracles
 of that identity.
 
-All products are dealiased on the doubled lattice; cascaded products keep
-their intermediates on the doubled lattice so the restriction to the base
-band is exact.
+The samples of V and V_x on the doubled lattice are taken in one place,
+`_v_samples` (2 transforms).  The first stage of both right sides, the
+inverse map, `rhs_cubic` and `mean_w_squared` all start from it.
+
+All products are dealiased on the doubled lattice.  Base-band products go
+through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
+products keep their intermediates on the doubled lattice so the restriction
+to the base band is exact.
 """
 
 import warnings
@@ -49,11 +54,14 @@ from .spectral import (
     antiderivative_symbol,
     coeffs_to_samples,
     conj_reflect,
+    dealiased_product,
+    from_padded,
     pad_coeffs,
     padded_grid,
     region_mask,
     samples_to_coeffs,
     sobolev_norm,
+    to_padded,
     unpad_coeffs,
     zero_mean_project,
 )
@@ -63,17 +71,12 @@ GAUGE_FLOOR = 0.1
 
 
 @lru_cache(maxsize=64)
-def _padded(grid):
-    return padded_grid(grid)
-
-
-@lru_cache(maxsize=64)
 def _bands(grid):
     """Per-grid constants of the right sides, built once: band masks on the
     base lattice, and the derivative symbol and half-line masks on the
     doubled lattice.  Masks are complex 0/1 arrays, the values numpy casts a
     boolean mask to in a complex product, so products are unchanged."""
-    pg = _padded(grid)
+    pg = padded_grid(grid)
     xi, xi2 = grid.xi, pg.xi
     masks = {
         "plus_hi": region_mask(xi, "+hi"),
@@ -163,10 +166,9 @@ def gauge_forward(u, control_s=0.5):
     """
     g = u.grid
     F = antiderivative(u)
-    pg = _padded(g)
-    f_samples = coeffs_to_samples(pad_coeffs(F.coeffs, g.n), pg)
-    v_samples = np.exp(-0.5j * f_samples) - 1.0
-    V = SpectralField(g, unpad_coeffs(samples_to_coeffs(v_samples, pg), g.n), _checked=True)
+    pg = padded_grid(g)
+    v_samples = np.exp(-0.5j * to_padded(F.coeffs, pg)) - 1.0
+    V = SpectralField(g, from_padded(v_samples, pg), _checked=True)
 
     st = GaugeState.__new__(GaugeState)
     st.u = u
@@ -197,15 +199,19 @@ def gauge_forward(u, control_s=0.5):
     return st
 
 
+def _v_samples(c, b):
+    """Padded coefficients of V, and the samples of V and V_x on the doubled
+    lattice b.pg.  Two padded transforms."""
+    cpad = pad_coeffs(c, len(c))
+    return cpad, coeffs_to_samples(cpad, b.pg), coeffs_to_samples(cpad * b.ixi2, b.pg)
+
+
 def _reconstruct(V):
     """Invertibility margin and coefficients of 2i (1 + conj V) V_x."""
-    g = V.grid
-    pg = _padded(g)
-    cpad = pad_coeffs(V.coeffs, g.n)
-    vs = coeffs_to_samples(cpad, pg)
-    dvs = coeffs_to_samples(cpad * (1j * pg.xi), pg)
+    b = _bands(V.grid)
+    _, vs, dvs = _v_samples(V.coeffs, b)
     margin = float(np.min(np.abs(1.0 + vs)))
-    uc = unpad_coeffs(samples_to_coeffs(2j * (1.0 + np.conj(vs)) * dvs, pg), g.n)
+    uc = from_padded(2j * (1.0 + np.conj(vs)) * dvs, b.pg)
     return margin, uc
 
 
@@ -233,14 +239,6 @@ def gauge_inverse(V):
     return SpectralField(g, herm, _checked=True)
 
 
-def _product(c1, c2, g):
-    """Dealiased product of two base-band coefficient arrays."""
-    pg = _padded(g)
-    s1 = coeffs_to_samples(pad_coeffs(c1, g.n), pg)
-    s2 = coeffs_to_samples(pad_coeffs(c2, g.n), pg)
-    return unpad_coeffs(samples_to_coeffs(s1 * s2, pg), g.n)
-
-
 def _signs(sign):
     if sign == "+":
         return "+hi", "-"
@@ -256,7 +254,7 @@ def rhs_quadratic(state, sign):
     hi, opp = _signs(sign)
     a = V.coeffs * region_mask(g.xi, hi)
     b = V.coeffs * (-(g.xi**2)) * region_mask(g.xi, opp)
-    out = -_product(a, b, g) * region_mask(g.xi, hi)
+    out = -dealiased_product(a, b, padded_grid(g)) * region_mask(g.xi, hi)
     return SpectralField(g, out, _checked=True)
 
 
@@ -264,16 +262,14 @@ def rhs_cubic(state, sign):
     """Cubic band piece -P_{hi}(V_hi . P_opp dx (conj(V) V_x))."""
     V = _as_field(state)
     g = V.grid
-    pg = _padded(g)
+    b = _bands(g)
+    pg = b.pg
     hi, opp = _signs(sign)
-    cpad = pad_coeffs(V.coeffs, g.n)
-    vs = coeffs_to_samples(cpad, pg)
-    dvs = coeffs_to_samples(cpad * (1j * pg.xi), pg)
+    _, vs, dvs = _v_samples(V.coeffs, b)
     inner = samples_to_coeffs(np.conj(vs) * dvs, pg)  # stays on the doubled lattice
     inner *= (1j * pg.xi) * region_mask(pg.xi, opp)
-    s_hi = coeffs_to_samples(pad_coeffs(V.coeffs * region_mask(g.xi, hi), g.n), pg)
-    out2 = samples_to_coeffs(s_hi * coeffs_to_samples(inner, pg), pg)
-    out = -unpad_coeffs(out2, g.n) * region_mask(g.xi, hi)
+    s_hi = to_padded(V.coeffs * region_mask(g.xi, hi), pg)
+    out = -from_padded(s_hi * coeffs_to_samples(inner, pg), pg) * region_mask(g.xi, hi)
     return SpectralField(g, out, _checked=True)
 
 
@@ -282,43 +278,38 @@ def rhs_low(state):
     V = state.V
     u = state.u
     g = V.grid
+    pg = padded_grid(g)
     du = u.coeffs * (1j * g.xi)
-    t1 = _product(V.coeffs, du * region_mask(g.xi, "-"), g) * region_mask(g.xi, "+lo")
-    t2 = _product(V.coeffs, du * region_mask(g.xi, "+"), g) * region_mask(g.xi, "-lo")
-    return SpectralField(g, -(t1 + t2), _checked=True)
+    t1 = dealiased_product(V.coeffs, du * region_mask(g.xi, "-"), pg)
+    t2 = dealiased_product(V.coeffs, du * region_mask(g.xi, "+"), pg)
+    out = -(t1 * region_mask(g.xi, "+lo") + t2 * region_mask(g.xi, "-lo"))
+    return SpectralField(g, out, _checked=True)
 
 
 def mean_w_squared(V):
     """Complex mean over the torus of W^2, W = (1 + conj V) V_x."""
     V = _as_field(V)
-    g = V.grid
-    pg = _padded(g)
-    cpad = pad_coeffs(V.coeffs, g.n)
-    vs = coeffs_to_samples(cpad, pg)
-    dvs = coeffs_to_samples(cpad * (1j * pg.xi), pg)
+    _, vs, dvs = _v_samples(V.coeffs, _bands(V.grid))
     ws = (1.0 + np.conj(vs)) * dvs
     return complex(np.mean(ws * ws))
 
 
-def _w_stage(c, g, b):
+def _w_stage(c, b):
     """First stage shared by the exact and band right sides.
 
     Returns the padded coefficients of V, the samples of V, the padded
     coefficients of dx W with W = (1 + conj V) V_x, and mean(W^2).
     Three padded transforms.
     """
-    pg = b.pg
-    cpad = pad_coeffs(c, g.n)
-    vs = coeffs_to_samples(cpad, pg)
-    dvs = coeffs_to_samples(cpad * b.ixi2, pg)
+    cpad, vs, dvs = _v_samples(c, b)
     ws = (1.0 + np.conj(vs)) * dvs
-    dwc = samples_to_coeffs(ws, pg) * b.ixi2
+    dwc = samples_to_coeffs(ws, b.pg) * b.ixi2
     return cpad, vs, dwc, np.mean(ws * ws)
 
 
 def _exact_from_stage(c, g, b, vs, gm, mean_w2):
     """Exact right side from the stage samples and gm = samples of Pm dx W."""
-    out = -2j * unpad_coeffs(samples_to_coeffs((1.0 + vs) * gm, b.pg), g.n)
+    out = -2j * from_padded((1.0 + vs) * gm, b.pg)
     out += b.linear * c
     out += -1j * mean_w2 * c
     out[g.n // 2] += -1j * mean_w2 * (2.0 * g.half_length)
@@ -344,7 +335,7 @@ def rhs_exact_coeffs(c, g):
     Valid for any complex band-limited V, not only gauge images.
     """
     b = _bands(g)
-    _, vs, dwc, mean_w2 = _w_stage(c, g, b)
+    _, vs, dwc, mean_w2 = _w_stage(c, b)
     gm = coeffs_to_samples(dwc * b.minus2, b.pg)
     return _exact_from_stage(c, g, b, vs, gm, mean_w2)
 
@@ -365,7 +356,7 @@ def rhs_terms_total_coeffs(c, g):
     docstring).
     """
     b = _bands(g)
-    cpad, vs, dwc, mean_w2 = _w_stage(c, g, b)
+    cpad, vs, dwc, mean_w2 = _w_stage(c, b)
     gm = coeffs_to_samples(dwc * b.minus2, b.pg)
     gp = coeffs_to_samples(dwc * b.plus2, b.pg)
     total = _exact_from_stage(c, g, b, vs, gm, mean_w2) * b.lo
@@ -389,7 +380,7 @@ def profile_time_derivative_sup(state):
     V = _as_field(state)
     g = V.grid
     b = _bands(g)
-    cpad, _, dwc, _ = _w_stage(V.coeffs, g, b)
+    cpad, _, dwc, _ = _w_stage(V.coeffs, b)
     gm = coeffs_to_samples(dwc * b.minus2, b.pg)
     gp = coeffs_to_samples(dwc * b.plus2, b.pg)
     return float(np.max(np.abs(_band_pieces(cpad, gm, gp, g, b))))

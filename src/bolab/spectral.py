@@ -18,6 +18,7 @@ The unpaired Nyquist mode k = -n/2 is always forced to zero.
 """
 
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -286,13 +287,19 @@ def hardy_constant(grid):
 #
 # Quadratic products of base-band fields are computed on the doubled lattice
 # (2n points, same L), where they are alias-free: the sum of two base
-# wavenumbers stays inside the doubled band.  Cascaded (cubic) products must
-# stay on the doubled lattice between stages -- truncating the intermediate
-# product back to the base band would drop interactions whose intermediate
-# frequency leaves the band but whose final output returns to it.  A single
-# factor-2 padding is exact for the quadratic-of-quadratic cascades used here,
-# because aliased images of the final product land outside the retained band.
+# wavenumbers stays inside the doubled band.  `to_padded`, `from_padded` and
+# `dealiased_product` are the one pad -> transform -> multiply -> transform ->
+# unpad path.  Cascaded (cubic) products must stay on the doubled lattice
+# between stages -- truncating the intermediate product back to the base band
+# would drop interactions whose intermediate frequency leaves the band but
+# whose final output returns to it.  So the gauge stages that keep a
+# doubled-lattice intermediate (the samples of V and V_x, of Pm/Pp dx W, the
+# band pieces and the `rhs_cubic` cascade) use `pad_coeffs`/`unpad_coeffs`
+# and the raw transforms.  A single factor-2 padding is exact for the
+# quadratic-of-quadratic cascades used here, because aliased images of the
+# final product land outside the retained band.
 
+@lru_cache(maxsize=64)
 def padded_grid(grid):
     return Grid(2 * grid.n, grid.half_length)
 
@@ -311,23 +318,27 @@ def unpad_coeffs(coeffs2, n):
     return out
 
 
-def padded_samples(field, pgrid=None):
-    """Physical samples of a base field on the doubled lattice."""
-    g = field.grid
-    if pgrid is None:
-        pgrid = padded_grid(g)
-    return to_physical(SpectralField(pgrid, pad_coeffs(field.coeffs, g.n), _checked=True))
+def to_padded(coeffs, pgrid):
+    """Samples on the doubled lattice `pgrid` of base-lattice coefficients."""
+    return coeffs_to_samples(pad_coeffs(coeffs, pgrid.n // 2), pgrid)
+
+
+def from_padded(samples, pgrid):
+    """Base-band coefficients of samples on the doubled lattice `pgrid`."""
+    return unpad_coeffs(samples_to_coeffs(samples, pgrid), pgrid.n // 2)
+
+
+def dealiased_product(c1, c2, pgrid):
+    """Dealiased product of two base-band coefficient arrays."""
+    return from_padded(to_padded(c1, pgrid) * to_padded(c2, pgrid), pgrid)
 
 
 def product_field(f, g):
     """Dealiased pointwise product of two fields (exact convolution on the band)."""
     f._same_grid(g)
     base = f.grid
-    pg = padded_grid(base)
-    fs = padded_samples(f, pg)
-    gs = padded_samples(g, pg)
-    prod = to_spectral(fs * gs, pg)
-    return SpectralField(base, unpad_coeffs(prod.coeffs, base.n), _checked=True)
+    prod = dealiased_product(f.coeffs, g.coeffs, padded_grid(base))
+    return SpectralField(base, prod, _checked=True)
 
 
 # -- binary snapshots ---------------------------------------------------------

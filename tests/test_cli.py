@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from bolab import cli
 from bolab.cli import main, resolve_config, ConfigError
 
 
@@ -54,6 +55,56 @@ def test_resolve_config_validates_terms_and_kind():
         resolve_config("estimates", {"experiment": {"terms": ["Z+"]}})
     with pytest.raises(ConfigError, match="data.kind"):
         resolve_config("simulate", {"data": {"kind": "plane-wave"}})
+
+
+# a flag value, its parsed value, and a config-file value of the wrong type,
+# per flag type
+_SAMPLES = {
+    str: ("elsewhere", "elsewhere", 3),
+    cli.DATA_KINDS: ("rough-random", "rough-random", 3),
+    int: ("7", 7, 1.5),
+    float: ("0.75", 0.75, "fast"),
+    cli._floats: ("1.5,2.5", [1.5, 2.5], "1.5"),
+    cli._ints: ("3,4", [3, 4], 3),
+    cli._names: ("Q+,C-", ["Q+", "C-"], "Q+"),
+}
+
+
+def _at(path, value):
+    *heads, leaf = path.split(".")
+    node = {leaf: value}
+    for head in reversed(heads):
+        node = {head: node}
+    return node
+
+
+@pytest.mark.parametrize("row", cli._SPEC, ids=lambda row: row[0])
+def test_spec_row_flag_and_type(row):
+    path, ftype, _, flag, _ = row
+    text, value, wrong = _SAMPLES[ftype]
+    args = cli._build_parser().parse_args(["params", flag, text])
+    got = resolve_config("params", None, cli._flags_to_config(args))
+    want = resolve_config("params", _at(path, value))
+    assert got == want
+    assert got != resolve_config("params")
+    with pytest.raises(ConfigError) as err:
+        resolve_config("params", _at(path, wrong))
+    assert str(err.value).startswith(f"{path}: expected ")
+
+
+def test_embedded_config_replays(tmp_path, monkeypatch, capsys):
+    # without --output-dir the report embeds output_dir: null
+    monkeypatch.setenv("BOLAB_OUTPUT_DIR", str(tmp_path / "first"))
+    assert main(["params"]) == 0
+    embedded = json.loads((tmp_path / "first" / "params.json").read_text())
+    assert embedded["params"]["config"]["output_dir"] is None
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps(embedded["params"]["config"]))
+    monkeypatch.setenv("BOLAB_OUTPUT_DIR", str(tmp_path / "second"))
+    assert main(["params", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "second" / "params.csv").read_bytes() == \
+        (tmp_path / "first" / "params.csv").read_bytes()
 
 
 def test_usage_error_exits_2(capsys):

@@ -8,7 +8,7 @@ full right side is checked against the chain rule of the gauge map itself.
 import numpy as np
 import pytest
 
-from bolab import gauge
+from bolab import gauge, spectral
 from bolab.gauge import (
     GAUGE_FLOOR,
     antiderivative,
@@ -433,8 +433,9 @@ def _count_transforms(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(gauge, "coeffs_to_samples", counted(gauge.coeffs_to_samples))
-    monkeypatch.setattr(gauge, "samples_to_coeffs", counted(gauge.samples_to_coeffs))
+    for module in (gauge, spectral):
+        for name in ("coeffs_to_samples", "samples_to_coeffs"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return counts
 
 

@@ -19,7 +19,6 @@ cancellation-level number and is measured as absolute.
 
 import pathlib
 import re
-import sys
 import tempfile
 
 import pytest
@@ -83,4 +82,3 @@ def regenerate():
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)
