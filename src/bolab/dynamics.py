@@ -109,29 +109,44 @@ def _ifrk4_step(c, E, E2, h, rhs):
     return E2 * c + (h / 6) * (E2 * k1 + 2 * E * (k2 + k3) + k4)
 
 
+def _march(c0, grid, h, steps, rhs, on_step=None):
+    """Up to `steps` IF-RK4 steps of size h from c0, calling on_step(i, c) after
+    step i.  Stops before the first step whose result is not finite; returns
+    the number of finite steps taken and the last finite coefficients."""
+    E = np.exp(-1j * dispersion(grid.xi) * (h / 2))
+    E2 = E * E
+    c = np.array(c0, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            nxt = _ifrk4_step(c, E, E2, h, rhs)
+            if not np.all(np.isfinite(nxt)):
+                return i - 1, c
+            c = nxt
+            if on_step is not None:
+                on_step(i, c)
+    return steps, c
+
+
 def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
     steps = max(1, int(round(T / dt)))
     h = T / steps  # land exactly on T
-    om = dispersion(grid.xi)
-    E = np.exp(-1j * om * (h / 2))
-    E2 = E * E
-    c = np.array(c0, dtype=np.complex128)
     times = [0.0]
-    snaps = [c.copy()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            c = _ifrk4_step(c, E, E2, h, rhs)
-            if not np.all(np.isfinite(c)):
-                raise RuntimeError(
-                    f"solution lost finiteness at step {i + 1} of {steps} "
-                    f"(t = {(i + 1) * h:.6g}); reduce dt or the data amplitude"
-                )
-            t = (i + 1) * h
-            if step_hook is not None:
-                step_hook(c, t)
-            if (i + 1) % snapshot_every == 0 or (i + 1) == steps:
-                times.append(t)
-                snaps.append(c.copy())
+    snaps = [np.array(c0, dtype=np.complex128)]
+
+    def on_step(i, c):
+        t = i * h
+        if step_hook is not None:
+            step_hook(c, t)
+        if i % snapshot_every == 0 or i == steps:
+            times.append(t)
+            snaps.append(c)
+
+    done, _ = _march(c0, grid, h, steps, rhs, on_step)
+    if done < steps:
+        raise RuntimeError(
+            f"solution lost finiteness at step {done + 1} of {steps} "
+            f"(t = {(done + 1) * h:.6g}); reduce dt or the data amplitude"
+        )
     return np.asarray(times), np.vstack(snaps), h
 
 
@@ -139,19 +154,12 @@ def _probe_dt(c0, grid, dt, rhs):
     """Empirical startup stability check: a few trial steps at dt must stay
     finite and not grow wildly.  On failure the bound found by halving is
     named in the error."""
-    om = dispersion(grid.xi)
     norm0 = float(np.sqrt(np.sum(np.abs(c0) ** 2)))
 
     def trial(h):
-        E = np.exp(-1j * om * (h / 2))
-        E2 = E * E
-        c = np.array(c0, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(8):
-                c = _ifrk4_step(c, E, E2, h, rhs)
-                if not np.all(np.isfinite(c)):
-                    return False
-            return float(np.sqrt(np.sum(np.abs(c) ** 2))) <= 4.0 * max(norm0, 1e-300)
+        done, c = _march(c0, grid, h, 8, rhs)
+        with np.errstate(over="ignore"):
+            return done == 8 and float(np.sqrt(np.sum(np.abs(c) ** 2))) <= 4.0 * max(norm0, 1e-300)
 
     if trial(dt):
         return

@@ -46,6 +46,19 @@ EXPONENT_TOL = 0.1  # slack added to every exponent cap
 # data generators
 # ---------------------------------------------------------------------------
 
+def _random_phase_field(grid, seed, mag):
+    """Real field with |c(k)| = mag(k) and one uniform phase drawn per
+    positive mode k in index order (so the low modes agree across
+    resolutions for a fixed seed); zero mean, Nyquist empty."""
+    rng = np.random.default_rng(seed)
+    half = grid.n // 2
+    c = np.zeros(grid.n, dtype=complex)
+    for k in range(1, half):
+        c[half + k] = mag(k) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        c[half - k] = np.conj(c[half + k])
+    return SpectralField(grid, c)
+
+
 def rough_profile_data(grid, s, seed, amplitude=0.5):
     """Random conjugate-symmetric data with |c(k)| = amplitude * <xi_k>^-(s+1.51).
 
@@ -53,37 +66,22 @@ def rough_profile_data(grid, s, seed, amplitude=0.5):
     no better Sobolev space once the lattice truncation is removed: the
     H^{s+1+eps} norm of the truncated field grows like N^(eps - 0.01) under
     resolution doubling, which is the divergence the smoothing experiment
-    plays against.  Zero mean, Nyquist empty, one uniform phase drawn per
-    positive mode in index order (so the low modes agree across resolutions
-    for a fixed seed).
+    plays against.
     """
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    half = n // 2
-    c = np.zeros(n, dtype=complex)
-    for k in range(1, half):
-        phase = rng.uniform(0.0, 2.0 * np.pi)
+    def mag(k):
         xi = grid.dxi * k
-        mag = amplitude * (1.0 + xi * xi) ** (-0.5 * (s + 1.0 + 0.51))
-        c[half + k] = mag * np.exp(1j * phase)
-    for k in range(1, half):
-        c[half - k] = np.conj(c[half + k])
-    return SpectralField(grid, c)
+        return amplitude * (1.0 + xi * xi) ** (-0.5 * (s + 1.0 + 0.51))
+
+    return _random_phase_field(grid, seed, mag)
 
 
 def rough_real_data(grid, s, seed, amplitude=1.0):
     """Real-valued rough data with |c(k)| ~ <xi_k>^-(s+0.51) (H^s regularity)."""
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    half = n // 2
-    c = np.zeros(n, dtype=complex)
-    for k in range(1, half):
-        phase = rng.uniform(0.0, 2.0 * np.pi)
+    def mag(k):
         xi = grid.dxi * k
-        mag = amplitude * (1.0 + xi * xi) ** (-0.5 * (s + 0.51))
-        c[half + k] = mag * np.exp(1j * phase)
-        c[half - k] = np.conj(c[half + k])
-    return SpectralField(grid, c)
+        return amplitude * (1.0 + xi * xi) ** (-0.5 * (s + 0.51))
+
+    return _random_phase_field(grid, seed, mag)
 
 
 def unit_rough_field(grid, s, rng):
@@ -111,16 +109,7 @@ def bump_shape(grid, seed=7, width=6.0):
     The amplitude-sweep experiment scales this fixed shape, so the sweep
     isolates the dependence on amplitude rather than on regularity.
     """
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    half = n // 2
-    c = np.zeros(n, dtype=complex)
-    for k in range(1, half):
-        mag = np.exp(-((k / width) ** 2))
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        c[half + k] = mag * np.exp(1j * phase)
-        c[half - k] = np.conj(c[half + k])
-    f = SpectralField(grid, c)
+    f = _random_phase_field(grid, seed, lambda k: np.exp(-((k / width) ** 2)))
     return f * (1.0 / np.max(np.abs(to_physical(f))))
 
 

@@ -25,11 +25,12 @@ fuse into a single product,
 
 which is the exact nonlinearity with (1 + V) replaced by a band projection
 of V.  The band system (`rhs_terms_total_coeffs`) therefore shares its first
-stage with the exact right side: samples of V and V_x, W and its
-coefficients, dx W (3 transforms).  It then takes the samples of Pm dx W,
-Pp dx W, V_{+hi} and V_{-hi} (4), and the forward transforms of
-(1 + V) Pm dx W for the low band and of the two high-band products (3):
-10 padded transforms per evaluation, against 5 for the exact right side.
+stage with the exact right side, `_w_stage`: samples of V and V_x, W and
+its coefficients, dx W, and the samples of Pm dx W (4 transforms).  The low
+band adds the forward transform of (1 + V) Pm dx W (1), and `_band_pieces`
+the samples of Pp dx W, V_{+hi} and V_{-hi} and the forward transforms of
+the two high-band products (5): 10 padded transforms per evaluation,
+against 5 for the exact right side.
 `rhs_quadratic` and `rhs_cubic` keep the piece-by-piece form as the oracles
 of that identity.
 
@@ -298,13 +299,14 @@ def _w_stage(c, b):
     """First stage shared by the exact and band right sides.
 
     Returns the padded coefficients of V, the samples of V, the padded
-    coefficients of dx W with W = (1 + conj V) V_x, and mean(W^2).
-    Three padded transforms.
+    coefficients dwc of dx W with W = (1 + conj V) V_x, the samples gm of
+    Pm dx W, and mean(W^2).  Four padded transforms.
     """
     cpad, vs, dvs = _v_samples(c, b)
     ws = (1.0 + np.conj(vs)) * dvs
     dwc = samples_to_coeffs(ws, b.pg) * b.ixi2
-    return cpad, vs, dwc, np.mean(ws * ws)
+    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
+    return cpad, vs, dwc, gm, np.mean(ws * ws)
 
 
 def _exact_from_stage(c, g, b, vs, gm, mean_w2):
@@ -317,10 +319,12 @@ def _exact_from_stage(c, g, b, vs, gm, mean_w2):
     return out
 
 
-def _band_pieces(cpad, gm, gp, g, b):
+def _band_pieces(cpad, dwc, gm, g, b):
     """Q_+ + C_+ + Q_- + C_- = -P_{+hi}(V_{+hi} gm) - P_{-hi}(V_{-hi} gp), where
-    gm, gp are the samples of Pm dx W and Pp dx W.  Four padded transforms."""
+    gm, gp are the samples of Pm dx W and Pp dx W; gp is taken here from the
+    padded coefficients dwc of dx W.  Five padded transforms."""
     pg = b.pg
+    gp = coeffs_to_samples(dwc * b.plus2, pg)
     sp = coeffs_to_samples(cpad * b.plus_hi2, pg)
     sm = coeffs_to_samples(cpad * b.minus_hi2, pg)
     hi = samples_to_coeffs(sp * gm, pg) * b.plus_hi2
@@ -335,8 +339,7 @@ def rhs_exact_coeffs(c, g):
     Valid for any complex band-limited V, not only gauge images.
     """
     b = _bands(g)
-    _, vs, dwc, mean_w2 = _w_stage(c, b)
-    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
+    _, vs, _, gm, mean_w2 = _w_stage(c, b)
     return _exact_from_stage(c, g, b, vs, gm, mean_w2)
 
 
@@ -356,11 +359,9 @@ def rhs_terms_total_coeffs(c, g):
     docstring).
     """
     b = _bands(g)
-    cpad, vs, dwc, mean_w2 = _w_stage(c, b)
-    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
-    gp = coeffs_to_samples(dwc * b.plus2, b.pg)
+    cpad, vs, dwc, gm, mean_w2 = _w_stage(c, b)
     total = _exact_from_stage(c, g, b, vs, gm, mean_w2) * b.lo
-    total += 2j * _band_pieces(cpad, gm, gp, g, b)
+    total += 2j * _band_pieces(cpad, dwc, gm, g, b)
     total[0] = 0.0
     return total
 
@@ -380,7 +381,5 @@ def profile_time_derivative_sup(state):
     V = _as_field(state)
     g = V.grid
     b = _bands(g)
-    cpad, _, dwc, _ = _w_stage(V.coeffs, b)
-    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
-    gp = coeffs_to_samples(dwc * b.plus2, b.pg)
-    return float(np.max(np.abs(_band_pieces(cpad, gm, gp, g, b))))
+    cpad, _, dwc, gm, _ = _w_stage(V.coeffs, b)
+    return float(np.max(np.abs(_band_pieces(cpad, dwc, gm, g, b))))

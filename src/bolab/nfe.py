@@ -135,6 +135,19 @@ def _threshold_label(level, params, resonant):
     return f"|Phi_{level}| {op} c_{level} |Phi_1|^delta (infeasible parameters)"
 
 
+def _phase_split(level, comp, denominators, params):
+    """The phase split of one composition at depth ``level``: its kept
+    resonant node, then the boundary node and one remainder node per slot
+    of the integration by parts, which carry the level-``level`` phase."""
+    kept = TermNode(level, "resonant", comp, -1, denominators,
+                    _threshold_label(level, params, True))
+    non = _threshold_label(level, params, False)
+    deeper = denominators + (level,)
+    return [kept, TermNode(level + 1, "boundary", comp, -1, deeper, non)] + [
+        TermNode(level + 1, "remainder", comp, j, deeper, non)
+        for j in range(kept.arity())]
+
+
 def initial_trees(params):
     """Level-1 split of the profile equation.
 
@@ -142,14 +155,8 @@ def initial_trees(params):
     boundary/remainder bookkeeping of the first integration by parts.
     """
     nodes = [TermNode(1, "low", ("lo",), -1, (), "kept: low band, never expanded")]
-    non = _threshold_label(1, params, False)
     for name in sorted(bo_terms()):
-        term = bo_terms()[name]
-        nodes.append(TermNode(1, "resonant", (name,), -1, (),
-                              _threshold_label(1, params, True)))
-        nodes.append(TermNode(2, "boundary", (name,), -1, (1,), non))
-        for j in range(term.arity):
-            nodes.append(TermNode(2, "remainder", (name,), j, (1,), non))
+        nodes += _phase_split(1, (name,), (), params)
     return nodes
 
 
@@ -169,19 +176,10 @@ def expand_infr(trees, params):
     for node in trees:
         if node.kind != "remainder":
             continue
-        level = node.level
-        res = _threshold_label(level, params, True)
-        non = _threshold_label(level, params, False)
         for name in names:
             comp = node.composition + ((node.marked_slot, name),)
-            kept = TermNode(level, "resonant", comp, -1, node.denominators, res)
-            out.append(kept)
-            out.append(TermNode(level + 1, "boundary", comp, -1,
-                                node.denominators + (level,), non))
-            for j in range(kept.arity()):
-                out.append(TermNode(level + 1, "remainder", comp, j,
-                                    node.denominators + (level,), non))
-        out.append(TermNode(level, "low",
+            out += _phase_split(node.level, comp, node.denominators, params)
+        out.append(TermNode(node.level, "low",
                             node.composition + ((node.marked_slot, "lo"),),
                             -1, node.denominators,
                             "kept: low-band slot, never expanded"))
