@@ -370,9 +370,11 @@ def _cmd_lemma21(cfg, outdir):
 
 
 def _cmd_nfe(cfg, outdir):
+    t, infr = cfg["time"], cfg["infr"]
+    if not 1 <= infr["J_max"] <= 3:
+        raise ConfigError(f"infr.J_max: must be 1, 2 or 3, got {infr['J_max']}")
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
-    t, infr = cfg["time"], cfg["infr"]
     traj = evolve_gauged(gauge_forward(u0), T=t["T"], dt=t["dt"],
                          rhs_mode="terms",
                          snapshot_every=t["snapshot_every"])

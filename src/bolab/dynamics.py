@@ -174,7 +174,7 @@ def _probe_dt(c0, grid, dt, rhs):
     raise ValueError(f"dt = {dt:g} is unstable for this data at any tried step size")
 
 
-def evolve_bo(u0, T, dt, snapshot_every=1, stability_probe=True):
+def evolve_bo(u0, T, dt, snapshot_every=1):
     """Integrate the direct flow u_t + H u_xx = u u_x from real data."""
     g = u0.grid
     pg = padded_grid(g)
@@ -184,14 +184,13 @@ def evolve_bo(u0, T, dt, snapshot_every=1, stability_probe=True):
         s = to_padded(c, pg)
         return half_ixi * from_padded(s * s, pg)
 
-    if stability_probe:
-        _probe_dt(u0.coeffs, g, dt, rhs)
+    _probe_dt(u0.coeffs, g, dt, rhs)
     times, data, h = _ifrk4(u0.coeffs, g, T, dt, rhs, snapshot_every)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": "bo"}
     return Trajectory(g, times, data, "u", meta)
 
 
-def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1, stability_probe=True):
+def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
     """Integrate the gauged flow from V0 (a SpectralField or GaugeState).
 
     rhs_mode "exact" uses the full gauged right side; "terms" uses the
@@ -219,8 +218,7 @@ def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1, stability_probe
                 f"{margin:.3g} at t = {t:.6g}"
             )
 
-    if stability_probe:
-        _probe_dt(V0.coeffs, g, dt, rhs)
+    _probe_dt(V0.coeffs, g, dt, rhs)
     times, data, h = _ifrk4(V0.coeffs, g, T, dt, rhs, snapshot_every, step_hook=hook)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": rhs_mode}
     return Trajectory(g, times, data, "V", meta)

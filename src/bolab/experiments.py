@@ -40,6 +40,7 @@ __all__ = ["rough_profile_data", "rough_real_data", "unit_rough_field",
            "lipschitz_experiment", "lemma21_experiment"]
 
 EXPONENT_TOL = 0.1  # slack added to every exponent cap
+BUMP_WIDTH = 6.0  # Gaussian width of the bump_shape spectrum, in lattice modes
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +104,13 @@ def unit_rough_field(grid, s, rng):
     return f * (1.0 / sobolev_norm(f, s + 1.0))
 
 
-def bump_shape(grid, seed=7, width=6.0):
+def bump_shape(grid, seed=7):
     """Smooth real bump (Gaussian spectrum, random phases, unit sup-norm).
 
     The amplitude-sweep experiment scales this fixed shape, so the sweep
     isolates the dependence on amplitude rather than on regularity.
     """
-    f = _random_phase_field(grid, seed, lambda k: np.exp(-((k / width) ** 2)))
+    f = _random_phase_field(grid, seed, lambda k: np.exp(-((k / BUMP_WIDTH) ** 2)))
     return f * (1.0 / np.max(np.abs(to_physical(f))))
 
 
@@ -251,7 +252,7 @@ def verify_operator_estimate(term, s, eps, alpha_list=None, M_list=None,
 # ---------------------------------------------------------------------------
 
 def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
-                         base_dt=1e-4, rhs_mode="terms", half_length=np.pi):
+                         base_dt=1e-4, half_length=np.pi):
     """Remainder-norm stability under resolution doubling.
 
     For each resolution N the same seeded rough data (tail exactly
@@ -262,7 +263,7 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     integrator noise in the top bands (weighted by <k>^{s+1+eps}) below a
     percent of the remainder at every N tested.
 
-    The evolution defaults to the band system ("terms"): the measurement
+    The evolution runs the band system ("terms"): the measurement
     targets the high-band profile equations, whose restricted nonlinearity
     is exactly what the remainder bound is made of.  Checks per eps:
     remainder sup stable within 10% across consecutive resolutions; fitted
@@ -275,7 +276,7 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     rep = EstimateReport("smoothing", params={
         "seed": seed, "s": s, "eps_list": eps_list, "T": T,
         "resolutions": resolutions, "amplitude": amplitude,
-        "base_dt": base_dt, "rhs": rhs_mode, "half_length": half_length})
+        "base_dt": base_dt, "rhs": "terms", "half_length": half_length})
     sups = {e: [] for e in eps_list}
     slopes_r = {e: {} for e in eps_list}
     slopes_v0 = {}
@@ -284,7 +285,7 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
         v0 = rough_profile_data(grid, s, seed, amplitude)
         dt = base_dt * (512.0 / N) ** 1.5
         steps = max(1, int(round(T / dt)))
-        traj = evolve_gauged(v0, T=T, dt=dt, rhs_mode=rhs_mode,
+        traj = evolve_gauged(v0, T=T, dt=dt, rhs_mode="terms",
                              snapshot_every=max(1, steps // 10))
         omega = dispersion(grid.xi)
         c0 = traj.data[0]

@@ -69,6 +69,8 @@ from .spectral import (
 
 # Smallest allowed min_x |1 + V| before the inverse map is refused.
 GAUGE_FLOOR = 0.1
+# Sobolev exponent s of the norm-control ratio, which is taken at H^{s+1}.
+CONTROL_S = 0.5
 
 
 @lru_cache(maxsize=64)
@@ -158,12 +160,12 @@ class GaugeState:
         )
 
 
-def gauge_forward(u, control_s=0.5):
+def gauge_forward(u):
     """Gauge a real zero-mean field: V = exp(-i F / 2) - 1, F = dx^{-1} u.
 
     The exponential is evaluated pointwise on the doubled lattice and then
     restricted to the base band, so the stored V is the band-limited gauge
-    variable.  The norm-control ratio is monitored at H^{control_s + 1}.
+    variable.  The norm-control ratio is monitored at H^{CONTROL_S + 1}.
     """
     g = u.grid
     F = antiderivative(u)
@@ -187,11 +189,11 @@ def gauge_forward(u, control_s=0.5):
     diff = u.coeffs - herm
     st.recon_residual = float(np.sqrt(np.sum(np.abs(diff) ** 2) * g.dxi / (2 * np.pi)))
 
-    nf = sobolev_norm(F, control_s + 1.0)
+    nf = sobolev_norm(F, CONTROL_S + 1.0)
     if nf == 0.0:
         st.norm_control_ratio = 0.0
     else:
-        st.norm_control_ratio = sobolev_norm(V, control_s + 1.0) / (nf * np.exp(nf / 2.0))
+        st.norm_control_ratio = sobolev_norm(V, CONTROL_S + 1.0) / (nf * np.exp(nf / 2.0))
     if st.norm_control_ratio > 4.0:
         warnings.warn(
             f"gauge norm-control ratio {st.norm_control_ratio:.2f} > 4; "

@@ -213,11 +213,6 @@ def antiderivative_symbol(grid):
     return sym
 
 
-def bracket_symbol(grid, s):
-    """Japanese bracket power <xi>^s = (1 + xi^2)^(s/2)."""
-    return (1.0 + grid.xi**2) ** (s / 2.0)
-
-
 def propagator_symbol(grid, t):
     """Solution propagator exp(-i t |xi| xi) of u_t + H u_xx = 0."""
     return np.exp(-1j * t * dispersion(grid.xi))

@@ -57,6 +57,14 @@ def test_resolve_config_validates_terms_and_kind():
         resolve_config("simulate", {"data": {"kind": "plane-wave"}})
 
 
+@pytest.mark.parametrize("j_max", ["0", "4"])
+def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
+    # depths outside 1..3 are a usage error (exit 2), not a numerical one
+    assert run(tmp_path, "nfe", "--j-max", j_max) == 2
+    err = capsys.readouterr().err
+    assert "infr.J_max" in err and "allow_expensive" not in err
+
+
 # a flag value, its parsed value, and a config-file value of the wrong type,
 # per flag type
 _SAMPLES = {

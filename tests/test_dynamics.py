@@ -6,6 +6,7 @@ import pytest
 
 from bolab.dynamics import (
     Trajectory,
+    _ifrk4,
     evolve_bo,
     evolve_gauged,
     linear_propagator,
@@ -14,8 +15,11 @@ from bolab.dynamics import (
 from bolab.gauge import gauge_forward
 from bolab.spectral import (
     SpectralField,
+    from_padded,
     make_grid,
+    padded_grid,
     sobolev_norm,
+    to_padded,
     to_physical,
     to_spectral,
 )
@@ -138,11 +142,19 @@ def test_unstable_dt_is_rejected_with_bound():
 
 
 def test_nan_abort_names_step():
+    # the direct-flow stepper at a step far past the stability bound, without
+    # the startup probe that evolve_bo runs first
     g = make_grid(256, 4 * np.pi)
     rng = np.random.default_rng(8)
     u0 = random_real_field(g, rng, decay=1.0)
-    with pytest.raises(RuntimeError, match="step"):
-        evolve_bo(u0, T=100.0, dt=1.0, stability_probe=False)
+    pg = padded_grid(g)
+
+    def rhs(c):
+        s = to_padded(c, pg)
+        return 0.5j * g.xi * from_padded(s * s, pg)
+
+    with pytest.raises(RuntimeError, match=r"finiteness at step \d+ of 100 "):
+        _ifrk4(u0.coeffs, g, 100.0, 1.0, rhs, snapshot_every=1)
 
 
 # -- gauged flow --------------------------------------------------------------
