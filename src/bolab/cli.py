@@ -111,7 +111,8 @@ DEFAULTS = _nest((path, default) for path, _, default, _, _ in _SPEC)
 COMMAND_DEFAULTS = {
     "estimates": {"grid": {"n_points": 128, "half_length": np.pi}},
     "smoothing": {"data": {"kind": "rough-random", "amplitude": 0.5},
-                  "time": {"dt": 1e-4}, "infr": {"eps_list": [0.4]}},
+                  "time": {"dt": 1e-4}, "infr": {"eps_list": [0.4]},
+                  "grid": {"half_length": np.pi}},
     "lipschitz": {"data": {"kind": "rough-random", "amplitude": 0.6},
                   "time": {"dt": 4e-4, "T": 0.5},
                   "grid": {"half_length": np.pi}},
@@ -343,7 +344,8 @@ def _cmd_smoothing(cfg, outdir):
     rep = smoothing_experiment(
         seed=cfg["data"]["seed"], s=infr["s"], eps_list=eps_list,
         T=cfg["time"]["T"], resolutions=cfg["experiment"]["resolutions"],
-        amplitude=cfg["data"]["amplitude"], base_dt=cfg["time"]["dt"])
+        amplitude=cfg["data"]["amplitude"], base_dt=cfg["time"]["dt"],
+        half_length=cfg["grid"]["half_length"])
     rep.params["config"] = cfg
     return [("smoothing", rep)]
 

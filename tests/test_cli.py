@@ -199,6 +199,16 @@ def test_smoothing_cli_default_scale(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_smoothing_cli_half_length_is_used(tmp_path, capsys):
+    code = run(tmp_path, "smoothing", "--resolutions", "64,128", "--T", "0.002",
+               "--half-length", "20")
+    assert code in (0, 1)  # verdicts at this scale are not the point
+    rep = json.loads((tmp_path / "smoothing.json").read_text())
+    assert rep["params"]["config"]["grid"]["half_length"] == 20.0
+    assert rep["params"]["half_length"] == 20.0
+    capsys.readouterr()
+
+
 def test_lipschitz_cli_light(tmp_path, capsys):
     code = run(tmp_path, "lipschitz", "--resolutions", "128", "--T", "0.1")
     assert code == 0
