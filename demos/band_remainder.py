@@ -35,7 +35,7 @@ def remainder_sups(traj, grid, norm_index):
     sups, final = 0.0, None
     for i, t in enumerate(traj.times):
         r = np.exp(1j * omega * t) * traj.data[i] - v0
-        field = SpectralField(grid, r, _checked=True)
+        field = SpectralField(grid, r)
         size = sobolev_norm(field, norm_index)
         if size >= sups:
             sups, final = size, field

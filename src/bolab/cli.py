@@ -213,8 +213,7 @@ def _cmd_simulate(cfg, outdir):
     t = cfg["time"]
     traj = evolve_bo(u0, T=t["T"], dt=t["dt"],
                      snapshot_every=t["snapshot_every"])
-    rep = EstimateReport("simulate", params={"config": cfg,
-                                             "metadata": traj.metadata})
+    rep = EstimateReport("simulate", params={"metadata": traj.metadata})
     norms = []
     for i, ti in enumerate(traj.times):
         f = traj.field(i)
@@ -249,7 +248,7 @@ def _cmd_gauge_check(cfg, outdir):
     print(f"gauge/direct consistency error <= 1e-06: "
           f"{'PASS' if cons_ok else 'FAIL'} ({err:.3e})")
 
-    rep = EstimateReport("gauge_check", params={"config": cfg})
+    rep = EstimateReport("gauge_check", params={})
     rep.add_sample(rt, kind="round_trip_rel_error")
     rep.add_sample(err, kind="consistency_error")
     rep.checks["round_trip_le_1e-10"] = bool(rt_ok)
@@ -260,8 +259,7 @@ def _cmd_gauge_check(cfg, outdir):
 def _cmd_params(cfg, outdir):
     infr = cfg["infr"]
     p = infr_params(infr["s"], infr["eps"], N_threshold=infr["N_threshold"])
-    rep = EstimateReport("params", params={"config": cfg,
-                                           "table": dict(p.table())})
+    rep = EstimateReport("params", params={"table": dict(p.table())})
     for name, value in p.table():
         print(f"{name:<18} {value}")
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -302,11 +300,9 @@ def _integral_report(s, eps, cutoff):
     key_for = {"quad_m": "m", "cubic_m": "m",
                "quad_alpha": "alpha", "cubic_alpha": "alpha"}
     for name, cap in caps.items():
-        fit = rep.fit_samples(name, key_for[name])
-        if fit.conclusive:
-            rep.checks[f"{name}_exponent_le_cap"] = bool(fit.exponent <= cap)
-        else:
-            rep.checks[f"{name}_exponent_le_cap"] = "inconclusive"
+        rep.check_fit(f"{name}_exponent_le_cap",
+                      rep.fit_samples(name, key_for[name]),
+                      lambda p: p <= cap)
         rep.params[f"{name}_cap"] = cap
     base_q = quad_integral_J(0.0, 8.0, s, eps, cutoff)
     wide_q = quad_integral_J(0.0, 8.0, s, eps, 2.0 * cutoff)
@@ -330,11 +326,9 @@ def _cmd_estimates(cfg, outdir):
             name, infr["s"], infr["eps"], exp["alpha_list"], exp["M_list"],
             trials=exp["trials"], grid_n=grid_cfg["n_points"],
             half_length=grid_cfg["half_length"])
-        rep.params["config"] = cfg
         out.append((f"operator_{safe[name]}", rep))
-    integral = _integral_report(infr["s"], infr["eps"], exp["cutoff"])
-    integral.params["config"] = cfg
-    out.append(("integral_scaling", integral))
+    out.append(("integral_scaling",
+                _integral_report(infr["s"], infr["eps"], exp["cutoff"])))
     return out
 
 
@@ -346,7 +340,6 @@ def _cmd_smoothing(cfg, outdir):
         T=cfg["time"]["T"], resolutions=cfg["experiment"]["resolutions"],
         amplitude=cfg["data"]["amplitude"], base_dt=cfg["time"]["dt"],
         half_length=cfg["grid"]["half_length"])
-    rep.params["config"] = cfg
     return [("smoothing", rep)]
 
 
@@ -358,7 +351,6 @@ def _cmd_lipschitz(cfg, outdir):
         amplitude=cfg["data"]["amplitude"], dt=cfg["time"]["dt"],
         c_max=cfg["experiment"]["c_max"],
         half_length=cfg["grid"]["half_length"])
-    rep.params["config"] = cfg
     return [("lipschitz", rep)]
 
 
@@ -367,7 +359,6 @@ def _cmd_lemma21(cfg, outdir):
         cfg["experiment"]["amplitudes"], cfg["infr"]["s"], cfg["time"]["T"],
         n_points=cfg["grid"]["n_points"], dt=cfg["time"]["dt"],
         seed=cfg["data"]["seed"], half_length=cfg["grid"]["half_length"])
-    rep.params["config"] = cfg
     return [("lemma21", rep)]
 
 
@@ -384,7 +375,7 @@ def _cmd_nfe(cfg, outdir):
     nr = nfe_residual(traj, infr["J_max"], p)
     print(nr.summary())
     rep = EstimateReport("nfe", params={
-        "config": cfg, "quadrature_error": nr.quadrature_error,
+        "quadrature_error": nr.quadrature_error,
         "norm_index": nr.norm_index, "counts": nr.counts,
         "phase_cap": nr.phase_cap, "h_max": nr.h_max})
     for j in sorted(nr.residuals):
@@ -464,6 +455,7 @@ def main(argv=None):
 
     failed = False
     for stem, rep in results:
+        rep.params["config"] = cfg
         rep.write(outdir, stem)
         print(rep.summary())
         if rep.checks and rep.verdict != "pass":

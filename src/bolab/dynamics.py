@@ -59,7 +59,7 @@ class Trajectory:
         return self.times.size
 
     def field(self, i):
-        return SpectralField(self.grid, self.data[i], _checked=True)
+        return SpectralField(self.grid, self.data[i])
 
     __getitem__ = field
 

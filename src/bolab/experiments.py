@@ -222,16 +222,10 @@ def verify_operator_estimate(term, s, eps, alpha_list=None, M_list=None,
     fit_alpha = rep.fit_samples("alpha_strong", "alpha_plus_m")
     fit_weak = rep.fit_samples("alpha_weak", "alpha_plus_m")
 
-    if fit_alpha.conclusive:
-        rep.checks["alpha_exponent_le_gamma"] = bool(
-            fit_alpha.exponent <= gamma + EXPONENT_TOL)
-    else:
-        rep.checks["alpha_exponent_le_gamma"] = "inconclusive"
-    if fit_weak.conclusive:
-        rep.checks["weak_alpha_exponent_le_gamma0"] = bool(
-            fit_weak.exponent <= gamma0 + EXPONENT_TOL)
-    else:
-        rep.checks["weak_alpha_exponent_le_gamma0"] = "inconclusive"
+    rep.check_fit("alpha_exponent_le_gamma", fit_alpha,
+                  lambda p: p <= gamma + EXPONENT_TOL)
+    rep.check_fit("weak_alpha_exponent_le_gamma0", fit_weak,
+                  lambda p: p <= gamma0 + EXPONENT_TOL)
     if m_fits and all(f.conclusive for f in m_fits):
         m_mean = float(np.mean([f.exponent for f in m_fits]))
         rep.params["m_exponent_mean"] = m_mean
@@ -294,8 +288,8 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
         slope_v0 = _dyadic_tail_slope(grid, c0)
         slopes_v0[N] = slope_v0
         for eps in eps_list:
-            norms = [sobolev_norm(SpectralField(grid, r, _checked=True),
-                                  s + 1.0 + eps) for r in remainders]
+            norms = [sobolev_norm(SpectralField(grid, r), s + 1.0 + eps)
+                     for r in remainders]
             i_sup = int(np.argmax(norms))
             sup = norms[i_sup]
             slope_r = _dyadic_tail_slope(grid, remainders[i_sup])
@@ -313,13 +307,10 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
                      for a, b in zip(vals, vals[1:])) if len(vals) > 1 else True
         rep.checks[f"remainder_stable_eps{eps:g}"] = bool(stable)
         if len(resolutions) > 1 and eps > 0.02:
-            fit = rep.fit_samples(f"v0_growth_eps{eps:g}", "n")
             predicted = eps - 0.01
-            if fit.conclusive:
-                rep.checks[f"v0_rate_eps{eps:g}"] = bool(
-                    abs(fit.exponent - predicted) <= EXPONENT_TOL)
-            else:
-                rep.checks[f"v0_rate_eps{eps:g}"] = "inconclusive"
+            rep.check_fit(f"v0_rate_eps{eps:g}",
+                          rep.fit_samples(f"v0_growth_eps{eps:g}", "n"),
+                          lambda p: abs(p - predicted) <= EXPONENT_TOL)
         N_top = resolutions[-1]
         gap = slopes_v0[N_top] - slopes_r[eps][N_top]
         if np.isfinite(gap):
@@ -389,19 +380,16 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
             # one secant step: the gauge response is linear to O(size)
             probe = gauge_forward(u0 + w * size).V
             response = sobolev_norm(
-                SpectralField(grid, probe.coeffs - v_base.coeffs,
-                              _checked=True), s + 1.0)
+                SpectralField(grid, probe.coeffs - v_base.coeffs), s + 1.0)
             delta = size * (size / response)
             v_pert = gauge_forward(u0 + w * delta).V
             pert = evolve_gauged(v_pert, T=T, dt=dt, rhs_mode="exact",
                                  snapshot_every=every)
             gap0 = sobolev_norm(
-                SpectralField(grid, pert.data[0] - base.data[0],
-                              _checked=True), s + 1.0)
+                SpectralField(grid, pert.data[0] - base.data[0]), s + 1.0)
             ratios = []
             for i, t in enumerate(base.times):
-                diff = SpectralField(grid, pert.data[i] - base.data[i],
-                                     _checked=True)
+                diff = SpectralField(grid, pert.data[i] - base.data[i])
                 ratios.append(sobolev_norm(diff, s + 1.0) / gap0)
                 rep.add_sample(ratios[-1], kind="ratio", n=N, size=size,
                                t=float(t))
@@ -475,12 +463,9 @@ def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
                        v_sup_h1=v_h1)
     small = [r for r in rep.samples if r.get("fit") == "small_h_power"]
     if len(small) >= 2:
-        fit = rep.fit_samples("small_h_power", "h")
-        if fit.conclusive:
-            rep.checks["small_h_power_near_2"] = bool(
-                abs(fit.exponent - 2.0) <= 0.3)
-        else:
-            rep.checks["small_h_power_near_2"] = "inconclusive"
+        rep.check_fit("small_h_power_near_2",
+                      rep.fit_samples("small_h_power", "h"),
+                      lambda p: abs(p - 2.0) <= 0.3)
     else:
         rep.checks["small_h_power_near_2"] = "inconclusive"
         rep.notes.append("fewer than two amplitudes <= 0.2: no small-h fit")

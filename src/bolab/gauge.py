@@ -117,7 +117,7 @@ def antiderivative(u):
     if abs(u.coeffs[g.n // 2]) > 1e-13 * max(norm, 1e-300):
         warnings.warn("dropping nonzero mean before antidifferentiation")
         u = zero_mean_project(u)
-    return SpectralField(g, u.coeffs * antiderivative_symbol(g), _checked=True)
+    return SpectralField(g, u.coeffs * antiderivative_symbol(g))
 
 
 class GaugeState:
@@ -171,17 +171,17 @@ def gauge_forward(u):
     F = antiderivative(u)
     pg = padded_grid(g)
     v_samples = np.exp(-0.5j * to_padded(F.coeffs, pg)) - 1.0
-    V = SpectralField(g, from_padded(v_samples, pg), _checked=True)
+    V = SpectralField(g, from_padded(v_samples, pg))
 
     st = GaugeState.__new__(GaugeState)
     st.u = u
     st.F = F
     st.V = V
     b = _bands(g)
-    st.V_plus = SpectralField(g, V.coeffs * b.plus_hi, _checked=True)
-    st.V_minus = SpectralField(g, V.coeffs * b.minus_hi, _checked=True)
-    st.V_lo = SpectralField(g, V.coeffs * b.lo, _checked=True)
-    st.w = SpectralField(g, V.coeffs * (1j * g.xi), _checked=True)
+    st.V_plus = SpectralField(g, V.coeffs * b.plus_hi)
+    st.V_minus = SpectralField(g, V.coeffs * b.minus_hi)
+    st.V_lo = SpectralField(g, V.coeffs * b.lo)
+    st.w = SpectralField(g, V.coeffs * (1j * g.xi))
 
     margin, uc = _reconstruct(V)
     st.min_one_plus_v = margin
@@ -239,7 +239,7 @@ def gauge_inverse(V):
         warnings.warn(
             f"reconstructed field has imaginary residue {residue:.2e}; realified"
         )
-    return SpectralField(g, herm, _checked=True)
+    return SpectralField(g, herm)
 
 
 def _signs(sign):
@@ -258,7 +258,7 @@ def rhs_quadratic(state, sign):
     a = V.coeffs * region_mask(g.xi, hi)
     b = V.coeffs * (-(g.xi**2)) * region_mask(g.xi, opp)
     out = -dealiased_product(a, b, padded_grid(g)) * region_mask(g.xi, hi)
-    return SpectralField(g, out, _checked=True)
+    return SpectralField(g, out)
 
 
 def rhs_cubic(state, sign):
@@ -273,7 +273,7 @@ def rhs_cubic(state, sign):
     inner *= (1j * pg.xi) * region_mask(pg.xi, opp)
     s_hi = to_padded(V.coeffs * region_mask(g.xi, hi), pg)
     out = -from_padded(s_hi * coeffs_to_samples(inner, pg), pg) * region_mask(g.xi, hi)
-    return SpectralField(g, out, _checked=True)
+    return SpectralField(g, out)
 
 
 def rhs_low(state):
@@ -286,7 +286,7 @@ def rhs_low(state):
     t1 = dealiased_product(V.coeffs, du * region_mask(g.xi, "-"), pg)
     t2 = dealiased_product(V.coeffs, du * region_mask(g.xi, "+"), pg)
     out = -(t1 * region_mask(g.xi, "+lo") + t2 * region_mask(g.xi, "-lo"))
-    return SpectralField(g, out, _checked=True)
+    return SpectralField(g, out)
 
 
 def mean_w_squared(V):
@@ -347,7 +347,7 @@ def rhs_exact_coeffs(c, g):
 
 def rhs_exact(V):
     V = _as_field(V)
-    return SpectralField(V.grid, rhs_exact_coeffs(V.coeffs, V.grid), _checked=True)
+    return SpectralField(V.grid, rhs_exact_coeffs(V.coeffs, V.grid))
 
 
 def rhs_terms_total_coeffs(c, g):
@@ -370,7 +370,7 @@ def rhs_terms_total_coeffs(c, g):
 
 def rhs_terms_total(V):
     V = _as_field(V)
-    return SpectralField(V.grid, rhs_terms_total_coeffs(V.coeffs, V.grid), _checked=True)
+    return SpectralField(V.grid, rhs_terms_total_coeffs(V.coeffs, V.grid))
 
 
 def profile_time_derivative_sup(state):

@@ -447,7 +447,7 @@ class TermValues:
         out = np.empty(n, dtype=complex)
         out.real = np.bincount(self.out_idx, v.real, minlength=n)
         out.imag = np.bincount(self.out_idx, v.imag, minlength=n)
-        return SpectralField(self.grid, out, _checked=True)
+        return SpectralField(self.grid, out)
 
     def restrict(self, mask):
         mask = np.asarray(mask)

@@ -501,14 +501,13 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000,
     norm_index = params.s + 1.0
 
     def norm_of(vec):
-        return float(sobolev_norm(SpectralField(grid, vec, _checked=True),
-                                  norm_index))
+        return float(sobolev_norm(SpectralField(grid, vec), norm_index))
 
     quadrature_error = norm_of(qvec)
 
     envelope = np.abs(traj.data).max(axis=0).astype(complex)
     envelope[0] = 0.0
-    env_field = SpectralField(grid, envelope, _checked=True)
+    env_field = SpectralField(grid, envelope)
     cap_tuples = max_composed if not allow_expensive else NO_TUPLE_CAP
     tvs = {name: term_values_on_lattice(term, env_field, max_tuples=cap_tuples)
            for name, term in bo_terms().items()}

@@ -4,7 +4,8 @@ Every experiment returns an :class:`EstimateReport`: the resolved parameters,
 the flat table of sampled values, named power-law fits (each carrying its own
 log-log residual), named pass/fail checks, and an overall verdict.  A fit
 whose residual exceeds ``RESIDUAL_CAP`` in log-log space is *inconclusive*
-and can never support a pass.
+and can never support a pass: :meth:`EstimateReport.check_fit` is the one
+place that turns a fit into a check, and it enforces that rule.
 
 Reports serialize to JSON (full, self-contained) and CSV (flat samples table
 with the fixed column schema: experiment, the union of per-sample parameter
@@ -113,6 +114,12 @@ class EstimateReport:
         self.fits[name] = fit_power([r[key] for r in rows],
                                     [r["value"] for r in rows])
         return self.fits[name]
+
+    def check_fit(self, check, fit, holds):
+        """Set ``checks[check]`` to ``holds(fit.exponent)`` for a conclusive
+        fit, and to "inconclusive" otherwise, whatever ``holds`` would say."""
+        self.checks[check] = (bool(holds(fit.exponent)) if fit.conclusive
+                              else "inconclusive")
 
     # -- serialization -------------------------------------------------------
 

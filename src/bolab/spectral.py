@@ -85,22 +85,26 @@ class SpectralField:
 
     Immutable value type: the coefficient array is read-only, and all
     operations return new fields.  Supports +, -, scalar *, scalar /.
+
+    Invariant: every instance holds ``grid.n`` finite coefficients whose
+    Nyquist slot (index 0, k = -n/2) is zero.  The constructor is the one
+    place that enforces it, for every caller: non-finite input raises
+    ``ValueError``, and a nonzero Nyquist coefficient is zeroed.
     """
 
     __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid, coeffs, _checked=False):
+    def __init__(self, grid, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (grid.n,):
             raise ValueError(
                 f"coefficient array has length {coeffs.shape}, grid expects {grid.n}"
             )
-        if not _checked:
-            if not np.all(np.isfinite(coeffs)):
-                raise ValueError("coefficient array holds non-finite values (nan or inf)")
-            if coeffs[0] != 0.0:
-                coeffs = coeffs.copy()
-                coeffs[0] = 0.0  # Nyquist has no conjugate partner; hard-zeroed
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficient array holds non-finite values (nan or inf)")
+        if coeffs[0] != 0.0:
+            coeffs = coeffs.copy()
+            coeffs[0] = 0.0  # Nyquist has no conjugate partner; hard-zeroed
         if coeffs.flags.writeable:
             coeffs = coeffs.copy()
             coeffs.setflags(write=False)
@@ -114,22 +118,22 @@ class SpectralField:
 
     def __add__(self, other):
         self._same_grid(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs, _checked=True)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._same_grid(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs, _checked=True)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * complex(scalar), _checked=True)
+        return SpectralField(self.grid, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return SpectralField(self.grid, self.coeffs / complex(scalar), _checked=True)
+        return SpectralField(self.grid, self.coeffs / complex(scalar))
 
     def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs, _checked=True)
+        return SpectralField(self.grid, -self.coeffs)
 
     def conj_reflected(self):
         """The field whose coefficients are conj(u_hat(-xi)).
@@ -137,7 +141,7 @@ class SpectralField:
         For a real-valued function this is the field itself; in general it is
         the transform of the complex conjugate of the physical-space function.
         """
-        return SpectralField(self.grid, conj_reflect(self.coeffs), _checked=True)
+        return SpectralField(self.grid, conj_reflect(self.coeffs))
 
     def reality_residual(self):
         """Max deviation from conjugate symmetry (0 for real-valued fields)."""
@@ -161,7 +165,7 @@ def to_spectral(samples, grid):
         raise ValueError(
             f"sample array has length {samples.shape}, grid expects {grid.n}"
         )
-    return SpectralField(grid, samples_to_coeffs(samples, grid), _checked=True)
+    return SpectralField(grid, samples_to_coeffs(samples, grid))
 
 
 def to_physical(field):
@@ -192,7 +196,7 @@ def apply_multiplier(field, symbol):
     """Pointwise Fourier multiplier.  `symbol` is an array over grid.xi or a callable."""
     if callable(symbol):
         symbol = symbol(field.grid.xi)
-    return SpectralField(field.grid, field.coeffs * symbol, _checked=True)
+    return SpectralField(field.grid, field.coeffs * symbol)
 
 
 # -- standard multiplier symbols ---------------------------------------------
@@ -255,15 +259,13 @@ def region_mask(xi, region):
 
 
 def project(field, region):
-    return SpectralField(
-        field.grid, field.coeffs * region_mask(field.grid.xi, region), _checked=True
-    )
+    return SpectralField(field.grid, field.coeffs * region_mask(field.grid.xi, region))
 
 
 def zero_mean_project(field):
     c = field.coeffs.copy()
     c[field.grid.k == 0] = 0.0
-    return SpectralField(field.grid, c, _checked=True)
+    return SpectralField(field.grid, c)
 
 
 def sobolev_norm(field, s):
@@ -333,7 +335,7 @@ def product_field(f, g):
     f._same_grid(g)
     base = f.grid
     prod = dealiased_product(f.coeffs, g.coeffs, padded_grid(base))
-    return SpectralField(base, prod, _checked=True)
+    return SpectralField(base, prod)
 
 
 # -- binary snapshots ---------------------------------------------------------

@@ -40,7 +40,7 @@ def reflect(field):
     """x -> -x in physical space: u_hat(xi) -> u_hat(-xi)."""
     c = np.zeros_like(field.coeffs)
     c[1:] = field.coeffs[1:][::-1]
-    return SpectralField(field.grid, c, _checked=True)
+    return SpectralField(field.grid, c)
 
 
 # -- linear propagator --------------------------------------------------------

@@ -381,7 +381,7 @@ def test_residual_matches_independent_formula():
 
     env = np.abs(traj.data).max(axis=0).astype(complex)
     env[0] = 0.0
-    env_field = SpectralField(g, env, _checked=True)
+    env_field = SpectralField(g, env)
     nonres = np.zeros((len(traj), g.n), dtype=complex)
     bdry0 = np.zeros(g.n, dtype=complex)
     bdry1 = np.zeros(g.n, dtype=complex)
@@ -391,7 +391,7 @@ def test_residual_matches_independent_formula():
         if len(sel) == 0:
             continue
         for i in range(len(traj)):
-            vals = sel.evaluate(SpectralField(g, traj.data[i], _checked=True))
+            vals = sel.evaluate(SpectralField(g, traj.data[i]))
             acc = np.zeros(g.n, dtype=complex)
             np.add.at(acc, sel.out_idx, vals)
             nonres[i] += COUPLING * carriers[i] * acc
@@ -401,7 +401,7 @@ def test_residual_matches_independent_formula():
                 target = bdry0 if i == 0 else bdry1
                 target += COUPLING * carriers[i] * accb
     plain = qvec + np.einsum("i,ij->j", w, nonres) - (bdry1 - bdry0)
-    res_plain = sobolev_norm(SpectralField(g, plain, _checked=True), 1.5)
+    res_plain = sobolev_norm(SpectralField(g, plain), 1.5)
     print(f"engine {rep.residuals[1]:.6e}  plain {res_plain:.6e}  "
           f"floor {rep.quadrature_error:.3e}")
     assert rep.residuals[1] > 5.0 * rep.quadrature_error
