@@ -3,11 +3,13 @@
     bolab <command> [--config run.json] [flags...]
 
 Commands: simulate, gauge-check, params, estimates, smoothing, lipschitz,
-lemma21, nfe.  Each writes its JSON + CSV report into the output directory
-(--output-dir flag, config "output_dir", env BOLAB_OUTPUT_DIR, or
-./bolab-reports) and prints a one-line verdict summary.  Exit codes:
-0 every verdict passes (or the run is descriptive-only), 1 a verdict
-failed or was inconclusive, 2 usage/config error, 3 numerical failure.
+lemma21, nfe.  Each writes its JSON + CSV report (``main`` embeds the
+resolved config) into the output directory (--output-dir flag, config
+"output_dir", env BOLAB_OUTPUT_DIR, or ./bolab-reports) and prints a
+one-line verdict summary.  Exit codes: 0 every verdict passes (or the run
+is descriptive-only), 1 a verdict failed or was inconclusive, 2 usage or
+config error (a value out of range for its command included), 3 numerical
+failure.
 
 Configuration is a JSON file whose sections and keys are the rows of
 ``_SPEC``: each row gives a key's dotted path, flag type, default, flag and
@@ -173,8 +175,7 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
         raise ConfigError(
             f"command: config says {configured!r} but {command!r} was invoked")
     cfg["command"] = command
-    kind = cfg["data"]["kind"]
-    if kind not in DATA_KINDS:
+    if cfg["data"]["kind"] not in DATA_KINDS:
         raise ConfigError(f"data.kind: must be one of {', '.join(DATA_KINDS)}")
     for name in cfg["experiment"]["terms"]:
         if name not in ("Q+", "Q-", "C+", "C-"):
@@ -187,12 +188,47 @@ def _output_dir(cfg):
             or os.path.join(os.getcwd(), "bolab-reports"))
 
 
-def _build_grid(cfg):
+# (test, requirement) that a value must meet for a command that reads it.
+# Each command checks the keys it reads: `params` resolves them all.
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONEMPTY = (len, "must not be empty")
+_USABLE = {"time.T": _POSITIVE, "time.dt": _POSITIVE,
+           "time.snapshot_every": (lambda v: v >= 1, "must be at least 1"),
+           "infr.J_max": (lambda v: 1 <= v <= 3, "must be 1, 2 or 3"),
+           "experiment.alpha_list": _NONEMPTY, "experiment.M_list": _NONEMPTY,
+           "experiment.resolutions": _NONEMPTY,
+           "experiment.amplitudes": _NONEMPTY}
+
+
+def _require(cfg, *paths):
+    """ConfigError naming the first of ``paths`` whose value is unusable."""
+    for path in paths:
+        section, key = path.split(".")
+        usable, need = _USABLE[path]
+        if not usable(cfg[section][key]):
+            raise ConfigError(f"{path}: {need}, got {cfg[section][key]!r}")
+
+
+def _build_grid(cfg, n_points=None, n_key="grid.n_points"):
+    """Grid at ``grid.half_length`` and ``n_points`` (default ``grid.n_points``);
+    a value Grid rejects is a ConfigError naming its key (``n_key`` for n)."""
     g = cfg["grid"]
+    n = g["n_points"] if n_points is None else n_points
     try:
-        return Grid(g["n_points"], g["half_length"])
+        return Grid(n, g["half_length"])
     except ValueError as e:
-        raise ConfigError(f"grid: {e}") from None
+        key = n_key if str(e).startswith("n_points") else "grid.half_length"
+        raise ConfigError(f"{key}: {e}") from None
+
+
+def _build_params(cfg):
+    """infr_params of the config; each argument error it raises opens with
+    the argument's name, which gives the ConfigError's key."""
+    p = cfg["infr"]
+    try:
+        return infr_params(p["s"], p["eps"], N_threshold=p["N_threshold"])
+    except ValueError as e:
+        raise ConfigError(f"infr.{str(e).split()[0]}: {e}") from None
 
 
 def _build_data(grid, cfg):
@@ -208,17 +244,15 @@ def _build_data(grid, cfg):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg, outdir):
+    _require(cfg, "time.T", "time.dt", "time.snapshot_every")
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
     t = cfg["time"]
     traj = evolve_bo(u0, T=t["T"], dt=t["dt"],
                      snapshot_every=t["snapshot_every"])
     rep = EstimateReport("simulate", params={"metadata": traj.metadata})
-    norms = []
-    for i, ti in enumerate(traj.times):
-        f = traj.field(i)
-        l2 = sobolev_norm(f, 0.0)
-        norms.append(l2)
+    norms = [sobolev_norm(traj.field(i), 0.0) for i in range(len(traj))]
+    for l2, ti in zip(norms, traj.times):
         rep.add_sample(l2, kind="l2_norm", t=float(ti))
     rep.params["l2_drift"] = float(max(norms) - min(norms))
     rep.params["zero_mode_max"] = float(
@@ -230,6 +264,7 @@ def _cmd_simulate(cfg, outdir):
 
 
 def _cmd_gauge_check(cfg, outdir):
+    _require(cfg, "time.T", "time.dt")
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
     st = gauge_forward(u0)
@@ -257,8 +292,7 @@ def _cmd_gauge_check(cfg, outdir):
 
 
 def _cmd_params(cfg, outdir):
-    infr = cfg["infr"]
-    p = infr_params(infr["s"], infr["eps"], N_threshold=infr["N_threshold"])
+    p = _build_params(cfg)
     rep = EstimateReport("params", params={"table": dict(p.table())})
     for name, value in p.table():
         print(f"{name:<18} {value}")
@@ -293,46 +327,44 @@ def _integral_report(s, eps, cutoff):
                        fit="quad_alpha", m=2.0, alpha=a, kind="quad")
         rep.add_sample(cubic_integral_I(a, 2.0, s, eps, cutoff),
                        fit="cubic_alpha", m=2.0, alpha=a, kind="cubic")
-    caps = {"quad_m": 1.0 + 2.0 * gamma_quadratic(s, eps) + 0.15,
-            "quad_alpha": 2.0 * gamma_quadratic(s, eps) + 0.15,
-            "cubic_m": 1.0 + 2.0 * gamma_cubic(s, eps) + 0.15,
-            "cubic_alpha": 2.0 * gamma_cubic(s, eps) + 0.15}
-    key_for = {"quad_m": "m", "cubic_m": "m",
-               "quad_alpha": "alpha", "cubic_alpha": "alpha"}
-    for name, cap in caps.items():
-        rep.check_fit(f"{name}_exponent_le_cap",
-                      rep.fit_samples(name, key_for[name]),
-                      lambda p: p <= cap)
-        rep.params[f"{name}_cap"] = cap
-    base_q = quad_integral_J(0.0, 8.0, s, eps, cutoff)
-    wide_q = quad_integral_J(0.0, 8.0, s, eps, 2.0 * cutoff)
-    base_c = cubic_integral_I(0.0, 8.0, s, eps, cutoff)
-    wide_c = cubic_integral_I(0.0, 8.0, s, eps, 2.0 * cutoff)
-    rep.checks["quad_cutoff_converged"] = bool(
-        abs(wide_q - base_q) <= 0.05 * base_q)
-    rep.checks["cubic_cutoff_converged"] = bool(
-        abs(wide_c - base_c) <= 0.05 * base_c)
+    for kind, integral, gamma in (
+            ("quad", quad_integral_J, gamma_quadratic(s, eps)),
+            ("cubic", cubic_integral_I, gamma_cubic(s, eps))):
+        for key, cap in (("m", 1.0 + 2.0 * gamma + 0.15),
+                         ("alpha", 2.0 * gamma + 0.15)):
+            rep.check_fit(f"{kind}_{key}_exponent_le_cap",
+                          rep.fit_samples(f"{kind}_{key}", key),
+                          lambda p: p <= cap)
+            rep.params[f"{kind}_{key}_cap"] = cap
+        base = integral(0.0, 8.0, s, eps, cutoff)
+        wide = integral(0.0, 8.0, s, eps, 2.0 * cutoff)
+        rep.checks[f"{kind}_cutoff_converged"] = bool(
+            abs(wide - base) <= 0.05 * base)
     return rep
 
 
 def _cmd_estimates(cfg, outdir):
-    infr = cfg["infr"]
-    exp = cfg["experiment"]
+    infr, exp = cfg["infr"], cfg["experiment"]
+    _require(cfg, "experiment.alpha_list", "experiment.M_list")
+    _build_grid(cfg)
     grid_cfg = cfg["grid"]
-    safe = {"Q+": "Qp", "Q-": "Qm", "C+": "Cp", "C-": "Cm"}
     out = []
     for name in exp["terms"]:
         rep = verify_operator_estimate(
             name, infr["s"], infr["eps"], exp["alpha_list"], exp["M_list"],
             trials=exp["trials"], grid_n=grid_cfg["n_points"],
             half_length=grid_cfg["half_length"])
-        out.append((f"operator_{safe[name]}", rep))
+        stem = name.replace("+", "p").replace("-", "m")
+        out.append((f"operator_{stem}", rep))
     out.append(("integral_scaling",
                 _integral_report(infr["s"], infr["eps"], exp["cutoff"])))
     return out
 
 
 def _cmd_smoothing(cfg, outdir):
+    _require(cfg, "time.T", "time.dt", "experiment.resolutions")
+    for n in cfg["experiment"]["resolutions"]:
+        _build_grid(cfg, n, "experiment.resolutions")
     infr = cfg["infr"]
     eps_list = infr["eps_list"] if infr["eps_list"] else [infr["eps"]]
     rep = smoothing_experiment(
@@ -344,6 +376,9 @@ def _cmd_smoothing(cfg, outdir):
 
 
 def _cmd_lipschitz(cfg, outdir):
+    _require(cfg, "time.T", "time.dt", "experiment.resolutions")
+    for n in cfg["experiment"]["resolutions"]:
+        _build_grid(cfg, n, "experiment.resolutions")
     rep = lipschitz_experiment(
         seed=cfg["data"]["seed"], s=cfg["infr"]["s"], T=cfg["time"]["T"],
         perturbation_size=cfg["experiment"]["perturbation_size"],
@@ -355,6 +390,8 @@ def _cmd_lipschitz(cfg, outdir):
 
 
 def _cmd_lemma21(cfg, outdir):
+    _require(cfg, "time.T", "time.dt", "experiment.amplitudes")
+    _build_grid(cfg)
     rep = lemma21_experiment(
         cfg["experiment"]["amplitudes"], cfg["infr"]["s"], cfg["time"]["T"],
         n_points=cfg["grid"]["n_points"], dt=cfg["time"]["dt"],
@@ -363,26 +400,24 @@ def _cmd_lemma21(cfg, outdir):
 
 
 def _cmd_nfe(cfg, outdir):
+    _require(cfg, "infr.J_max", "time.T", "time.dt", "time.snapshot_every")
+    p = _build_params(cfg)
     t, infr = cfg["time"], cfg["infr"]
-    if not 1 <= infr["J_max"] <= 3:
-        raise ConfigError(f"infr.J_max: must be 1, 2 or 3, got {infr['J_max']}")
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
     traj = evolve_gauged(gauge_forward(u0), T=t["T"], dt=t["dt"],
                          rhs_mode="terms",
                          snapshot_every=t["snapshot_every"])
-    p = infr_params(infr["s"], infr["eps"], N_threshold=infr["N_threshold"])
     nr = nfe_residual(traj, infr["J_max"], p)
     print(nr.summary())
     rep = EstimateReport("nfe", params={
         "quadrature_error": nr.quadrature_error,
         "norm_index": nr.norm_index, "counts": nr.counts,
         "phase_cap": nr.phase_cap, "h_max": nr.h_max})
-    for j in sorted(nr.residuals):
-        rep.add_sample(nr.residuals[j], kind="residual", j=j)
+    vals = [nr.residuals[j] for j in sorted(nr.residuals)]
+    for j, value in zip(sorted(nr.residuals), vals):
+        rep.add_sample(value, kind="residual", j=j)
     rep.notes.extend(nr.warnings)
-    levels = sorted(nr.residuals)
-    vals = [nr.residuals[j] for j in levels]
     rep.checks["residual_monotone"] = bool(
         all(b <= a for a, b in zip(vals, vals[1:])))
     if infr["J_max"] >= 2:

@@ -21,9 +21,8 @@ Four measurement campaigns, each returning a self-contained
   small ``h`` and stays below ``C (h^2 + h^3)`` with a single constant.
 
 All randomness flows through seeded generators recorded in the report, so
-reports are bit-reproducible.  Fits with log-log rms residual above
-``reports.RESIDUAL_CAP`` come back inconclusive and can never support a
-pass.
+reports are bit-reproducible.  Every check read off a power-law fit goes
+through ``EstimateReport.check_fit``, so an inconclusive fit never passes.
 """
 
 import numpy as np
@@ -136,7 +135,9 @@ def _dyadic_tail_slope(grid, coeffs):
 # operator estimates
 # ---------------------------------------------------------------------------
 
-def verify_operator_estimate(term, s, eps, alpha_list=None, M_list=None,
+def verify_operator_estimate(term, s, eps,
+                             alpha_list=(128.0, 256.0, 512.0, 1024.0),
+                             M_list=(16.0, 32.0, 64.0, 128.0),
                              trials=8, grid_n=128, half_length=np.pi, seed=7):
     """Measure the growth of ||T^{alpha,M}(inputs)||_{H^{s+eps+1}} in alpha and M.
 
@@ -163,10 +164,6 @@ def verify_operator_estimate(term, s, eps, alpha_list=None, M_list=None,
     """
     if isinstance(term, str):
         term = bo_terms()[term]
-    if alpha_list is None:
-        alpha_list = [128.0, 256.0, 512.0, 1024.0]
-    if M_list is None:
-        M_list = [16.0, 32.0, 64.0, 128.0]
     alpha_list = sorted(float(a) for a in alpha_list)
     M_list = sorted(float(m) for m in M_list)
     arity = term.arity
@@ -303,9 +300,8 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
                            tail_slope=slope_v0)
     for eps in eps_list:
         vals = sups[eps]
-        stable = all(abs(b / a - 1.0) <= 0.10
-                     for a, b in zip(vals, vals[1:])) if len(vals) > 1 else True
-        rep.checks[f"remainder_stable_eps{eps:g}"] = bool(stable)
+        rep.checks[f"remainder_stable_eps{eps:g}"] = all(
+            abs(b / a - 1.0) <= 0.10 for a, b in zip(vals, vals[1:]))
         if len(resolutions) > 1 and eps > 0.02:
             predicted = eps - 0.01
             rep.check_fit(f"v0_rate_eps{eps:g}",
@@ -407,17 +403,16 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
         starts and all(v == 1.0 for v in starts))
     rep.checks["sup_ratio_le_cmax"] = bool(
         all(v <= c_max for v in sup_by_cell.values()))
-    res_ok = all(
-        max(sup_by_cell[(a, sz)], sup_by_cell[(b, sz)])
-        <= 2.0 * min(sup_by_cell[(a, sz)], sup_by_cell[(b, sz)])
+
+    def within_2x(a, b):
+        return max(a, b) <= 2.0 * min(a, b)
+
+    rep.checks["stable_under_resolution"] = all(
+        within_2x(sup_by_cell[(a, sz)], sup_by_cell[(b, sz)])
         for sz in sizes for a, b in zip(resolutions, resolutions[1:]))
-    rep.checks["stable_under_resolution"] = bool(res_ok) \
-        if len(resolutions) > 1 else True
-    size_ok = all(
-        max(sup_by_cell[(N, sizes[0])], sup_by_cell[(N, sizes[1])])
-        <= 2.0 * min(sup_by_cell[(N, sizes[0])], sup_by_cell[(N, sizes[1])])
+    rep.checks["stable_under_halving"] = all(
+        within_2x(sup_by_cell[(N, sizes[0])], sup_by_cell[(N, sizes[1])])
         for N in resolutions)
-    rep.checks["stable_under_halving"] = bool(size_ok)
     return rep
 
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from .spectral import SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
-from .infr import COUPLING, NO_TUPLE_CAP, bo_terms, term_values_on_lattice
+from .infr import COUPLING, bo_terms, term_values_on_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ class _Batch:
 def _trapz_weights(times):
     t = np.asarray(times, dtype=float)
     if t.size < 2 or np.any(np.diff(t) <= 0):
-        raise ValueError("need at least two strictly increasing snapshot times")
+        raise ValueError("need at least two snapshots, at strictly increasing times")
     w = np.zeros(t.size)
     w[:-1] += 0.5 * np.diff(t)
     w[1:] += 0.5 * np.diff(t)
@@ -450,8 +450,7 @@ class NfeReport:
                 f"quadrature floor {self.quadrature_error:.3e}")
 
 
-def nfe_residual(traj, J_max, params, max_composed=2_000_000,
-                 allow_expensive=False):
+def nfe_residual(traj, J_max, params, max_composed=2_000_000):
     """Truncation residuals of the depth-J normal form on a stored trajectory.
 
     ``traj`` must hold the gauged coefficients V_hat(t) of the truncated
@@ -466,22 +465,19 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000,
     the largest retained |Phi|, so keep max_step * phase_cap below about 0.5
     (the report carries both numbers and warns when the product is large).
 
-    Costs are guarded: J_max > 3 requires ``allow_expensive=True``, and any
-    substitution step that would build more than ``max_composed`` tuples
-    raises with the estimated count.
+    Costs are guarded: J_max is at most 3, and any substitution step that
+    would build more than ``max_composed`` tuples raises with the estimated
+    count.
     """
-    if not isinstance(J_max, int) or J_max < 1:
-        raise ValueError("J_max must be a positive integer")
-    if J_max > 3 and not allow_expensive:
+    if not isinstance(J_max, int) or not 1 <= J_max <= 3:
         raise ValueError(
-            f"J_max = {J_max} expansions are disabled by default (tuple "
-            "counts grow combinatorially); pass allow_expensive=True")
-    if len(traj) < 2:
-        raise ValueError("trajectory needs at least two snapshots")
+            f"J_max must be a positive integer no larger than 3 (tuple "
+            f"counts grow combinatorially), got {J_max!r}")
 
     grid = traj.grid
     n = grid.n
     times = np.asarray(traj.times, dtype=float)
+    w = _trapz_weights(times)  # rejects fewer than two snapshots
     warnings = []
     if traj.metadata.get("rhs", "terms") != "terms":
         warnings.append(
@@ -495,7 +491,6 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000,
     for i in range(times.size):
         Nt[i] = carriers[i] * rhs_terms_total_coeffs(traj.data[i], grid)
 
-    w = _trapz_weights(times)
     vdelta = Vt[-1] - Vt[0]
     qvec = vdelta - np.einsum("i,ij->j", w, Nt)
     norm_index = params.s + 1.0
@@ -505,11 +500,8 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000,
 
     quadrature_error = norm_of(qvec)
 
-    envelope = np.abs(traj.data).max(axis=0).astype(complex)
-    envelope[0] = 0.0
-    env_field = SpectralField(grid, envelope)
-    cap_tuples = max_composed if not allow_expensive else NO_TUPLE_CAP
-    tvs = {name: term_values_on_lattice(term, env_field, max_tuples=cap_tuples)
+    env_field = SpectralField(grid, np.abs(traj.data).max(axis=0))
+    tvs = {name: term_values_on_lattice(term, env_field, max_tuples=max_composed)
            for name, term in bo_terms().items()}
 
     frontier, counts = _level_one(tvs, params.N_threshold)
@@ -543,11 +535,10 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000,
             residuals[J] = quadrature_error
             continue
         estimate = _compose_estimate(frontier, tvs, n)
-        if estimate > max_composed and not allow_expensive:
+        if estimate > max_composed:
             raise ValueError(
                 f"depth-{J} substitution would build about {estimate} "
-                f"composed tuples (cap {max_composed}); raise max_composed "
-                "or pass allow_expensive=True")
+                f"composed tuples (cap {max_composed}); raise max_composed")
         if child_sorted is None:
             child_sorted = _child_index(tvs)
         frontier = _compose(frontier, tvs, child_sorted, J, params, n)

@@ -136,10 +136,9 @@ class EstimateReport:
 
     @classmethod
     def from_dict(cls, d):
-        rep = cls(d["experiment"], d["params"], list(d["samples"]),
-                  {k: PowerFit(**f) for k, f in d["fits"].items()},
-                  dict(d["checks"]), list(d["notes"]))
-        return rep
+        return cls(d["experiment"], d["params"], list(d["samples"]),
+                   {k: PowerFit(**f) for k, f in d["fits"].items()},
+                   dict(d["checks"]), list(d["notes"]))
 
     def summary(self):
         bits = []

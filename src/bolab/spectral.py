@@ -86,10 +86,9 @@ class SpectralField:
     Immutable value type: the coefficient array is read-only, and all
     operations return new fields.  Supports +, -, scalar *, scalar /.
 
-    Invariant: every instance holds ``grid.n`` finite coefficients whose
-    Nyquist slot (index 0, k = -n/2) is zero.  The constructor is the one
-    place that enforces it, for every caller: non-finite input raises
-    ``ValueError``, and a nonzero Nyquist coefficient is zeroed.
+    Every instance holds ``grid.n`` finite coefficients with a zero Nyquist
+    slot (index 0, k = -n/2).  The constructor is the one place enforcing
+    this: non-finite input raises ValueError, and the Nyquist slot is zeroed.
     """
 
     __slots__ = ("grid", "coeffs")
@@ -193,9 +192,7 @@ def samples_to_coeffs(samples, grid):
 
 
 def apply_multiplier(field, symbol):
-    """Pointwise Fourier multiplier.  `symbol` is an array over grid.xi or a callable."""
-    if callable(symbol):
-        symbol = symbol(field.grid.xi)
+    """Pointwise Fourier multiplier; `symbol` is an array over grid.xi."""
     return SpectralField(field.grid, field.coeffs * symbol)
 
 
@@ -205,8 +202,8 @@ def hilbert_symbol(grid):
     return -1j * np.sign(grid.xi)
 
 
-def derivative_symbol(grid, order=1):
-    return (1j * grid.xi) ** order
+def derivative_symbol(grid):
+    return 1j * grid.xi
 
 
 def antiderivative_symbol(grid):
@@ -226,8 +223,8 @@ def hilbert(field):
     return apply_multiplier(field, hilbert_symbol(field.grid))
 
 
-def derivative(field, order=1):
-    return apply_multiplier(field, derivative_symbol(field.grid, order))
+def derivative(field):
+    return apply_multiplier(field, derivative_symbol(field.grid))
 
 
 REGIONS = ("+", "-", "lo", "hi", "+hi", "-hi", "+lo", "-lo")

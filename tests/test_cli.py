@@ -65,6 +65,35 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     assert "infr.J_max" in err and "allow_expensive" not in err
 
 
+# a value its command cannot use is a usage error (exit 2) naming its key:
+# not a numerical failure (3), a traceback (1) or a silent run (0)
+@pytest.mark.parametrize("args, key", [
+    (("smoothing", "--resolutions", "100"), "experiment.resolutions"),
+    (("lipschitz", "--resolutions", "100"), "experiment.resolutions"),
+    (("lemma21", "--n-points", "100"), "grid.n_points"),
+    (("estimates", "--n-points", "100"), "grid.n_points"),
+    (("lipschitz", "--half-length", "1"), "grid.half_length"),
+    (("params", "--eps", "0.9"), "infr.eps"),
+    (("params", "--s", "-1"), "infr.s"),
+    (("nfe", "--n-threshold", "0.5"), "infr.N_threshold"),
+    (("simulate", "--dt", "0"), "time.dt"),
+    (("gauge-check", "--dt", "0"), "time.dt"),
+    (("simulate", "--dt", "-0.001", "--T", "0.01"), "time.dt"),
+    (("gauge-check", "--T", "-0.1"), "time.T"),
+    (("simulate", "--snapshot-every", "0"), "time.snapshot_every"),
+    (("nfe", "--snapshot-every", "0"), "time.snapshot_every"),
+    (("smoothing", "--resolutions", ""), "experiment.resolutions"),
+    (("estimates", "--alpha-list", ""), "experiment.alpha_list"),
+    (("estimates", "--m-list", ""), "experiment.M_list"),
+    (("lemma21", "--amplitudes", ""), "experiment.amplitudes"),
+], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
+    if isinstance(v, tuple) else v)
+def test_unusable_value_is_config_error(tmp_path, capsys, args, key):
+    assert run(tmp_path, *args) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not os.listdir(tmp_path)  # rejected before any work
+
+
 # a flag value, its parsed value, and a config-file value of the wrong type,
 # per flag type
 _SAMPLES = {

@@ -446,7 +446,7 @@ def test_validation_and_warnings():
 
     with pytest.raises(ValueError, match="positive integer"):
         nfe_residual(traj, 0, p)
-    with pytest.raises(ValueError, match="allow_expensive"):
+    with pytest.raises(ValueError, match="J_max"):
         nfe_residual(traj, 4, p)
     with pytest.raises(ValueError, match="two snapshots"):
         nfe_residual(Trajectory(g, [0.0], data[:1], "V"), 1, p)

@@ -69,6 +69,18 @@ def _small_report():
     return rep
 
 
+def test_check_fit_inconclusive_fit_never_passes():
+    rep = EstimateReport("demo", params={})
+    rep.check_fit("loose", PowerFit(1.0, 0.0, 0.5, False), lambda p: True)
+    assert rep.checks["loose"] == "inconclusive"
+    assert rep.verdict == "inconclusive"
+    good = PowerFit(1.0, 0.0, 0.01, True)
+    rep.check_fit("le_one", good, lambda p: p <= 1.0)
+    rep.check_fit("lt_one", good, lambda p: p < 1.0)
+    assert rep.checks["le_one"] is True and rep.checks["lt_one"] is False
+    assert rep.verdict == "fail"
+
+
 def test_report_verdict_and_summary():
     rep = _small_report()
     assert rep.verdict == "pass"

@@ -295,6 +295,17 @@ def test_field_rejects_non_finite_coefficients(bad):
         sp.SpectralField(g, [bad] * 8)
 
 
+def test_arithmetic_to_non_finite_raises():
+    # scalar arithmetic goes through the same check as construction, so it
+    # cannot build an all-NaN field
+    f = random_real_field(sp.make_grid(16, np.pi), np.random.default_rng(5))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            f * np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            f / 0
+
+
 def test_conj_reflect_is_the_conjugate_field():
     rng = np.random.default_rng(43)
     g = sp.make_grid(32, np.pi)
