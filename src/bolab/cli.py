@@ -175,7 +175,8 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
         raise ConfigError(
             f"command: config says {configured!r} but {command!r} was invoked")
     cfg["command"] = command
-    if cfg["data"]["kind"] not in DATA_KINDS:
+    kind = cfg["data"]["kind"]
+    if kind not in DATA_KINDS:
         raise ConfigError(f"data.kind: must be one of {', '.join(DATA_KINDS)}")
     for name in cfg["experiment"]["terms"]:
         if name not in ("Q+", "Q-", "C+", "C-"):
@@ -315,21 +316,16 @@ def _integral_report(s, eps, cutoff):
         "s": s, "eps": eps, "cutoff": cutoff,
         "gamma_quad": gamma_quadratic(s, eps),
         "gamma_cubic": gamma_cubic(s, eps)})
-    Ms = [2.0, 4.0, 8.0, 16.0, 32.0]
-    alphas = [4.0, 8.0, 16.0, 32.0]
-    for M in Ms:
-        rep.add_sample(quad_integral_J(0.0, M, s, eps, cutoff),
-                       fit="quad_m", m=M, alpha=0.0, kind="quad")
-        rep.add_sample(cubic_integral_I(0.0, M, s, eps, cutoff),
-                       fit="cubic_m", m=M, alpha=0.0, kind="cubic")
-    for a in alphas:
-        rep.add_sample(quad_integral_J(a, 2.0, s, eps, cutoff),
-                       fit="quad_alpha", m=2.0, alpha=a, kind="quad")
-        rep.add_sample(cubic_integral_I(a, 2.0, s, eps, cutoff),
-                       fit="cubic_alpha", m=2.0, alpha=a, kind="cubic")
-    for kind, integral, gamma in (
-            ("quad", quad_integral_J, gamma_quadratic(s, eps)),
-            ("cubic", cubic_integral_I, gamma_cubic(s, eps))):
+    kinds = (("quad", quad_integral_J, gamma_quadratic(s, eps)),
+             ("cubic", cubic_integral_I, gamma_cubic(s, eps)))
+    # (fit key, alpha, M): the M-sweep at alpha = 0, the alpha-sweep at M = 2
+    cells = ([("m", 0.0, M) for M in (2.0, 4.0, 8.0, 16.0, 32.0)]
+             + [("alpha", a, 2.0) for a in (4.0, 8.0, 16.0, 32.0)])
+    for key, alpha, M in cells:
+        for kind, integral, _ in kinds:
+            rep.add_sample(integral(alpha, M, s, eps, cutoff),
+                           fit=f"{kind}_{key}", m=M, alpha=alpha, kind=kind)
+    for kind, integral, gamma in kinds:
         for key, cap in (("m", 1.0 + 2.0 * gamma + 0.15),
                          ("alpha", 2.0 * gamma + 0.15)):
             rep.check_fit(f"{kind}_{key}_exponent_le_cap",
@@ -414,10 +410,11 @@ def _cmd_nfe(cfg, outdir):
         "quadrature_error": nr.quadrature_error,
         "norm_index": nr.norm_index, "counts": nr.counts,
         "phase_cap": nr.phase_cap, "h_max": nr.h_max})
-    vals = [nr.residuals[j] for j in sorted(nr.residuals)]
-    for j, value in zip(sorted(nr.residuals), vals):
-        rep.add_sample(value, kind="residual", j=j)
+    for j in sorted(nr.residuals):
+        rep.add_sample(nr.residuals[j], kind="residual", j=j)
     rep.notes.extend(nr.warnings)
+    levels = sorted(nr.residuals)
+    vals = [nr.residuals[j] for j in levels]
     rep.checks["residual_monotone"] = bool(
         all(b <= a for a, b in zip(vals, vals[1:])))
     if infr["J_max"] >= 2:

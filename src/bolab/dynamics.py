@@ -200,10 +200,12 @@ def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
     V0 = getattr(V0, "V", V0)
     g = V0.grid
 
-    cores = {"exact": rhs_exact_coeffs, "terms": rhs_terms_total_coeffs}
-    if rhs_mode not in cores:
+    if rhs_mode == "exact":
+        core = rhs_exact_coeffs
+    elif rhs_mode == "terms":
+        core = rhs_terms_total_coeffs
+    else:
         raise ValueError(f"rhs_mode must be 'exact' or 'terms', got {rhs_mode!r}")
-    core = cores[rhs_mode]
 
     def rhs(c):
         return core(c, g)

@@ -190,8 +190,10 @@ def gauge_forward(u):
     st.recon_residual = float(np.sqrt(np.sum(np.abs(diff) ** 2) * g.dxi / (2 * np.pi)))
 
     nf = sobolev_norm(F, CONTROL_S + 1.0)
-    st.norm_control_ratio = 0.0 if nf == 0.0 else (
-        sobolev_norm(V, CONTROL_S + 1.0) / (nf * np.exp(nf / 2.0)))
+    if nf == 0.0:
+        st.norm_control_ratio = 0.0
+    else:
+        st.norm_control_ratio = sobolev_norm(V, CONTROL_S + 1.0) / (nf * np.exp(nf / 2.0))
     if st.norm_control_ratio > 4.0:
         warnings.warn(
             f"gauge norm-control ratio {st.norm_control_ratio:.2f} > 4; "
