@@ -192,13 +192,18 @@ def _output_dir(cfg):
 # (test, requirement) that a value must meet for a command that reads it.
 # Each command checks the keys it reads: `params` resolves them all.
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _NONEMPTY = (len, "must not be empty")
 _USABLE = {"time.T": _POSITIVE, "time.dt": _POSITIVE,
-           "time.snapshot_every": (lambda v: v >= 1, "must be at least 1"),
+           "time.snapshot_every": _AT_LEAST_1,
            "infr.J_max": (lambda v: 1 <= v <= 3, "must be 1, 2 or 3"),
            "experiment.alpha_list": _NONEMPTY, "experiment.M_list": _NONEMPTY,
            "experiment.resolutions": _NONEMPTY,
-           "experiment.amplitudes": _NONEMPTY}
+           "experiment.trials": _AT_LEAST_1,
+           "experiment.perturbation_size": _POSITIVE,
+           "experiment.amplitudes": (
+               lambda v: v and all(h > 0 for h in v),
+               "must be nonempty and all positive")}
 
 
 def _require(cfg, *paths):
@@ -269,7 +274,7 @@ def _cmd_gauge_check(cfg, outdir):
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
     st = gauge_forward(u0)
-    back = gauge_inverse(st)
+    back = gauge_inverse(st.V)
     rt = sobolev_norm(back - u0, 0.0) / sobolev_norm(u0, 0.0)
     rt_ok = rt <= 1e-10
     print(f"round-trip relative error <= 1e-10: {'PASS' if rt_ok else 'FAIL'}"
@@ -278,7 +283,7 @@ def _cmd_gauge_check(cfg, outdir):
     t = cfg["time"]
     s = cfg["infr"]["s"]
     traj_u = evolve_bo(u0, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
-    traj_v = evolve_gauged(st, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
+    traj_v = evolve_gauged(st.V, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
     err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final).V, s + 1.0)
     cons_ok = err <= 1e-6
     print(f"gauge/direct consistency error <= 1e-06: "
@@ -341,8 +346,15 @@ def _integral_report(s, eps, cutoff):
 
 def _cmd_estimates(cfg, outdir):
     infr, exp = cfg["infr"], cfg["experiment"]
-    _require(cfg, "experiment.alpha_list", "experiment.M_list")
+    _require(cfg, "experiment.alpha_list", "experiment.M_list",
+             "experiment.trials")
     _build_grid(cfg)
+    # the integrals own the cutoff rule; run them first so that a cutoff
+    # they refuse stops the command before the operator sweeps
+    try:
+        integral = _integral_report(infr["s"], infr["eps"], exp["cutoff"])
+    except ValueError as e:
+        raise ConfigError(f"experiment.cutoff: {e}") from None
     grid_cfg = cfg["grid"]
     out = []
     for name in exp["terms"]:
@@ -352,8 +364,7 @@ def _cmd_estimates(cfg, outdir):
             half_length=grid_cfg["half_length"])
         stem = name.replace("+", "p").replace("-", "m")
         out.append((f"operator_{stem}", rep))
-    out.append(("integral_scaling",
-                _integral_report(infr["s"], infr["eps"], exp["cutoff"])))
+    out.append(("integral_scaling", integral))
     return out
 
 
@@ -372,7 +383,8 @@ def _cmd_smoothing(cfg, outdir):
 
 
 def _cmd_lipschitz(cfg, outdir):
-    _require(cfg, "time.T", "time.dt", "experiment.resolutions")
+    _require(cfg, "time.T", "time.dt", "experiment.resolutions",
+             "experiment.perturbation_size")
     for n in cfg["experiment"]["resolutions"]:
         _build_grid(cfg, n, "experiment.resolutions")
     rep = lipschitz_experiment(
@@ -401,7 +413,7 @@ def _cmd_nfe(cfg, outdir):
     t, infr = cfg["time"], cfg["infr"]
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
-    traj = evolve_gauged(gauge_forward(u0), T=t["T"], dt=t["dt"],
+    traj = evolve_gauged(gauge_forward(u0).V, T=t["T"], dt=t["dt"],
                          rhs_mode="terms",
                          snapshot_every=t["snapshot_every"])
     nr = nfe_residual(traj, infr["J_max"], p)

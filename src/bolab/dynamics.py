@@ -127,9 +127,26 @@ def _march(c0, grid, h, steps, rhs, on_step=None):
     return steps, c
 
 
+def step_count(T, dt):
+    """Number of steps of a run to time T at a step of about dt: T / dt
+    rounded, and at least one; the step T / steps then lands exactly on T."""
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T!r}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    return max(1, int(round(T / dt)))
+
+
+def _check_schedule(T, dt, snapshot_every):
+    """ValueError naming the first unusable time argument of an evolution."""
+    step_count(T, dt)
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
+
+
 def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
-    steps = max(1, int(round(T / dt)))
-    h = T / steps  # land exactly on T
+    steps = step_count(T, dt)
+    h = T / steps
     times = [0.0]
     snaps = [np.array(c0, dtype=np.complex128)]
 
@@ -184,6 +201,7 @@ def evolve_bo(u0, T, dt, snapshot_every=1):
         s = to_padded(c, pg)
         return half_ixi * from_padded(s * s, pg)
 
+    _check_schedule(T, dt, snapshot_every)
     _probe_dt(u0.coeffs, g, dt, rhs)
     times, data, h = _ifrk4(u0.coeffs, g, T, dt, rhs, snapshot_every)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": "bo"}
@@ -191,13 +209,12 @@ def evolve_bo(u0, T, dt, snapshot_every=1):
 
 
 def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
-    """Integrate the gauged flow from V0 (a SpectralField or GaugeState).
+    """Integrate the gauged flow from the field V0 (``gauge_forward(u).V``).
 
     rhs_mode "exact" uses the full gauged right side; "terms" uses the
     truncated band system (four paraproduct pieces + exact low band).  The
     invertibility margin min |1 + V| is watched every step.
     """
-    V0 = getattr(V0, "V", V0)
     g = V0.grid
 
     if rhs_mode == "exact":
@@ -218,6 +235,7 @@ def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
                 f"{margin:.3g} at t = {t:.6g}"
             )
 
+    _check_schedule(T, dt, snapshot_every)
     _probe_dt(V0.coeffs, g, dt, rhs)
     times, data, h = _ifrk4(V0.coeffs, g, T, dt, rhs, snapshot_every, step_hook=hook)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": rhs_mode}

@@ -20,6 +20,10 @@ Four measurement campaigns, each returning a self-contained
   that the sup of the profile time derivative scales like ``h^2`` for
   small ``h`` and stays below ``C (h^2 + h^3)`` with a single constant.
 
+Each campaign measures something or refuses: an argument that would leave
+nothing to measure (no trials, a zero perturbation, a zero amplitude) is a
+``ValueError`` naming it, raised before any work.
+
 All randomness flows through seeded generators recorded in the report, so
 reports are bit-reproducible.  Every check read off a power-law fit goes
 through ``EstimateReport.check_fit``, so an inconclusive fit never passes.
@@ -28,7 +32,7 @@ through ``EstimateReport.check_fit``, so an inconclusive fit never passes.
 import numpy as np
 
 from .spectral import Grid, SpectralField, dispersion, sobolev_norm, to_physical
-from .dynamics import evolve_gauged
+from .dynamics import evolve_gauged, step_count
 from .gauge import gauge_forward, profile_time_derivative_sup
 from .infr import (NO_TUPLE_CAP, bo_terms, gamma_cubic, gamma_quadratic,
                    term_values_on_lattice, window_indicator)
@@ -159,9 +163,10 @@ def verify_operator_estimate(term, s, eps,
 
     Checks (upper bounds, tolerance 0.1): strong alpha exponent vs
     gamma(eps); mean M exponent vs 1/2; weak-form (Fourier-sup) alpha
-    exponent vs gamma(0).  ``trials=0`` runs the degenerate zero ensemble:
-    every output vanishes, nothing to fit, vacuous pass.
+    exponent vs gamma(0).  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     if isinstance(term, str):
         term = bo_terms()[term]
     alpha_list = sorted(float(a) for a in alpha_list)
@@ -175,11 +180,6 @@ def verify_operator_estimate(term, s, eps,
         "alpha_list": alpha_list, "M_list": M_list,
         "gamma_target": gamma, "gamma_weak_target": gamma0,
         "m_target": 0.5, "tolerance": EXPONENT_TOL})
-    if trials <= 0:
-        rep.notes.append("zero ensemble: all outputs vanish identically; "
-                         "nothing to fit (vacuous pass)")
-        return rep
-
     grid = Grid(grid_n, half_length)
     rng = np.random.default_rng(seed)
     sign = -1.0 if term.name.endswith("+") else 1.0
@@ -275,9 +275,8 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
         grid = Grid(N, half_length)
         v0 = rough_profile_data(grid, s, seed, amplitude)
         dt = base_dt * (512.0 / N) ** 1.5
-        steps = max(1, int(round(T / dt)))
         traj = evolve_gauged(v0, T=T, dt=dt, rhs_mode="terms",
-                             snapshot_every=max(1, steps // 10))
+                             snapshot_every=max(1, step_count(T, dt) // 10))
         omega = dispersion(grid.xi)
         c0 = traj.data[0]
         remainders = [np.exp(1j * omega * t) * traj.data[i] - c0
@@ -343,18 +342,18 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
     The sweep runs the requested size and its half at every resolution.
     Checks: every sup ratio at most ``c_max``; sups within a factor 2
     across resolution doubling at fixed size and across size halving at
-    fixed resolution.  ``perturbation_size = 0`` is the degenerate
-    identical-data case: the ratio is 0/0 and reported as 1 by convention.
+    fixed resolution.  ``perturbation_size`` must be positive.
     """
+    if not perturbation_size > 0.0:
+        raise ValueError(
+            f"perturbation_size must be positive, got {perturbation_size!r}")
     resolutions = [int(N) for N in resolutions]
     rep = EstimateReport("lipschitz", params={
         "seed": seed, "s": s, "T": T,
         "perturbation_size": perturbation_size,
         "resolutions": resolutions, "amplitude": amplitude, "dt": dt,
         "c_max": c_max, "half_length": half_length})
-    degenerate = perturbation_size <= 0.0
-    sizes = [0.0] if degenerate else [perturbation_size,
-                                      perturbation_size / 2.0]
+    sizes = [perturbation_size, perturbation_size / 2.0]
     sup_by_cell = {}
     for N in resolutions:
         grid = Grid(N, half_length)
@@ -362,17 +361,10 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
         w = rough_real_data(grid, s, seed + 77777, 1.0)
         w = w * (1.0 / sobolev_norm(w, s))
         v_base = gauge_forward(u0).V
-        steps = max(1, int(round(T / dt)))
-        every = max(1, steps // 20)
+        every = max(1, step_count(T, dt) // 20)
         base = evolve_gauged(v_base, T=T, dt=dt, rhs_mode="exact",
                              snapshot_every=every)
         for size in sizes:
-            if degenerate:
-                for t in base.times:
-                    rep.add_sample(1.0, kind="ratio", n=N, size=0.0,
-                                   t=float(t))
-                sup_by_cell[(N, 0.0)] = 1.0
-                continue
             # one secant step: the gauge response is linear to O(size)
             probe = gauge_forward(u0 + w * size).V
             response = sobolev_norm(
@@ -392,11 +384,6 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
             sup_by_cell[(N, size)] = max(ratios)
             rep.notes.append(f"n={N} size={size:g}: measured initial gap "
                              f"{gap0:.6g}, sup ratio {max(ratios):.4f}")
-    if degenerate:
-        rep.notes.append("identical data: 0/0 ratio reported as 1 by "
-                         "convention")
-        rep.checks["sup_ratio_le_cmax"] = True
-        return rep
     starts = [r["value"] for r in rep.samples
               if r["kind"] == "ratio" and r["t"] == 0.0]
     rep.checks["ratio_starts_at_one"] = bool(
@@ -431,22 +418,21 @@ def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
     C (h^2 + h^3) with a single constant C over the whole sweep — C is
     fitted as the geometric midpoint of the extreme per-h ratios and every
     ratio must lie within +-50% of it.  The small-h power is fitted over
-    the amplitudes at most 0.2.  h = 0 contributes the trivial zero row
-    and is excluded from both fits.
+    the amplitudes at most 0.2.  ``amplitudes`` must be nonempty and all
+    positive.
     """
     amplitudes = [float(h) for h in amplitudes]
+    if not amplitudes or not all(h > 0.0 for h in amplitudes):
+        raise ValueError(
+            f"amplitudes must be nonempty and all positive, got {amplitudes!r}")
     rep = EstimateReport("lemma21", params={
         "amplitudes": amplitudes, "s": s, "T": T, "n_points": n_points,
         "dt": dt, "seed": seed, "half_length": half_length})
     grid = Grid(n_points, half_length)
     shape = bump_shape(grid, seed=seed)
-    steps = max(1, int(round(T / dt)))
-    every = max(1, steps // 20)
+    every = max(1, step_count(T, dt) // 20)
     ratios = {}
     for h in amplitudes:
-        if h == 0.0:
-            rep.add_sample(0.0, kind="derivative_sup", h=0.0)
-            continue
         traj = evolve_gauged(shape * h, T=T, dt=dt, rhs_mode="exact",
                              snapshot_every=every)
         sup = max(profile_time_derivative_sup(traj.field(i))
@@ -464,12 +450,11 @@ def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
     else:
         rep.checks["small_h_power_near_2"] = "inconclusive"
         rep.notes.append("fewer than two amplitudes <= 0.2: no small-h fit")
-    if ratios:
-        c_star = float(np.sqrt(min(ratios.values()) * max(ratios.values())))
-        rep.params["fitted_constant"] = c_star
-        rep.checks["constant_uniform_pm50"] = bool(
-            all(c_star / 1.5 <= c <= 1.5 * c_star for c in ratios.values()))
-        rep.notes.append(
-            f"fitted C = {c_star:.4g}; per-amplitude ratios "
-            + ", ".join(f"h={h:g}: {c:.4g}" for h, c in sorted(ratios.items())))
+    c_star = float(np.sqrt(min(ratios.values()) * max(ratios.values())))
+    rep.params["fitted_constant"] = c_star
+    rep.checks["constant_uniform_pm50"] = bool(
+        all(c_star / 1.5 <= c <= 1.5 * c_star for c in ratios.values()))
+    rep.notes.append(
+        f"fitted C = {c_star:.4g}; per-amplitude ratios "
+        + ", ".join(f"h={h:g}: {c:.4g}" for h, c in sorted(ratios.items())))
     return rep

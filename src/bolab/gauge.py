@@ -82,8 +82,6 @@ def _bands(grid):
     pg = padded_grid(grid)
     xi, xi2 = grid.xi, pg.xi
     masks = {
-        "plus_hi": region_mask(xi, "+hi"),
-        "minus_hi": region_mask(xi, "-hi"),
         "lo": region_mask(xi, "lo"),
         "minus2": xi2 < 0.0,
         "plus2": xi2 > 0.0,
@@ -96,14 +94,6 @@ def _bands(grid):
     for a in arrays.values():
         a.setflags(write=False)
     return SimpleNamespace(pg=pg, **arrays)
-
-
-def _as_field(obj):
-    if isinstance(obj, SpectralField):
-        return obj
-    if hasattr(obj, "V"):
-        return obj.V
-    raise TypeError(f"expected a SpectralField or GaugeState, got {type(obj)!r}")
 
 
 def antiderivative(u):
@@ -121,16 +111,15 @@ def antiderivative(u):
 
 
 class GaugeState:
-    """The gauge variable of a real field together with its band projections.
+    """The gauge variable of a real field together with its diagnostics.
+
+    The functions of this module and `dynamics.evolve_gauged` take the field
+    V itself, not the state: pass ``st.V``.
 
     Attributes
     ----------
     u, F, V : SpectralField
         the input field, its zero-mean antiderivative, and V = e^{-iF/2} - 1
-    V_plus, V_minus, V_lo : SpectralField
-        projections of V to xi > 1, xi < -1 and |xi| <= 1
-    w : SpectralField
-        V_x
     recon_residual : float
         L2 error of the exact reconstruction u = 2i (1 + conj V) V_x
     norm_control_ratio : float
@@ -144,10 +133,6 @@ class GaugeState:
         "u",
         "F",
         "V",
-        "V_plus",
-        "V_minus",
-        "V_lo",
-        "w",
         "recon_residual",
         "norm_control_ratio",
         "min_one_plus_v",
@@ -177,12 +162,6 @@ def gauge_forward(u):
     st.u = u
     st.F = F
     st.V = V
-    b = _bands(g)
-    st.V_plus = SpectralField(g, V.coeffs * b.plus_hi)
-    st.V_minus = SpectralField(g, V.coeffs * b.minus_hi)
-    st.V_lo = SpectralField(g, V.coeffs * b.lo)
-    st.w = SpectralField(g, V.coeffs * (1j * g.xi))
-
     margin, uc = _reconstruct(V)
     st.min_one_plus_v = margin
     herm = 0.5 * (uc + conj_reflect(uc))
@@ -224,7 +203,6 @@ def gauge_inverse(V):
     Raises ValueError when min |1 + V| < GAUGE_FLOOR (the phase F = 2i log(1+V)
     is no longer well defined on the lattice at that amplitude).
     """
-    V = _as_field(V)
     g = V.grid
     margin, uc = _reconstruct(V)
     if margin < GAUGE_FLOOR:
@@ -250,9 +228,8 @@ def _signs(sign):
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def rhs_quadratic(state, sign):
+def rhs_quadratic(V, sign):
     """Quadratic band piece -P_{hi}(V_hi . P_opp dx^2 V) for the given sign."""
-    V = _as_field(state)
     g = V.grid
     hi, opp = _signs(sign)
     a = V.coeffs * region_mask(g.xi, hi)
@@ -261,9 +238,8 @@ def rhs_quadratic(state, sign):
     return SpectralField(g, out)
 
 
-def rhs_cubic(state, sign):
+def rhs_cubic(V, sign):
     """Cubic band piece -P_{hi}(V_hi . P_opp dx (conj(V) V_x))."""
-    V = _as_field(state)
     g = V.grid
     b = _bands(g)
     pg = b.pg
@@ -276,10 +252,8 @@ def rhs_cubic(state, sign):
     return SpectralField(g, out)
 
 
-def rhs_low(state):
+def rhs_low(V, u):
     """Low-band forcing -P_{+lo}(V . Pm u_x) - P_{-lo}(V . Pp u_x)."""
-    V = state.V
-    u = state.u
     g = V.grid
     pg = padded_grid(g)
     du = u.coeffs * (1j * g.xi)
@@ -291,7 +265,6 @@ def rhs_low(state):
 
 def mean_w_squared(V):
     """Complex mean over the torus of W^2, W = (1 + conj V) V_x."""
-    V = _as_field(V)
     _, vs, dvs = _v_samples(V.coeffs, _bands(V.grid))
     ws = (1.0 + np.conj(vs)) * dvs
     return complex(np.mean(ws * ws))
@@ -346,7 +319,6 @@ def rhs_exact_coeffs(c, g):
 
 
 def rhs_exact(V):
-    V = _as_field(V)
     return SpectralField(V.grid, rhs_exact_coeffs(V.coeffs, V.grid))
 
 
@@ -369,18 +341,16 @@ def rhs_terms_total_coeffs(c, g):
 
 
 def rhs_terms_total(V):
-    V = _as_field(V)
     return SpectralField(V.grid, rhs_terms_total_coeffs(V.coeffs, V.grid))
 
 
-def profile_time_derivative_sup(state):
+def profile_time_derivative_sup(V):
     """sup_xi |Q_hat + C_hat| over both signs (the band time-derivative size).
 
     The evolution couples these pieces with coefficient 2i; the returned
     value carries no such constant.  The two signs live on disjoint bands,
     so this is the sup of their fused sum.
     """
-    V = _as_field(state)
     g = V.grid
     b = _bands(g)
     cpad, _, dwc, gm, _ = _w_stage(V.coeffs, b)

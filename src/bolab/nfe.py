@@ -455,11 +455,11 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000):
 
     ``traj`` must hold the gauged coefficients V_hat(t) of the truncated
     band system (``evolve_gauged(..., rhs_mode="terms")``); the identity
-    dW/dt = e^{it omega} rhs_terms_total(V_hat) is exact for that flow, and
-    the residuals then measure only the unexpanded remainder plus the
-    trapezoid defect.  Depth-1 splits tuples at |Phi| = N_threshold, deeper
-    splits at c_J |Phi_1|^delta; composed enumerations are skipped whenever
-    the threshold provably exceeds every phase the lattice can form.
+    dW/dt = e^{it omega} rhs_terms_total_coeffs(V_hat) is exact for that
+    flow, and the residuals then measure only the unexpanded remainder plus
+    the trapezoid defect.  Depth-1 splits tuples at |Phi| = N_threshold,
+    deeper splits at c_J |Phi_1|^delta; composed enumerations are skipped
+    whenever the threshold provably exceeds every phase the lattice can form.
 
     Snapshot cadence matters: the trapezoid rule must resolve e^{it Phi} for
     the largest retained |Phi|, so keep max_step * phase_cap below about 0.5

@@ -150,7 +150,7 @@ def test_gate_04_gauge_consistency():
     u0 = to_spectral(0.4 * -g.x * np.exp(-g.x**2 / 2.0), g)
     T, step, s = 0.5, 1e-3, 0.5
     traj_u = evolve_bo(u0, T, step, snapshot_every=10**9)
-    traj_v = evolve_gauged(gauge_forward(u0), T, step, snapshot_every=10**9)
+    traj_v = evolve_gauged(gauge_forward(u0).V, T, step, snapshot_every=10**9)
     err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final).V, s + 1.0)
     dt = time.perf_counter() - t0
     ok = err <= 1e-6 and dt < 300

@@ -86,6 +86,10 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("estimates", "--alpha-list", ""), "experiment.alpha_list"),
     (("estimates", "--m-list", ""), "experiment.M_list"),
     (("lemma21", "--amplitudes", ""), "experiment.amplitudes"),
+    (("lemma21", "--amplitudes", "0,0.1"), "experiment.amplitudes"),
+    (("estimates", "--trials", "0"), "experiment.trials"),
+    (("estimates", "--cutoff", "1"), "experiment.cutoff"),
+    (("lipschitz", "--perturbation-size", "0"), "experiment.perturbation_size"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
 def test_unusable_value_is_config_error(tmp_path, capsys, args, key):

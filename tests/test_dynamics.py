@@ -10,6 +10,7 @@ from bolab.dynamics import (
     evolve_bo,
     evolve_gauged,
     linear_propagator,
+    step_count,
     weighted_norm_diagnostic,
 )
 from bolab.gauge import gauge_forward
@@ -157,6 +158,41 @@ def test_nan_abort_names_step():
         _ifrk4(u0.coeffs, g, 100.0, 1.0, rhs, snapshot_every=1)
 
 
+# -- time grid ----------------------------------------------------------------
+
+def test_step_count_rounds_and_lands_on_T():
+    assert step_count(0.25, 1e-3) == 250
+    assert step_count(0.01, 0.003) == 3  # nearest whole number
+    assert step_count(1e-4, 1.0) == 1  # at least one step
+
+
+@pytest.mark.parametrize("T, dt, name", [
+    (0.0, 1e-3, "T"), (-0.01, 1e-3, "T"), (float("nan"), 1e-3, "T"),
+    (0.01, 0.0, "dt"), (0.01, -0.001, "dt"), (0.01, float("nan"), "dt"),
+])
+def test_step_count_rejects_nonpositive(T, dt, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be positive"):
+        step_count(T, dt)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"T": 0.01, "dt": -0.001}, "dt"),
+    ({"T": 0.01, "dt": 0.0}, "dt"),
+    ({"T": -0.01, "dt": 1e-3}, "T"),
+    ({"T": 0.01, "dt": 1e-3, "snapshot_every": 0}, "snapshot_every"),
+])
+def test_evolutions_reject_bad_time_arguments(monkeypatch, kwargs, name):
+    # rejected before the stability probe takes a single step
+    import bolab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "_probe_dt", None)
+    g = make_grid(32, np.pi)
+    u0 = to_spectral(0.1 * np.sin(g.x), g)
+    for evolve, field in ((evolve_bo, u0), (evolve_gauged, gauge_forward(u0).V)):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            evolve(field, **kwargs)
+
+
 # -- gauged flow --------------------------------------------------------------
 
 def test_gauged_matches_gauge_of_direct_flow():
@@ -166,7 +202,7 @@ def test_gauged_matches_gauge_of_direct_flow():
     u0 = to_spectral(0.4 * -g.x * np.exp(-g.x**2 / 2.0), g)
     T, dt = 0.25, 1e-3
     traj_u = evolve_bo(u0, T, dt, snapshot_every=10**9)
-    traj_v = evolve_gauged(gauge_forward(u0), T, dt, snapshot_every=10**9)
+    traj_v = evolve_gauged(gauge_forward(u0).V, T, dt, snapshot_every=10**9)
     V_of_u = gauge_forward(traj_u.final).V
     err = sobolev_norm(traj_v.final - V_of_u, 1.5)
     print(f"gauged-vs-direct H^1.5 error: {err:.3e}")
@@ -177,7 +213,7 @@ def test_gauged_terms_mode_runs():
     g = make_grid(64, np.pi)
     rng = np.random.default_rng(9)
     u0 = 0.2 * random_real_field(g, rng, kmax=20)
-    traj = evolve_gauged(gauge_forward(u0), T=0.05, dt=1e-3, rhs_mode="terms")
+    traj = evolve_gauged(gauge_forward(u0).V, T=0.05, dt=1e-3, rhs_mode="terms")
     assert np.all(np.isfinite(traj.data))
     assert traj.metadata["rhs"] == "terms"
 
