@@ -179,7 +179,7 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
     if kind not in DATA_KINDS:
         raise ConfigError(f"data.kind: must be one of {', '.join(DATA_KINDS)}")
     for name in cfg["experiment"]["terms"]:
-        if name not in ("Q+", "Q-", "C+", "C-"):
+        if name not in bo_terms():
             raise ConfigError(f"experiment.terms: unknown term {name!r}")
     return cfg
 
@@ -196,6 +196,7 @@ _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _NONEMPTY = (len, "must not be empty")
 _USABLE = {"time.T": _POSITIVE, "time.dt": _POSITIVE,
            "time.snapshot_every": _AT_LEAST_1,
+           "data.amplitude": (lambda v: v != 0, "must not be zero"),
            "infr.J_max": (lambda v: 1 <= v <= 3, "must be 1, 2 or 3"),
            "experiment.alpha_list": _NONEMPTY, "experiment.M_list": _NONEMPTY,
            "experiment.resolutions": _NONEMPTY,
@@ -270,7 +271,7 @@ def _cmd_simulate(cfg, outdir):
 
 
 def _cmd_gauge_check(cfg, outdir):
-    _require(cfg, "time.T", "time.dt")
+    _require(cfg, "time.T", "time.dt", "data.amplitude")
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
     st = gauge_forward(u0)
@@ -369,7 +370,8 @@ def _cmd_estimates(cfg, outdir):
 
 
 def _cmd_smoothing(cfg, outdir):
-    _require(cfg, "time.T", "time.dt", "experiment.resolutions")
+    _require(cfg, "time.T", "time.dt", "experiment.resolutions",
+             "data.amplitude")
     for n in cfg["experiment"]["resolutions"]:
         _build_grid(cfg, n, "experiment.resolutions")
     infr = cfg["infr"]
@@ -408,7 +410,8 @@ def _cmd_lemma21(cfg, outdir):
 
 
 def _cmd_nfe(cfg, outdir):
-    _require(cfg, "infr.J_max", "time.T", "time.dt", "time.snapshot_every")
+    _require(cfg, "infr.J_max", "time.T", "time.dt", "time.snapshot_every",
+             "data.amplitude")
     p = _build_params(cfg)
     t, infr = cfg["time"], cfg["infr"]
     grid = _build_grid(cfg)

@@ -61,8 +61,6 @@ class Trajectory:
     def field(self, i):
         return SpectralField(self.grid, self.data[i])
 
-    __getitem__ = field
-
     @property
     def final(self):
         return self.field(len(self) - 1)

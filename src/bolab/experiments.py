@@ -34,7 +34,7 @@ import numpy as np
 from .spectral import Grid, SpectralField, dispersion, sobolev_norm, to_physical
 from .dynamics import evolve_gauged, step_count
 from .gauge import gauge_forward, profile_time_derivative_sup
-from .infr import (NO_TUPLE_CAP, bo_terms, gamma_cubic, gamma_quadratic,
+from .infr import (bo_terms, gamma_cubic, gamma_quadratic,
                    term_values_on_lattice, window_indicator)
 from .reports import EstimateReport
 
@@ -72,11 +72,7 @@ def rough_profile_data(grid, s, seed, amplitude=0.5):
     resolution doubling, which is the divergence the smoothing experiment
     plays against.
     """
-    def mag(k):
-        xi = grid.dxi * k
-        return amplitude * (1.0 + xi * xi) ** (-0.5 * (s + 1.0 + 0.51))
-
-    return _random_phase_field(grid, seed, mag)
+    return rough_real_data(grid, s + 1.0, seed, amplitude)
 
 
 def rough_real_data(grid, s, seed, amplitude=1.0):
@@ -196,7 +192,7 @@ def verify_operator_estimate(term, s, eps,
              + [(a, M) for a in anchors for M in M_list]}
     for _ in range(trials):
         inputs = [unit_rough_field(grid, s, rng) for _ in range(arity)]
-        tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+        tv = term_values_on_lattice(term, inputs)
         floor = min(np.max(np.abs(f.coeffs)) for f in inputs)
         for (a, M), sums in cells.items():
             out = tv.field(window_indicator(tv.phase, sign * a, M))
@@ -260,8 +256,11 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     remainder sup stable within 10% across consecutive resolutions; fitted
     growth of ||V0||_{H^{s+1+eps}} vs N within 0.1 of the construction rate
     eps - 0.01; remainder tail slope steeper than the data tail slope by at
-    least 0.3 (slopes from the largest resolution).
+    least 0.3 (slopes from the largest resolution).  ``amplitude`` must
+    not be zero: zero data has no remainder to measure.
     """
+    if amplitude == 0.0:
+        raise ValueError(f"amplitude must not be zero, got {amplitude!r}")
     resolutions = [int(N) for N in resolutions]
     eps_list = [float(e) for e in eps_list]
     rep = EstimateReport("smoothing", params={

@@ -165,8 +165,7 @@ def gauge_forward(u):
     margin, uc = _reconstruct(V)
     st.min_one_plus_v = margin
     herm = 0.5 * (uc + conj_reflect(uc))
-    diff = u.coeffs - herm
-    st.recon_residual = float(np.sqrt(np.sum(np.abs(diff) ** 2) * g.dxi / (2 * np.pi)))
+    st.recon_residual = sobolev_norm(SpectralField(g, u.coeffs - herm), 0.0)
 
     nf = sobolev_norm(F, CONTROL_S + 1.0)
     if nf == 0.0:

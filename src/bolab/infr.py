@@ -33,6 +33,11 @@ structure directly:
   delta, the thresholds c_j) for the normal-form iteration at a given
   regularity (s, eps).
 
+Every operator, and ``TermValues.evaluate``, takes one ``SpectralField``,
+shared by every slot, or a sequence of ``term.arity`` fields on one grid;
+anything else raises ValueError.  No tuple cap applies unless the caller
+passes ``max_tuples`` to ``term_values_on_lattice``.
+
 All operators sum the lattice directly (no FFT), with modes below
 1e-14 x max|coefficient| dropped per slot (except the last, which the
 output fixes).  Results are deterministic: each output frequency sums its
@@ -51,8 +56,6 @@ from .spectral import SpectralField, conj_reflect, dispersion, region_mask
 COUPLING = 2j  # factor multiplying every term in the evolution equation
 
 _TRUNC = 1e-14  # relative active-mode cutoff per slot
-
-NO_TUPLE_CAP = 2 ** 62  # max_tuples of the operators: no cost guard
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,14 @@ class InfrParams:
     def level_threshold(self, j, phi1=None):
         """Splitting threshold at level j: N at level 1, c_j |Phi_1|^delta after.
 
-        ``phi1`` is the level-1 phase of the branch (required for j >= 2).
+        ``phi1`` is the level-1 phase of the branch (a number or an array;
+        required for j >= 2).
         """
         if j == 1:
             return float(self.N_threshold)
         if phi1 is None:
             raise ValueError("levels >= 2 need the level-1 phase of the branch")
-        return self.c(j) * abs(float(phi1)) ** self.delta
+        return self.c(j) * np.abs(phi1) ** self.delta
 
     def table(self):
         """Rows of (name, value) pairs for report printing."""
@@ -303,47 +307,36 @@ def infr_params(s, eps, sigma=None, N_threshold=1000.0):
 # lattice summation core
 
 
-def _coeffs_of(obj, grid=None):
-    c = getattr(obj, "coeffs", obj)
-    c = np.asarray(c, dtype=complex)
-    if grid is not None and c.shape != (grid.n,):
-        raise ValueError(f"input has {c.shape[0]} modes, grid has {grid.n}")
-    return c
+def _slot_fields(term, inputs, grid=None):
+    """The field of each slot: one SpectralField shared by every slot, or a
+    sequence of ``term.arity`` fields; all on one grid (``grid`` if given)."""
+    if isinstance(inputs, SpectralField):
+        inputs = (inputs,) * term.arity
+    fields = tuple(inputs)
+    if len(fields) != term.arity or not all(isinstance(f, SpectralField) for f in fields):
+        raise ValueError(
+            f"{term.name} takes one SpectralField or a sequence of "
+            f"{term.arity}, got a {type(inputs).__name__} of length {len(fields)}")
+    grid = fields[0].grid if grid is None else grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError(f"{term.name} takes fields on one grid, {grid!r}")
+    return fields
 
 
-def _slot_inputs(term, inputs):
-    """Normalize ``inputs`` to one object per slot (a single field is shared)."""
-    if isinstance(inputs, SpectralField) or hasattr(inputs, "coeffs"):
-        return (inputs,) * term.arity
-    inputs = tuple(inputs)
-    if len(inputs) == 1:
-        return inputs * term.arity
-    if len(inputs) != term.arity:
-        raise ValueError(f"{term.name} takes {term.arity} inputs, got {len(inputs)}")
-    return inputs
-
-
-def _grid_of(inputs):
-    for f in inputs:
-        if hasattr(f, "grid"):
-            return f.grid
-    raise ValueError("at least one input must be a SpectralField (to carry the grid)")
-
-
-def _slot_values(term, inputs, grid):
+def _slot_values(term, fields):
     """Value arrays indexed by each slot's convolution frequency.
 
     Conjugated slots hold conj(c[-xi]) (zero at the unpaired end mode);
     slot-region masks are applied here.
     """
     out = []
-    for j, f in enumerate(inputs):
-        c = _coeffs_of(f, grid)
+    for j, f in enumerate(fields):
+        c = f.coeffs
         if term.conj[j]:
             c = conj_reflect(c)
         reg = term.slot_regions[j]
         if reg is not None:
-            c = c * region_mask(grid.xi, reg)
+            c = c * region_mask(f.grid.xi, reg)
         out.append(c)
     return out
 
@@ -370,13 +363,13 @@ def apply_T_sigma(term, inputs, sigma):
     (gauge.rhs_quadratic / gauge.rhs_cubic).
     """
     sigma = float(sigma)
-    tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+    tv = term_values_on_lattice(term, inputs)
     return tv.field((1.0 + tv.phase * tv.phase) ** (-0.5 * sigma))
 
 
 def apply_T_alpha_M(term, inputs, alpha, M):
     """Apply the term restricted to the phase window |Phi - alpha| < M (strict)."""
-    tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+    tv = term_values_on_lattice(term, inputs)
     return tv.field(window_indicator(tv.phase, alpha, M))
 
 
@@ -398,7 +391,7 @@ def dyadic_sigma_from_restricted(term, inputs, sigma):
     so the accumulated sums agree bit for bit.
     """
     sigma = float(sigma)
-    tv = term_values_on_lattice(term, inputs, max_tuples=NO_TUPLE_CAP)
+    tv = term_values_on_lattice(term, inputs)
     base = (1.0 + tv.phase * tv.phase) ** (-0.5 * sigma)
     r = _shell_index(np.abs(tv.phase))
     total = np.zeros_like(base)
@@ -459,18 +452,17 @@ class TermValues:
 
     def evaluate(self, inputs):
         """Per-tuple values recomputed from fresh coefficients (kernel included)."""
-        inputs = _slot_inputs(self.term, inputs)
+        fields = _slot_fields(self.term, inputs, self.grid)
         val = self.kernel.astype(complex)
-        for j in range(self.term.arity):
-            c = _coeffs_of(inputs[j], self.grid)
-            vj = c[self.slot_read[j]]
+        for j, f in enumerate(fields):
+            vj = f.coeffs[self.slot_read[j]]
             if self.term.conj[j]:
                 vj = np.conj(vj)
             val *= vj
         return val
 
 
-def term_values_on_lattice(term, inputs, max_tuples=2_000_000):
+def term_values_on_lattice(term, inputs, max_tuples=None):
     """Materialize the active lattice tuples of one term application.
 
     The one enumeration of the module: every operator replays its output.
@@ -479,13 +471,14 @@ def term_values_on_lattice(term, inputs, max_tuples=2_000_000):
     outside ``term.in_region``, with zero multiplier, a zero last slot or
     an output on the end mode are dropped.  Tuples come in the order i1,
     then i2, then output index; ``field()`` sums them in that order and
-    equals ``apply_T_sigma(term, inputs, 0)`` bit for bit.  Raises if more
-    than ``max_tuples`` tuples would be kept (cost guard for the cubic
-    pieces).
+    equals ``apply_T_sigma(term, inputs, 0)`` bit for bit.  ``inputs`` is
+    one SpectralField or ``term.arity`` fields on one grid.  A number
+    ``max_tuples`` is a cost guard: more kept tuples raise ValueError.  None,
+    the default, enumerates every tuple.
     """
-    inputs = _slot_inputs(term, inputs)
-    grid = _grid_of(inputs)
-    vals = _slot_values(term, inputs, grid)
+    fields = _slot_fields(term, inputs)
+    grid = fields[0].grid
+    vals = _slot_values(term, fields)
     n, k = grid.n, term.arity
     xi = grid.xi
     io = np.arange(n)
@@ -507,7 +500,7 @@ def term_values_on_lattice(term, inputs, max_tuples=2_000_000):
                 & (np.abs(vals[-1][last]) > 0.0))
         r, c = np.nonzero(keep)
         count += r.size
-        if count > max_tuples:
+        if max_tuples is not None and count > max_tuples:
             raise ValueError(
                 f"term lattice too large: more than {max_tuples} active tuples "
                 f"for {term.name}; raise max_tuples or restrict the inputs"
@@ -528,7 +521,7 @@ def term_values_on_lattice(term, inputs, max_tuples=2_000_000):
         osc = osc - om[col]
     kernel = term.multiplier([xi[col] for col in slot_idx]) * (grid.dxi / (2.0 * np.pi)) ** (k - 1)
     tv = TermValues(term, grid, out_idx, slot_idx, slot_read, ph, osc, kernel, None)
-    tv.value = tv.evaluate(inputs)
+    tv.value = tv.evaluate(fields)
     return tv
 
 

@@ -58,10 +58,14 @@ def _validate(M, cutoff, mesh):
         raise ValueError(f"mesh must be at least 8, got {mesh}")
 
 
-def _xi_mesh(cutoff, mesh):
-    """Log-spaced output-frequency mesh with cutoff-independent density."""
+def _sup_over_xi(inner, cutoff, mesh):
+    """Sup of ``inner`` (values at an array of xi) by the mesh-and-zoom search."""
     n = max(mesh, int(round(mesh * np.log2(cutoff) / 4.0)))
-    return np.geomspace(1.001, cutoff, n)
+    xis = np.geomspace(1.001, cutoff, n)
+    vals = inner(xis)
+    i = int(vals.argmax())
+    zoom = np.linspace(xis[max(i - 1, 0)], xis[min(i + 1, len(xis) - 1)], mesh)
+    return float(max(vals[i], inner(zoom).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +90,8 @@ def _quad_inner(xi, alpha, M, s, eps, cutoff, mesh):
 def quad_integral_J(alpha, M, s, eps, cutoff, mesh=96):
     """Sup over the output frequency of the quadratic window integral."""
     _validate(M, cutoff, mesh)
-    xis = _xi_mesh(cutoff, mesh)
-    vals = _quad_inner(xis, alpha, M, s, eps, cutoff, mesh)
-    i = int(vals.argmax())
-    zoom = np.linspace(xis[max(i - 1, 0)], xis[min(i + 1, len(xis) - 1)], mesh)
-    vz = _quad_inner(zoom, alpha, M, s, eps, cutoff, mesh)
-    return float(max(vals[i], vz.max()))
+    return _sup_over_xi(lambda xis: _quad_inner(xis, alpha, M, s, eps, cutoff, mesh),
+                        cutoff, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +144,7 @@ def _cubic_inner(xi, alpha, M, s, eps, cutoff, mesh):
 def cubic_integral_I(alpha, M, s, eps, cutoff, mesh=64):
     """Sup over the output frequency of the cubic window integral."""
     _validate(M, cutoff, mesh)
-    xis = _xi_mesh(cutoff, mesh)
-    vals = np.array([_cubic_inner(x, alpha, M, s, eps, cutoff, mesh)
-                     for x in xis])
-    i = int(vals.argmax())
-    zoom = np.linspace(xis[max(i - 1, 0)], xis[min(i + 1, len(xis) - 1)], mesh)
-    vz = max(_cubic_inner(x, alpha, M, s, eps, cutoff, mesh) for x in zoom)
-    return float(max(vals[i], vz))
+    return _sup_over_xi(
+        lambda xis: np.array([_cubic_inner(x, alpha, M, s, eps, cutoff, mesh)
+                              for x in xis]),
+        cutoff, mesh)

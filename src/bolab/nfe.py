@@ -359,8 +359,6 @@ def _compose(batches, tvs, child_sorted, level, params, n):
     accumulated 1/(i Phi_parent) factor and the child coupling.
     """
     out = []
-    c_level = params.c(level)
-    delta = params.delta
     for b in batches:
         k = len(b.conj)
         for col in range(k):
@@ -398,7 +396,7 @@ def _compose(batches, tvs, child_sorted, level, params, n):
                 coef = (-b.coef[prow] / (1j * b.phase[prow])) \
                     * (couple * tv.kernel[crow])
 
-                keep = np.abs(phase) >= c_level * phase1 ** delta
+                keep = np.abs(phase) >= params.level_threshold(level, phase1)
                 if not keep.any():
                     continue
                 cols = cols[:, keep]
@@ -465,9 +463,9 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000):
     the largest retained |Phi|, so keep max_step * phase_cap below about 0.5
     (the report carries both numbers and warns when the product is large).
 
-    Costs are guarded: J_max is at most 3, and any substitution step that
-    would build more than ``max_composed`` tuples raises with the estimated
-    count.
+    Costs are guarded: J_max is at most 3, and a depth-1 term lattice or a
+    substitution step with more than ``max_composed`` tuples raises (a
+    substitution step with its estimated count).
     """
     if not isinstance(J_max, int) or not 1 <= J_max <= 3:
         raise ValueError(
@@ -521,10 +519,10 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000):
             composed[J] = {"status": "empty-frontier"}
             residuals[J] = quadrature_error
             continue
-        c_J = params.c(J)  # raises with the assumption message if infeasible
         phase1_min = min(float(b.phase1.min()) for b in frontier)
         frontier_cap = max(float(np.abs(b.phase).max()) for b in frontier)
-        threshold_min = c_J * phase1_min ** params.delta
+        # raises with the assumption message if infeasible
+        threshold_min = float(params.level_threshold(J, phase1_min))
         if threshold_min > frontier_cap + child_cap:
             composed[J] = {
                 "status": "empty-by-phase-bound",

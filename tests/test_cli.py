@@ -90,6 +90,9 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("estimates", "--trials", "0"), "experiment.trials"),
     (("estimates", "--cutoff", "1"), "experiment.cutoff"),
     (("lipschitz", "--perturbation-size", "0"), "experiment.perturbation_size"),
+    (("gauge-check", "--amplitude", "0"), "data.amplitude"),
+    (("smoothing", "--amplitude", "0"), "data.amplitude"),
+    (("nfe", "--amplitude", "0"), "data.amplitude"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
 def test_unusable_value_is_config_error(tmp_path, capsys, args, key):

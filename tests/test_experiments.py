@@ -156,11 +156,12 @@ def test_smoothing_report_smoke():
     assert back.verdict == rep.verdict
 
 
-def test_smoothing_zero_data_trivial():
-    rep = smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=0.02,
-                               resolutions=[128], amplitude=0.0)
-    sups = [r["value"] for r in rep.samples if r["kind"] == "remainder_sup"]
-    assert sups == [0.0]
+def test_smoothing_zero_amplitude_raises(monkeypatch):
+    # zero data has no remainder to measure: refused before any run
+    monkeypatch.setattr(experiments, "evolve_gauged", None)
+    with pytest.raises(ValueError, match="amplitude"):
+        smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=0.02,
+                             resolutions=[128, 256], amplitude=0.0)
 
 
 def test_smoothing_csv_has_fixed_schema():

@@ -188,6 +188,10 @@ def test_params_pinned_table():
     assert p.level_threshold(1) == 1000.0
     assert p.level_threshold(2, 256.0) == pytest.approx(26244.0, rel=1e-12)
     assert infr_params(0.5, 0.0, N_threshold=50.0).level_threshold(1) == 50.0
+    # array phases match the scalar calls elementwise
+    phi1 = np.array([256.0, -256.0, 3.5, 0.0])
+    assert np.array_equal(p.level_threshold(2, phi1),
+                          [p.level_threshold(2, v) for v in phi1])
     names = [row[0] for row in p.table()]
     assert "sigma" in names and "quadratic.theta" in names
 
@@ -423,6 +427,38 @@ def test_term_values_roundtrip():
         assert np.array_equal(again, tv.value)
         doubled = tv.evaluate(tuple(SpectralField(g, 2.0 * V.coeffs) for _ in range(term.arity)))
         assert np.allclose(doubled, 2.0**term.arity * tv.value, rtol=1e-13, atol=0.0)
+
+
+# the two input forms: one shared field, or term.arity fields on one grid
+@pytest.mark.parametrize("call", ["term_values_on_lattice", "apply_T_sigma",
+                                  "evaluate"])
+@pytest.mark.parametrize("form", ["two grids", "raw array", "1-tuple",
+                                  "wrong length"])
+def test_lattice_inputs_outside_the_two_forms_raise(form, call):
+    rng = np.random.default_rng(37)
+    a = random_complex_field(Grid(32, np.pi), rng, 10)
+    b = random_complex_field(Grid(32, 4 * np.pi), rng, 10)  # same n, other L
+    term = bo_terms()["Q+"]
+    inputs = {"two grids": (a, b), "raw array": a.coeffs, "1-tuple": (a,),
+              "wrong length": (a, a, a)}[form]
+    fn = {"term_values_on_lattice": lambda x: term_values_on_lattice(term, x),
+          "apply_T_sigma": lambda x: apply_T_sigma(term, x, 0.5),
+          "evaluate": term_values_on_lattice(term, a).evaluate}[call]
+    with pytest.raises(ValueError, match="one grid" if form == "two grids"
+                       else "takes one SpectralField"):
+        fn(inputs)
+
+
+def test_lattice_grid_is_compared_by_value():
+    rng = np.random.default_rng(43)
+    a = random_complex_field(Grid(32, np.pi), rng, 10)
+    twin = SpectralField(Grid(32, np.pi), a.coeffs)  # equal grid, new object
+    term = bo_terms()["Q+"]
+    tv = term_values_on_lattice(term, a)
+    assert np.array_equal(term_values_on_lattice(term, (a, twin)).value, tv.value)
+    # evaluate() reads fields on the grid of its tuples only
+    with pytest.raises(ValueError, match="one grid"):
+        tv.evaluate(random_complex_field(Grid(32, 4 * np.pi), rng, 10))
 
 
 def brute_tuples(term, inputs):

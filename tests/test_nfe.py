@@ -246,7 +246,7 @@ def test_compose_quadratic_parent_hand_values():
     batch = _single_parent_batch(tvs, "Q+", (half + 5, half - 2))
     assert batch.phase[0] == pytest.approx(-12.0)  # omega(3)-omega(5)-omega(-2)
 
-    free = SimpleNamespace(c=lambda level: 0.0, delta=0.25)
+    free = SimpleNamespace(level_threshold=lambda level, phi1: 0.0)
     comp = _compose([batch], tvs, _child_index(tvs), 2, free, n)
 
     om = dispersion(g.xi)
@@ -294,7 +294,7 @@ def test_compose_conjugated_slot_hand_values():
     batch = _single_parent_batch(tvs, "C+", (half + 5, half - 2, half + 1))
     assert batch.phase[0] == pytest.approx(-6.0)  # 16 - 25 + 4 - 1
 
-    free = SimpleNamespace(c=lambda level: 0.0, delta=0.25)
+    free = SimpleNamespace(level_threshold=lambda level, phi1: 0.0)
     comp = _compose([batch], tvs, _child_index(tvs), 2, free, n)
 
     om = dispersion(g.xi)
