@@ -7,6 +7,13 @@ with the nonlinearity written as (u^2)_x / 2, which keeps the zero mode
 exactly zero.  The gauged flow integrates the full right side (rhs_mode
 "exact") or the truncated band system fed to the normal form machinery
 (rhs_mode "terms").
+
+`evolve_gauged` integrates one field and `evolve_gauged_batch` several
+fields on one grid with one schedule.  Both run one body over an (..., n)
+coefficient array, a single field staying 1-D: the right sides and the
+stepper act on the last axis, so a batch of B fields costs one call per
+right-side evaluation instead of B.  The startup probe, finiteness and the
+min |1 + V| floor are checked per member, and an error names the member.
 """
 
 import json
@@ -18,6 +25,7 @@ from .gauge import GAUGE_FLOOR, rhs_exact_coeffs, rhs_terms_total_coeffs
 from .spectral import (
     SpectralField,
     apply_multiplier,
+    atomic_write,
     coeffs_to_samples,
     dispersion,
     from_padded,
@@ -28,6 +36,10 @@ from .spectral import (
     to_padded,
     write_snapshot,
 )
+
+
+# Version of the manifest.json that Trajectory.save writes and load reads.
+TRAJECTORY_FORMAT = 1
 
 
 def linear_propagator(field, t):
@@ -66,6 +78,9 @@ class Trajectory:
         return self.field(len(self) - 1)
 
     def save(self, directory):
+        """Write one snap_*.bosf per snapshot and manifest.json (format
+        TRAJECTORY_FORMAT), each through `spectral.atomic_write`, so a
+        reader never sees a partial file."""
         os.makedirs(directory, exist_ok=True)
         names = []
         for i, t in enumerate(self.times):
@@ -73,6 +88,7 @@ class Trajectory:
             write_snapshot(self.field(i), t, os.path.join(directory, name))
             names.append(name)
         manifest = {
+            "format": TRAJECTORY_FORMAT,
             "tag": self.tag,
             "n_points": self.grid.n,
             "half_length": self.grid.half_length,
@@ -80,13 +96,18 @@ class Trajectory:
             "snapshots": names,
             "metadata": self.metadata,
         }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
+        atomic_write(os.path.join(directory, "manifest.json"),
+                     json.dumps(manifest, indent=1, sort_keys=True).encode())
 
     @classmethod
     def load(cls, directory):
         with open(os.path.join(directory, "manifest.json")) as fh:
             manifest = json.load(fh)
+        fmt = manifest.get("format")
+        if fmt != TRAJECTORY_FORMAT:
+            raise ValueError(
+                f"unknown trajectory format {fmt!r} in {directory}; "
+                f"this version reads format {TRAJECTORY_FORMAT}")
         grid = make_grid(manifest["n_points"], manifest["half_length"])
         times = np.asarray(manifest["times"], dtype=float)
         data = np.empty((times.size, grid.n), dtype=np.complex128)
@@ -108,18 +129,18 @@ def _ifrk4_step(c, E, E2, h, rhs):
 
 
 def _march(c0, grid, h, steps, rhs, on_step=None):
-    """Up to `steps` IF-RK4 steps of size h from c0, calling on_step(i, c) after
-    step i.  Stops before the first step whose result is not finite; returns
-    the number of finite steps taken and the last finite coefficients."""
+    """Up to `steps` IF-RK4 steps of size h from the (..., n) array c0, calling
+    on_step(i, c) after step i.  Stops at the first step whose result is not
+    finite; returns the number of finite steps taken and the last state
+    computed, which is that non-finite result if the march stopped early."""
     E = np.exp(-1j * dispersion(grid.xi) * (h / 2))
     E2 = E * E
     c = np.array(c0, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
-            nxt = _ifrk4_step(c, E, E2, h, rhs)
-            if not np.all(np.isfinite(nxt)):
+            c = _ifrk4_step(c, E, E2, h, rhs)
+            if not np.all(np.isfinite(c)):
                 return i - 1, c
-            c = nxt
             if on_step is not None:
                 on_step(i, c)
     return steps, c
@@ -142,7 +163,18 @@ def _check_schedule(T, dt, snapshot_every):
         raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
 
 
+def _at(t, score):
+    """"t = ..." for an error message, led by "member k, " when score holds
+    one value per batch member: k has the smallest score (the first False of
+    a flag array).  A single field's score is a scalar."""
+    if np.ndim(score) == 0:
+        return f"t = {t:.6g}"
+    return f"member {int(np.argmin(score))}, t = {t:.6g}"
+
+
 def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
+    """Snapshot times, snapshots (n_snapshots, ..., n) and step of an IF-RK4
+    run of the (..., n) array c0 to time T."""
     steps = step_count(T, dt)
     h = T / steps
     times = [0.0]
@@ -156,19 +188,20 @@ def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
             times.append(t)
             snaps.append(c)
 
-    done, _ = _march(c0, grid, h, steps, rhs, on_step)
+    done, c = _march(c0, grid, h, steps, rhs, on_step)
     if done < steps:
+        finite = np.all(np.isfinite(c), axis=-1)
         raise RuntimeError(
             f"solution lost finiteness at step {done + 1} of {steps} "
-            f"(t = {(done + 1) * h:.6g}); reduce dt or the data amplitude"
+            f"({_at((done + 1) * h, finite)}); reduce dt or the data amplitude"
         )
-    return np.asarray(times), np.vstack(snaps), h
+    return np.asarray(times), np.stack(snaps), h
 
 
 def _probe_dt(c0, grid, dt, rhs):
-    """Empirical startup stability check: a few trial steps at dt must stay
-    finite and not grow wildly.  On failure the bound found by halving is
-    named in the error."""
+    """Empirical startup stability check of one field's coefficients c0: a few
+    trial steps at dt must stay finite and not grow wildly.  On failure the
+    bound found by halving is named in the error."""
     norm0 = float(np.sqrt(np.sum(np.abs(c0) ** 2)))
 
     def trial(h):
@@ -206,15 +239,10 @@ def evolve_bo(u0, T, dt, snapshot_every=1):
     return Trajectory(g, times, data, "u", meta)
 
 
-def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
-    """Integrate the gauged flow from the field V0 (``gauge_forward(u).V``).
-
-    rhs_mode "exact" uses the full gauged right side; "terms" uses the
-    truncated band system (four paraproduct pieces + exact low band).  The
-    invertibility margin min |1 + V| is watched every step.
-    """
-    g = V0.grid
-
+def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
+    """The one body of both gauged evolutions: c0 is an (n,) field or a
+    (B, n) batch on the grid g.  Returns the times, the (n_snapshots, ..., n)
+    snapshots and the metadata."""
     if rhs_mode == "exact":
         core = rhs_exact_coeffs
     elif rhs_mode == "terms":
@@ -226,18 +254,58 @@ def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
         return core(c, g)
 
     def hook(c, t):
-        margin = float(np.min(np.abs(1.0 + coeffs_to_samples(c, g))))
-        if margin < GAUGE_FLOOR:
+        margin = np.min(np.abs(1.0 + coeffs_to_samples(c, g)), axis=-1)
+        if margin.min() < GAUGE_FLOOR:
             raise ValueError(
                 f"gauge not invertible at this amplitude: min |1 + V| = "
-                f"{margin:.3g} at t = {t:.6g}"
+                f"{margin.min():.3g} at {_at(t, margin)}"
             )
 
     _check_schedule(T, dt, snapshot_every)
-    _probe_dt(V0.coeffs, g, dt, rhs)
-    times, data, h = _ifrk4(V0.coeffs, g, T, dt, rhs, snapshot_every, step_hook=hook)
+    if c0.ndim == 1:
+        _probe_dt(c0, g, dt, rhs)
+    else:
+        for k, row in enumerate(c0):
+            try:
+                _probe_dt(row, g, dt, rhs)
+            except ValueError as exc:
+                raise ValueError(f"member {k}: {exc}") from None
+    times, data, h = _ifrk4(c0, g, T, dt, rhs, snapshot_every, step_hook=hook)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": rhs_mode}
-    return Trajectory(g, times, data, "V", meta)
+    return times, data, meta
+
+
+def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
+    """Integrate the gauged flow from the field V0 (``gauge_forward(u).V``).
+
+    rhs_mode "exact" uses the full gauged right side; "terms" uses the
+    truncated band system (four paraproduct pieces + exact low band).  The
+    invertibility margin min |1 + V| is watched every step.
+    """
+    times, data, meta = _evolve_gauged(V0.coeffs, V0.grid, T, dt, rhs_mode,
+                                       snapshot_every)
+    return Trajectory(V0.grid, times, data, "V", meta)
+
+
+def evolve_gauged_batch(fields, T, dt, rhs_mode="exact", snapshot_every=1):
+    """Integrate the gauged flow from several fields on one grid at once.
+
+    Returns one Trajectory per field, in order, each equal to what
+    `evolve_gauged` returns for that field alone.  A field that fails
+    (unstable dt, lost finiteness, min |1 + V| below the floor) stops the
+    whole batch, and the error names its index.  An empty list or fields
+    on two grids raise ValueError before any work.
+    """
+    fields = list(fields)
+    if not fields:
+        raise ValueError("evolve_gauged_batch takes at least one field, got none")
+    g = fields[0].grid
+    if any(f.grid != g for f in fields):
+        raise ValueError(f"evolve_gauged_batch takes fields on one grid, {g!r}")
+    c0 = np.stack([f.coeffs for f in fields])
+    times, data, meta = _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every)
+    return [Trajectory(g, times, np.ascontiguousarray(data[:, k]), "V", meta)
+            for k in range(len(fields))]
 
 
 def weighted_norm_diagnostic(u, t):

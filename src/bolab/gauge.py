@@ -42,6 +42,11 @@ All products are dealiased on the doubled lattice.  Base-band products go
 through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
 products keep their intermediates on the doubled lattice so the restriction
 to the base band is exact.
+
+The coefficient-array right sides (`rhs_exact_coeffs`,
+`rhs_terms_total_coeffs` and their stages) act on the last axis, so an
+(..., n) batch of fields on one grid is one call; each row equals the
+single-field result bit for bit.
 """
 
 import warnings
@@ -183,7 +188,7 @@ def gauge_forward(u):
 def _v_samples(c, b):
     """Padded coefficients of V, and the samples of V and V_x on the doubled
     lattice b.pg.  Two padded transforms."""
-    cpad = pad_coeffs(c, len(c))
+    cpad = pad_coeffs(c, c.shape[-1])
     return cpad, coeffs_to_samples(cpad, b.pg), coeffs_to_samples(cpad * b.ixi2, b.pg)
 
 
@@ -274,22 +279,27 @@ def _w_stage(c, b):
 
     Returns the padded coefficients of V, the samples of V, the padded
     coefficients dwc of dx W with W = (1 + conj V) V_x, the samples gm of
-    Pm dx W, and mean(W^2).  Four padded transforms.
+    Pm dx W, and mean(W^2) over the last axis (one value per field).  Four
+    padded transforms.
     """
     cpad, vs, dvs = _v_samples(c, b)
     ws = (1.0 + np.conj(vs)) * dvs
     dwc = samples_to_coeffs(ws, b.pg) * b.ixi2
     gm = coeffs_to_samples(dwc * b.minus2, b.pg)
-    return cpad, vs, dwc, gm, np.mean(ws * ws)
+    return cpad, vs, dwc, gm, np.mean(ws * ws, axis=-1)
 
 
 def _exact_from_stage(c, g, b, vs, gm, mean_w2):
-    """Exact right side from the stage samples and gm = samples of Pm dx W."""
+    """Exact right side from the stage samples and gm = samples of Pm dx W.
+    The mean term has one value per field; it multiplies the transposed
+    arrays, whose first axis is the frequency, so a scalar and a batch both
+    broadcast."""
     out = -2j * from_padded((1.0 + vs) * gm, b.pg)
     out += b.linear * c
-    out += -1j * mean_w2 * c
-    out[g.n // 2] += -1j * mean_w2 * (2.0 * g.half_length)
-    out[0] = 0.0
+    mean_term = -1j * mean_w2
+    out += (mean_term * c.T).T
+    out.T[g.n // 2] += mean_term * (2.0 * g.half_length)
+    out[..., 0] = 0.0
     return out
 
 
@@ -310,7 +320,8 @@ def rhs_exact_coeffs(c, g):
     """Coefficient array of the full gauged right side (everything but -H V_xx).
 
     V_t + H V_xx = -2i (1 + V) Pm dx W + 2i Pm dx^2 V - i mean(W^2) (1 + V).
-    Valid for any complex band-limited V, not only gauge images.
+    Valid for any complex band-limited V, not only gauge images.  ``c`` may
+    be an (..., n) batch of fields on the grid g, one per row.
     """
     b = _bands(g)
     _, vs, _, gm, mean_w2 = _w_stage(c, b)
@@ -329,13 +340,13 @@ def rhs_terms_total_coeffs(c, g):
     The high bands keep only the four paraproduct pieces (the mean correction
     is dropped there); the low band keeps the exact forcing, which is never
     expanded.  One fused pass of 10 padded transforms (see the module
-    docstring).
+    docstring).  ``c`` may be an (..., n) batch, as in `rhs_exact_coeffs`.
     """
     b = _bands(g)
     cpad, vs, dwc, gm, mean_w2 = _w_stage(c, b)
     total = _exact_from_stage(c, g, b, vs, gm, mean_w2) * b.lo
     total += 2j * _band_pieces(cpad, dwc, gm, g, b)
-    total[0] = 0.0
+    total[..., 0] = 0.0
     return total
 
 

@@ -20,10 +20,11 @@ import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .spectral import atomic_write
 
 __all__ = ["RESIDUAL_CAP", "PowerFit", "fit_power", "overall_verdict",
            "EstimateReport"]
@@ -182,18 +183,6 @@ class EstimateReport:
         paths = []
         for ext, text in ((".json", self.json_text()), (".csv", self.csv_text())):
             path = os.path.join(directory, stem + ext)
-            _atomic_write_text(path, text)
+            atomic_write(path, text.encode())
             paths.append(path)
         return paths
-
-
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise

@@ -17,7 +17,9 @@ so that norms and convolutions approximate their continuum counterparts:
 The unpaired Nyquist mode k = -n/2 is always forced to zero.
 """
 
+import os
 import struct
+import tempfile
 from functools import lru_cache
 
 import numpy as np
@@ -173,21 +175,23 @@ def to_physical(field):
 
 
 # Array-level transform cores (no SpectralField wrapping) for solver hot loops.
-# n is even, so fftshift and ifftshift are the same swap of the two halves;
-# one concatenate does it at a fraction of np.roll's per-call cost.
+# They act on the last axis of an (..., n) array, so a batch of fields on one
+# grid is transformed row by row in one call.  n is even, so fftshift and
+# ifftshift are the same swap of the two halves; one concatenate does it at a
+# fraction of np.roll's per-call cost.
 
 def _swap_halves(a):
-    h = len(a) // 2
-    return np.concatenate((a[h:], a[:h]))
+    h = a.shape[-1] // 2
+    return np.concatenate((a[..., h:], a[..., :h]), axis=-1)
 
 
 def coeffs_to_samples(coeffs, grid):
-    return np.fft.ifft(_swap_halves(coeffs * grid._phase)) / grid.dx
+    return np.fft.ifft(_swap_halves(coeffs * grid._phase), axis=-1) / grid.dx
 
 
 def samples_to_coeffs(samples, grid):
-    c = grid.dx * grid._phase * _swap_halves(np.fft.fft(samples))
-    c[0] = 0.0
+    c = grid.dx * grid._phase * _swap_halves(np.fft.fft(samples, axis=-1))
+    c[..., 0] = 0.0
     return c
 
 
@@ -299,16 +303,17 @@ def padded_grid(grid):
 
 
 def pad_coeffs(coeffs, n):
-    """Embed base-lattice coefficients into the doubled lattice (zero-fill)."""
-    out = np.zeros(2 * n, dtype=np.complex128)
-    out[n // 2 : n // 2 + n] = coeffs
+    """Embed base-lattice coefficients (last axis) into the doubled lattice
+    (zero-fill)."""
+    out = np.zeros(coeffs.shape[:-1] + (2 * n,), dtype=np.complex128)
+    out[..., n // 2 : n // 2 + n] = coeffs
     return out
 
 
 def unpad_coeffs(coeffs2, n):
     """Restrict doubled-lattice coefficients to the base band (and zero Nyquist)."""
-    out = coeffs2[n // 2 : n // 2 + n].copy()
-    out[0] = 0.0
+    out = coeffs2[..., n // 2 : n // 2 + n].copy()
+    out[..., 0] = 0.0
     return out
 
 
@@ -335,17 +340,31 @@ def product_field(f, g):
     return SpectralField(base, prod)
 
 
-# -- binary snapshots ---------------------------------------------------------
+# -- files ---------------------------------------------------------------------
+
+def atomic_write(path, data):
+    """Write the bytes `data` to path through a temporary tmp*.tmp file in the
+    same directory and os.replace, so a reader sees the old file or the whole
+    new one, never a part."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
 
 def write_snapshot(field, time, path):
-    """Binary field snapshot: header + complex coefficients in lattice order."""
+    """Binary field snapshot: header + complex coefficients in lattice order,
+    written atomically."""
     payload = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
     header = _HEADER.pack(
         BOSF_MAGIC, BOSF_VERSION, field.grid.n, field.grid.half_length, float(time)
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    atomic_write(path, header + payload)
 
 
 def read_snapshot(path):

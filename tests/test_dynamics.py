@@ -1,6 +1,10 @@
 """Solver tests: exact linear propagation, conservation, convergence order,
 reversibility, and consistency between the direct and gauged flows."""
 
+import fnmatch
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from bolab.dynamics import (
     _ifrk4,
     evolve_bo,
     evolve_gauged,
+    evolve_gauged_batch,
     linear_propagator,
     step_count,
     weighted_norm_diagnostic,
@@ -158,6 +163,23 @@ def test_nan_abort_names_step():
         _ifrk4(u0.coeffs, g, 100.0, 1.0, rhs, snapshot_every=1)
 
 
+def test_nan_abort_names_the_batch_member():
+    # the same stepper on a batch in which only member 1 blows up
+    g = make_grid(256, 4 * np.pi)
+    rng = np.random.default_rng(8)
+    u0 = random_real_field(g, rng, decay=1.0)
+    pg = padded_grid(g)
+
+    def rhs(c):
+        s = to_padded(c, pg)
+        return 0.5j * g.xi * from_padded(s * s, pg)
+
+    c0 = np.stack([1e-6 * u0.coeffs, u0.coeffs])
+    with pytest.raises(RuntimeError,
+                       match=r"finiteness at step \d+ of 100 \(member 1, t = "):
+        _ifrk4(c0, g, 100.0, 1.0, rhs, snapshot_every=1)
+
+
 # -- time grid ----------------------------------------------------------------
 
 def test_step_count_rounds_and_lands_on_T():
@@ -227,6 +249,57 @@ def test_gauged_margin_guard():
         evolve_gauged(V0, T=0.01, dt=1e-3)
 
 
+def test_gauged_margin_guard_names_the_batch_member():
+    g = make_grid(32, np.pi)
+    c = np.zeros(g.n, dtype=complex)
+    c[g.n // 2] = -0.95 * 2 * g.half_length
+    fields = [SpectralField(g, np.zeros(g.n, dtype=complex)), SpectralField(g, c)]
+    with pytest.raises(ValueError, match=r"not invertible.* at member 1, t = "):
+        evolve_gauged_batch(fields, T=0.01, dt=1e-3)
+
+
+def test_unstable_dt_names_the_batch_member():
+    g = make_grid(64, np.pi)
+    stable = gauge_forward(to_spectral(0.01 * np.sin(g.x), g)).V
+    unstable = gauge_forward(to_spectral(np.sin(10 * g.x), g)).V
+    evolve_gauged(stable, T=0.5, dt=0.5)
+    with pytest.raises(ValueError, match=r"^member 1: .*stability bound"):
+        evolve_gauged_batch([stable, unstable], T=0.5, dt=0.5)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("rhs_mode", ["exact", "terms"])
+def test_batch_rows_equal_single_runs(n, rhs_mode):
+    g = make_grid(n, np.pi)
+    rng = np.random.default_rng(n)
+    fields = [gauge_forward(0.3 * random_real_field(g, rng)).V for _ in range(3)]
+    batch = evolve_gauged_batch(fields, T=0.004, dt=1e-4, rhs_mode=rhs_mode,
+                                snapshot_every=7)
+    assert len(batch) == len(fields)
+    for field, traj in zip(fields, batch):
+        one = evolve_gauged(field, T=0.004, dt=1e-4, rhs_mode=rhs_mode,
+                            snapshot_every=7)
+        assert np.array_equal(traj.times, one.times)
+        assert np.array_equal(traj.data, one.data)
+        assert traj.data.flags.c_contiguous
+        assert traj.metadata == one.metadata
+
+
+@pytest.mark.parametrize("fields", [
+    [],
+    [SpectralField(make_grid(32, np.pi), np.zeros(32)),
+     SpectralField(make_grid(32, 4 * np.pi), np.zeros(32))],
+])
+def test_batch_refuses_empty_or_mixed_grids(monkeypatch, fields):
+    # refused before the stability probe or the stepper runs
+    import bolab.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "_probe_dt", None)
+    monkeypatch.setattr(dynamics, "_ifrk4", None)
+    with pytest.raises(ValueError, match="at least one field|on one grid"):
+        evolve_gauged_batch(fields, T=0.01, dt=1e-3)
+
+
 def test_bad_rhs_mode():
     g = make_grid(32, np.pi)
     V0 = SpectralField(g, np.zeros(g.n, dtype=complex))
@@ -248,6 +321,56 @@ def test_trajectory_save_load_round_trip(tmp_path):
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.data, traj.data)
     assert back.metadata["scheme"] == "ifrk4"
+
+
+def test_trajectory_save_is_atomic(tmp_path, monkeypatch):
+    # every file is moved into place from a temporary name beside it that no
+    # snap_*.bosf glob matches; a save that fails part way leaves the earlier
+    # save readable and no temporary file behind
+    g = make_grid(32, np.pi)
+    traj = evolve_bo(to_spectral(0.1 * np.sin(g.x), g), T=0.004, dt=1e-3)
+    d = tmp_path / "traj"
+    files = sorted([f"snap_{i:06d}.bosf" for i in range(len(traj))]
+                   + ["manifest.json"])
+    moves = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        moves.append((src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    traj.save(d)
+    assert sorted(p.name for p in d.iterdir()) == files
+    assert sorted(os.path.basename(dst) for _, dst in moves) == files
+    for src, dst in moves:
+        assert os.path.dirname(src) == os.path.dirname(dst)
+        assert not fnmatch.fnmatch(os.path.basename(src), "snap_*.bosf")
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        evolve_bo(to_spectral(0.2 * np.sin(g.x), g), T=0.004, dt=1e-3).save(d)
+    assert sorted(p.name for p in d.iterdir()) == files
+    assert np.array_equal(Trajectory.load(d).data, traj.data)
+
+
+@pytest.mark.parametrize("fmt", [None, 2])
+def test_trajectory_load_refuses_unknown_format(tmp_path, fmt):
+    g = make_grid(32, np.pi)
+    d = tmp_path / "traj"
+    evolve_bo(to_spectral(0.1 * np.sin(g.x), g), T=0.002, dt=1e-3).save(d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["format"] == 1
+    if fmt is None:
+        del manifest["format"]
+    else:
+        manifest["format"] = fmt
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"unknown trajectory format {fmt}"):
+        Trajectory.load(d)
 
 
 # -- weighted norm diagnostic -------------------------------------------------

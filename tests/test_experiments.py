@@ -16,6 +16,7 @@ from bolab.experiments import (bump_shape, lemma21_experiment,
                                lipschitz_experiment, rough_profile_data,
                                rough_real_data, smoothing_experiment,
                                unit_rough_field, verify_operator_estimate)
+from bolab.dynamics import evolve_gauged_batch
 from bolab.reports import EstimateReport
 from bolab.spectral import Grid, sobolev_norm, to_physical
 
@@ -194,9 +195,26 @@ def test_lipschitz_smoke():
         assert abs(gap / target - 1.0) < 1e-3
 
 
+def test_lipschitz_and_lemma21_evolve_once_per_grid(monkeypatch):
+    # every run of a grid goes into one batched call
+    calls = []
+
+    def counting(fields, *args, **kwargs):
+        calls.append(len(fields))
+        return evolve_gauged_batch(fields, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve_gauged", None)
+    monkeypatch.setattr(experiments, "evolve_gauged_batch", counting)
+    lipschitz_experiment(seed=42, s=0.5, T=0.004, perturbation_size=1e-3,
+                         resolutions=[64, 128])
+    lemma21_experiment([0.05, 0.1, 0.2], 0.5, T=0.002, n_points=64, dt=2e-4)
+    assert calls == [3, 3, 3]
+
+
 def test_lipschitz_zero_perturbation_raises(monkeypatch):
     # identical data have no separation to track: refused before any run
     monkeypatch.setattr(experiments, "evolve_gauged", None)
+    monkeypatch.setattr(experiments, "evolve_gauged_batch", None)
     for size in (0.0, -1e-3):
         with pytest.raises(ValueError, match="perturbation_size"):
             lipschitz_experiment(seed=5, s=0.5, T=0.02,
@@ -223,6 +241,7 @@ def test_lemma21_smoke():
 def test_lemma21_unusable_amplitudes_raise(monkeypatch, amplitudes):
     # a zero amplitude has no ratio to C (h^2 + h^3): refused before any run
     monkeypatch.setattr(experiments, "evolve_gauged", None)
+    monkeypatch.setattr(experiments, "evolve_gauged_batch", None)
     with pytest.raises(ValueError, match="amplitudes"):
         lemma21_experiment(amplitudes, 0.5, T=0.05, n_points=64, dt=2e-4)
 

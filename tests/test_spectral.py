@@ -317,3 +317,27 @@ def test_conj_reflect_is_the_conjugate_field():
     # the transform of conj(f(x)) in physical space
     want = sp.to_spectral(np.conj(sp.to_physical(f)), g).coeffs
     np.testing.assert_allclose(r, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_transforms_on_last_axis_equal_row_calls(n):
+    # a (B, 2n) batch transforms row by row, bit for bit; this is what lets
+    # the gauged stepper integrate several fields in one array
+    g = sp.make_grid(n, np.pi)
+    pg = sp.padded_grid(g)
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
+    base = rows[:, :n]
+    for fn, arg, grid in ((sp.coeffs_to_samples, rows, pg),
+                          (sp.samples_to_coeffs, rows, pg),
+                          (sp.to_padded, base, pg),
+                          (sp.from_padded, rows, pg)):
+        out = fn(arg, grid)
+        for k in range(len(arg)):
+            assert np.array_equal(out[k], fn(arg[k].copy(), grid)), fn.__name__
+    padded = sp.pad_coeffs(base, n)
+    assert padded.shape == (3, 2 * n)
+    for k in range(3):
+        assert np.array_equal(padded[k], sp.pad_coeffs(base[k], n))
+        assert np.array_equal(sp.unpad_coeffs(padded, n)[k],
+                              sp.unpad_coeffs(padded[k], n))
