@@ -35,13 +35,20 @@ against 5 for the exact right side.
 of that identity.
 
 The samples of V and V_x on the doubled lattice are taken in one place,
-`_v_samples` (2 transforms).  The first stage of both right sides, the
-inverse map, `rhs_cubic` and `mean_w_squared` all start from it.
+`_v_samples` (2 transforms, in one stacked inverse call).  The first stage
+of both right sides, the inverse map, `rhs_cubic` and `mean_w_squared` all
+start from it.
 
 All products are dealiased on the doubled lattice.  Base-band products go
 through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
 products keep their intermediates on the doubled lattice so the restriction
-to the base band is exact.
+to the base band is exact.  Every doubled-lattice array here is in FFT order
+with (-1)^k applied (see `spectral`): the padded coefficients of V and of
+dx W in the stages, the `rhs_cubic` intermediate, and the derivative symbol
+and half-line masks of `_bands`.  They pass through the FFT-order pair
+`spectral.fft_order_to_samples`/`samples_to_fft_order`, so no padded
+transform swaps halves or applies (-1)^k.  Base-band coefficient arrays
+(inputs, outputs and the base masks of `_bands`) stay in lattice order.
 
 The coefficient-array right sides (`rhs_exact_coeffs`,
 `rhs_terms_total_coeffs` and their stages) act on the last axis, so an
@@ -58,17 +65,17 @@ import numpy as np
 from .spectral import (
     SpectralField,
     antiderivative_symbol,
-    coeffs_to_samples,
     conj_reflect,
     dealiased_product,
+    fft_order_to_samples,
     from_padded,
-    pad_coeffs,
+    pad_fft_order,
     padded_grid,
     region_mask,
-    samples_to_coeffs,
+    samples_to_fft_order,
     sobolev_norm,
     to_padded,
-    unpad_coeffs,
+    unpad_fft_order,
     zero_mean_project,
 )
 
@@ -81,21 +88,25 @@ CONTROL_S = 0.5
 @lru_cache(maxsize=64)
 def _bands(grid):
     """Per-grid constants of the right sides, built once: band masks on the
-    base lattice, and the derivative symbol and half-line masks on the
-    doubled lattice.  Masks are complex 0/1 arrays, the values numpy casts a
-    boolean mask to in a complex product, so products are unchanged."""
+    base lattice (lattice order), and the derivative symbol and half-line
+    masks on the doubled lattice (FFT order, with the unpaired Nyquist slot
+    k = -n, FFT index n, zeroed).  Masks are complex 0/1 arrays, the values
+    numpy casts a boolean mask to in a complex product, so products are
+    unchanged."""
     pg = padded_grid(grid)
-    xi, xi2 = grid.xi, pg.xi
+    xi, xi2 = grid.xi, np.fft.ifftshift(pg.xi)
     masks = {
-        "lo": region_mask(xi, "lo"),
         "minus2": xi2 < 0.0,
         "plus2": xi2 > 0.0,
         "plus_hi2": region_mask(xi2, "+hi"),
         "minus_hi2": region_mask(xi2, "-hi"),
     }
     arrays = {name: m.astype(np.complex128) for name, m in masks.items()}
-    arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)  # symbol of 2i Pm dx^2
     arrays["ixi2"] = 1j * xi2
+    for a in arrays.values():
+        a[grid.n] = 0.0
+    arrays["lo"] = region_mask(xi, "lo").astype(np.complex128)
+    arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)  # symbol of 2i Pm dx^2
     for a in arrays.values():
         a.setflags(write=False)
     return SimpleNamespace(pg=pg, **arrays)
@@ -186,10 +197,12 @@ def gauge_forward(u):
 
 
 def _v_samples(c, b):
-    """Padded coefficients of V, and the samples of V and V_x on the doubled
-    lattice b.pg.  Two padded transforms."""
-    cpad = pad_coeffs(c, c.shape[-1])
-    return cpad, coeffs_to_samples(cpad, b.pg), coeffs_to_samples(cpad * b.ixi2, b.pg)
+    """Padded coefficients of V (FFT order), and the samples of V and V_x on
+    the doubled lattice b.pg.  One inverse call on the stack of the two: two
+    padded transforms."""
+    cpad = pad_fft_order(c, b.pg)
+    vs, dvs = fft_order_to_samples(np.stack((cpad, cpad * b.ixi2)), b.pg)
+    return cpad, vs, dvs
 
 
 def _reconstruct(V):
@@ -249,10 +262,12 @@ def rhs_cubic(V, sign):
     pg = b.pg
     hi, opp = _signs(sign)
     _, vs, dvs = _v_samples(V.coeffs, b)
-    inner = samples_to_coeffs(np.conj(vs) * dvs, pg)  # stays on the doubled lattice
-    inner *= (1j * pg.xi) * region_mask(pg.xi, opp)
+    # stays on the doubled lattice, in FFT order
+    inner = pg.dx * samples_to_fft_order(np.conj(vs) * dvs) * b.ixi2
+    inner *= b.plus2 if opp == "+" else b.minus2
     s_hi = to_padded(V.coeffs * region_mask(g.xi, hi), pg)
-    out = -from_padded(s_hi * coeffs_to_samples(inner, pg), pg) * region_mask(g.xi, hi)
+    out = -from_padded(s_hi * fft_order_to_samples(inner, pg), pg)
+    out *= region_mask(g.xi, hi)
     return SpectralField(g, out)
 
 
@@ -278,14 +293,15 @@ def _w_stage(c, b):
     """First stage shared by the exact and band right sides.
 
     Returns the padded coefficients of V, the samples of V, the padded
-    coefficients dwc of dx W with W = (1 + conj V) V_x, the samples gm of
-    Pm dx W, and mean(W^2) over the last axis (one value per field).  Four
-    padded transforms.
+    coefficients dwc of dx W with W = (1 + conj V) V_x (both in FFT order),
+    the samples gm of Pm dx W, and mean(W^2) over the last axis (one value
+    per field).  Four padded transforms.
     """
+    pg = b.pg
     cpad, vs, dvs = _v_samples(c, b)
     ws = (1.0 + np.conj(vs)) * dvs
-    dwc = samples_to_coeffs(ws, b.pg) * b.ixi2
-    gm = coeffs_to_samples(dwc * b.minus2, b.pg)
+    dwc = pg.dx * samples_to_fft_order(ws) * b.ixi2
+    gm = fft_order_to_samples(dwc * b.minus2, pg)
     return cpad, vs, dwc, gm, np.mean(ws * ws, axis=-1)
 
 
@@ -303,17 +319,18 @@ def _exact_from_stage(c, g, b, vs, gm, mean_w2):
     return out
 
 
-def _band_pieces(cpad, dwc, gm, g, b):
+def _band_pieces(cpad, dwc, gm, b):
     """Q_+ + C_+ + Q_- + C_- = -P_{+hi}(V_{+hi} gm) - P_{-hi}(V_{-hi} gp), where
     gm, gp are the samples of Pm dx W and Pp dx W; gp is taken here from the
-    padded coefficients dwc of dx W.  Five padded transforms."""
+    padded coefficients dwc of dx W (FFT order, as is cpad).  Five padded
+    transforms."""
     pg = b.pg
-    gp = coeffs_to_samples(dwc * b.plus2, pg)
-    sp = coeffs_to_samples(cpad * b.plus_hi2, pg)
-    sm = coeffs_to_samples(cpad * b.minus_hi2, pg)
-    hi = samples_to_coeffs(sp * gm, pg) * b.plus_hi2
-    hi += samples_to_coeffs(sm * gp, pg) * b.minus_hi2
-    return -unpad_coeffs(hi, g.n)
+    gp = fft_order_to_samples(dwc * b.plus2, pg)
+    sp = fft_order_to_samples(cpad * b.plus_hi2, pg)
+    sm = fft_order_to_samples(cpad * b.minus_hi2, pg)
+    hi = samples_to_fft_order(sp * gm) * b.plus_hi2
+    hi += samples_to_fft_order(sm * gp) * b.minus_hi2
+    return -unpad_fft_order(hi, pg)
 
 
 def rhs_exact_coeffs(c, g):
@@ -345,7 +362,7 @@ def rhs_terms_total_coeffs(c, g):
     b = _bands(g)
     cpad, vs, dwc, gm, mean_w2 = _w_stage(c, b)
     total = _exact_from_stage(c, g, b, vs, gm, mean_w2) * b.lo
-    total += 2j * _band_pieces(cpad, dwc, gm, g, b)
+    total += 2j * _band_pieces(cpad, dwc, gm, b)
     total[..., 0] = 0.0
     return total
 
@@ -364,4 +381,4 @@ def profile_time_derivative_sup(V):
     g = V.grid
     b = _bands(g)
     cpad, _, dwc, gm, _ = _w_stage(V.coeffs, b)
-    return float(np.max(np.abs(_band_pieces(cpad, dwc, gm, g, b))))
+    return float(np.max(np.abs(_band_pieces(cpad, dwc, gm, b))))

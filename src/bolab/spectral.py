@@ -176,9 +176,27 @@ def to_physical(field):
 
 # Array-level transform cores (no SpectralField wrapping) for solver hot loops.
 # They act on the last axis of an (..., n) array, so a batch of fields on one
-# grid is transformed row by row in one call.  n is even, so fftshift and
-# ifftshift are the same swap of the two halves; one concatenate does it at a
-# fraction of np.roll's per-call cost.
+# grid is transformed row by row in one call.
+#
+# Two layouts share one transform pair.  FFT order is the layout of np.fft:
+# k = 0 .. n/2-1 then k = -n/2 .. -1, with (-1)^k already applied to the
+# coefficients (it relates FFT order to samples taken from x = -L).
+# `fft_order_to_samples` is the inverse transform and its 1/dx scale;
+# `samples_to_fft_order` is the plain forward FFT, whose caller applies
+# dx (-1)^k.  Lattice order (increasing k) is the layout of SpectralField;
+# `coeffs_to_samples`/`samples_to_coeffs` convert it through the same pair.
+# n is even, so fftshift and ifftshift are the same swap of the two halves;
+# one concatenate does it at a fraction of np.roll's per-call cost.
+
+def fft_order_to_samples(cf, grid):
+    """Samples of coefficients in FFT order with (-1)^k applied."""
+    return np.fft.ifft(cf, axis=-1) / grid.dx
+
+
+def samples_to_fft_order(samples):
+    """Raw FFT of samples: (-1)^k / dx times the coefficients, in FFT order."""
+    return np.fft.fft(samples, axis=-1)
+
 
 def _swap_halves(a):
     h = a.shape[-1] // 2
@@ -186,11 +204,11 @@ def _swap_halves(a):
 
 
 def coeffs_to_samples(coeffs, grid):
-    return np.fft.ifft(_swap_halves(coeffs * grid._phase), axis=-1) / grid.dx
+    return fft_order_to_samples(_swap_halves(coeffs * grid._phase), grid)
 
 
 def samples_to_coeffs(samples, grid):
-    c = grid.dx * grid._phase * _swap_halves(np.fft.fft(samples, axis=-1))
+    c = grid.dx * grid._phase * _swap_halves(samples_to_fft_order(samples))
     c[..., 0] = 0.0
     return c
 
@@ -276,11 +294,6 @@ def sobolev_norm(field, s):
     return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2) * g.dxi / (2 * np.pi)))
 
 
-def hardy_constant(grid):
-    """max over nonzero lattice xi of <xi>/|xi|, attained at |xi| = dxi."""
-    return float(np.sqrt(1.0 + grid.dxi**2) / grid.dxi)
-
-
 # -- dealiased products -------------------------------------------------------
 #
 # Quadratic products of base-band fields are computed on the doubled lattice
@@ -292,39 +305,63 @@ def hardy_constant(grid):
 # would drop interactions whose intermediate frequency leaves the band but
 # whose final output returns to it.  So the gauge stages that keep a
 # doubled-lattice intermediate (the samples of V and V_x, of Pm/Pp dx W, the
-# band pieces and the `rhs_cubic` cascade) use `pad_coeffs`/`unpad_coeffs`
-# and the raw transforms.  A single factor-2 padding is exact for the
-# quadratic-of-quadratic cascades used here, because aliased images of the
-# final product land outside the retained band.
+# band pieces and the `rhs_cubic` cascade) use `pad_fft_order`/
+# `unpad_fft_order` and the FFT-order pair.  A single factor-2 padding is
+# exact for the quadratic-of-quadratic cascades used here, because aliased
+# images of the final product land outside the retained band.
+#
+# The doubled lattice is only held in FFT order: `pad_fft_order` pads the
+# base band straight into it and `unpad_fft_order` gathers the base band
+# straight out of a raw FFT, so no padded transform swaps halves or applies
+# (-1)^k.  Lattice order is for base-grid transforms only (`to_physical`,
+# `to_spectral`, the per-step min|1 + V| of `dynamics`).
 
 @lru_cache(maxsize=64)
 def padded_grid(grid):
     return Grid(2 * grid.n, grid.half_length)
 
 
-def pad_coeffs(coeffs, n):
+@lru_cache(maxsize=64)
+def _band_signs(pgrid):
+    """(-1)^k and dx (-1)^k over the base band k = -n/2 .. n/2-1 of the
+    doubled lattice pgrid (lattice order)."""
+    n = pgrid.n // 2
+    phase = pgrid._phase[n // 2 : n // 2 + n]
+    scale = pgrid.dx * phase
+    scale.setflags(write=False)
+    return phase, scale
+
+
+def pad_fft_order(coeffs, pgrid):
     """Embed base-lattice coefficients (last axis) into the doubled lattice
-    (zero-fill)."""
-    out = np.zeros(coeffs.shape[:-1] + (2 * n,), dtype=np.complex128)
-    out[..., n // 2 : n // 2 + n] = coeffs
-    return out
+    pgrid, in FFT order with (-1)^k applied (zero-fill)."""
+    n = pgrid.n // 2
+    h = n // 2
+    phase, _ = _band_signs(pgrid)
+    c = coeffs * phase
+    zeros = np.zeros(c.shape[:-1] + (n,), dtype=np.complex128)
+    return np.concatenate((c[..., h:], zeros, c[..., :h]), axis=-1)
 
 
-def unpad_coeffs(coeffs2, n):
-    """Restrict doubled-lattice coefficients to the base band (and zero Nyquist)."""
-    out = coeffs2[..., n // 2 : n // 2 + n].copy()
+def unpad_fft_order(raw, pgrid):
+    """Base-band coefficients (lattice order, zero Nyquist) of a raw FFT on
+    the doubled lattice pgrid."""
+    n = pgrid.n // 2
+    h = n // 2
+    _, scale = _band_signs(pgrid)
+    out = scale * np.concatenate((raw[..., 2 * n - h :], raw[..., :h]), axis=-1)
     out[..., 0] = 0.0
     return out
 
 
 def to_padded(coeffs, pgrid):
     """Samples on the doubled lattice `pgrid` of base-lattice coefficients."""
-    return coeffs_to_samples(pad_coeffs(coeffs, pgrid.n // 2), pgrid)
+    return fft_order_to_samples(pad_fft_order(coeffs, pgrid), pgrid)
 
 
 def from_padded(samples, pgrid):
     """Base-band coefficients of samples on the doubled lattice `pgrid`."""
-    return unpad_coeffs(samples_to_coeffs(samples, pgrid), pgrid.n // 2)
+    return unpad_fft_order(samples_to_fft_order(samples), pgrid)
 
 
 def dealiased_product(c1, c2, pgrid):
@@ -368,7 +405,10 @@ def write_snapshot(field, time, path):
 
 
 def read_snapshot(path):
-    """Read a snapshot written by write_snapshot; returns (field, time)."""
+    """Read a snapshot written by write_snapshot; returns (field, time).
+
+    A file whose payload is shorter or longer than the header's n complex
+    coefficients raises ValueError naming the byte counts."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -380,6 +420,15 @@ def read_snapshot(path):
             raise ValueError(f"not a field snapshot: bad magic {magic!r}")
         if version != BOSF_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        coeffs = np.frombuffer(fh.read(n * 16), dtype="<c16").astype(np.complex128)
-    grid = Grid(n, half_length)
+        grid = Grid(n, half_length)
+        size = 16 * n
+        have = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if have < size:
+            raise ValueError(f"truncated snapshot payload: {have} of {size} bytes")
+        if have > size:
+            raise ValueError(
+                f"trailing bytes after the snapshot payload: {have} of {size} bytes"
+            )
+        payload = fh.read(size)
+    coeffs = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     return SpectralField(grid, coeffs), time

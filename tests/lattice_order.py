@@ -1,0 +1,94 @@
+"""The doubled lattice in lattice order: the oracle of the FFT-order stages.
+
+`spectral` and `gauge` hold the doubled lattice only in FFT order.  This
+module keeps the path they replaced: base-band coefficients are padded into
+the doubled lattice in increasing-k order and transformed with
+`coeffs_to_samples`/`samples_to_coeffs`, which swap halves and apply (-1)^k
+on every call.  The right sides below are the same stages, operation for
+operation, so the FFT-order results must equal them value for value
+(`np.array_equal`).
+"""
+
+import numpy as np
+
+from bolab.spectral import (
+    coeffs_to_samples,
+    padded_grid,
+    region_mask,
+    samples_to_coeffs,
+)
+
+
+def pad_coeffs(coeffs, n):
+    """Embed base-lattice coefficients (last axis) into the doubled lattice
+    (zero-fill)."""
+    out = np.zeros(coeffs.shape[:-1] + (2 * n,), dtype=np.complex128)
+    out[..., n // 2 : n // 2 + n] = coeffs
+    return out
+
+
+def unpad_coeffs(coeffs2, n):
+    """Restrict doubled-lattice coefficients to the base band (and zero Nyquist)."""
+    out = coeffs2[..., n // 2 : n // 2 + n].copy()
+    out[..., 0] = 0.0
+    return out
+
+
+def to_padded(coeffs, pgrid):
+    return coeffs_to_samples(pad_coeffs(coeffs, pgrid.n // 2), pgrid)
+
+
+def from_padded(samples, pgrid):
+    return unpad_coeffs(samples_to_coeffs(samples, pgrid), pgrid.n // 2)
+
+
+def doubled_masks(grid):
+    """The doubled-lattice constants of `gauge._bands`, in lattice order."""
+    xi2 = padded_grid(grid).xi
+    masks = {
+        "minus2": xi2 < 0.0,
+        "plus2": xi2 > 0.0,
+        "plus_hi2": region_mask(xi2, "+hi"),
+        "minus_hi2": region_mask(xi2, "-hi"),
+    }
+    arrays = {name: m.astype(np.complex128) for name, m in masks.items()}
+    arrays["ixi2"] = 1j * xi2
+    return arrays
+
+
+def _rhs(c, g, terms):
+    pg = padded_grid(g)
+    n = g.n
+    xi = g.xi
+    m = doubled_masks(g)
+    cpad = pad_coeffs(c, n)
+    vs = coeffs_to_samples(cpad, pg)
+    dvs = coeffs_to_samples(cpad * m["ixi2"], pg)
+    ws = (1.0 + np.conj(vs)) * dvs
+    dwc = samples_to_coeffs(ws, pg) * m["ixi2"]
+    gm = coeffs_to_samples(dwc * m["minus2"], pg)
+    mean_term = -1j * np.mean(ws * ws, axis=-1)
+    out = -2j * from_padded((1.0 + vs) * gm, pg)
+    out += 2j * (-(xi**2)) * (xi < 0.0) * c
+    out += (mean_term * c.T).T
+    out.T[n // 2] += mean_term * (2.0 * g.half_length)
+    out[..., 0] = 0.0
+    if not terms:
+        return out
+    total = out * region_mask(xi, "lo").astype(np.complex128)
+    gp = coeffs_to_samples(dwc * m["plus2"], pg)
+    sp = coeffs_to_samples(cpad * m["plus_hi2"], pg)
+    sm = coeffs_to_samples(cpad * m["minus_hi2"], pg)
+    hi = samples_to_coeffs(sp * gm, pg) * m["plus_hi2"]
+    hi += samples_to_coeffs(sm * gp, pg) * m["minus_hi2"]
+    total += 2j * -unpad_coeffs(hi, n)
+    total[..., 0] = 0.0
+    return total
+
+
+def rhs_exact_coeffs(c, g):
+    return _rhs(c, g, terms=False)
+
+
+def rhs_terms_total_coeffs(c, g):
+    return _rhs(c, g, terms=True)

@@ -8,6 +8,7 @@ full right side is checked against the chain rule of the gauge map itself.
 import numpy as np
 import pytest
 
+import lattice_order
 from bolab import gauge, spectral
 from bolab.gauge import (
     GAUGE_FLOOR,
@@ -29,15 +30,14 @@ from bolab.spectral import (
     derivative,
     hilbert_symbol,
     make_grid,
-    pad_coeffs,
     padded_grid,
     project,
     region_mask,
     samples_to_coeffs,
     sobolev_norm,
     to_spectral,
-    unpad_coeffs,
 )
+from lattice_order import pad_coeffs, unpad_coeffs
 
 
 def field_from_modes(grid, modes):
@@ -404,17 +404,19 @@ def test_rhs_terms_total_fused_matches_piecewise_oracle(n):
 
 
 def _count_transforms(monkeypatch):
+    # padded transforms go through the FFT-order pair; a call on an
+    # (..., 2n) stack counts one per transformed row
     counts = {"n": 0}
 
     def counted(fn):
-        def wrapper(*args):
-            counts["n"] += 1
-            return fn(*args)
+        def wrapper(a, *args):
+            counts["n"] += a.size // a.shape[-1]
+            return fn(a, *args)
 
         return wrapper
 
     for module in (gauge, spectral):
-        for name in ("coeffs_to_samples", "samples_to_coeffs"):
+        for name in ("fft_order_to_samples", "samples_to_fft_order"):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return counts
 
@@ -427,6 +429,37 @@ def test_transforms_per_right_side(monkeypatch):
         counts["n"] = 0
         fn(V.coeffs, g)
         assert counts["n"] == want, fn.__name__
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+@pytest.mark.parametrize("L", [np.pi, 8 * np.pi])
+def test_right_sides_equal_lattice_order_oracle(n, L):
+    # the FFT-order stages give the values of the lattice-order path, for one
+    # field and for a batch
+    g = make_grid(n, L)
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (3, n)):
+        c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        c /= (1.0 + np.abs(g.k)) ** 1.2
+        c[..., 0] = 0.0
+        for fn in ("rhs_exact_coeffs", "rhs_terms_total_coeffs"):
+            got = getattr(gauge, fn)(c, g)
+            want = getattr(lattice_order, fn)(c, g)
+            assert got.shape == want.shape and np.array_equal(got, want), fn
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_doubled_lattice_constants_in_fft_order(n):
+    # each FFT-order constant is its lattice-order array with the halves
+    # swapped, and the unpaired Nyquist slot k = -n (FFT index n) is empty
+    g = make_grid(n, np.pi)
+    b = gauge._bands(g)
+    for name, want in lattice_order.doubled_masks(g).items():
+        want = np.fft.ifftshift(want)
+        want[n] = 0.0
+        got = getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert got[n] == 0.0 and not got.flags.writeable
 
 
 # -- band derivative size -----------------------------------------------------

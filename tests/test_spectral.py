@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bolab import spectral as sp
+from lattice_order import from_padded, to_padded
 
 
 def random_real_field(grid, rng, decay=2.0):
@@ -122,8 +123,7 @@ def test_antiderivative_derivative_inverse_pair():
 def test_hardy_bound_on_lattice():
     rng = np.random.default_rng(5)
     g = sp.make_grid(128, 16 * np.pi)
-    C = sp.hardy_constant(g)
-    assert C == pytest.approx(np.sqrt(1 + g.dxi**2) / g.dxi)
+    C = np.sqrt(1 + g.dxi**2) / g.dxi  # max over nonzero xi of <xi>/|xi|
     for s in (0.0, 0.5, 1.0):
         f = random_real_field(g, rng)
         F = sp.apply_multiplier(f, sp.antiderivative_symbol(g))
@@ -288,6 +288,30 @@ def test_snapshot_truncated_header_is_value_error(tmp_path):
         sp.read_snapshot(path)
 
 
+@pytest.mark.parametrize("cut, want", [
+    (16, "truncated snapshot payload: 1008 of 1024 bytes"),
+    (5, "truncated snapshot payload: 1019 of 1024 bytes"),
+    (1024, "truncated snapshot payload: 0 of 1024 bytes"),
+])
+def test_snapshot_truncated_payload_is_value_error(tmp_path, cut, want):
+    # one coefficient short, a part of one, and no payload at all
+    g = sp.make_grid(64, np.pi)
+    path = tmp_path / "short.bosf"
+    sp.write_snapshot(random_real_field(g, np.random.default_rng(2)), 0.5, path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match=want):
+        sp.read_snapshot(path)
+
+
+def test_snapshot_trailing_bytes_are_value_error(tmp_path):
+    g = sp.make_grid(64, np.pi)
+    path = tmp_path / "long.bosf"
+    sp.write_snapshot(random_real_field(g, np.random.default_rng(2)), 0.5, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes after the snapshot payload: 1025 of 1024 bytes"):
+        sp.read_snapshot(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_field_rejects_non_finite_coefficients(bad):
     g = sp.make_grid(8, np.pi)
@@ -335,9 +359,27 @@ def test_transforms_on_last_axis_equal_row_calls(n):
         out = fn(arg, grid)
         for k in range(len(arg)):
             assert np.array_equal(out[k], fn(arg[k].copy(), grid)), fn.__name__
-    padded = sp.pad_coeffs(base, n)
+    padded = sp.pad_fft_order(base, pg)
     assert padded.shape == (3, 2 * n)
     for k in range(3):
-        assert np.array_equal(padded[k], sp.pad_coeffs(base[k], n))
-        assert np.array_equal(sp.unpad_coeffs(padded, n)[k],
-                              sp.unpad_coeffs(padded[k], n))
+        assert np.array_equal(padded[k], sp.pad_fft_order(base[k], pg))
+        assert np.array_equal(sp.unpad_fft_order(padded, pg)[k],
+                              sp.unpad_fft_order(padded[k], pg))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+@pytest.mark.parametrize("L", [np.pi, 8 * np.pi])
+def test_padded_pair_equals_lattice_order_oracle(n, L):
+    # the doubled lattice is held in FFT order; padding into it and gathering
+    # the base band out of it give the values of the lattice-order path
+    g = sp.make_grid(n, L)
+    pg = sp.padded_grid(g)
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (3, n)):
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = rng.standard_normal(shape[:-1] + (2 * n,)) + 1j * rng.standard_normal(
+            shape[:-1] + (2 * n,))
+        got, want = sp.to_padded(c, pg), to_padded(c, pg)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        got, want = sp.from_padded(s, pg), from_padded(s, pg)
+        assert got.shape == want.shape and np.array_equal(got, want)
