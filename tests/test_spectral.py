@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bolab import spectral as sp
-from lattice_order import from_padded, to_padded
+import lattice_order
 
 
 def random_real_field(grid, rng, decay=2.0):
@@ -288,27 +288,20 @@ def test_snapshot_truncated_header_is_value_error(tmp_path):
         sp.read_snapshot(path)
 
 
-@pytest.mark.parametrize("cut, want", [
-    (16, "truncated snapshot payload: 1008 of 1024 bytes"),
-    (5, "truncated snapshot payload: 1019 of 1024 bytes"),
-    (1024, "truncated snapshot payload: 0 of 1024 bytes"),
+@pytest.mark.parametrize("edit, want", [
+    (lambda raw: raw[:-16], "truncated snapshot payload: 1008 of 1024 bytes"),
+    (lambda raw: raw[:-5], "truncated snapshot payload: 1019 of 1024 bytes"),
+    (lambda raw: raw[:28], "truncated snapshot payload: 0 of 1024 bytes"),
+    (lambda raw: raw + b"\x00",
+     "trailing bytes after the snapshot payload: 1025 of 1024 bytes"),
 ])
-def test_snapshot_truncated_payload_is_value_error(tmp_path, cut, want):
-    # one coefficient short, a part of one, and no payload at all
+def test_snapshot_payload_of_wrong_size_is_value_error(tmp_path, edit, want):
+    # one coefficient short, a part of one, no payload, one byte too many
     g = sp.make_grid(64, np.pi)
-    path = tmp_path / "short.bosf"
+    path = tmp_path / "field.bosf"
     sp.write_snapshot(random_real_field(g, np.random.default_rng(2)), 0.5, path)
-    path.write_bytes(path.read_bytes()[:-cut])
+    path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ValueError, match=want):
-        sp.read_snapshot(path)
-
-
-def test_snapshot_trailing_bytes_are_value_error(tmp_path):
-    g = sp.make_grid(64, np.pi)
-    path = tmp_path / "long.bosf"
-    sp.write_snapshot(random_real_field(g, np.random.default_rng(2)), 0.5, path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(ValueError, match="trailing bytes after the snapshot payload: 1025 of 1024 bytes"):
         sp.read_snapshot(path)
 
 
@@ -377,9 +370,9 @@ def test_padded_pair_equals_lattice_order_oracle(n, L):
     rng = np.random.default_rng(n)
     for shape in ((n,), (3, n)):
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        s = rng.standard_normal(shape[:-1] + (2 * n,)) + 1j * rng.standard_normal(
-            shape[:-1] + (2 * n,))
-        got, want = sp.to_padded(c, pg), to_padded(c, pg)
+        wide = shape[:-1] + (2 * n,)
+        s = rng.standard_normal(wide) + 1j * rng.standard_normal(wide)
+        got, want = sp.to_padded(c, pg), lattice_order.to_padded(c, pg)
         assert got.shape == want.shape and np.array_equal(got, want)
-        got, want = sp.from_padded(s, pg), from_padded(s, pg)
+        got, want = sp.from_padded(s, pg), lattice_order.from_padded(s, pg)
         assert got.shape == want.shape and np.array_equal(got, want)
