@@ -305,10 +305,10 @@ def sobolev_norm(field, s):
 # would drop interactions whose intermediate frequency leaves the band but
 # whose final output returns to it.  So the gauge stages that keep a
 # doubled-lattice intermediate (the samples of V and V_x, of Pm/Pp dx W, the
-# band pieces and the `rhs_cubic` cascade) use `pad_fft_order`/
-# `unpad_fft_order` and the FFT-order pair.  A single factor-2 padding is
-# exact for the quadratic-of-quadratic cascades used here, because aliased
-# images of the final product land outside the retained band.
+# band pieces and the `rhs_cubic` cascade) work on it directly, through the
+# FFT-order pair.  A single factor-2 padding is exact for the
+# quadratic-of-quadratic cascades used here, because aliased images of the
+# final product land outside the retained band.
 #
 # The doubled lattice is only held in FFT order: `pad_fft_order` pads the
 # base band straight into it and `unpad_fft_order` gathers the base band
