@@ -38,7 +38,7 @@ from .infr import bo_terms, gamma_cubic, gamma_quadratic, infr_params
 from .integrals import cubic_integral_I, quad_integral_J
 from .nfe import nfe_residual
 from .reports import EstimateReport
-from .spectral import Grid, SpectralField, sobolev_norm, to_spectral
+from .spectral import Grid, sobolev_norm, to_spectral
 
 COMMANDS = ("simulate", "gauge-check", "params", "estimates", "smoothing",
             "lipschitz", "lemma21", "nfe")

@@ -24,14 +24,12 @@ import numpy as np
 from .gauge import GAUGE_FLOOR, rhs_exact_coeffs, rhs_terms_total_coeffs
 from .spectral import (
     SpectralField,
-    apply_multiplier,
     atomic_write,
     coeffs_to_samples,
     dispersion,
     from_padded,
     make_grid,
     padded_grid,
-    propagator_symbol,
     read_snapshot,
     to_padded,
     write_snapshot,
@@ -40,11 +38,6 @@ from .spectral import (
 
 # Version of the manifest.json that Trajectory.save writes and load reads.
 TRAJECTORY_FORMAT = 1
-
-
-def linear_propagator(field, t):
-    """Exact solution of the linear flow after time t."""
-    return apply_multiplier(field, propagator_symbol(field.grid, t))
 
 
 class Trajectory:
@@ -307,15 +300,3 @@ def evolve_gauged_batch(fields, T, dt, rhs_mode="exact", snapshot_every=1):
     return [Trajectory(g, times, np.ascontiguousarray(data[:, k]), "V", meta)
             for k in range(len(fields))]
 
-
-def weighted_norm_diagnostic(u, t):
-    """L2 norm of d/dxi of the profile e^{i t omega} u_hat.
-
-    By Plancherel this mirrors the weighted norm ||(x - 2 t H dx) u||_{L2}
-    used to control the moving spatial weight along the flow; it is computed
-    with centered differences (one-sided at the lattice ends).
-    """
-    g = u.grid
-    prof = np.exp(1j * t * dispersion(g.xi)) * u.coeffs
-    d = np.gradient(prof, g.dxi)
-    return float(np.sqrt(np.sum(np.abs(d) ** 2) * g.dxi / (2 * np.pi)))

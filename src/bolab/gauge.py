@@ -14,8 +14,8 @@ Restricted to frequencies xi > 1 the right side collapses to a paraproduct
 pair: a quadratic piece -P_{+hi}(V_+ . Pm dx^2 V) and a cubic piece
 -P_{+hi}(V_+ . Pm dx (conj(V) V_x)), each coupled with coefficient 2i, plus
 the mean correction.  Those band pieces (`rhs_quadratic`, `rhs_cubic`) are
-the objects the normal form machinery expands; `rhs_exact` is the full right
-side and is what the reference solver integrates.
+the objects the normal form machinery expands; `rhs_exact_coeffs` is the full
+right side and is what the reference solver integrates.
 
 Since Pm dx^2 V + Pm dx (conj(V) V_x) = Pm dx W, the two pieces of one sign
 fuse into a single product,
@@ -36,8 +36,7 @@ of that identity.
 
 The samples of V and V_x on the doubled lattice are taken in one place,
 `_v_samples` (2 transforms, in one stacked inverse call).  The first stage
-of both right sides, the inverse map, `rhs_cubic` and `mean_w_squared` all
-start from it.
+of both right sides, the inverse map and `rhs_cubic` all start from it.
 
 All products are dealiased on the doubled lattice.  Base-band products go
 through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
@@ -271,24 +270,6 @@ def rhs_cubic(V, sign):
     return SpectralField(g, out)
 
 
-def rhs_low(V, u):
-    """Low-band forcing -P_{+lo}(V . Pm u_x) - P_{-lo}(V . Pp u_x)."""
-    g = V.grid
-    pg = padded_grid(g)
-    du = u.coeffs * (1j * g.xi)
-    t1 = dealiased_product(V.coeffs, du * region_mask(g.xi, "-"), pg)
-    t2 = dealiased_product(V.coeffs, du * region_mask(g.xi, "+"), pg)
-    out = -(t1 * region_mask(g.xi, "+lo") + t2 * region_mask(g.xi, "-lo"))
-    return SpectralField(g, out)
-
-
-def mean_w_squared(V):
-    """Complex mean over the torus of W^2, W = (1 + conj V) V_x."""
-    _, vs, dvs = _v_samples(V.coeffs, _bands(V.grid))
-    ws = (1.0 + np.conj(vs)) * dvs
-    return complex(np.mean(ws * ws))
-
-
 def _w_stage(c, b):
     """First stage shared by the exact and band right sides.
 
@@ -345,10 +326,6 @@ def rhs_exact_coeffs(c, g):
     return _exact_from_stage(c, g, b, vs, gm, mean_w2)
 
 
-def rhs_exact(V):
-    return SpectralField(V.grid, rhs_exact_coeffs(V.coeffs, V.grid))
-
-
 def rhs_terms_total_coeffs(c, g):
     """Right side of the truncated band system used by the normal form layer:
 
@@ -365,10 +342,6 @@ def rhs_terms_total_coeffs(c, g):
     total += 2j * _band_pieces(cpad, dwc, gm, b)
     total[..., 0] = 0.0
     return total
-
-
-def rhs_terms_total(V):
-    return SpectralField(V.grid, rhs_terms_total_coeffs(V.coeffs, V.grid))
 
 
 def profile_time_derivative_sup(V):

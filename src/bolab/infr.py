@@ -11,17 +11,17 @@ structure directly:
   frequency regions, multiplier) in normalized form -- the evolution
   equation couples each piece with an overall factor 2i, which is *not*
   included here.
-* ``phase`` evaluates the resonance function in the parameterization used
-  by the frequency-restricted operator estimates: the sign of omega is
-  flipped on conjugated slots.  ``oscillation_phase`` evaluates the phase
-  of the factor e^{i s Phi} actually present in the profile time integrand
-  (no flip; the conjugated-slot value conj(V_hat(-xi_2)) oscillates like a
-  plain slot because omega is odd).  The two agree on the quadratic pieces
-  and differ by 2 omega(xi_2) on the cubic ones.
 * ``term_values_on_lattice`` materializes the individual lattice tuples of
   one term application (indices, phases, kernels, values), and
   ``split_resonant`` partitions them by a threshold on |Phi|.  It is the
-  only place that enumerates tuples.
+  only place that enumerates tuples.  Each tuple carries two phases.
+  ``phase`` is the resonance function in the parameterization used by the
+  frequency-restricted operator estimates: the sign of omega is flipped on
+  conjugated slots.  ``osc_phase`` is the phase of the factor e^{i s Phi}
+  actually present in the profile time integrand (no flip; the
+  conjugated-slot value conj(V_hat(-xi_2)) oscillates like a plain slot
+  because omega is odd).  The two agree on the quadratic pieces and differ
+  by 2 omega(xi_2) on the cubic ones.
 * ``apply_T_sigma``, ``apply_T_alpha_M`` and ``dyadic_sigma_from_restricted``
   apply a term with a weight on the resonance function: <Phi>^{-sigma}, the
   window indicator |Phi - alpha| < M, and the dyadic-shell reconstruction of
@@ -46,7 +46,6 @@ tuples in enumeration order (i1, then i2, then output index), which
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -105,7 +104,7 @@ def bo_terms():
     xi_1 > 1, xi_2 + xi_3 < 0, multiplier (xi_2 + xi_3) xi_3, and the second
     slot conjugated.  Q-/C- are the sign mirrors.  The evolution right-hand
     side on the high bands is 2i (Q_pm + C_pm) plus a mean-product correction
-    (see gauge.rhs_exact).
+    (see gauge.rhs_exact_coeffs).
     """
     return {
         "Q+": NonlinearTerm("Q+", 2, (False, False), "+hi", ("+hi", "-")),
@@ -113,37 +112,6 @@ def bo_terms():
         "C+": NonlinearTerm("C+", 3, (False, True, False), "+hi", ("+hi", None, None), "-"),
         "C-": NonlinearTerm("C-", 3, (False, True, False), "-hi", ("-hi", None, None), "+"),
     }
-
-
-def phase(term, output_xi, slot_xis):
-    """Resonance function, restricted-operator parameterization.
-
-    Phi = omega(xi) - sum_j s_j omega(xi_j) with s_j = -1 on conjugated
-    slots and +1 otherwise, over convolution frequencies summing to xi.
-    Scalars or broadcastable arrays.
-    """
-    slot_xis = [np.asarray(x, dtype=float) for x in slot_xis]
-    if len(slot_xis) != term.arity:
-        raise ValueError(f"{term.name} takes {term.arity} slot frequencies, got {len(slot_xis)}")
-    out = np.asarray(output_xi, dtype=float)
-    total = sum(slot_xis)
-    if not np.allclose(total, out, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(out))))):
-        raise ValueError("slot frequencies must sum to the output frequency")
-    ph = dispersion(out)
-    for s, x in zip(term.phase_signs(), slot_xis):
-        ph = ph - s * dispersion(x)
-    return float(ph) if np.ndim(ph) == 0 else ph
-
-
-def oscillation_phase(term, output_xi, slot_xis):
-    """Phase of the e^{i s Phi} factor in the profile time integrand (no flip)."""
-    slot_xis = [np.asarray(x, dtype=float) for x in slot_xis]
-    if len(slot_xis) != term.arity:
-        raise ValueError(f"{term.name} takes {term.arity} slot frequencies, got {len(slot_xis)}")
-    ph = dispersion(np.asarray(output_xi, dtype=float))
-    for x in slot_xis:
-        ph = ph - dispersion(x)
-    return float(ph) if np.ndim(ph) == 0 else ph
 
 
 # ---------------------------------------------------------------------------

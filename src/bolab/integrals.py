@@ -98,13 +98,6 @@ def quad_integral_J(alpha, M, s, eps, cutoff, mesh=96):
 # cubic
 
 
-def _cubic_phase(xi, x1, xi2):
-    """Phi at fixed output xi, high slot x1, and middle frequency xi2."""
-    xi3 = xi - x1 - xi2
-    return (np.abs(xi) * xi - np.abs(x1) * x1
-            + np.abs(xi2) * xi2 - np.abs(xi3) * xi3)
-
-
 def _cubic_window(xi, x1, t):
     """The xi2 with Phi(xi2) = t, for x1 > xi > 1 (Phi strictly increasing).
 

@@ -1,4 +1,4 @@
-"""Normal form expansion trees and truncation residuals for the gauged flow.
+"""Truncation residuals of the normal form expansion of the gauged flow.
 
 The profile W(t) = e^{it omega} V_hat(t) of the truncated band system
 (:func:`bolab.gauge.rhs_terms_total_coeffs`) satisfies, tuple by tuple on the
@@ -7,22 +7,18 @@ frequency lattice,
     d/dt W(t, xi) = sum_tuples e^{i t Phi} * 2i * K * prod_slots W(t, xi_j)
                     + (low-band forcing),
 
-with Phi the oscillation phase of the tuple (:func:`bolab.infr
-.oscillation_phase`).  The infinite normal form reduction splits the tuples
+with Phi the oscillation phase of the tuple (``TermValues.osc_phase`` of
+:mod:`bolab.infr`).  The infinite normal form reduction splits the tuples
 at |Phi| = N, integrates the nonresonant part by parts (boundary terms plus a
 remainder in which the time derivative falls on one slot), substitutes the
 equation back into the differentiated slot, and repeats with thresholds
-c_J |Phi_1|^delta at depth J.  Two layers live here:
+c_J |Phi_1|^delta at depth J.  :func:`nfe_residual` measures, on a stored
+trajectory, how much of W(T) - W(0) the depth-J truncation explains.  The
+tuples of each depth are held as flat batches (``_Batch``); ``_compose``
+builds a depth from the one above it, and is the one place that applies the
+composition rule (a conjugated slot flips the child's conjugation flags).
 
-* a symbolic layer (:class:`TermNode`, :func:`initial_trees`,
-  :func:`expand_infr`, :func:`trees_to_json`) that records the bookkeeping of
-  the expansion -- composition records, marked derivative slots, accumulated
-  phase denominators, conjugation patterns -- without touching data;
-
-* a numeric layer (:func:`nfe_residual`) that measures, on a stored
-  trajectory, how much of W(T) - W(0) the depth-J truncation explains.
-
-The numeric layer exploits a telescoping identity: with every kept integral
+The residual rests on a telescoping identity: with every kept integral
 and boundary term evaluated through the same integration-by-parts identity
 used to define it, the depth-J truncation collapses to
 
@@ -46,7 +42,6 @@ right side, and the low-band part of that read simply stays inside the kept
 integrand at every depth.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,182 +49,6 @@ import numpy as np
 from .spectral import SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
 from .infr import COUPLING, bo_terms, term_values_on_lattice
-
-
-# ---------------------------------------------------------------------------
-# symbolic expansion trees
-
-
-@dataclass(frozen=True)
-class TermNode:
-    """One node of the expansion bookkeeping.
-
-    ``composition`` starts with a base term name and appends (slot, name)
-    pairs, each meaning "the time derivative fell on `slot` of the current
-    pattern and the equation was substituted there"; name "lo" marks a kept
-    low-band read.  ``kind`` is "resonant" (kept integrand), "boundary"
-    (kept endpoint evaluation), "remainder" (time derivative still unresolved
-    on ``marked_slot``) or "low" (kept low-band part, never expanded).
-    ``denominators`` lists the expansion depths whose phase divides the node,
-    one factor 1/(i Phi_level) each; ``threshold`` records the phase split
-    that created the node.
-    """
-
-    level: int
-    kind: str
-    composition: tuple
-    marked_slot: int = -1
-    denominators: tuple = ()
-    threshold: str = ""
-
-    def arity(self):
-        if self.composition[0] == "lo":
-            return 1
-        terms = bo_terms()
-        k = terms[self.composition[0]].arity
-        for _slot, name in self.composition[1:]:
-            if name != "lo":
-                k = k - 1 + terms[name].arity
-        return k
-
-    def conj_pattern(self):
-        """Conjugation flags of the fully composed slot pattern."""
-        if self.composition[0] == "lo":
-            return (False,)
-        terms = bo_terms()
-        pattern = list(terms[self.composition[0]].conj)
-        for slot, name in self.composition[1:]:
-            if not 0 <= slot < len(pattern):
-                raise ValueError(
-                    f"composition substitutes slot {slot} of a "
-                    f"{len(pattern)}-slot pattern"
-                )
-            if name == "lo":
-                continue  # the slot stays in place as a low-band read
-            child = list(terms[name].conj)
-            if pattern[slot]:
-                child = [not c for c in child]
-            pattern[slot:slot + 1] = child
-        return tuple(pattern)
-
-    def to_dict(self):
-        return {
-            "level": self.level,
-            "kind": self.kind,
-            "composition": [self.composition[0]]
-            + [[s, name] for s, name in self.composition[1:]],
-            "marked_slot": self.marked_slot,
-            "denominators": list(self.denominators),
-            "threshold": self.threshold,
-            "arity": self.arity(),
-            "conjugated_slots": [int(c) for c in self.conj_pattern()],
-        }
-
-
-def _threshold_label(level, params, resonant):
-    op = "<" if resonant else ">="
-    if level == 1:
-        return f"|Phi_1| {op} {params.N_threshold:g}"
-    if params.feasible:
-        return f"|Phi_{level}| {op} {params.c(level):g} |Phi_1|^{params.delta:g}"
-    return f"|Phi_{level}| {op} c_{level} |Phi_1|^delta (infeasible parameters)"
-
-
-def _phase_split(level, comp, denominators, params):
-    """The phase split of one composition at depth ``level``: its kept
-    resonant node, then the boundary node and one remainder node per slot
-    of the integration by parts, which carry the level-``level`` phase."""
-    kept = TermNode(level, "resonant", comp, -1, denominators,
-                    _threshold_label(level, params, True))
-    non = _threshold_label(level, params, False)
-    deeper = denominators + (level,)
-    return [kept, TermNode(level + 1, "boundary", comp, -1, deeper, non)] + [
-        TermNode(level + 1, "remainder", comp, j, deeper, non)
-        for j in range(kept.arity())]
-
-
-def initial_trees(params):
-    """Level-1 split of the profile equation.
-
-    Returns the kept low-band node, one resonant node per term, and the
-    boundary/remainder bookkeeping of the first integration by parts.
-    """
-    nodes = [TermNode(1, "low", ("lo",), -1, (), "kept: low band, never expanded")]
-    for name in sorted(bo_terms()):
-        nodes += _phase_split(1, (name,), (), params)
-    return nodes
-
-
-def expand_infr(trees, params):
-    """Substitute the equation into every remainder tree, one depth down.
-
-    Each remainder node at level J (time derivative on ``marked_slot``)
-    produces four substitution trees -- the marked slot replaced by each of
-    Q+, Q-, C+, C- -- recorded by their kept resonant node at level J plus
-    the boundary and remainder bookkeeping of the next integration by parts
-    at level J+1, and one kept "low" node for the low-band part of the
-    substituted right side, which is never expanded.  Nodes of other kinds
-    are terminal and contribute nothing.
-    """
-    out = []
-    names = sorted(bo_terms())
-    for node in trees:
-        if node.kind != "remainder":
-            continue
-        for name in names:
-            comp = node.composition + ((node.marked_slot, name),)
-            out += _phase_split(node.level, comp, node.denominators, params)
-        out.append(TermNode(node.level, "low",
-                            node.composition + ((node.marked_slot, "lo"),),
-                            -1, node.denominators,
-                            "kept: low-band slot, never expanded"))
-    return out
-
-
-def trees_to_json(trees):
-    """Deterministic JSON dump of a tree collection."""
-    def key(node):
-        return (node.level, node.kind, repr(node.composition), node.marked_slot)
-
-    return json.dumps([n.to_dict() for n in sorted(trees, key=key)],
-                      indent=1, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# predicted sizes
-
-
-def predicted_term_bound(J, params, M_norm, difference=False,
-                         kind="resonant", arity=2):
-    """Predicted size of the depth-J terms on data of norm ``M_norm``.
-
-    Resonant and boundary terms at depth J carry the factor
-    N^(-theta - delta theta (J-2) + delta beta); the unexpanded remainder at
-    depth J carries N^(delta (beta - 1)).  The accompanying norm power is
-    J (arity-1) + 1; with ``difference=True`` the bound is the Lipschitz
-    prefactor (||u|| and ||v|| both at M_norm), i.e. the coefficient of
-    ||u - v|| rather than a size: 2 M^(J (arity-1)).
-    """
-    if not isinstance(J, int) or J < 1:
-        raise ValueError("J must be a positive integer")
-    if not params.feasible:
-        raise ValueError(params.message)
-    if kind in ("resonant", "boundary"):
-        exponent = (-params.theta - params.delta * params.theta * (J - 2)
-                    + params.delta * params.beta)
-    elif kind == "remainder":
-        exponent = params.delta * (params.beta - 1.0)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    power = J * (arity - 1) + 1
-    scale = float(params.N_threshold) ** exponent
-    if difference:
-        return scale * 2.0 * float(M_norm) ** (power - 1)
-    return scale * float(M_norm) ** power
-
-
-# ---------------------------------------------------------------------------
-# numeric residuals
 
 
 @dataclass

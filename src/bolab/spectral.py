@@ -236,11 +236,6 @@ def antiderivative_symbol(grid):
     return sym
 
 
-def propagator_symbol(grid, t):
-    """Solution propagator exp(-i t |xi| xi) of u_t + H u_xx = 0."""
-    return np.exp(-1j * t * dispersion(grid.xi))
-
-
 def hilbert(field):
     return apply_multiplier(field, hilbert_symbol(field.grid))
 
@@ -367,14 +362,6 @@ def from_padded(samples, pgrid):
 def dealiased_product(c1, c2, pgrid):
     """Dealiased product of two base-band coefficient arrays."""
     return from_padded(to_padded(c1, pgrid) * to_padded(c2, pgrid), pgrid)
-
-
-def product_field(f, g):
-    """Dealiased pointwise product of two fields (exact convolution on the band)."""
-    f._same_grid(g)
-    base = f.grid
-    prod = dealiased_product(f.coeffs, g.coeffs, padded_grid(base))
-    return SpectralField(base, prod)
 
 
 # -- files ---------------------------------------------------------------------

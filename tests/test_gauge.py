@@ -15,14 +15,11 @@ from bolab.gauge import (
     antiderivative,
     gauge_forward,
     gauge_inverse,
-    mean_w_squared,
     profile_time_derivative_sup,
     rhs_cubic,
-    rhs_exact,
     rhs_exact_coeffs,
-    rhs_low,
     rhs_quadratic,
-    rhs_terms_total,
+    rhs_terms_total_coeffs,
 )
 from bolab.spectral import (
     SpectralField,
@@ -289,35 +286,6 @@ def test_rhs_cubic_homogeneity():
     assert np.max(np.abs(out2.coeffs - 8.0 * out1.coeffs)) < 1e-12
 
 
-# -- low band -----------------------------------------------------------------
-
-def test_rhs_low_hand_values():
-    # u = cos x (u_hat(+-1) = pi), V_hat(2) = d, V_hat(-2) = c:
-    # out(1) = i d / 2 and out(-1) = -i c / 2.
-    g = make_grid(16, np.pi)
-    u = to_spectral(np.cos(g.x), g)
-    d = 0.25 - 0.1j
-    c = -0.3 + 0.05j
-    out = rhs_low(field_from_modes(g, {2: d, -2: c}), u)
-    expected = np.zeros(g.n, dtype=complex)
-    expected[1 + g.n // 2] = 1j * d / 2
-    expected[-1 + g.n // 2] = -1j * c / 2
-    assert np.max(np.abs(out.coeffs - expected)) < 1e-14
-
-
-def test_rhs_low_support_and_bound():
-    # the low band output carries coefficients bounded by ||V_x|| ||u||
-    g = make_grid(128, 4 * np.pi)
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        u = 0.7 * random_real_field(g, rng)
-        V = gauge_forward(u).V
-        out = rhs_low(V, u)
-        assert np.max(np.abs(project(out, "hi").coeffs)) == 0.0
-        bound = sobolev_norm(derivative(V), 0) * sobolev_norm(u, 0)
-        assert np.max(np.abs(out.coeffs)) <= bound * (1 + 1e-9)
-
-
 # -- exact right side ---------------------------------------------------------
 
 def test_rhs_exact_chain_rule_identity():
@@ -345,13 +313,23 @@ def test_rhs_exact_chain_rule_identity():
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
 
+def mean_w_squared(V):
+    """Complex mean over the torus of W^2, W = (1 + conj V) V_x, with the
+    samples taken through the lattice-order path of `lattice_order`."""
+    pg = padded_grid(V.grid)
+    vs = lattice_order.to_padded(V.coeffs, pg)
+    dvs = lattice_order.to_padded(V.coeffs * (1j * V.grid.xi), pg)
+    ws = (1.0 + np.conj(vs)) * dvs
+    return complex(np.mean(ws * ws))
+
+
 def test_rhs_exact_plus_band_is_quadratic_plus_cubic():
     # P_{+hi} of the exact right side == 2i(Q_+ + C_+) - i mean(W^2) V_+
     g = make_grid(128, np.pi)
     rng = np.random.default_rng(33)
     for _ in range(5):
         V = random_complex_field(g, rng, kmax=40, amp=0.2)
-        full = rhs_exact(V)
+        full = SpectralField(g, rhs_exact_coeffs(V.coeffs, g))
         mw2 = mean_w_squared(V)
         band = project(full, "+hi").coeffs
         expected = (
@@ -366,8 +344,8 @@ def test_rhs_terms_total_band_structure():
     g = make_grid(64, np.pi)
     rng = np.random.default_rng(40)
     V = random_complex_field(g, rng, kmax=20, amp=0.1)
-    total = rhs_terms_total(V)
-    full = rhs_exact(V)
+    total = SpectralField(g, rhs_terms_total_coeffs(V.coeffs, g))
+    full = SpectralField(g, rhs_exact_coeffs(V.coeffs, g))
     # low band comes from the exact right side
     assert (
         np.max(np.abs(project(total, "lo").coeffs - project(full, "lo").coeffs))
@@ -395,7 +373,7 @@ def test_rhs_terms_total_fused_matches_piecewise_oracle(n):
     rng = np.random.default_rng(n)
     for amp in (0.05, 1.0):
         V = random_complex_field(g, rng, amp=amp)
-        got = rhs_terms_total(V).coeffs
+        got = rhs_terms_total_coeffs(V.coeffs, g)
         want = _band_oracle(V)
         lo = region_mask(g.xi, "lo")
         # the low band is the exact right side, operation for operation

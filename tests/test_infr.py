@@ -2,6 +2,8 @@
 
 The brute-force oracle below enumerates every lattice tuple with plain python
 index arithmetic, independently of the vectorized summation kernels.
+``phase`` and ``oscillation_phase`` evaluate the two phases of one tuple from
+its frequencies, the oracle of ``TermValues.phase`` and ``osc_phase``.
 """
 
 import numpy as np
@@ -17,12 +19,10 @@ from bolab.infr import (
     gamma_cubic,
     gamma_quadratic,
     infr_params,
-    oscillation_phase,
-    phase,
     split_resonant,
     term_values_on_lattice,
 )
-from bolab.spectral import Grid, SpectralField, region_mask
+from bolab.spectral import Grid, SpectralField, dispersion, region_mask
 
 
 def field_from_modes(grid, modes):
@@ -42,6 +42,37 @@ def random_complex_field(grid, rng, kmax):
 
 def omega(x):
     return abs(x) * x
+
+
+def phase(term, output_xi, slot_xis):
+    """Resonance function, restricted-operator parameterization.
+
+    Phi = omega(xi) - sum_j s_j omega(xi_j) with s_j = -1 on conjugated
+    slots and +1 otherwise, over convolution frequencies summing to xi.
+    Scalars or broadcastable arrays.
+    """
+    slot_xis = [np.asarray(x, dtype=float) for x in slot_xis]
+    if len(slot_xis) != term.arity:
+        raise ValueError(f"{term.name} takes {term.arity} slot frequencies, got {len(slot_xis)}")
+    out = np.asarray(output_xi, dtype=float)
+    total = sum(slot_xis)
+    if not np.allclose(total, out, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(out))))):
+        raise ValueError("slot frequencies must sum to the output frequency")
+    ph = dispersion(out)
+    for s, x in zip(term.phase_signs(), slot_xis):
+        ph = ph - s * dispersion(x)
+    return float(ph) if np.ndim(ph) == 0 else ph
+
+
+def oscillation_phase(term, output_xi, slot_xis):
+    """Phase of the e^{i s Phi} factor in the profile time integrand (no flip)."""
+    slot_xis = [np.asarray(x, dtype=float) for x in slot_xis]
+    if len(slot_xis) != term.arity:
+        raise ValueError(f"{term.name} takes {term.arity} slot frequencies, got {len(slot_xis)}")
+    ph = dispersion(np.asarray(output_xi, dtype=float))
+    for x in slot_xis:
+        ph = ph - dispersion(x)
+    return float(ph) if np.ndim(ph) == 0 else ph
 
 
 def brute_slot_value(term, inputs, j, i):
@@ -368,6 +399,28 @@ def test_brute_force_cubic():
         got = apply_T_alpha_M(terms[name], (V1, V2, V3), -6.0, 30.0)
         scale = max(np.abs(want).max(), 1e-30)
         assert np.abs(got.coeffs - want).max() <= 1e-12 * scale
+
+
+def test_active_mode_cutoff_keeps_a_small_tail():
+    # A 1e-12 tail at |k| = 9 sits above the 1e-14 relative cutoff of the
+    # enumerated slots, so the outputs it alone reaches must be there too.
+    # Each output is compared relative to its own size: a cutoff that drops
+    # the tail loses those outputs whole (relative error 1).
+    g = Grid(32, np.pi)
+    rng = np.random.default_rng(17)
+    modes = {k: rng.standard_normal() + 1j * rng.standard_normal()
+             for k in (-5, -3, 3, 5)}
+    for k in (-9, 9):
+        modes[k] = 1e-12 * (rng.standard_normal() + 1j * rng.standard_normal())
+    V = field_from_modes(g, modes)
+    for name, term in bo_terms().items():
+        want = brute_weighted(term, (V,) * term.arity,
+                              lambda ph: (1.0 + np.asarray(ph) ** 2) ** (-0.375))
+        got = apply_T_sigma(term, V, 0.75).coeffs
+        lit = want != 0.0
+        assert np.any(lit & (np.abs(want) < 1e-6 * np.abs(want).max())), name
+        rel = np.abs(got[lit] - want[lit]) / np.abs(want[lit])
+        assert rel.max() <= 1e-12, name
 
 
 def test_zero_inputs_give_zero():

@@ -6,7 +6,6 @@ import pytest
 
 from bolab.integrals import (
     _cubic_inner,
-    _cubic_phase,
     _cubic_window,
     _quad_inner,
     cubic_integral_I,
@@ -16,6 +15,13 @@ from bolab.integrals import (
 
 def jap(x):
     return np.sqrt(1.0 + x * x)
+
+
+def _cubic_phase(xi, x1, xi2):
+    """Phi at fixed output xi, high slot x1, and middle frequency xi2."""
+    xi3 = xi - x1 - xi2
+    return (np.abs(xi) * xi - np.abs(x1) * x1
+            + np.abs(xi2) * xi2 - np.abs(xi3) * xi3)
 
 
 def fitted_slope(xs, ys):

@@ -1,16 +1,14 @@
-"""Tests for the normal form expansion layer.
+"""Tests for the normal form residual engine.
 
-Symbolic trees are checked against hand counts (8 substitution trees per
-quadratic parent, composed arities, conjugation flips).  The numeric engine
-is checked three ways: a closed-form single-tuple evaluation of the
+The engine is checked three ways: a closed-form single-tuple evaluation of the
 integration-by-parts quadrature, hand-composed tuples (indices, phases,
 coefficients) for the substitution step, and a full independent evaluation
 of the depth-1 truncation by the plain route (trapezoid of the nonresonant
-integrand plus explicit boundary endpoints).
+integrand plus explicit boundary endpoints).  The composition rule (a
+conjugated slot flips the child's conjugation flags) lives only in
+``_compose``, and the conjugated-slot hand values check it there.
 """
 
-import json
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,22 +18,15 @@ from bolab.dynamics import Trajectory, evolve_gauged
 from bolab.gauge import rhs_terms_total_coeffs
 from bolab.infr import COUPLING, bo_terms, infr_params, term_values_on_lattice
 from bolab.nfe import (
-    TermNode,
     _Batch,
     _child_index,
     _compose,
     _compose_estimate,
     _ibp_trapz,
     _trapz_weights,
-    expand_infr,
-    initial_trees,
     nfe_residual,
-    predicted_term_bound,
-    trees_to_json,
 )
 from bolab.spectral import Grid, SpectralField, dispersion, sobolev_norm
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def field_from_modes(grid, modes):
@@ -56,119 +47,6 @@ def band_field(grid, rng, kmin, kmax, amplitude, decay=1.0):
         z = rng.standard_normal() + 1j * rng.standard_normal()
         c[half + k] = amplitude * z / (1.0 + abs(k)) ** decay
     return SpectralField(grid, c)
-
-
-# ---------------------------------------------------------------------------
-# symbolic trees
-
-
-def test_initial_trees_census():
-    p = infr_params(0.5, 0.0)
-    nodes = initial_trees(p)
-    census = {}
-    for node in nodes:
-        census[(node.kind, node.level)] = census.get((node.kind, node.level), 0) + 1
-    assert census[("low", 1)] == 1
-    assert census[("resonant", 1)] == 4
-    assert census[("boundary", 2)] == 4
-    assert census[("remainder", 2)] == 10  # 2 + 2 quadratic slots, 3 + 3 cubic
-    assert len(nodes) == 19
-    for node in nodes:
-        if node.kind in ("boundary", "remainder"):
-            assert node.denominators == (1,)
-            assert "|Phi_1| >= 1000" in node.threshold
-        else:
-            assert node.denominators == ()
-    assert {n.composition[0] for n in nodes} == {"lo", "Q+", "Q-", "C+", "C-"}
-
-
-def test_node_arity_and_conjugation():
-    q = TermNode(1, "resonant", ("Q+",))
-    assert q.arity() == 2 and q.conj_pattern() == (False, False)
-    c = TermNode(1, "resonant", ("C+",))
-    assert c.arity() == 3 and c.conj_pattern() == (False, True, False)
-    # substitution into a plain slot splices the child pattern unchanged
-    qc = TermNode(2, "resonant", ("Q+", (1, "C+")))
-    assert qc.arity() == 4
-    assert qc.conj_pattern() == (False, False, True, False)
-    # substitution into a conjugated slot flips the child pattern
-    cq = TermNode(2, "resonant", ("C+", (1, "Q+")))
-    assert cq.arity() == 4
-    assert cq.conj_pattern() == (False, True, True, False)
-    # a kept low read leaves the slot in place
-    qlo = TermNode(2, "low", ("Q+", (0, "lo")))
-    assert qlo.arity() == 2 and qlo.conj_pattern() == (False, False)
-    with pytest.raises(ValueError):
-        TermNode(2, "resonant", ("Q+", (7, "Q+"))).conj_pattern()
-
-
-def test_expand_quadratic_parent_counts():
-    p = infr_params(0.5, 0.0)
-    remainders = [n for n in initial_trees(p)
-                  if n.kind == "remainder" and n.composition == ("Q+",)]
-    assert len(remainders) == 2
-    out = expand_infr(remainders, p)
-    res = [n for n in out if n.kind == "resonant"]
-    bdry = [n for n in out if n.kind == "boundary"]
-    rem = [n for n in out if n.kind == "remainder"]
-    low = [n for n in out if n.kind == "low"]
-    # 2 marked slots x 4 terms = 8 substitution trees
-    assert len(res) == 8
-    assert len({n.composition for n in res}) == 8
-    assert len(bdry) == 8
-    assert len(low) == 2
-    # composed arities: Q o Q has 3 slots, Q o C has 4
-    assert sorted(n.arity() for n in res) == [3, 3, 3, 3, 4, 4, 4, 4]
-    assert len(rem) == 2 * (3 + 3 + 4 + 4)
-    for n in res:
-        assert n.level == 2 and n.denominators == (1,)
-        assert "6561" in n.threshold  # c_2 = 3^(2/theta) at theta = 1/4
-    for n in bdry:
-        assert n.level == 3 and n.denominators == (1, 2)
-    assert all(n.composition[-1][1] == "lo" for n in low)
-    # non-remainder nodes are terminal
-    assert expand_infr(res + bdry + low, p) == []
-
-
-def test_tree_json_golden():
-    p = infr_params(0.5, 0.0)
-    remainders = [n for n in initial_trees(p)
-                  if n.kind == "remainder" and n.composition == ("Q+",)]
-    dump = trees_to_json(expand_infr(remainders, p))
-    with open(os.path.join(DATA_DIR, "nfe_trees_qplus.json")) as fh:
-        frozen = fh.read()
-    assert dump == frozen
-    # and the payload is well-formed JSON with the expected node count
-    assert len(json.loads(dump)) == 46
-
-
-# ---------------------------------------------------------------------------
-# predicted bounds
-
-
-def test_predicted_bound_pinned_values():
-    p = infr_params(0.5, 0.0)  # theta = 1/4, delta = 1/4, beta = 1/2, N = 1000
-    # exponent -theta + delta*beta = -1/8; 1000^(-1/8):
-    base = 0.4216965034285822
-    assert abs(predicted_term_bound(2, p, 1.0) - base) < 1e-15
-    # J = 3: -theta - delta*theta + delta*beta = -3/16; 1000^(-3/16):
-    assert abs(predicted_term_bound(3, p, 1.0) - 0.27384196342643613) < 1e-15
-    # norm power J(k-1)+1 = 3 at M = 3, and the difference prefactor 2 M^2
-    assert abs(predicted_term_bound(2, p, 3.0) - 11.385805592571721) < 1e-12
-    assert abs(predicted_term_bound(2, p, 3.0, difference=True)
-               - 7.59053706171448) < 1e-12
-    # cubic arity: power 2*2+1 = 5
-    assert abs(predicted_term_bound(2, p, 2.0, arity=3) - base * 32.0) < 1e-12
-    # at the default sigma midpoint the remainder exponent delta*(beta-1)
-    # coincides with the resonant one (both are -theta/2)
-    assert predicted_term_bound(2, p, 1.0, kind="remainder") == \
-        pytest.approx(base, rel=1e-14)
-    with pytest.raises(ValueError):
-        predicted_term_bound(0, p, 1.0)
-    with pytest.raises(ValueError):
-        predicted_term_bound(2, p, 1.0, kind="bogus")
-    with pytest.raises(ValueError, match="Assumption 1"):
-        predicted_term_bound(2, infr_params(0.5, 0.4), 1.0)
 
 
 # ---------------------------------------------------------------------------

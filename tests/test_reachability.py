@@ -1,0 +1,110 @@
+"""Every public top-level function and class of bolab has a caller.
+
+A public name of ``src/bolab`` counts as reached when one of these refers to
+it: the package itself (outside the name's own definition), the demos, the
+benchmark harness, or the acceptance gates.  The other tests do not count:
+a reference implementation that only a test compares against belongs in that
+test, not in the library.
+
+References are read with ``ast``: names, attribute accesses, imported names,
+and string constants that spell a name or a dotted path ending in one (the
+benchmark tracer names its targets that way).  Docstrings, comments and
+``__all__`` lists do not count.  Names are matched by spelling, so a
+function that shares its name with an attribute read elsewhere (``phase``,
+say) counts as reached.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bolab"
+CALLERS = [ROOT / "demos", ROOT / "benchmarks", ROOT / "tests" / "test_acceptance.py"]
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_export_list(node):
+    return (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets))
+
+
+def _references(tree):
+    """Names a syntax tree refers to, skipping docstrings and ``__all__``."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)):
+                docstrings.add(id(body[0].value))
+    skipped = set()
+    for node in ast.walk(tree):
+        if _is_export_list(node):
+            skipped.update(id(sub) for sub in ast.walk(node))
+    refs = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings
+              and _DOTTED.fullmatch(node.value)):
+            refs.update(node.value.split("."))
+    return refs
+
+
+def _definitions():
+    """(module, name) of every public top-level def and class."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _parse(path).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                out.append((path.stem, stmt.name))
+    return out
+
+
+def _package_references():
+    """References inside the package, each statement's own name left out."""
+    refs = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _parse(path).body:
+            own = getattr(stmt, "name", None)
+            refs |= _references(stmt) - {own}
+    return refs
+
+
+def _caller_references():
+    refs = set()
+    for place in CALLERS:
+        files = [place] if place.is_file() else sorted(place.rglob("*.py"))
+        for path in files:
+            refs |= _references(_parse(path))
+    return refs
+
+
+def test_every_public_name_is_reached():
+    definitions = _definitions()
+    callers = _caller_references()
+    # a scan that found nothing would pass vacuously
+    assert len(definitions) > 50
+    assert {"main", "nfe_residual", "evolve_gauged"} <= callers
+    reached = _package_references() | callers
+    unreached = [f"bolab.{module}.{name}"
+                 for module, name in definitions if name not in reached]
+    assert not unreached, (
+        "public names that only tests (or nothing) reach; delete them or "
+        f"move the reference implementation into its test: {unreached}")
