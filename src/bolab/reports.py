@@ -135,12 +135,6 @@ class EstimateReport:
             "verdict": self.verdict,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["experiment"], d["params"], list(d["samples"]),
-                   {k: PowerFit(**f) for k, f in d["fits"].items()},
-                   dict(d["checks"]), list(d["notes"]))
-
     def summary(self):
         bits = []
         for name, f in sorted(self.fits.items()):

@@ -136,24 +136,16 @@ class SpectralField:
     def __neg__(self):
         return SpectralField(self.grid, -self.coeffs)
 
-    def conj_reflected(self):
-        """The field whose coefficients are conj(u_hat(-xi)).
-
-        For a real-valued function this is the field itself; in general it is
-        the transform of the complex conjugate of the physical-space function.
-        """
-        return SpectralField(self.grid, conj_reflect(self.coeffs))
-
-    def reality_residual(self):
-        """Max deviation from conjugate symmetry (0 for real-valued fields)."""
-        return float(np.max(np.abs(self.coeffs - self.conj_reflected().coeffs)))
-
     def __repr__(self):
         return f"SpectralField(grid={self.grid!r}, ||.||={sobolev_norm(self, 0):.3e})"
 
 
 def conj_reflect(c):
-    """Coefficients conj(c(-xi)); the unpaired Nyquist slot is zero."""
+    """Coefficients conj(c(-xi)); the unpaired Nyquist slot is zero.
+
+    These are the coefficients of the complex conjugate of the
+    physical-space function, so a real-valued function is its own image.
+    """
     out = np.zeros_like(c)
     out[1:] = np.conj(c[1:][::-1])
     return out

@@ -17,8 +17,8 @@ from bolab.experiments import (bump_shape, lemma21_experiment,
                                rough_real_data, smoothing_experiment,
                                unit_rough_field, verify_operator_estimate)
 from bolab.dynamics import evolve_gauged_batch
-from bolab.reports import EstimateReport
 from bolab.spectral import Grid, sobolev_norm, to_physical
+from test_reports import report_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_smoothing_report_smoke():
     kinds = [r["kind"] for r in rep.samples]
     assert kinds.count("remainder_sup") == 2 and kinds.count("initial_norm") == 2
     # serialization round-trip keeps the verdict computable from stored data
-    back = EstimateReport.from_dict(json.loads(rep.json_text()))
+    back = report_from_dict(json.loads(rep.json_text()))
     assert back.verdict == rep.verdict
 
 

@@ -17,12 +17,16 @@ for ``nfe``'s ``quadrature_error`` (and its depth-0 sample), which is a
 cancellation-level number and is measured as absolute.
 """
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 
+import bolab
 from bolab.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -66,6 +70,50 @@ def test_reports_match_golden(command, tmp_path, capsys):
     assert sorted(fresh) == sorted(golden)
     for name, data in golden.items():
         assert fresh[name] == data, f"{command}/{name} differs from golden"
+
+
+# Runs the nfe golden case and also writes the raw bytes of every remainder
+# vector of the residual quadrature, which the reports round away.
+_NFE_WITH_REMAINDERS = """
+import pathlib, sys
+from bolab import cli, nfe
+inner, raw = nfe._ibp_trapz, []
+def spy(*args):
+    out = inner(*args)
+    raw.append(out.tobytes())
+    return out
+nfe._ibp_trapz = spy
+code = cli.main(sys.argv[1:])
+pathlib.Path("out", "remainders.bin").write_bytes(b"".join(raw))
+sys.exit(code)
+"""
+
+
+def test_nfe_reports_do_not_depend_on_blas_threads(tmp_path):
+    """The ``nfe`` golden case, run in fresh processes with one and with two
+    OpenBLAS threads, writes the same report bytes and the same remainder
+    vectors.  A BLAS product (``matmul``, ``einsum(optimize=True)``) in the
+    residual quadrature sums in an order that depends on the thread count
+    and the core type; the remainder bytes show it even where the reports'
+    17 digits do not."""
+    src = str(pathlib.Path(bolab.__file__).resolve().parent.parent)
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        subprocess.run(
+            [sys.executable, "-c", _NFE_WITH_REMAINDERS,
+             "nfe", *CASES["nfe"], "--output-dir", "out"],
+            cwd=cwd, env=env, check=True, capture_output=True)
+        runs.append({p.name: p.read_bytes()
+                     for p in sorted((cwd / "out").iterdir())})
+    assert sorted(runs[0]) == ["nfe.csv", "nfe.json", "remainders.bin"]
+    assert runs[0]["remainders.bin"]
+    for name in sorted(runs[0]):
+        assert runs[0][name] == runs[1][name], f"{name} depends on the thread count"
 
 
 def regenerate():

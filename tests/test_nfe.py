@@ -1,12 +1,16 @@
 """Tests for the normal form residual engine.
 
-The engine is checked three ways: a closed-form single-tuple evaluation of the
-integration-by-parts quadrature, hand-composed tuples (indices, phases,
-coefficients) for the substitution step, and a full independent evaluation
-of the depth-1 truncation by the plain route (trapezoid of the nonresonant
-integrand plus explicit boundary endpoints).  The composition rule (a
-conjugated slot flips the child's conjugation flags) lives only in
-``_compose``, and the conjugated-slot hand values check it there.
+The engine is checked four ways: a closed-form single-tuple evaluation of the
+integration-by-parts quadrature, the grouped quadrature against the
+per-snapshot loop it replaced (``tests/ibp_oracle.py``), hand-composed tuples
+(indices, phases, coefficients) for the substitution step, and a full
+independent evaluation of the depth-1 truncation by the plain route
+(trapezoid of the nonresonant integrand plus explicit boundary endpoints).
+The composition rule (a conjugated slot flips the child's conjugation flags)
+lives only in ``_compose``, and the conjugated-slot hand values check it
+there.  The quadrature relies on every batch phase being omega(out) minus
+the omegas of its columns, which ``test_batch_phase_is_output_minus_columns``
+checks on every batch the engine builds.
 """
 
 from types import SimpleNamespace
@@ -15,7 +19,8 @@ import numpy as np
 import pytest
 
 from bolab.dynamics import Trajectory, evolve_gauged
-from bolab.gauge import rhs_terms_total_coeffs
+from bolab.experiments import rough_real_data
+from bolab.gauge import gauge_forward, rhs_terms_total_coeffs
 from bolab.infr import COUPLING, bo_terms, infr_params, term_values_on_lattice
 from bolab.nfe import (
     _Batch,
@@ -23,10 +28,14 @@ from bolab.nfe import (
     _compose,
     _compose_estimate,
     _ibp_trapz,
+    _lattice_phase_cap,
+    _level_one,
+    _time_series,
     _trapz_weights,
     nfe_residual,
 )
 from bolab.spectral import Grid, SpectralField, dispersion, sobolev_norm
+from ibp_oracle import ibp_trapz_loop
 
 
 def field_from_modes(grid, modes):
@@ -65,32 +74,151 @@ def test_trapz_weights():
 
 def test_ibp_evaluator_single_tuple():
     """Closed-form check of the integration-by-parts quadrature, with one
-    plain and one conjugated column."""
+    plain and one conjugated column; the phase is omega(out) minus the
+    omegas of the columns, as on every batch the engine builds."""
     g = Grid(8, np.pi)
     n = g.n
     times = np.linspace(0.0, 0.5, 11)
     rng = np.random.default_rng(7)
-    Vt = rng.standard_normal((11, n)) + 1j * rng.standard_normal((11, n))
-    Nt = rng.standard_normal((11, n)) + 1j * rng.standard_normal((11, n))
-    phi, coef = -4.0, 0.3 - 0.2j
-    read0, read1 = 5, 6
-    batch = _Batch(conj=(False, True), out_idx=np.array([3]),
-                   cols=np.array([[read0], [n - read1]]),
+    data = rng.standard_normal((11, n)) + 1j * rng.standard_normal((11, n))
+    rhs = rng.standard_normal((11, n)) + 1j * rng.standard_normal((11, n))
+    om = dispersion(g.xi)
+    carriers = np.exp(1j * times[:, None] * om[None, :])
+    w = _trapz_weights(times)
+    out, read0, read1 = 3, 5, 6
+    cols = np.array([[read0], [n - read1]])
+    phi = om[out] - om[cols[:, 0]].sum()
+    assert phi == pytest.approx(2.0)  # omega(-1) - omega(1) - omega(-2)
+    coef = 0.3 - 0.2j
+    batch = _Batch(conj=(False, True), out_idx=np.array([out]), cols=cols,
                    reads=np.array([[read0], [read1]]),
                    phase=np.array([phi]), phase1=np.array([abs(phi)]),
                    coef=np.array([complex(coef)]))
-    out = _ibp_trapz([batch], Vt, Nt, times)
+    got = _ibp_trapz([batch], data.T.copy(), rhs.T.copy(),
+                     (w[:, None] * carriers).T.copy())
 
-    w = _trapz_weights(times)
+    # the rotated profiles W = e^{i t omega} V_hat, rotated by the tuple phase
+    Vt, Nt = carriers * data, carriers * rhs
     expect = 0.0
     for i, t in enumerate(times):
         a, da = Vt[i][read0], Nt[i][read0]
         b, db = np.conj(Vt[i][read1]), np.conj(Nt[i][read1])
         expect += w[i] * np.exp(1j * t * phi) * (da * b + a * db)
     expect *= -coef / (1j * phi)
-    assert abs(out[3] - expect) < 1e-14 * abs(expect)
-    assert np.all(out[np.arange(n) != 3] == 0)
-    assert np.all(_ibp_trapz([], Vt, Nt, times) == 0)
+    assert abs(got[out] - expect) < 1e-14 * abs(expect)
+    assert np.all(got[np.arange(n) != out] == 0)
+
+
+def _default_trajectory(T):
+    """The flow of the default ``bolab nfe`` config (n = 128, rough data of
+    seed 42, amplitude 0.05, dt = 2.5e-5), stopped at ``T``."""
+    g = Grid(128, np.pi)
+    u0 = rough_real_data(g, 0.5, 42, 0.05)
+    return evolve_gauged(gauge_forward(u0).V, T=T, dt=2.5e-5, rhs_mode="terms")
+
+
+def _composition_setup(T, half_length=np.pi):
+    """The flow of ``test_sigma_override_exercises_composition`` on a grid of
+    ``half_length``, with thresholds that compose every arity.
+
+    That test's own depth-2 threshold (about 115) keeps only cubic-in-cubic
+    tuples (arity 5); a fixed 100 dxi^2 keeps arities 3, 4 and 5.
+    """
+    g = Grid(32, np.pi)
+    V0 = band_field(g, np.random.default_rng(5), 2, 14, 0.05, decay=1.0)
+    traj = evolve_gauged(V0, T=T, dt=1e-4, rhs_mode="terms")
+    g = Grid(32, half_length)
+    traj = Trajectory(g, traj.times, traj.data, "V", traj.metadata)
+    scale = g.dxi ** 2
+    params = SimpleNamespace(
+        N_threshold=1.3 * scale,
+        level_threshold=lambda level, phi1: np.full(np.shape(phi1), 100 * scale))
+    return traj, params
+
+
+def _frontiers(traj, params, depth):
+    """The depth-1 .. ``depth`` frontiers that ``nfe_residual`` builds."""
+    env_field = SpectralField(traj.grid, np.abs(traj.data).max(axis=0))
+    tvs = {name: term_values_on_lattice(t, env_field)
+           for name, t in bo_terms().items()}
+    frontier, _ = _level_one(tvs, params.N_threshold)
+    out = [frontier]
+    for level in range(2, depth + 1):
+        frontier = _compose(frontier, tvs, _child_index(tvs), level, params,
+                            traj.grid.n)
+        out.append(frontier)
+    return out
+
+
+def _against_oracle(frontier, traj):
+    """(grouped quadrature, per-snapshot oracle) of one frontier."""
+    g, times = traj.grid, np.asarray(traj.times)
+    _, series = _time_series(traj, _trapz_weights(times))
+    carriers = np.exp(1j * times[:, None] * dispersion(g.xi)[None, :])
+    rhs = np.array([rhs_terms_total_coeffs(v, g) for v in traj.data])
+    return (_ibp_trapz(frontier, *series),
+            ibp_trapz_loop(frontier, carriers * traj.data, carriers * rhs, times))
+
+
+def _assert_oracle_agrees(frontier, traj):
+    got, oracle = _against_oracle(frontier, traj)
+    scale = np.abs(oracle).max()
+    assert scale > 0
+    assert np.abs(got - oracle).max() <= 1e-13 * scale
+
+
+def test_ibp_matches_oracle_on_default_frontier():
+    traj = _default_trajectory(1e-3)
+    (frontier,) = _frontiers(traj, infr_params(0.5, 0.0, N_threshold=1000.0), 1)
+    assert sorted(len(b.conj) for b in frontier) == [2, 2, 3, 3]
+    _assert_oracle_agrees(frontier, traj)
+
+
+def test_ibp_matches_oracle_on_composed_frontier():
+    traj, p = _composition_setup(2e-3)
+    _, frontier = _frontiers(traj, p, 2)
+    assert {len(b.conj) for b in frontier} == {3, 4, 5}
+    _assert_oracle_agrees(frontier, traj)
+
+
+def test_ibp_matches_oracle_at_nonuniform_times():
+    full = _default_trajectory(1e-3)
+    pick = np.r_[0, np.sort(np.random.default_rng(2).choice(
+        np.arange(1, len(full) - 1), 17, replace=False)), len(full) - 1]
+    traj = Trajectory(full.grid, full.times[pick], full.data[pick], "V",
+                      full.metadata)
+    steps = np.diff(traj.times)
+    assert steps.max() > 1.5 * steps.min()
+    (frontier,) = _frontiers(traj, infr_params(0.5, 0.0, N_threshold=1000.0), 1)
+    _assert_oracle_agrees(frontier, traj)
+
+
+def test_ibp_of_no_batches_is_zero():
+    traj = _default_trajectory(1e-4)
+    got, oracle = _against_oracle([], traj)
+    assert np.all(got == 0) and np.all(oracle == 0)
+    assert got.shape == oracle.shape == (traj.grid.n,)
+
+
+@pytest.mark.parametrize("half_length", [np.pi, 1.5 * np.pi, 2.2 * np.pi],
+                         ids=["pi", "1.5pi", "2.2pi"])
+def test_batch_phase_is_output_minus_columns(half_length):
+    """Every batch of ``_level_one`` and ``_compose`` has phase
+    omega(out) - sum_j omega(cols_j), the identity the quadrature factorizes
+    on.  A depth-J phase is a sum of J tuple phases, each at most
+    ``_lattice_phase_cap`` in size, so rounding stays within 64 ulp of
+    J x phase_cap (at half_length pi the phases are integers and exact)."""
+    traj, p = _composition_setup(2e-3, half_length)
+    g = traj.grid
+    om = dispersion(g.xi)
+    frontiers = _frontiers(traj, p, 2)
+    for depth, frontier in enumerate(frontiers, start=1):
+        assert frontier
+        tol = 64 * np.finfo(float).eps * depth * _lattice_phase_cap(g)
+        for b in frontier:
+            gap = b.phase - (om[b.out_idx] - om[b.cols].sum(axis=0))
+            assert np.abs(gap).max() <= tol
+    assert {len(b.conj) for b in frontiers[1]} == {3, 4, 5}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Every public top-level function and class of bolab has a caller.
+"""Every public top-level function and class of bolab, and every public
+method of a public class, has a caller.
 
 A public name of ``src/bolab`` counts as reached when one of these refers to
-it: the package itself (outside the name's own definition), the demos, the
-benchmark harness, or the acceptance gates.  The other tests do not count:
+it: the package itself (outside a top-level name's own definition; a method's
+own body is part of its class), the demos, the benchmark harness, or the
+acceptance gates.  The other tests do not count:
 a reference implementation that only a test compares against belongs in that
 test, not in the library.
 
@@ -65,20 +67,32 @@ def _references(tree):
     return refs
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public(node, kinds):
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
 def _definitions():
-    """(module, name) of every public top-level def and class."""
+    """(dotted name, name) of every public top-level def and class, and of
+    every public method of a public class."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in _parse(path).body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                out.append((path.stem, stmt.name))
+            if not _public(stmt, _DEFS):
+                continue
+            out.append((f"{path.stem}.{stmt.name}", stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                out += [(f"{path.stem}.{stmt.name}.{sub.name}", sub.name)
+                        for sub in stmt.body if _public(sub, _FUNCS)]
     return out
 
 
 def _package_references():
-    """References inside the package, each statement's own name left out."""
+    """References inside the package, each top-level statement's own name
+    left out.  A method's definition is not a reference to it."""
     refs = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in _parse(path).body:
@@ -101,10 +115,11 @@ def test_every_public_name_is_reached():
     callers = _caller_references()
     # a scan that found nothing would pass vacuously
     assert len(definitions) > 50
+    assert "nfe.NfeReport.summary" in {dotted for dotted, _ in definitions}
     assert {"main", "nfe_residual", "evolve_gauged"} <= callers
     reached = _package_references() | callers
-    unreached = [f"bolab.{module}.{name}"
-                 for module, name in definitions if name not in reached]
+    unreached = [f"bolab.{dotted}"
+                 for dotted, name in definitions if name not in reached]
     assert not unreached, (
         "public names that only tests (or nothing) reach; delete them or "
         f"move the reference implementation into its test: {unreached}")

@@ -338,7 +338,6 @@ def test_conj_reflect_is_the_conjugate_field():
     c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
     f = sp.SpectralField(g, c)
     r = sp.conj_reflect(f.coeffs)
-    np.testing.assert_array_equal(f.conj_reflected().coeffs, r)
     assert r[0] == 0.0
     # the transform of conj(f(x)) in physical space
     want = sp.to_spectral(np.conj(sp.to_physical(f)), g).coeffs
