@@ -198,7 +198,10 @@ _USABLE = {"time.T": _POSITIVE, "time.dt": _POSITIVE,
            "time.snapshot_every": _AT_LEAST_1,
            "data.amplitude": (lambda v: v != 0, "must not be zero"),
            "infr.J_max": (lambda v: 1 <= v <= 3, "must be 1, 2 or 3"),
-           "experiment.alpha_list": _NONEMPTY, "experiment.M_list": _NONEMPTY,
+           "experiment.alpha_list": (lambda v: len(set(v)) > 1,
+                                     "must hold two distinct values"),
+           "experiment.M_list": (lambda v: len(set(v)) > 1 and min(v) > 0,
+                                 "must hold two distinct values, all positive"),
            "experiment.resolutions": _NONEMPTY,
            "experiment.trials": _AT_LEAST_1,
            "experiment.perturbation_size": _POSITIVE,

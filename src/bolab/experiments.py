@@ -36,7 +36,7 @@ from .dynamics import evolve_gauged, evolve_gauged_batch, step_count
 from .gauge import gauge_forward, profile_time_derivative_sup
 from .infr import (bo_terms, gamma_cubic, gamma_quadratic,
                    term_values_on_lattice, window_indicator)
-from .reports import EstimateReport
+from .reports import EstimateReport, PowerFit
 
 __all__ = ["rough_profile_data", "rough_real_data", "unit_rough_field",
            "bump_shape", "verify_operator_estimate", "smoothing_experiment",
@@ -153,13 +153,15 @@ def verify_operator_estimate(term, s, eps,
     windows with |alpha| >= 2 xi_max (all resolved output frequencies are
     reachable there; closer to zero the value still grows because the
     window is unrolling across the lattice corner, which measures geometry,
-    not the exponent).  The M exponent is fitted per anchor alpha and
+    not the exponent); with fewer than two such windows both alpha checks
+    are inconclusive.  The M exponent is fitted per anchor alpha and
     averaged; anchors are the alphas at least twice the largest M, so the
     (|alpha|+M)^gamma factor stays flat across the M sweep.
 
     Checks (upper bounds, tolerance 0.1): strong alpha exponent vs
     gamma(eps); mean M exponent vs 1/2; weak-form (Fourier-sup) alpha
-    exponent vs gamma(0).  ``trials`` must be at least 1.
+    exponent vs gamma(0).  ``trials`` must be at least 1, ``alpha_list``
+    must hold two distinct values and ``M_list`` two distinct positive ones.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -167,6 +169,10 @@ def verify_operator_estimate(term, s, eps,
         term = bo_terms()[term]
     alpha_list = sorted(float(a) for a in alpha_list)
     M_list = sorted(float(m) for m in M_list)
+    if len(set(alpha_list)) < 2:
+        raise ValueError(f"alpha_list needs two distinct values, got {alpha_list}")
+    if len(set(M_list)) < 2 or M_list[0] <= 0.0:
+        raise ValueError(f"M_list needs two distinct positive widths, got {M_list}")
     arity = term.arity
     gamma = gamma_quadratic(s, eps) if arity == 2 else gamma_cubic(s, eps)
     gamma0 = gamma_quadratic(s, 0.0) if arity == 2 else gamma_cubic(s, 0.0)
@@ -181,10 +187,9 @@ def verify_operator_estimate(term, s, eps,
     sign = -1.0 if term.name.endswith("+") else 1.0
     m_ref = M_list[0]
     unroll = 2.0 * grid.dxi * (grid.n // 2)
-    fit_alphas = [a for a in alpha_list if a >= unroll] or alpha_list
-    anchors = [a for a in fit_alphas if a >= 2.0 * M_list[-1]]
-    if not anchors:
-        anchors = [fit_alphas[-1]]
+    fit_alphas = [a for a in alpha_list if a >= unroll]
+    anchors = ([a for a in fit_alphas if a >= 2.0 * M_list[-1]]
+               or alpha_list[-1:])
     # window cells (alpha, M) -> [strong, weak] sums over the ensemble; each
     # member's tuples are enumerated once and replayed for every cell
     cells = {cell: [0.0, 0.0] for cell in
@@ -212,8 +217,12 @@ def verify_operator_estimate(term, s, eps,
             rep.add_sample(cells[(a, M)][0] / trials, fit=tag, alpha=a, m=M,
                            alpha_plus_m=a + M, kind="strong")
         m_fits.append(rep.fit_samples(tag, "m"))
-    fit_alpha = rep.fit_samples("alpha_strong", "alpha_plus_m")
-    fit_weak = rep.fit_samples("alpha_weak", "alpha_plus_m")
+    if len(fit_alphas) >= 2:
+        fit_alpha = rep.fit_samples("alpha_strong", "alpha_plus_m")
+        fit_weak = rep.fit_samples("alpha_weak", "alpha_plus_m")
+    else:
+        fit_alpha = fit_weak = PowerFit(np.nan, np.nan, np.inf, False)
+        rep.notes.append(f"fewer than two alphas >= {unroll:g}: no alpha fit")
 
     rep.check_fit("alpha_exponent_le_gamma", fit_alpha,
                   lambda p: p <= gamma + EXPONENT_TOL)

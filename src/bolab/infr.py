@@ -14,14 +14,10 @@ structure directly:
 * ``term_values_on_lattice`` materializes the individual lattice tuples of
   one term application (indices, phases, kernels, values), and
   ``split_resonant`` partitions them by a threshold on |Phi|.  It is the
-  only place that enumerates tuples.  Each tuple carries two phases.
-  ``phase`` is the resonance function in the parameterization used by the
-  frequency-restricted operator estimates: the sign of omega is flipped on
-  conjugated slots.  ``osc_phase`` is the phase of the factor e^{i s Phi}
-  actually present in the profile time integrand (no flip; the
-  conjugated-slot value conj(V_hat(-xi_2)) oscillates like a plain slot
-  because omega is odd).  The two agree on the quadratic pieces and differ
-  by 2 omega(xi_2) on the cubic ones.
+  only place that enumerates tuples.  ``phase`` is the resonance function
+  in the parameterization of the frequency-restricted operator estimates:
+  the sign of omega is flipped on conjugated slots.  The phase of the time
+  integrand belongs to :mod:`bolab.nfe`.
 * ``apply_T_sigma``, ``apply_T_alpha_M`` and ``dyadic_sigma_from_restricted``
   apply a term with a weight on the resonance function: <Phi>^{-sigma}, the
   window indicator |Phi - alpha| < M, and the dyadic-shell reconstruction of
@@ -33,16 +29,16 @@ structure directly:
   delta, the thresholds c_j) for the normal-form iteration at a given
   regularity (s, eps).
 
-Every operator, and ``TermValues.evaluate``, takes one ``SpectralField``,
-shared by every slot, or a sequence of ``term.arity`` fields on one grid;
-anything else raises ValueError.  No tuple cap applies unless the caller
-passes ``max_tuples`` to ``term_values_on_lattice``.
+Every operator takes one ``SpectralField``, shared by every slot, or a
+sequence of ``term.arity`` fields on one grid; anything else raises
+ValueError.  No tuple cap applies unless the caller passes ``max_tuples``
+to ``term_values_on_lattice``.
 
 All operators sum the lattice directly (no FFT), with modes below
 1e-14 x max|coefficient| dropped per slot (except the last, which the
 output fixes).  Results are deterministic: each output frequency sums its
 tuples in enumeration order (i1, then i2, then output index), which
-``term_values_on_lattice`` fixes and ``TermValues.field`` keeps.
+``term_values_on_lattice`` fixes and ``sum_by_output`` keeps.
 """
 
 import itertools
@@ -275,9 +271,9 @@ def infr_params(s, eps, sigma=None, N_threshold=1000.0):
 # lattice summation core
 
 
-def _slot_fields(term, inputs, grid=None):
+def _slot_fields(term, inputs):
     """The field of each slot: one SpectralField shared by every slot, or a
-    sequence of ``term.arity`` fields; all on one grid (``grid`` if given)."""
+    sequence of ``term.arity`` fields; all on one grid."""
     if isinstance(inputs, SpectralField):
         inputs = (inputs,) * term.arity
     fields = tuple(inputs)
@@ -285,7 +281,7 @@ def _slot_fields(term, inputs, grid=None):
         raise ValueError(
             f"{term.name} takes one SpectralField or a sequence of "
             f"{term.arity}, got a {type(inputs).__name__} of length {len(fields)}")
-    grid = fields[0].grid if grid is None else grid
+    grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError(f"{term.name} takes fields on one grid, {grid!r}")
     return fields
@@ -372,25 +368,34 @@ def dyadic_sigma_from_restricted(term, inputs, sigma):
 # materialized tuples
 
 
+def sum_by_output(out_idx, values, n):
+    """Complex ``values`` summed per output index into a length-``n`` array.
+
+    Each output sums its entries in the order given, so equal inputs give
+    bitwise-equal sums.
+    """
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(out_idx, values.real, minlength=n)
+    out.imag = np.bincount(out_idx, values.imag, minlength=n)
+    return out
+
+
 @dataclass
 class TermValues:
     """Flattened lattice tuples of one term application.
 
     Arrays over tuples: ``out_idx`` (output lattice index), ``slot_idx``
-    (arity x m, slot convolution-frequency indices), ``slot_read`` (indices
-    actually read from the inputs; the reflection of slot_idx on conjugated
-    slots), ``phase`` (restricted-operator convention), ``osc_phase`` (time
-    integrand convention), ``kernel`` (multiplier x convolution measure, no
-    slot values) and ``value`` (kernel x slot values at build time).
+    (arity x m, slot convolution-frequency indices), ``phase`` (the
+    resonance function, sign of omega flipped on conjugated slots),
+    ``kernel`` (multiplier x convolution measure, no slot values) and
+    ``value`` (kernel x slot values).
     """
 
     term: NonlinearTerm
     grid: object
     out_idx: np.ndarray
     slot_idx: np.ndarray
-    slot_read: np.ndarray
     phase: np.ndarray
-    osc_phase: np.ndarray
     kernel: np.ndarray
     value: np.ndarray
 
@@ -398,36 +403,17 @@ class TermValues:
         return self.out_idx.shape[0]
 
     def field(self, weight=None):
-        """Accumulate value (x ``weight`` per tuple) into a spectral field.
-
-        Each output frequency sums its tuples in tuple order, so equal
-        weights give bitwise-equal fields.
-        """
+        """Accumulate value (x ``weight`` per tuple) into a spectral field,
+        each output in tuple order."""
         v = self.value if weight is None else self.value * weight
-        n = self.grid.n
-        out = np.empty(n, dtype=complex)
-        out.real = np.bincount(self.out_idx, v.real, minlength=n)
-        out.imag = np.bincount(self.out_idx, v.imag, minlength=n)
-        return SpectralField(self.grid, out)
+        return SpectralField(self.grid, sum_by_output(self.out_idx, v, self.grid.n))
 
     def restrict(self, mask):
         mask = np.asarray(mask)
         return TermValues(
             self.term, self.grid, self.out_idx[mask], self.slot_idx[:, mask],
-            self.slot_read[:, mask], self.phase[mask], self.osc_phase[mask],
-            self.kernel[mask], self.value[mask],
+            self.phase[mask], self.kernel[mask], self.value[mask],
         )
-
-    def evaluate(self, inputs):
-        """Per-tuple values recomputed from fresh coefficients (kernel included)."""
-        fields = _slot_fields(self.term, inputs, self.grid)
-        val = self.kernel.astype(complex)
-        for j, f in enumerate(fields):
-            vj = f.coeffs[self.slot_read[j]]
-            if self.term.conj[j]:
-                vj = np.conj(vj)
-            val *= vj
-        return val
 
 
 def term_values_on_lattice(term, inputs, max_tuples=None):
@@ -477,20 +463,15 @@ def term_values_on_lattice(term, inputs, max_tuples=None):
 
     idx = np.concatenate(rows, axis=1)
     out_idx, slot_idx = idx[0], idx[1:]
-    slot_read = slot_idx.copy()
-    for j in range(k):
-        if term.conj[j]:
-            slot_read[j] = n - slot_idx[j]  # slot_idx 0 never appears (zeroed end mode)
     om = dispersion(xi)
     ph = om[out_idx]
-    osc = om[out_idx]
     for s, col in zip(term.phase_signs(), slot_idx):
         ph = ph - s * om[col]
-        osc = osc - om[col]
     kernel = term.multiplier([xi[col] for col in slot_idx]) * (grid.dxi / (2.0 * np.pi)) ** (k - 1)
-    tv = TermValues(term, grid, out_idx, slot_idx, slot_read, ph, osc, kernel, None)
-    tv.value = tv.evaluate(fields)
-    return tv
+    value = kernel.astype(complex)
+    for v, col in zip(vals, slot_idx):
+        value *= v[col]
+    return TermValues(term, grid, out_idx, slot_idx, ph, kernel, value)
 
 
 def split_resonant(term_values, threshold):

@@ -7,9 +7,16 @@ frequency lattice,
     d/dt W(t, xi) = sum_tuples e^{i t Phi} * 2i * K * prod_slots W(t, xi_j)
                     + (low-band forcing),
 
-with Phi the oscillation phase of the tuple (``TermValues.osc_phase`` of
-:mod:`bolab.infr`).  The infinite normal form reduction splits the tuples
-at |Phi| = N, integrates the nonresonant part by parts (boundary terms plus a
+with Phi = omega(xi) - sum_j omega(xi_j) the oscillation phase of the tuple
+(``_oscillation_phase``; it keeps this form at every depth, because the
+omega of a substituted column cancels).  A conjugated slot reads
+conj(V_hat(-xi_j)), at lattice index n - col (``_reads``), and oscillates
+like a plain slot because omega is odd, so Phi has no sign flip.  The
+resonance function ``TermValues.phase`` of :mod:`bolab.infr`, which the
+frequency-restricted operator estimates use, flips omega on conjugated
+slots: the two agree on the quadratic pieces and differ by 2 omega(xi_2) on
+the cubic ones.  The infinite normal form reduction splits the tuples at
+|Phi| = N, integrates the nonresonant part by parts (boundary terms plus a
 remainder in which the time derivative falls on one slot), substitutes the
 equation back into the differentiated slot, and repeats with thresholds
 c_J |Phi_1|^delta at depth J.  :func:`nfe_residual` measures, on a stored
@@ -38,16 +45,15 @@ largest phase the lattice can produce -- the residual equals the measured
 quadrature defect exactly, which the report exposes as ``quadrature_error``.
 
 The remainder is summed in time without rotating any tuple.  Every batch
-phase is omega(out) - sum_j omega(cols_j): at depth 1 by definition, and
-``_compose`` keeps that form because the omega of the substituted column
-cancels.  So e^{i t Phi} prod_j W_j = e^{i t omega(out)} prod_j V_hat_j: the
-oscillation rides on the output, and the slots read the stored coefficients
-and the raw right side.  With a tuple split into a row (its head slots and
-its output) and a column (its last two slots), the time sum is
-sum_t R_row(t) C_col(t), and any row and column of one pair momentum (the
-sum of the last two slot frequencies) make a momentum-conserving tuple.
-``_ibp_trapz`` therefore takes one dense contraction over time per block of
-pair columns of one momentum, and each tuple reads its entry.
+phase is omega(out) - sum_j omega(cols_j), so e^{i t Phi} prod_j W_j =
+e^{i t omega(out)} prod_j V_hat_j: the oscillation rides on the output, and
+the slots read the stored coefficients and the raw right side.  With a
+tuple split into a row (its head slots and its output) and a column (its
+last two slots), the time sum is sum_t R_row(t) C_col(t), and any row and
+column of one pair momentum (the sum of the last two slot frequencies) make
+a momentum-conserving tuple.  ``_ibp_trapz`` therefore takes one dense
+contraction over time per block of pair columns of one momentum, and each
+tuple reads its entry.
 
 Low-band slots are never expanded: the differentiated slot reads the full
 right side, and the low-band part of that read simply stays inside the kept
@@ -60,7 +66,7 @@ import numpy as np
 
 from .spectral import SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
-from .infr import COUPLING, bo_terms, term_values_on_lattice
+from .infr import COUPLING, bo_terms, sum_by_output, term_values_on_lattice
 
 
 @dataclass
@@ -68,21 +74,35 @@ class _Batch:
     """Flattened nonresonant tuples of one composition shape at one depth.
 
     Represents the integrand sum_p e^{i s phase_p} coef_p prod_cols(slot
-    value); ``conj`` fixes which columns read conjugated coefficients,
-    ``reads`` the lattice indices actually read, ``phase1`` the depth-1
-    phase magnitude that steers deeper thresholds.
+    value); ``conj`` fixes which columns read conjugated coefficients (see
+    ``_reads``), ``phase1`` the depth-1 phase magnitude that steers deeper
+    thresholds.
     """
 
     conj: tuple
     out_idx: np.ndarray
     cols: np.ndarray
-    reads: np.ndarray
     phase: np.ndarray
     phase1: np.ndarray
     coef: np.ndarray
 
     def __len__(self):
         return self.out_idx.size
+
+
+def _oscillation_phase(grid, out_idx, cols):
+    """Oscillation phase omega(out) - sum_j omega(cols_j) of each tuple."""
+    om = dispersion(grid.xi)
+    ph = om[out_idx]
+    for col in cols:
+        ph = ph - om[col]
+    return ph
+
+
+def _reads(conj, cols, n):
+    """Lattice index each column reads: n - col on a conjugated column (the
+    reflection of its frequency; col 0 never occurs), col otherwise."""
+    return np.where(np.array(conj)[:, None], n - cols, cols)
 
 
 def _trapz_weights(times):
@@ -137,9 +157,10 @@ def _contract(b, V, D, W):
     """
     k = len(b.conj)
     head, pair = b.conj[:k - 2], b.conj[k - 2:]
+    reads = _reads(b.conj, b.cols, V.shape[0])
     momentum = b.cols[k - 2] + b.cols[k - 1]
-    cols, cpos = _unique_columns(np.vstack([momentum, b.reads[k - 2:]]))
-    rows, rpos = _unique_columns(np.vstack([b.reads[:k - 2], b.out_idx]))
+    cols, cpos = _unique_columns(np.vstack([momentum, reads[k - 2:]]))
+    rows, rpos = _unique_columns(np.vstack([reads[:k - 2], b.out_idx]))
     edges = np.flatnonzero(np.diff(cols[0])) + 1
     blocks = [(c0, min(c0 + _PAIR_CHUNK, stop))
               for start, stop in zip(np.r_[0, edges], np.r_[edges, cols.shape[1]])
@@ -171,9 +192,7 @@ def _time_series(traj, w):
     e^{-i t omega} dW/dt, and w_i e^{i t_i omega}."""
     grid, times, data = traj.grid, np.asarray(traj.times, dtype=float), traj.data
     carriers = np.exp(1j * times[:, None] * dispersion(grid.xi)[None, :])
-    rhs = np.empty(data.shape, dtype=complex)
-    for i in range(times.size):
-        rhs[i] = rhs_terms_total_coeffs(data[i], grid)
+    rhs = rhs_terms_total_coeffs(data, grid)
     vdelta = carriers[-1] * data[-1] - carriers[0] * data[0]
     qvec = vdelta - np.einsum("i,ij->j", w, carriers * rhs)
     return qvec, tuple(np.ascontiguousarray(a.T)
@@ -191,18 +210,14 @@ def _ibp_trapz(batches, V, D, W):
     ``_time_series``: ``V`` = V_hat, ``D`` = e^{-i t omega} dW/dt and
     ``W`` = w_i e^{i t_i omega}; ``_contract`` takes it per batch.
     """
-    n = V.shape[0]
-    outs, vals = [], []
-    for b in batches:
-        if len(b):
-            outs.append(b.out_idx)
-            vals.append(-b.coef / (1j * b.phase) * _contract(b, V, D, W))
-    total = np.zeros(n, dtype=complex)
-    if outs:
-        out_idx, v = np.concatenate(outs), np.concatenate(vals)
-        total.real = np.bincount(out_idx, v.real, minlength=n)
-        total.imag = np.bincount(out_idx, v.imag, minlength=n)
-    return total
+    live = [b for b in batches if len(b)]
+    if not live:
+        return np.zeros(V.shape[0], dtype=complex)
+    return sum_by_output(
+        np.concatenate([b.out_idx for b in live]),
+        np.concatenate([-b.coef / (1j * b.phase) * _contract(b, V, D, W)
+                        for b in live]),
+        V.shape[0])
 
 
 def _level_one(tvs, N):
@@ -210,19 +225,18 @@ def _level_one(tvs, N):
     batches, counts = [], {}
     for name in sorted(tvs):
         tv = tvs[name]
-        mask = np.abs(tv.osc_phase) >= N
+        phase = _oscillation_phase(tv.grid, tv.out_idx, tv.slot_idx)
+        mask = np.abs(phase) >= N
         counts[name] = {"tuples": int(len(tv)), "nonresonant": int(mask.sum())}
         if not mask.any():
             continue
-        sel = tv.restrict(mask)
         batches.append(_Batch(
-            conj=sel.term.conj,
-            out_idx=sel.out_idx,
-            cols=sel.slot_idx,
-            reads=sel.slot_read,
-            phase=sel.osc_phase,
-            phase1=np.abs(sel.osc_phase),
-            coef=COUPLING * sel.kernel,
+            conj=tv.term.conj,
+            out_idx=tv.out_idx[mask],
+            cols=tv.slot_idx[:, mask],
+            phase=phase[mask],
+            phase1=np.abs(phase[mask]),
+            coef=COUPLING * tv.kernel[mask],
         ))
     return batches, counts
 
@@ -243,8 +257,7 @@ def _compose_estimate(batches, tvs, n):
         cnt += np.bincount(tv.out_idx, minlength=n)
     total = 0
     for b in batches:
-        for col in range(len(b.conj)):
-            total += int(cnt[b.reads[col]].sum())
+        total += int(cnt[_reads(b.conj, b.cols, n)].sum())
     return total
 
 
@@ -258,9 +271,10 @@ def _compose(batches, tvs, child_sorted, level, params, n):
     out = []
     for b in batches:
         k = len(b.conj)
+        reads = _reads(b.conj, b.cols, n)
         for col in range(k):
             conj_mark = b.conj[col]
-            targets = b.reads[col]
+            targets = reads[col]
             keep_cols = [c for c in range(k) if c != col]
             for name in sorted(tvs):
                 tv = tvs[name]
@@ -277,18 +291,17 @@ def _compose(batches, tvs, child_sorted, level, params, n):
                 crow = order[local]
 
                 ccols = tv.slot_idx[:, crow]
-                cphase = tv.osc_phase[crow]
                 cconj = tv.term.conj
                 couple = COUPLING
                 if conj_mark:
                     # conj(n_tilde(-xi)): conjugate-transform the child tuple
                     ccols = n - ccols
-                    cphase = -cphase
                     cconj = tuple(not c for c in cconj)
                     couple = np.conj(COUPLING)
                 cols = np.vstack([b.cols[keep_cols][:, prow], ccols])
                 conj = tuple(b.conj[c] for c in keep_cols) + cconj
-                phase = b.phase[prow] + cphase
+                out_idx = b.out_idx[prow]
+                phase = _oscillation_phase(tv.grid, out_idx, cols)
                 phase1 = b.phase1[prow]
                 coef = (-b.coef[prow] / (1j * b.phase[prow])) \
                     * (couple * tv.kernel[crow])
@@ -296,12 +309,7 @@ def _compose(batches, tvs, child_sorted, level, params, n):
                 keep = np.abs(phase) >= params.level_threshold(level, phase1)
                 if not keep.any():
                     continue
-                cols = cols[:, keep]
-                reads = cols.copy()
-                for j, cflag in enumerate(conj):
-                    if cflag:
-                        reads[j] = n - cols[j]
-                out.append(_Batch(conj, b.out_idx[prow][keep], cols, reads,
+                out.append(_Batch(conj, out_idx[keep], cols[:, keep],
                                   phase[keep], phase1[keep], coef[keep]))
     return out
 
@@ -330,13 +338,9 @@ class NfeReport:
     norm_index: float
     counts: dict
     composed: dict
-    J_max: int
-    n_snapshots: int
-    t_span: tuple
     h_max: float
     phase_cap: float
     warnings: list
-    params: object
 
     def summary(self):
         bits = ", ".join(f"J={j}: {self.residuals[j]:.3e}"
@@ -444,11 +448,7 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000):
         norm_index=norm_index,
         counts=counts,
         composed=composed,
-        J_max=J_max,
-        n_snapshots=int(times.size),
-        t_span=(float(times[0]), float(times[-1])),
         h_max=h_max,
         phase_cap=child_cap,
         warnings=warnings,
-        params=params,
     )

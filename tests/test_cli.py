@@ -85,6 +85,9 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("smoothing", "--resolutions", ""), "experiment.resolutions"),
     (("estimates", "--alpha-list", ""), "experiment.alpha_list"),
     (("estimates", "--m-list", ""), "experiment.M_list"),
+    (("estimates", "--m-list", "0,16"), "experiment.M_list"),
+    (("estimates", "--m-list", "16"), "experiment.M_list"),
+    (("estimates", "--alpha-list", "128"), "experiment.alpha_list"),
     (("lemma21", "--amplitudes", ""), "experiment.amplitudes"),
     (("lemma21", "--amplitudes", "0,0.1"), "experiment.amplitudes"),
     (("estimates", "--trials", "0"), "experiment.trials"),
@@ -99,6 +102,19 @@ def test_unusable_value_is_config_error(tmp_path, capsys, args, key):
     assert run(tmp_path, *args) == 2
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not os.listdir(tmp_path)  # rejected before any work
+
+
+def test_estimates_alphas_below_the_unrolling_bound_are_inconclusive(
+        tmp_path, capsys):
+    # at n = 32 only alpha = 64 reaches 2 xi_max = 32: no alpha fit, so the
+    # alpha checks are inconclusive (exit 1), not a numerical failure (3)
+    assert run(tmp_path, "estimates", "--alpha-list", "0,64", "--n-points",
+               "32", "--terms", "Q+", "--trials", "1") == 1
+    rep = json.loads((tmp_path / "operator_Qp.json").read_text())
+    assert rep["checks"]["alpha_exponent_le_gamma"] == "inconclusive"
+    assert rep["checks"]["weak_alpha_exponent_le_gamma0"] == "inconclusive"
+    assert "alpha_strong" not in rep["fits"]
+    capsys.readouterr()
 
 
 # a flag value, its parsed value, and a config-file value of the wrong type,

@@ -7,6 +7,7 @@ data-generator contracts.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bolab.experiments import (bump_shape, lemma21_experiment,
                                rough_real_data, smoothing_experiment,
                                unit_rough_field, verify_operator_estimate)
 from bolab.dynamics import evolve_gauged_batch
-from bolab.spectral import Grid, sobolev_norm, to_physical
+from bolab.spectral import Grid, dispersion, sobolev_norm, to_physical
 from test_reports import report_from_dict
 
 
@@ -99,6 +100,17 @@ def test_operator_zero_trials_raises(monkeypatch):
             verify_operator_estimate("C+", 0.5, 0.0, trials=trials)
 
 
+@pytest.mark.parametrize("lists, name", [
+    ({"M_list": [0, 16]}, "M_list"), ({"M_list": [16]}, "M_list"),
+    ({"M_list": [16, 16]}, "M_list"), ({"alpha_list": [128]}, "alpha_list")])
+def test_operator_unfittable_window_lists_raise(monkeypatch, lists, name):
+    # a non-positive width or fewer than two values cannot be fitted:
+    # refused before any lattice work
+    monkeypatch.setattr(experiments, "term_values_on_lattice", None)
+    with pytest.raises(ValueError, match=name):
+        verify_operator_estimate("Q+", 0.5, 0.0, **lists)
+
+
 def test_operator_empty_windows_never_pass():
     # windows far beyond the lattice phases: all outputs vanish and the
     # fits come back inconclusive rather than passing on zeros
@@ -165,6 +177,24 @@ def test_smoothing_zero_amplitude_raises(monkeypatch):
                              resolutions=[128, 256], amplitude=0.0)
 
 
+@pytest.mark.parametrize("p, passes", [(0.25, False), (0.35, True)])
+def test_smoothing_tail_gap_bound_is_0_3(monkeypatch, p, passes):
+    # a stub flow whose remainder at T is c0 <xi>^{-p}: the remainder tail
+    # is steeper than the data tail by about p (0.256 and 0.358 here)
+    def flow(v0, T, dt, rhs_mode, snapshot_every):
+        c0, xi = v0.coeffs, v0.grid.xi
+        later = np.exp(-1j * dispersion(xi) * T) * (
+            c0 + c0 * (1.0 + xi * xi) ** (-0.5 * p))
+        return SimpleNamespace(times=np.array([0.0, T]),
+                               data=np.array([c0, later]))
+
+    monkeypatch.setattr(experiments, "evolve_gauged", flow)
+    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.4], T=0.05,
+                               resolutions=[256, 512])
+    assert rep.params["tail_gap_eps0.4"] == pytest.approx(p, abs=0.01)
+    assert rep.checks["tail_gap_eps0.4"] is passes
+
+
 def test_smoothing_csv_has_fixed_schema():
     rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.2], T=0.02,
                                resolutions=[128])
@@ -209,6 +239,28 @@ def test_lipschitz_and_lemma21_evolve_once_per_grid(monkeypatch):
                          resolutions=[64, 128])
     lemma21_experiment([0.05, 0.1, 0.2], 0.5, T=0.002, n_points=64, dt=2e-4)
     assert calls == [3, 3, 3]
+
+
+@pytest.mark.parametrize("factor, stable", [(1.9, True), (2.1, False)])
+def test_lipschitz_within_2x_bound(monkeypatch, factor, stable):
+    # a stub flow that leaves the separation alone at n = 32 and scales it
+    # by ``factor`` at n = 64: the sup ratios differ by that factor across
+    # the doubling and agree across the halving
+    def flow(fields, T, dt, rhs_mode, snapshot_every):
+        base = fields[0].coeffs
+        scale = {32: 1.0, 64: factor}[fields[0].grid.n]
+        return [SimpleNamespace(times=np.array([0.0, T]), data=np.array(
+                    [f.coeffs, base + scale * (f.coeffs - base)]))
+                for f in fields]
+
+    monkeypatch.setattr(experiments, "evolve_gauged_batch", flow)
+    rep = lipschitz_experiment(seed=42, s=0.5, T=0.05, perturbation_size=1e-3,
+                               resolutions=[32, 64])
+    sups = {(r["n"], r["size"]): r["value"] for r in rep.samples
+            if r["t"] > 0.0}
+    assert sorted(set(round(v, 9) for v in sups.values())) == [1.0, factor]
+    assert rep.checks["stable_under_halving"] is True
+    assert rep.checks["stable_under_resolution"] is stable
 
 
 def test_lipschitz_zero_perturbation_raises(monkeypatch):

@@ -3,7 +3,8 @@
 The brute-force oracle below enumerates every lattice tuple with plain python
 index arithmetic, independently of the vectorized summation kernels.
 ``phase`` and ``oscillation_phase`` evaluate the two phases of one tuple from
-its frequencies, the oracle of ``TermValues.phase`` and ``osc_phase``.
+its frequencies: the oracle of ``TermValues.phase``, and the time-integrand
+phase of ``bolab.nfe``.
 """
 
 import numpy as np
@@ -472,19 +473,16 @@ def test_term_values_roundtrip():
             assert tv.phase[col] == pytest.approx(
                 phase(term, g.xi[tv.out_idx[col]], slot_xis), abs=1e-12
             )
-            assert tv.osc_phase[col] == pytest.approx(
-                oscillation_phase(term, g.xi[tv.out_idx[col]], slot_xis), abs=1e-12
-            )
-        # evaluate() reproduces the build-time values and scales multilinearly
-        again = tv.evaluate(inputs)
-        assert np.array_equal(again, tv.value)
-        doubled = tv.evaluate(tuple(SpectralField(g, 2.0 * V.coeffs) for _ in range(term.arity)))
-        assert np.allclose(doubled, 2.0**term.arity * tv.value, rtol=1e-13, atol=0.0)
+        # doubled inputs keep the tuples and scale every value multilinearly
+        doubled = term_values_on_lattice(
+            term, tuple(SpectralField(g, 2.0 * V.coeffs) for _ in range(term.arity)))
+        assert np.array_equal(doubled.out_idx, tv.out_idx)
+        assert np.array_equal(doubled.slot_idx, tv.slot_idx)
+        assert np.allclose(doubled.value, 2.0**term.arity * tv.value, rtol=1e-13, atol=0.0)
 
 
 # the two input forms: one shared field, or term.arity fields on one grid
-@pytest.mark.parametrize("call", ["term_values_on_lattice", "apply_T_sigma",
-                                  "evaluate"])
+@pytest.mark.parametrize("call", ["term_values_on_lattice", "apply_T_sigma"])
 @pytest.mark.parametrize("form", ["two grids", "raw array", "1-tuple",
                                   "wrong length"])
 def test_lattice_inputs_outside_the_two_forms_raise(form, call):
@@ -495,8 +493,7 @@ def test_lattice_inputs_outside_the_two_forms_raise(form, call):
     inputs = {"two grids": (a, b), "raw array": a.coeffs, "1-tuple": (a,),
               "wrong length": (a, a, a)}[form]
     fn = {"term_values_on_lattice": lambda x: term_values_on_lattice(term, x),
-          "apply_T_sigma": lambda x: apply_T_sigma(term, x, 0.5),
-          "evaluate": term_values_on_lattice(term, a).evaluate}[call]
+          "apply_T_sigma": lambda x: apply_T_sigma(term, x, 0.5)}[call]
     with pytest.raises(ValueError, match="one grid" if form == "two grids"
                        else "takes one SpectralField"):
         fn(inputs)
@@ -509,9 +506,6 @@ def test_lattice_grid_is_compared_by_value():
     term = bo_terms()["Q+"]
     tv = term_values_on_lattice(term, a)
     assert np.array_equal(term_values_on_lattice(term, (a, twin)).value, tv.value)
-    # evaluate() reads fields on the grid of its tuples only
-    with pytest.raises(ValueError, match="one grid"):
-        tv.evaluate(random_complex_field(Grid(32, 4 * np.pi), rng, 10))
 
 
 def brute_tuples(term, inputs):

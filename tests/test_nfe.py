@@ -30,6 +30,7 @@ from bolab.nfe import (
     _ibp_trapz,
     _lattice_phase_cap,
     _level_one,
+    _reads,
     _time_series,
     _trapz_weights,
     nfe_residual,
@@ -91,7 +92,6 @@ def test_ibp_evaluator_single_tuple():
     assert phi == pytest.approx(2.0)  # omega(-1) - omega(1) - omega(-2)
     coef = 0.3 - 0.2j
     batch = _Batch(conj=(False, True), out_idx=np.array([out]), cols=cols,
-                   reads=np.array([[read0], [read1]]),
                    phase=np.array([phi]), phase1=np.array([abs(phi)]),
                    coef=np.array([complex(coef)]))
     got = _ibp_trapz([batch], data.T.copy(), rhs.T.copy(),
@@ -157,7 +157,8 @@ def _against_oracle(frontier, traj):
     carriers = np.exp(1j * times[:, None] * dispersion(g.xi)[None, :])
     rhs = np.array([rhs_terms_total_coeffs(v, g) for v in traj.data])
     return (_ibp_trapz(frontier, *series),
-            ibp_trapz_loop(frontier, carriers * traj.data, carriers * rhs, times))
+            ibp_trapz_loop(frontier, carriers * traj.data, carriers * rhs, times,
+                           g.xi))
 
 
 def _assert_oracle_agrees(frontier, traj):
@@ -238,9 +239,10 @@ def _single_parent_batch(tvs, name, slot_indices):
         pick &= tv.slot_idx[j] == idx
     assert pick.sum() == 1
     sel = tv.restrict(pick)
+    om = dispersion(tv.grid.xi)
+    phi = om[sel.out_idx] - om[sel.slot_idx].sum(axis=0)
     return _Batch(conj=sel.term.conj, out_idx=sel.out_idx, cols=sel.slot_idx,
-                  reads=sel.slot_read, phase=sel.osc_phase,
-                  phase1=np.abs(sel.osc_phase), coef=COUPLING * sel.kernel)
+                  phase=phi, phase1=np.abs(phi), coef=COUPLING * sel.kernel)
 
 
 def test_compose_quadratic_parent_hand_values():
@@ -265,9 +267,10 @@ def test_compose_quadratic_parent_hand_values():
         assert np.allclose(g.xi[b.cols].sum(axis=0), g.xi[half + 3])
         # oscillation phase of the composed leaves, no flips
         assert np.allclose(b.phase, om[half + 3] - om[b.cols].sum(axis=0))
+        reads = _reads(b.conj, b.cols, n)
         for j, cflag in enumerate(b.conj):
             expect_reads = (n - b.cols[j]) if cflag else b.cols[j]
-            assert np.array_equal(b.reads[j], expect_reads)
+            assert np.array_equal(reads[j], expect_reads)
     # every child tuple whose output matches a parent read appears exactly once
     expect_total = sum(int((tvs[t].out_idx == read).sum())
                        for t in tvs for read in (half + 5, half - 2))
@@ -292,8 +295,8 @@ def test_compose_quadratic_parent_hand_values():
 
 def test_compose_conjugated_slot_hand_values():
     """A C+ parent (5, -2, 1): substitution into the conjugated slot must
-    reflect the child frequencies, flip its flags, negate its phase and
-    conjugate the coupling."""
+    reflect the child frequencies, flip its flags and conjugate the
+    coupling; the composed phase is the parent's minus the child's."""
     g = Grid(16, np.pi)
     n, half = g.n, g.n // 2
     tvs = _envelope_tvs(g, 6)
@@ -360,7 +363,6 @@ def test_residual_ordering_small_lattice():
     assert not rep.warnings
     assert rep.norm_index == pytest.approx(1.5)
     assert rep.phase_cap == pytest.approx(4.0 * 16.0 ** 2)
-    assert rep.n_snapshots == len(traj)
     assert "J=1" in rep.summary()
 
 
@@ -393,17 +395,23 @@ def test_residual_matches_independent_formula():
     bdry1 = np.zeros(g.n, dtype=complex)
     for name, term in bo_terms().items():
         tv = term_values_on_lattice(term, env_field)
-        sel = tv.restrict(np.abs(tv.osc_phase) >= N)
-        if len(sel) == 0:
+        # time-integrand phase (no flip on conjugated slots) and reads, here
+        osc = om[tv.out_idx] - om[tv.slot_idx].sum(axis=0)
+        keep = np.abs(osc) >= N
+        if not keep.any():
             continue
+        out_idx, cols, osc = tv.out_idx[keep], tv.slot_idx[:, keep], osc[keep]
         for i in range(len(traj)):
-            vals = sel.evaluate(SpectralField(g, traj.data[i]))
+            vals = tv.kernel[keep].astype(complex)
+            for col, cflag in zip(cols, term.conj):
+                vals *= (np.conj(traj.data[i][g.n - col]) if cflag
+                         else traj.data[i][col])
             acc = np.zeros(g.n, dtype=complex)
-            np.add.at(acc, sel.out_idx, vals)
+            np.add.at(acc, out_idx, vals)
             nonres[i] += COUPLING * carriers[i] * acc
             if i in (0, len(traj) - 1):
                 accb = np.zeros(g.n, dtype=complex)
-                np.add.at(accb, sel.out_idx, vals / (1j * sel.osc_phase))
+                np.add.at(accb, out_idx, vals / (1j * osc))
                 target = bdry0 if i == 0 else bdry1
                 target += COUPLING * carriers[i] * accb
     plain = qvec + np.einsum("i,ij->j", w, nonres) - (bdry1 - bdry0)

@@ -59,6 +59,18 @@ def test_fit_power_inconclusive_cases():
         fit_power([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("rms, conclusive", [(0.199, True), (0.201, False)])
+def test_fit_power_residual_cap_is_0_2(rms, conclusive):
+    # log-log residuals c (1, -2, 1) are orthogonal to the fitted line, so
+    # the rms residual is c sqrt(2) exactly: just inside and just outside
+    lx = np.array([0.0, 1.0, 2.0])
+    ly = 0.5 + 1.5 * lx + rms / np.sqrt(2.0) * np.array([1.0, -2.0, 1.0])
+    f = fit_power(np.exp(lx), np.exp(ly))
+    assert f.residual == pytest.approx(rms, rel=1e-9)
+    assert f.exponent == pytest.approx(1.5, abs=1e-9)
+    assert f.conclusive is conclusive
+
+
 def test_overall_verdict():
     assert overall_verdict({"a": True, "b": True}) == "pass"
     assert overall_verdict({"a": True, "b": False}) == "fail"
