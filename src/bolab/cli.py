@@ -277,8 +277,8 @@ def _cmd_gauge_check(cfg, outdir):
     _require(cfg, "time.T", "time.dt", "data.amplitude")
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
-    st = gauge_forward(u0)
-    back = gauge_inverse(st.V)
+    V0 = gauge_forward(u0)
+    back = gauge_inverse(V0)
     rt = sobolev_norm(back - u0, 0.0) / sobolev_norm(u0, 0.0)
     rt_ok = rt <= 1e-10
     print(f"round-trip relative error <= 1e-10: {'PASS' if rt_ok else 'FAIL'}"
@@ -287,8 +287,8 @@ def _cmd_gauge_check(cfg, outdir):
     t = cfg["time"]
     s = cfg["infr"]["s"]
     traj_u = evolve_bo(u0, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
-    traj_v = evolve_gauged(st.V, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
-    err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final).V, s + 1.0)
+    traj_v = evolve_gauged(V0, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
+    err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final), s + 1.0)
     cons_ok = err <= 1e-6
     print(f"gauge/direct consistency error <= 1e-06: "
           f"{'PASS' if cons_ok else 'FAIL'} ({err:.3e})")
@@ -419,7 +419,7 @@ def _cmd_nfe(cfg, outdir):
     t, infr = cfg["time"], cfg["infr"]
     grid = _build_grid(cfg)
     u0 = _build_data(grid, cfg)
-    traj = evolve_gauged(gauge_forward(u0).V, T=t["T"], dt=t["dt"],
+    traj = evolve_gauged(gauge_forward(u0), T=t["T"], dt=t["dt"],
                          rhs_mode="terms",
                          snapshot_every=t["snapshot_every"])
     nr = nfe_residual(traj, infr["J_max"], p)

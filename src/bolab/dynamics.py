@@ -23,12 +23,12 @@ import numpy as np
 
 from .gauge import GAUGE_FLOOR, rhs_exact_coeffs, rhs_terms_total_coeffs
 from .spectral import (
+    Grid,
     SpectralField,
     atomic_write,
     coeffs_to_samples,
     dispersion,
     from_padded,
-    make_grid,
     padded_grid,
     read_snapshot,
     to_padded,
@@ -101,7 +101,7 @@ class Trajectory:
             raise ValueError(
                 f"unknown trajectory format {fmt!r} in {directory}; "
                 f"this version reads format {TRAJECTORY_FORMAT}")
-        grid = make_grid(manifest["n_points"], manifest["half_length"])
+        grid = Grid(manifest["n_points"], manifest["half_length"])
         times = np.asarray(manifest["times"], dtype=float)
         data = np.empty((times.size, grid.n), dtype=np.complex128)
         for i, name in enumerate(manifest["snapshots"]):
@@ -269,7 +269,7 @@ def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
 
 
 def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
-    """Integrate the gauged flow from the field V0 (``gauge_forward(u).V``).
+    """Integrate the gauged flow from the field V0 (``gauge_forward(u)``).
 
     rhs_mode "exact" uses the full gauged right side; "terms" uses the
     truncated band system (four paraproduct pieces + exact low band).  The

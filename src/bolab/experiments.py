@@ -141,10 +141,10 @@ def verify_operator_estimate(term, s, eps,
                              trials=8, grid_n=128, half_length=np.pi, seed=7):
     """Measure the growth of ||T^{alpha,M}(inputs)||_{H^{s+eps+1}} in alpha and M.
 
-    ``term`` is a nonlinear-term descriptor or one of the names "Q+", "Q-",
-    "C+", "C-".  The sweep draws ``trials`` ensembles of random unit-H^{s+1}
-    inputs and averages the output norms per cell (the ensemble mean; a max
-    statistic overweights single extreme draws at desk scale).
+    ``term`` is one of the term names "Q+", "Q-", "C+", "C-".  The sweep
+    draws ``trials`` ensembles of random unit-H^{s+1} inputs and averages
+    the output norms per cell (the ensemble mean; a max statistic
+    overweights single extreme draws at desk scale).
 
     Window placement: on this lattice the interaction phase of a "+"-output
     term is negative and that of a "-"-output term positive, so the alpha
@@ -165,8 +165,10 @@ def verify_operator_estimate(term, s, eps,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    if isinstance(term, str):
-        term = bo_terms()[term]
+    terms = bo_terms()
+    if term not in terms:
+        raise ValueError(f"term must be one of {sorted(terms)}, got {term!r}")
+    term = terms[term]
     alpha_list = sorted(float(a) for a in alpha_list)
     M_list = sorted(float(m) for m in M_list)
     if len(set(alpha_list)) < 2:
@@ -371,15 +373,15 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
         u0 = rough_real_data(grid, s, seed, amplitude)
         w = rough_real_data(grid, s, seed + 77777, 1.0)
         w = w * (1.0 / sobolev_norm(w, s))
-        v_base = gauge_forward(u0).V
+        v_base = gauge_forward(u0)
         v_perts = []
         for size in sizes:
             # one secant step: the gauge response is linear to O(size)
-            probe = gauge_forward(u0 + w * size).V
+            probe = gauge_forward(u0 + w * size)
             response = sobolev_norm(
                 SpectralField(grid, probe.coeffs - v_base.coeffs), s + 1.0)
             delta = size * (size / response)
-            v_perts.append(gauge_forward(u0 + w * delta).V)
+            v_perts.append(gauge_forward(u0 + w * delta))
         base, *perts = evolve_gauged_batch(
             [v_base, *v_perts], T=T, dt=dt, rhs_mode="exact",
             snapshot_every=max(1, step_count(T, dt) // 20))

@@ -3,10 +3,13 @@
 The gauge variable is V = exp(-i F / 2) - 1, where F is the zero-mean
 antiderivative of u.  The map has the exact pointwise inverse
 
-    u = 2i (1 + conj(V)) V_x,
+    u = 2i (1 + conj(V)) V_x.
 
-and along the flow V satisfies (with W = (1 + conj(V)) V_x and Pm / Pp the
-negative / positive frequency projections)
+`gauge_forward(u)` returns the field V, e.g. ``V0 = gauge_forward(u0)``;
+`gauge_inverse(V)` applies the inverse, realifies it and refuses a V with
+min |1 + V| below GAUGE_FLOOR.  Along the flow V satisfies (with
+W = (1 + conj(V)) V_x and Pm / Pp the negative / positive frequency
+projections)
 
     V_t + H V_xx = -2i (1 + V) Pm dx W + 2i Pm dx^2 V - i mean(W^2) (1 + V).
 
@@ -125,47 +128,14 @@ def antiderivative(u):
     return SpectralField(g, u.coeffs * antiderivative_symbol(g))
 
 
-class GaugeState:
-    """The gauge variable of a real field together with its diagnostics.
-
-    The functions of this module and `dynamics.evolve_gauged` take the field
-    V itself, not the state: pass ``st.V``.
-
-    Attributes
-    ----------
-    u, F, V : SpectralField
-        the input field, its zero-mean antiderivative, and V = e^{-iF/2} - 1
-    recon_residual : float
-        L2 error of the exact reconstruction u = 2i (1 + conj V) V_x
-    norm_control_ratio : float
-        ||V||_{H^{s+1}} / (||F||_{H^{s+1}} e^{||F||/2}) at the control
-        exponent; O(1) on data in the perturbative regime
-    min_one_plus_v : float
-        min_x |1 + V|, the invertibility margin of the gauge
-    """
-
-    __slots__ = (
-        "u",
-        "F",
-        "V",
-        "recon_residual",
-        "norm_control_ratio",
-        "min_one_plus_v",
-    )
-
-    def __repr__(self):
-        return (
-            f"GaugeState(n={self.V.grid.n}, recon_residual={self.recon_residual:.2e}, "
-            f"min|1+V|={self.min_one_plus_v:.3f})"
-        )
-
-
 def gauge_forward(u):
     """Gauge a real zero-mean field: V = exp(-i F / 2) - 1, F = dx^{-1} u.
 
     The exponential is evaluated pointwise on the doubled lattice and then
-    restricted to the base band, so the stored V is the band-limited gauge
-    variable.  The norm-control ratio is monitored at H^{CONTROL_S + 1}.
+    restricted to the base band, so the returned V is the band-limited gauge
+    variable.  Warns when the norm-control ratio
+    ||V||_{H^{s+1}} / (||F||_{H^{s+1}} e^{||F||/2}) at s = CONTROL_S exceeds
+    4, i.e. when the data is far outside the perturbative regime.
     """
     g = u.grid
     F = antiderivative(u)
@@ -173,26 +143,15 @@ def gauge_forward(u):
     v_samples = np.exp(-0.5j * to_padded(F.coeffs, pg)) - 1.0
     V = SpectralField(g, from_padded(v_samples, pg))
 
-    st = GaugeState.__new__(GaugeState)
-    st.u = u
-    st.F = F
-    st.V = V
-    margin, uc = _reconstruct(V)
-    st.min_one_plus_v = margin
-    herm = 0.5 * (uc + conj_reflect(uc))
-    st.recon_residual = sobolev_norm(SpectralField(g, u.coeffs - herm), 0.0)
-
     nf = sobolev_norm(F, CONTROL_S + 1.0)
-    if nf == 0.0:
-        st.norm_control_ratio = 0.0
-    else:
-        st.norm_control_ratio = sobolev_norm(V, CONTROL_S + 1.0) / (nf * np.exp(nf / 2.0))
-    if st.norm_control_ratio > 4.0:
-        warnings.warn(
-            f"gauge norm-control ratio {st.norm_control_ratio:.2f} > 4; "
-            "the data is far outside the perturbative regime"
-        )
-    return st
+    if nf > 0.0:
+        ratio = sobolev_norm(V, CONTROL_S + 1.0) / (nf * np.exp(nf / 2.0))
+        if ratio > 4.0:
+            warnings.warn(
+                f"gauge norm-control ratio {ratio:.2f} > 4; "
+                "the data is far outside the perturbative regime"
+            )
+    return V
 
 
 def _v_samples(c, b):
@@ -204,15 +163,6 @@ def _v_samples(c, b):
     return cpad, vs, dvs
 
 
-def _reconstruct(V):
-    """Invertibility margin and coefficients of 2i (1 + conj V) V_x."""
-    b = _bands(V.grid)
-    _, vs, dvs = _v_samples(V.coeffs, b)
-    margin = float(np.min(np.abs(1.0 + vs)))
-    uc = from_padded(2j * (1.0 + np.conj(vs)) * dvs, b.pg)
-    return margin, uc
-
-
 def gauge_inverse(V):
     """Invert the gauge: u = 2i (1 + conj V) V_x, realified.
 
@@ -220,12 +170,15 @@ def gauge_inverse(V):
     is no longer well defined on the lattice at that amplitude).
     """
     g = V.grid
-    margin, uc = _reconstruct(V)
+    b = _bands(g)
+    _, vs, dvs = _v_samples(V.coeffs, b)
+    margin = float(np.min(np.abs(1.0 + vs)))
     if margin < GAUGE_FLOOR:
         raise ValueError(
             f"gauge not invertible at this amplitude: min |1 + V| = {margin:.3g} "
             f"< {GAUGE_FLOOR}"
         )
+    uc = from_padded(2j * (1.0 + np.conj(vs)) * dvs, b.pg)
     herm = 0.5 * (uc + conj_reflect(uc))
     residue = float(np.max(np.abs(uc - herm)))
     scale = float(np.max(np.abs(herm)))

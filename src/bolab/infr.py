@@ -129,9 +129,7 @@ def gamma_cubic(s, eps):
 class TermParams:
     name: str
     gamma: float
-    sigma: float
     theta: float
-    delta: float
     feasible: bool
 
 
@@ -256,8 +254,7 @@ def infr_params(s, eps, sigma=None, N_threshold=1000.0):
     per_term = []
     for name, g in (("quadratic", gq), ("cubic", gc)):
         th = _theta(g)
-        ok = th > 0
-        per_term.append(TermParams(name, g, sigma, th, 0.5 * th / BETA if ok else 0.0, ok))
+        per_term.append(TermParams(name, g, th, th > 0))
 
     return InfrParams(
         s=float(s), eps=float(eps), gamma_quad=gq, gamma_cubic=gc, gamma=gamma,

@@ -68,6 +68,10 @@ from .spectral import SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
 from .infr import COUPLING, bo_terms, sum_by_output, term_values_on_lattice
 
+# Cap on the tuples of one depth-1 term lattice and on the estimated tuples
+# of one substitution step; nfe_residual raises above it.
+MAX_COMPOSED = 2_000_000
+
 
 @dataclass
 class _Batch:
@@ -349,7 +353,7 @@ class NfeReport:
                 f"quadrature floor {self.quadrature_error:.3e}")
 
 
-def nfe_residual(traj, J_max, params, max_composed=2_000_000):
+def nfe_residual(traj, J_max, params):
     """Truncation residuals of the depth-J normal form on a stored trajectory.
 
     ``traj`` must hold the gauged coefficients V_hat(t) of the truncated
@@ -365,7 +369,7 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000):
     (the report carries both numbers and warns when the product is large).
 
     Costs are guarded: J_max is at most 3, and a depth-1 term lattice or a
-    substitution step with more than ``max_composed`` tuples raises (a
+    substitution step with more than ``MAX_COMPOSED`` tuples raises (a
     substitution step with its estimated count).
     """
     if not isinstance(J_max, int) or not 1 <= J_max <= 3:
@@ -392,7 +396,7 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000):
     quadrature_error = norm_of(qvec)
 
     env_field = SpectralField(grid, np.abs(traj.data).max(axis=0))
-    tvs = {name: term_values_on_lattice(term, env_field, max_tuples=max_composed)
+    tvs = {name: term_values_on_lattice(term, env_field, max_tuples=MAX_COMPOSED)
            for name, term in bo_terms().items()}
 
     frontier, counts = _level_one(tvs, params.N_threshold)
@@ -426,10 +430,10 @@ def nfe_residual(traj, J_max, params, max_composed=2_000_000):
             residuals[J] = quadrature_error
             continue
         estimate = _compose_estimate(frontier, tvs, n)
-        if estimate > max_composed:
+        if estimate > MAX_COMPOSED:
             raise ValueError(
                 f"depth-{J} substitution would build about {estimate} "
-                f"composed tuples (cap {max_composed}); raise max_composed")
+                f"composed tuples, above the cap nfe.MAX_COMPOSED = {MAX_COMPOSED}")
         if child_sorted is None:
             child_sorted = _child_index(tvs)
         frontier = _compose(frontier, tvs, child_sorted, J, params, n)

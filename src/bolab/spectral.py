@@ -78,10 +78,6 @@ class Grid:
         return f"Grid(n_points={self.n}, half_length={self.half_length!r})"
 
 
-def make_grid(n_points, half_length):
-    return Grid(n_points, half_length)
-
-
 class SpectralField:
     """Fourier coefficients of a function on a Grid.
 

@@ -38,7 +38,6 @@ from bolab.spectral import (
     apply_multiplier,
     derivative,
     hilbert,
-    make_grid,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -77,8 +76,8 @@ def test_gate_01_spectral_substrate():
     """Plancherel, Hilbert isometry, H^2 = -Id, antiderivative/derivative
     inverse pair: 1e-12 relative on 100 random zero-mean fields, < 10 s."""
     t0 = time.perf_counter()
-    grids = [make_grid(64, np.pi), make_grid(128, 4 * np.pi),
-             make_grid(256, 8 * np.pi), make_grid(512, 2 * np.pi)]
+    grids = [Grid(64, np.pi), Grid(128, 4 * np.pi),
+             Grid(256, 8 * np.pi), Grid(512, 2 * np.pi)]
     rng = np.random.default_rng(101)
     worst = 0.0
     for i in range(100):
@@ -108,9 +107,9 @@ def test_gate_01_spectral_substrate():
 def test_gate_02_gauge_round_trip():
     """Round trip through the gauge at N = 1024, relative L2 <= 1e-10, < 1 s."""
     t0 = time.perf_counter()
-    g = make_grid(1024, 8 * np.pi)
+    g = Grid(1024, 8 * np.pi)
     u = to_spectral(-g.x * np.exp(-g.x**2 / 2.0), g)
-    back = gauge_inverse(gauge_forward(u).V)
+    back = gauge_inverse(gauge_forward(u))
     rel = sobolev_norm(back - u, 0) / sobolev_norm(u, 0)
     dt = time.perf_counter() - t0
     ok = rel <= 1e-10 and dt < 1.0
@@ -121,14 +120,14 @@ def test_gate_03_reference_solver():
     """L2 drift <= 1e-8 over T = 1, temporal order 4.0 +- 0.3, zero mode
     bitwise preserved, < 2 min."""
     t0 = time.perf_counter()
-    g = make_grid(256, 8 * np.pi)
+    g = Grid(256, 8 * np.pi)
     u0 = 0.5 * random_real_field(g, np.random.default_rng(3), kmax=40)
     traj = evolve_bo(u0, T=1.0, dt=1e-3)
     drift = abs(sobolev_norm(traj.final, 0) - sobolev_norm(u0, 0)) \
         / sobolev_norm(u0, 0)
     zero_mode = bool(np.all(traj.data[:, g.n // 2] == 0.0))
 
-    g2 = make_grid(128, 4 * np.pi)
+    g2 = Grid(128, 4 * np.pi)
     v0 = 3.0 * random_real_field(g2, np.random.default_rng(4), decay=1.2,
                                  kmax=30)
     ref = evolve_bo(v0, 0.5, dt=5e-4, snapshot_every=10**9).final
@@ -146,12 +145,12 @@ def test_gate_04_gauge_consistency():
     """Gauged evolution against gauge of the direct evolution in H^{s+1} at
     s = 1/2, T = 0.5, N = 1024: <= 1e-6, < 5 min."""
     t0 = time.perf_counter()
-    g = make_grid(1024, 8 * np.pi)
+    g = Grid(1024, 8 * np.pi)
     u0 = to_spectral(0.4 * -g.x * np.exp(-g.x**2 / 2.0), g)
     T, step, s = 0.5, 1e-3, 0.5
     traj_u = evolve_bo(u0, T, step, snapshot_every=10**9)
-    traj_v = evolve_gauged(gauge_forward(u0).V, T, step, snapshot_every=10**9)
-    err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final).V, s + 1.0)
+    traj_v = evolve_gauged(gauge_forward(u0), T, step, snapshot_every=10**9)
+    err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final), s + 1.0)
     dt = time.perf_counter() - t0
     ok = err <= 1e-6 and dt < 300
     assert verdict(4, ok, f"gauge/direct consistency at N=1024, T=0.5: "

@@ -19,10 +19,10 @@ from bolab.dynamics import (
 )
 from bolab.gauge import gauge_forward
 from bolab.spectral import (
+    Grid,
     SpectralField,
     conj_reflect,
     from_padded,
-    make_grid,
     padded_grid,
     sobolev_norm,
     to_padded,
@@ -59,7 +59,7 @@ def reflect(field):
 
 def test_propagator_single_mode_hand_value():
     # omega(1) = 1, so e^{ix} evolves to e^{i(x - t)}
-    g = make_grid(32, np.pi)
+    g = Grid(32, np.pi)
     u = to_spectral(np.exp(1j * g.x), g)
     t = 0.7
     moved = linear_propagator(u, t)
@@ -67,7 +67,7 @@ def test_propagator_single_mode_hand_value():
 
 
 def test_propagator_group_law_and_isometry():
-    g = make_grid(64, 2 * np.pi)
+    g = Grid(64, 2 * np.pi)
     rng = np.random.default_rng(1)
     u = random_real_field(g, rng)
     a = linear_propagator(linear_propagator(u, 0.3), 1.1)
@@ -80,7 +80,7 @@ def test_propagator_group_law_and_isometry():
 def test_solver_is_exact_on_linear_scale():
     # at tiny amplitude the nonlinearity is negligible and IF-RK4 reproduces
     # the propagator to rounding
-    g = make_grid(128, 4 * np.pi)
+    g = Grid(128, 4 * np.pi)
     rng = np.random.default_rng(2)
     u0 = 1e-10 * random_real_field(g, rng)
     traj = evolve_bo(u0, T=1.0, dt=0.05)
@@ -92,7 +92,7 @@ def test_solver_is_exact_on_linear_scale():
 # -- direct flow --------------------------------------------------------------
 
 def test_bo_conservation_reality_zero_mode():
-    g = make_grid(256, 8 * np.pi)
+    g = Grid(256, 8 * np.pi)
     rng = np.random.default_rng(3)
     u0 = 0.5 * random_real_field(g, rng, kmax=40)
     traj = evolve_bo(u0, T=0.5, dt=1e-3)
@@ -108,7 +108,7 @@ def test_bo_conservation_reality_zero_mode():
 
 def test_bo_convergence_order():
     # needs data strong enough that the O(dt^4) error sits above rounding
-    g = make_grid(128, 4 * np.pi)
+    g = Grid(128, 4 * np.pi)
     rng = np.random.default_rng(4)
     u0 = 3.0 * random_real_field(g, rng, decay=1.2, kmax=30)
     T = 0.5
@@ -126,7 +126,7 @@ def test_bo_convergence_order():
 def test_bo_reversibility_under_reflection():
     # u(x,t) -> u(-x,-t) is a symmetry of the flow, so evolving the reflected
     # final state recovers the initial data up to scheme error
-    g = make_grid(128, 4 * np.pi)
+    g = Grid(128, 4 * np.pi)
     rng = np.random.default_rng(5)
     u0 = 0.4 * random_real_field(g, rng, kmax=10)
     T, dt = 0.25, 1e-3
@@ -137,7 +137,7 @@ def test_bo_reversibility_under_reflection():
 
 
 def test_snapshot_cadence():
-    g = make_grid(64, np.pi)
+    g = Grid(64, np.pi)
     rng = np.random.default_rng(6)
     u0 = 0.1 * random_real_field(g, rng)
     traj = evolve_bo(u0, T=0.02, dt=1e-3, snapshot_every=7)
@@ -146,7 +146,7 @@ def test_snapshot_cadence():
 
 
 def test_unstable_dt_is_rejected_with_bound():
-    g = make_grid(256, 4 * np.pi)
+    g = Grid(256, 4 * np.pi)
     rng = np.random.default_rng(7)
     u0 = random_real_field(g, rng, decay=1.0)
     with pytest.raises(ValueError, match="stability bound"):
@@ -158,7 +158,7 @@ def test_probe_growth_bound_is_four():
     # 4x.  On the right side lam c the growth is exp(8 lam h) up to RK4
     # error: 10x at dt fails, and its square root (3.2x) at dt / 2 passes,
     # so the named bound is dt / 2; 3x at dt passes outright.
-    g = make_grid(16, np.pi)
+    g = Grid(16, np.pi)
     c0 = np.ones(g.n, dtype=complex)
     dt = 0.01
 
@@ -174,7 +174,7 @@ def test_probe_growth_bound_is_four():
 def test_nan_abort_names_step():
     # the direct-flow stepper at a step far past the stability bound, without
     # the startup probe that evolve_bo runs first
-    g = make_grid(256, 4 * np.pi)
+    g = Grid(256, 4 * np.pi)
     rng = np.random.default_rng(8)
     u0 = random_real_field(g, rng, decay=1.0)
     pg = padded_grid(g)
@@ -189,7 +189,7 @@ def test_nan_abort_names_step():
 
 def test_nan_abort_names_the_batch_member():
     # the same stepper on a batch in which only member 1 blows up
-    g = make_grid(256, 4 * np.pi)
+    g = Grid(256, 4 * np.pi)
     rng = np.random.default_rng(8)
     u0 = random_real_field(g, rng, decay=1.0)
     pg = padded_grid(g)
@@ -232,9 +232,9 @@ def test_evolutions_reject_bad_time_arguments(monkeypatch, kwargs, name):
     import bolab.dynamics as dynamics
 
     monkeypatch.setattr(dynamics, "_probe_dt", None)
-    g = make_grid(32, np.pi)
+    g = Grid(32, np.pi)
     u0 = to_spectral(0.1 * np.sin(g.x), g)
-    for evolve, field in ((evolve_bo, u0), (evolve_gauged, gauge_forward(u0).V)):
+    for evolve, field in ((evolve_bo, u0), (evolve_gauged, gauge_forward(u0))):
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             evolve(field, **kwargs)
 
@@ -244,28 +244,28 @@ def test_evolutions_reject_bad_time_arguments(monkeypatch, kwargs, name):
 def test_gauged_matches_gauge_of_direct_flow():
     # evolve u directly and V through the gauged equation; the gauge of the
     # evolved u must match the evolved V
-    g = make_grid(256, 8 * np.pi)
+    g = Grid(256, 8 * np.pi)
     u0 = to_spectral(0.4 * -g.x * np.exp(-g.x**2 / 2.0), g)
     T, dt = 0.25, 1e-3
     traj_u = evolve_bo(u0, T, dt, snapshot_every=10**9)
-    traj_v = evolve_gauged(gauge_forward(u0).V, T, dt, snapshot_every=10**9)
-    V_of_u = gauge_forward(traj_u.final).V
+    traj_v = evolve_gauged(gauge_forward(u0), T, dt, snapshot_every=10**9)
+    V_of_u = gauge_forward(traj_u.final)
     err = sobolev_norm(traj_v.final - V_of_u, 1.5)
     print(f"gauged-vs-direct H^1.5 error: {err:.3e}")
     assert err <= 1e-8
 
 
 def test_gauged_terms_mode_runs():
-    g = make_grid(64, np.pi)
+    g = Grid(64, np.pi)
     rng = np.random.default_rng(9)
     u0 = 0.2 * random_real_field(g, rng, kmax=20)
-    traj = evolve_gauged(gauge_forward(u0).V, T=0.05, dt=1e-3, rhs_mode="terms")
+    traj = evolve_gauged(gauge_forward(u0), T=0.05, dt=1e-3, rhs_mode="terms")
     assert np.all(np.isfinite(traj.data))
     assert traj.metadata["rhs"] == "terms"
 
 
 def test_gauged_margin_guard():
-    g = make_grid(32, np.pi)
+    g = Grid(32, np.pi)
     c = np.zeros(g.n, dtype=complex)
     c[g.n // 2] = -0.95 * 2 * g.half_length  # V == -0.95, margin 0.05
     V0 = SpectralField(g, c)
@@ -274,7 +274,7 @@ def test_gauged_margin_guard():
 
 
 def test_gauged_margin_guard_names_the_batch_member():
-    g = make_grid(32, np.pi)
+    g = Grid(32, np.pi)
     c = np.zeros(g.n, dtype=complex)
     c[g.n // 2] = -0.95 * 2 * g.half_length
     fields = [SpectralField(g, np.zeros(g.n, dtype=complex)), SpectralField(g, c)]
@@ -283,9 +283,9 @@ def test_gauged_margin_guard_names_the_batch_member():
 
 
 def test_unstable_dt_names_the_batch_member():
-    g = make_grid(64, np.pi)
-    stable = gauge_forward(to_spectral(0.01 * np.sin(g.x), g)).V
-    unstable = gauge_forward(to_spectral(np.sin(10 * g.x), g)).V
+    g = Grid(64, np.pi)
+    stable = gauge_forward(to_spectral(0.01 * np.sin(g.x), g))
+    unstable = gauge_forward(to_spectral(np.sin(10 * g.x), g))
     evolve_gauged(stable, T=0.5, dt=0.5)
     with pytest.raises(ValueError, match=r"^member 1: .*stability bound"):
         evolve_gauged_batch([stable, unstable], T=0.5, dt=0.5)
@@ -294,9 +294,9 @@ def test_unstable_dt_names_the_batch_member():
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("rhs_mode", ["exact", "terms"])
 def test_batch_rows_equal_single_runs(n, rhs_mode):
-    g = make_grid(n, np.pi)
+    g = Grid(n, np.pi)
     rng = np.random.default_rng(n)
-    fields = [gauge_forward(0.3 * random_real_field(g, rng)).V for _ in range(3)]
+    fields = [gauge_forward(0.3 * random_real_field(g, rng)) for _ in range(3)]
     batch = evolve_gauged_batch(fields, T=0.004, dt=1e-4, rhs_mode=rhs_mode,
                                 snapshot_every=7)
     assert len(batch) == len(fields)
@@ -311,8 +311,8 @@ def test_batch_rows_equal_single_runs(n, rhs_mode):
 
 @pytest.mark.parametrize("fields", [
     [],
-    [SpectralField(make_grid(32, np.pi), np.zeros(32)),
-     SpectralField(make_grid(32, 4 * np.pi), np.zeros(32))],
+    [SpectralField(Grid(32, np.pi), np.zeros(32)),
+     SpectralField(Grid(32, 4 * np.pi), np.zeros(32))],
 ])
 def test_batch_refuses_empty_or_mixed_grids(monkeypatch, fields):
     # refused before the stability probe or the stepper runs
@@ -325,7 +325,7 @@ def test_batch_refuses_empty_or_mixed_grids(monkeypatch, fields):
 
 
 def test_bad_rhs_mode():
-    g = make_grid(32, np.pi)
+    g = Grid(32, np.pi)
     V0 = SpectralField(g, np.zeros(g.n, dtype=complex))
     with pytest.raises(ValueError, match="rhs_mode"):
         evolve_gauged(V0, T=0.01, dt=1e-3, rhs_mode="bogus")
@@ -334,7 +334,7 @@ def test_bad_rhs_mode():
 # -- trajectory container -----------------------------------------------------
 
 def test_trajectory_save_load_round_trip(tmp_path):
-    g = make_grid(64, 2 * np.pi)
+    g = Grid(64, 2 * np.pi)
     rng = np.random.default_rng(10)
     u0 = 0.3 * random_real_field(g, rng)
     traj = evolve_bo(u0, T=0.01, dt=1e-3, snapshot_every=2)
@@ -351,7 +351,7 @@ def test_trajectory_save_is_atomic(tmp_path, monkeypatch):
     # every file is moved into place from a temporary name beside it that no
     # snap_*.bosf glob matches; a save that fails part way leaves the earlier
     # save readable and no temporary file behind
-    g = make_grid(32, np.pi)
+    g = Grid(32, np.pi)
     traj = evolve_bo(to_spectral(0.1 * np.sin(g.x), g), T=0.004, dt=1e-3)
     d = tmp_path / "traj"
     files = sorted([f"snap_{i:06d}.bosf" for i in range(len(traj))]
@@ -383,7 +383,7 @@ def test_trajectory_save_is_atomic(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", [None, 2])
 def test_trajectory_load_refuses_unknown_format(tmp_path, fmt):
-    g = make_grid(32, np.pi)
+    g = Grid(32, np.pi)
     d = tmp_path / "traj"
     evolve_bo(to_spectral(0.1 * np.sin(g.x), g), T=0.002, dt=1e-3).save(d)
     manifest = json.loads((d / "manifest.json").read_text())

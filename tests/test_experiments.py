@@ -18,6 +18,7 @@ from bolab.experiments import (bump_shape, lemma21_experiment,
                                rough_real_data, smoothing_experiment,
                                unit_rough_field, verify_operator_estimate)
 from bolab.dynamics import evolve_gauged_batch
+from bolab.infr import bo_terms
 from bolab.spectral import Grid, dispersion, sobolev_norm, to_physical
 from test_reports import report_from_dict
 
@@ -98,6 +99,16 @@ def test_operator_zero_trials_raises(monkeypatch):
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
             verify_operator_estimate("C+", 0.5, 0.0, trials=trials)
+
+
+@pytest.mark.parametrize("term", ["X+", bo_terms()["Q+"]],
+                         ids=["unknown-name", "descriptor"])
+def test_operator_term_must_be_a_name(monkeypatch, term):
+    # the term is named, never passed as a descriptor: refused before any
+    # lattice work
+    monkeypatch.setattr(experiments, "term_values_on_lattice", None)
+    with pytest.raises(ValueError, match="term must be one of"):
+        verify_operator_estimate(term, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("lists, name", [

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bolab import nfe
 from bolab.dynamics import Trajectory, evolve_gauged
 from bolab.experiments import rough_real_data
 from bolab.gauge import gauge_forward, rhs_terms_total_coeffs
@@ -114,7 +115,7 @@ def _default_trajectory(T):
     seed 42, amplitude 0.05, dt = 2.5e-5), stopped at ``T``."""
     g = Grid(128, np.pi)
     u0 = rough_real_data(g, 0.5, 42, 0.05)
-    return evolve_gauged(gauge_forward(u0).V, T=T, dt=2.5e-5, rhs_mode="terms")
+    return evolve_gauged(gauge_forward(u0), T=T, dt=2.5e-5, rhs_mode="terms")
 
 
 def _composition_setup(T, half_length=np.pi):
@@ -422,7 +423,7 @@ def test_residual_matches_independent_formula():
     assert res_plain == pytest.approx(rep.residuals[1], rel=2e-2)
 
 
-def test_sigma_override_exercises_composition():
+def test_sigma_override_exercises_composition(monkeypatch):
     """A sigma close to gamma + beta shrinks c_2 enough for genuine depth-2
     nonresonant tuples; the composed machinery must run and improve on
     depth 1.
@@ -437,17 +438,20 @@ def test_sigma_override_exercises_composition():
     V0 = band_field(g, rng, 2, 14, 0.05, decay=1.0)
     traj = evolve_gauged(V0, T=0.005, dt=1e-4, rhs_mode="terms")
     p = infr_params(0.5, 0.0, sigma=0.501, N_threshold=1.3)
-    rep = nfe_residual(traj, 2, p, max_composed=4_000_000)
+    monkeypatch.setattr(nfe, "MAX_COMPOSED", 4_000_000)
+    rep = nfe_residual(traj, 2, p)
     print(rep.summary())
     print("composed:", rep.composed)
     assert rep.composed[2]["status"] == "expanded"
     assert rep.composed[2]["nonresonant"] > 0
     assert rep.residuals[2] < rep.residuals[1]
     # the same cap also guards the per-term lattices, tripped first when tiny
+    monkeypatch.setattr(nfe, "MAX_COMPOSED", 50_000)
     with pytest.raises(ValueError, match="composed tuples"):
-        nfe_residual(traj, 2, p, max_composed=50_000)
+        nfe_residual(traj, 2, p)
+    monkeypatch.setattr(nfe, "MAX_COMPOSED", 100)
     with pytest.raises(ValueError, match="term lattice too large"):
-        nfe_residual(traj, 2, p, max_composed=100)
+        nfe_residual(traj, 2, p)
 
 
 def test_validation_and_warnings():

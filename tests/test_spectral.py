@@ -19,7 +19,7 @@ def random_real_field(grid, rng, decay=2.0):
 
 
 def test_make_grid_small():
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     assert g.dxi == 1.0
     assert list(g.k) == [-4, -3, -2, -1, 0, 1, 2, 3]
     np.testing.assert_allclose(g.xi, np.arange(-4, 4, dtype=float))
@@ -27,7 +27,7 @@ def test_make_grid_small():
 
 
 def test_make_grid_desk_scale():
-    g = sp.make_grid(1024, 64 * np.pi)
+    g = sp.Grid(1024, 64 * np.pi)
     assert g.dxi == pytest.approx(1.0 / 64)
     assert g.xi.max() == pytest.approx(511.0 / 64)  # just below 8
 
@@ -35,12 +35,12 @@ def test_make_grid_desk_scale():
 @pytest.mark.parametrize("n,L", [(12, np.pi), (7, np.pi), (8, 3.0), (4, np.pi)])
 def test_make_grid_rejects(n, L):
     with pytest.raises(ValueError):
-        sp.make_grid(n, L)
+        sp.Grid(n, L)
 
 
 def test_cosine_hand_dft():
     # int cos(x) exp(-i xi x) dx over [-pi, pi) = pi at xi = +-1, else 0
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     f = sp.to_spectral(np.cos(g.x), g)
     expected = np.zeros(8, dtype=complex)
     expected[g.k == 1] = np.pi
@@ -49,7 +49,7 @@ def test_cosine_hand_dft():
 
 
 def test_zero_array_zero_field():
-    g = sp.make_grid(16, np.pi)
+    g = sp.Grid(16, np.pi)
     f = sp.to_spectral(np.zeros(16), g)
     assert np.all(f.coeffs == 0)
 
@@ -57,7 +57,7 @@ def test_zero_array_zero_field():
 @pytest.mark.parametrize("n,L", [(8, np.pi), (64, 4 * np.pi), (256, 32 * np.pi)])
 def test_round_trip_and_plancherel(n, L):
     rng = np.random.default_rng(7)
-    g = sp.make_grid(n, L)
+    g = sp.Grid(n, L)
     for _ in range(20):
         f = random_real_field(g, rng)
         samples = sp.to_physical(f)
@@ -69,7 +69,7 @@ def test_round_trip_and_plancherel(n, L):
 
 
 def test_length_mismatch():
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     with pytest.raises(ValueError):
         sp.to_spectral(np.zeros(9), g)
     with pytest.raises(ValueError):
@@ -77,21 +77,21 @@ def test_length_mismatch():
 
 
 def test_hilbert_cos_is_sin():
-    g = sp.make_grid(32, np.pi)
+    g = sp.Grid(32, np.pi)
     f = sp.to_spectral(np.cos(g.x), g)
     hf = sp.hilbert(f)
     np.testing.assert_allclose(sp.to_physical(hf).real, np.sin(g.x), atol=1e-12)
 
 
 def test_derivative_sin_is_cos():
-    g = sp.make_grid(32, np.pi)
+    g = sp.Grid(32, np.pi)
     f = sp.to_spectral(np.sin(g.x), g)
     df = sp.derivative(f)
     np.testing.assert_allclose(sp.to_physical(df).real, np.cos(g.x), atol=1e-12)
 
 
 def test_antiderivative_sin():
-    g = sp.make_grid(32, np.pi)
+    g = sp.Grid(32, np.pi)
     f = sp.to_spectral(np.sin(g.x), g)
     F = sp.apply_multiplier(f, sp.antiderivative_symbol(g))
     np.testing.assert_allclose(sp.to_physical(F).real, -np.cos(g.x), atol=1e-12)
@@ -100,7 +100,7 @@ def test_antiderivative_sin():
 
 def test_hilbert_isometry_and_square():
     rng = np.random.default_rng(11)
-    g = sp.make_grid(128, 8 * np.pi)
+    g = sp.Grid(128, 8 * np.pi)
     for _ in range(25):
         f = random_real_field(g, rng)
         hf = sp.hilbert(f)
@@ -111,7 +111,7 @@ def test_hilbert_isometry_and_square():
 
 def test_antiderivative_derivative_inverse_pair():
     rng = np.random.default_rng(3)
-    g = sp.make_grid(64, 4 * np.pi)
+    g = sp.Grid(64, 4 * np.pi)
     for _ in range(25):
         f = random_real_field(g, rng)
         F = sp.apply_multiplier(f, sp.antiderivative_symbol(g))
@@ -123,7 +123,7 @@ def test_antiderivative_derivative_inverse_pair():
 
 def test_hardy_bound_on_lattice():
     rng = np.random.default_rng(5)
-    g = sp.make_grid(128, 16 * np.pi)
+    g = sp.Grid(128, 16 * np.pi)
     C = np.sqrt(1 + g.dxi**2) / g.dxi  # max over nonzero xi of <xi>/|xi|
     for s in (0.0, 0.5, 1.0):
         f = random_real_field(g, rng)
@@ -132,7 +132,7 @@ def test_hardy_bound_on_lattice():
 
 
 def test_project_cos_plus():
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     f = sp.to_spectral(np.cos(g.x), g)
     p = sp.project(f, "+")
     expected = np.zeros(8, dtype=complex)
@@ -142,7 +142,7 @@ def test_project_cos_plus():
 
 def test_project_disjoint_and_partition():
     rng = np.random.default_rng(23)
-    g = sp.make_grid(64, 2 * np.pi)
+    g = sp.Grid(64, 2 * np.pi)
     f = random_real_field(g, rng)
     assert np.all(sp.project(sp.project(f, "lo"), "hi").coeffs == 0)
     total = sp.project(f, "+hi") + sp.project(f, "-hi") + sp.project(f, "lo")
@@ -155,14 +155,14 @@ def test_project_disjoint_and_partition():
 
 
 def test_project_rejects_unknown_region():
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     f = sp.to_spectral(np.cos(g.x), g)
     with pytest.raises(ValueError):
         sp.project(f, "mid")
 
 
 def test_sobolev_norm_basics():
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     zero = sp.SpectralField(g, np.zeros(8, dtype=complex))
     assert sp.sobolev_norm(zero, 1.5) == 0.0
     coeffs = np.zeros(8, dtype=complex)
@@ -174,7 +174,7 @@ def test_sobolev_norm_basics():
 
 def test_sobolev_monotone_in_s():
     rng = np.random.default_rng(17)
-    g = sp.make_grid(64, 4 * np.pi)
+    g = sp.Grid(64, 4 * np.pi)
     for _ in range(10):
         f = random_real_field(g, rng)
         n0 = sp.sobolev_norm(f, 0)
@@ -184,7 +184,7 @@ def test_sobolev_monotone_in_s():
 
 
 def test_zero_mean_project_examples():
-    g = sp.make_grid(16, np.pi)
+    g = sp.Grid(16, np.pi)
     const = sp.to_spectral(np.ones(16), g)
     assert np.all(sp.zero_mean_project(const).coeffs == 0)
     f = sp.to_spectral(1.0 + np.sin(g.x), g)
@@ -193,7 +193,7 @@ def test_zero_mean_project_examples():
 
 
 def test_nyquist_forced_to_zero():
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     coeffs = np.ones(8, dtype=complex)
     f = sp.SpectralField(g, coeffs)
     assert f.coeffs[0] == 0.0  # k = -4 is the unpaired mode
@@ -203,14 +203,14 @@ def test_nyquist_forced_to_zero():
 
 
 def test_field_immutability_and_arithmetic():
-    g = sp.make_grid(16, np.pi)
+    g = sp.Grid(16, np.pi)
     rng = np.random.default_rng(1)
     f = random_real_field(g, rng)
     with pytest.raises(ValueError):
         f.coeffs[3] = 1.0
     h = 2.0 * f - f
     np.testing.assert_allclose(h.coeffs, f.coeffs, atol=1e-15)
-    g2 = sp.make_grid(32, np.pi)
+    g2 = sp.Grid(32, np.pi)
     f2 = random_real_field(g2, rng)
     with pytest.raises(ValueError):
         _ = f + f2
@@ -242,7 +242,7 @@ def brute_convolution(f, g_field):
 
 def test_product_matches_brute_convolution():
     rng = np.random.default_rng(29)
-    g = sp.make_grid(16, np.pi)
+    g = sp.Grid(16, np.pi)
     for _ in range(5):
         f1 = random_real_field(g, rng)
         f2 = random_real_field(g, rng)
@@ -252,7 +252,7 @@ def test_product_matches_brute_convolution():
 
 
 def test_product_cos_squared():
-    g = sp.make_grid(16, np.pi)
+    g = sp.Grid(16, np.pi)
     f = sp.to_spectral(np.cos(g.x), g)
     p = product_field(f, f)
     # cos^2 = 1/2 + cos(2x)/2: coefficients pi at 0 and pi/2 at +-2
@@ -262,7 +262,7 @@ def test_product_cos_squared():
 
 
 def test_propagator_symbol_is_unimodular():
-    g = sp.make_grid(64, 2 * np.pi)
+    g = sp.Grid(64, 2 * np.pi)
     sym = propagator_symbol(g, 0.37)
     np.testing.assert_allclose(np.abs(sym), 1.0, atol=1e-14)
     assert sym[g.k == 0] == 1.0
@@ -270,7 +270,7 @@ def test_propagator_symbol_is_unimodular():
 
 def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(41)
-    g = sp.make_grid(64, 4 * np.pi)
+    g = sp.Grid(64, 4 * np.pi)
     f = random_real_field(g, rng)
     path = tmp_path / "field.bosf"
     sp.write_snapshot(f, 0.625, path)
@@ -306,7 +306,7 @@ def test_snapshot_truncated_header_is_value_error(tmp_path):
 ])
 def test_snapshot_payload_of_wrong_size_is_value_error(tmp_path, edit, want):
     # one coefficient short, a part of one, no payload, one byte too many
-    g = sp.make_grid(64, np.pi)
+    g = sp.Grid(64, np.pi)
     path = tmp_path / "field.bosf"
     sp.write_snapshot(random_real_field(g, np.random.default_rng(2)), 0.5, path)
     path.write_bytes(edit(path.read_bytes()))
@@ -316,7 +316,7 @@ def test_snapshot_payload_of_wrong_size_is_value_error(tmp_path, edit, want):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_field_rejects_non_finite_coefficients(bad):
-    g = sp.make_grid(8, np.pi)
+    g = sp.Grid(8, np.pi)
     with pytest.raises(ValueError, match="non-finite"):
         sp.SpectralField(g, [bad] * 8)
 
@@ -324,7 +324,7 @@ def test_field_rejects_non_finite_coefficients(bad):
 def test_arithmetic_to_non_finite_raises():
     # scalar arithmetic goes through the same check as construction, so it
     # cannot build an all-NaN field
-    f = random_real_field(sp.make_grid(16, np.pi), np.random.default_rng(5))
+    f = random_real_field(sp.Grid(16, np.pi), np.random.default_rng(5))
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             f * np.inf
@@ -334,7 +334,7 @@ def test_arithmetic_to_non_finite_raises():
 
 def test_conj_reflect_is_the_conjugate_field():
     rng = np.random.default_rng(43)
-    g = sp.make_grid(32, np.pi)
+    g = sp.Grid(32, np.pi)
     c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
     f = sp.SpectralField(g, c)
     r = sp.conj_reflect(f.coeffs)
@@ -348,7 +348,7 @@ def test_conj_reflect_is_the_conjugate_field():
 def test_transforms_on_last_axis_equal_row_calls(n):
     # a (B, 2n) batch transforms row by row, bit for bit; this is what lets
     # the gauged stepper integrate several fields in one array
-    g = sp.make_grid(n, np.pi)
+    g = sp.Grid(n, np.pi)
     pg = sp.padded_grid(g)
     rng = np.random.default_rng(n)
     rows = rng.standard_normal((3, 2 * n)) + 1j * rng.standard_normal((3, 2 * n))
@@ -373,7 +373,7 @@ def test_transforms_on_last_axis_equal_row_calls(n):
 def test_padded_pair_equals_lattice_order_oracle(n, L):
     # the doubled lattice is held in FFT order; padding into it and gathering
     # the base band out of it give the values of the lattice-order path
-    g = sp.make_grid(n, L)
+    g = sp.Grid(n, L)
     pg = sp.padded_grid(g)
     rng = np.random.default_rng(n)
     for shape in ((n,), (3, n)):
