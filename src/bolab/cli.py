@@ -3,8 +3,10 @@
     bolab <command> [--config run.json] [flags...]
 
 Commands: simulate, gauge-check, params, estimates, smoothing, lipschitz,
-lemma21, nfe.  Each writes its JSON + CSV report (``main`` embeds the
-resolved config) into the output directory (--output-dir flag, config
+lemma21, nfe.  A command checks the keys it reads, builds its inputs and
+prints; its reports come from ``bolab.experiments``, which decides every
+check.  ``main`` embeds the resolved config in each report, writes it as
+JSON + CSV into the output directory (--output-dir flag, config
 "output_dir", env BOLAB_OUTPUT_DIR, or ./bolab-reports) and prints a
 one-line verdict summary.  Exit codes: 0 every verdict passes (or the run
 is descriptive-only), 1 a verdict failed or was inconclusive, 2 usage or
@@ -29,19 +31,17 @@ import sys
 
 import numpy as np
 
-from .dynamics import evolve_bo, evolve_gauged
-from .experiments import (lemma21_experiment, lipschitz_experiment,
-                          rough_real_data, smoothing_experiment,
-                          verify_operator_estimate)
-from .gauge import gauge_forward, gauge_inverse
-from .infr import bo_terms, gamma_cubic, gamma_quadratic, infr_params
-from .integrals import cubic_integral_I, quad_integral_J
+from .dynamics import evolve_gauged
+from .experiments import (CONSISTENCY_BOUND, ROUND_TRIP_BOUND,
+                          gauge_check_experiment, integral_scaling_experiment,
+                          lemma21_experiment, lipschitz_experiment, nfe_report,
+                          params_report, rough_real_data, simulate_experiment,
+                          smoothing_experiment, verify_operator_estimate)
+from .gauge import gauge_forward
+from .infr import bo_terms, infr_params
 from .nfe import nfe_residual
-from .reports import EstimateReport
-from .spectral import Grid, sobolev_norm, to_spectral
+from .spectral import Grid, to_spectral
 
-COMMANDS = ("simulate", "gauge-check", "params", "estimates", "smoothing",
-            "lipschitz", "lemma21", "nfe")
 ENV_OUTPUT_DIR = "BOLAB_OUTPUT_DIR"
 DATA_KINDS = ("gaussian-derivative", "rough-random")
 
@@ -184,11 +184,6 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
     return cfg
 
 
-def _output_dir(cfg):
-    return (cfg.get("output_dir") or os.environ.get(ENV_OUTPUT_DIR)
-            or os.path.join(os.getcwd(), "bolab-reports"))
-
-
 # (test, requirement) that a value must meet for a command that reads it.
 # Each command checks the keys it reads: `params` resolves them all.
 _POSITIVE = (lambda v: v > 0, "must be positive")
@@ -255,18 +250,9 @@ def _build_data(grid, cfg):
 
 def _cmd_simulate(cfg, outdir):
     _require(cfg, "time.T", "time.dt", "time.snapshot_every")
-    grid = _build_grid(cfg)
-    u0 = _build_data(grid, cfg)
     t = cfg["time"]
-    traj = evolve_bo(u0, T=t["T"], dt=t["dt"],
-                     snapshot_every=t["snapshot_every"])
-    rep = EstimateReport("simulate", params={"metadata": traj.metadata})
-    norms = [sobolev_norm(traj.field(i), 0.0) for i in range(len(traj))]
-    for l2, ti in zip(norms, traj.times):
-        rep.add_sample(l2, kind="l2_norm", t=float(ti))
-    rep.params["l2_drift"] = float(max(norms) - min(norms))
-    rep.params["zero_mode_max"] = float(
-        np.max(np.abs(traj.data[:, grid.n // 2])))
+    traj, rep = simulate_experiment(_build_data(_build_grid(cfg), cfg), t["T"],
+                                    t["dt"], t["snapshot_every"])
     traj_dir = os.path.join(outdir, "trajectory")
     traj.save(traj_dir)
     print(f"trajectory ({len(traj)} snapshots) in {traj_dir}")
@@ -275,77 +261,24 @@ def _cmd_simulate(cfg, outdir):
 
 def _cmd_gauge_check(cfg, outdir):
     _require(cfg, "time.T", "time.dt", "data.amplitude")
-    grid = _build_grid(cfg)
-    u0 = _build_data(grid, cfg)
-    V0 = gauge_forward(u0)
-    back = gauge_inverse(V0)
-    rt = sobolev_norm(back - u0, 0.0) / sobolev_norm(u0, 0.0)
-    rt_ok = rt <= 1e-10
-    print(f"round-trip relative error <= 1e-10: {'PASS' if rt_ok else 'FAIL'}"
-          f" ({rt:.3e})")
-
     t = cfg["time"]
-    s = cfg["infr"]["s"]
-    traj_u = evolve_bo(u0, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
-    traj_v = evolve_gauged(V0, T=t["T"], dt=t["dt"], snapshot_every=10 ** 9)
-    err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final), s + 1.0)
-    cons_ok = err <= 1e-6
-    print(f"gauge/direct consistency error <= 1e-06: "
-          f"{'PASS' if cons_ok else 'FAIL'} ({err:.3e})")
-
-    rep = EstimateReport("gauge_check", params={})
-    rep.add_sample(rt, kind="round_trip_rel_error")
-    rep.add_sample(err, kind="consistency_error")
-    rep.checks["round_trip_le_1e-10"] = bool(rt_ok)
-    rep.checks["consistency_le_1e-6"] = bool(cons_ok)
+    rep = gauge_check_experiment(_build_data(_build_grid(cfg), cfg), t["T"],
+                                 t["dt"], cfg["infr"]["s"])
+    lines = (("round-trip relative error", ROUND_TRIP_BOUND),
+             ("gauge/direct consistency error", CONSISTENCY_BOUND))
+    for (what, bound), row, ok in zip(lines, rep.samples, rep.checks.values()):
+        print(f"{what} <= {bound:g}: {'PASS' if ok else 'FAIL'}"
+              f" ({row['value']:.3e})")
     return [("gauge_check", rep)]
 
 
 def _cmd_params(cfg, outdir):
     p = _build_params(cfg)
-    rep = EstimateReport("params", params={"table": dict(p.table())})
     for name, value in p.table():
         print(f"{name:<18} {value}")
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            rep.add_sample(float(value), kind="parameter", name=name)
     if not p.feasible:
-        rep.checks["feasible"] = False
         print(p.message)
-    return [("params", rep)]
-
-
-def _integral_report(s, eps, cutoff):
-    """M- and alpha-sweeps of the quadrature oracles with exponent caps.
-
-    The integrals are the squared dual quantities, so the caps double the
-    operator exponents: M-slope <= 1 + 2 gamma + 0.15, alpha-slope <=
-    2 gamma + 0.15.  A cutoff-doubling cell guards tail convergence.
-    """
-    rep = EstimateReport("integral_scaling", params={
-        "s": s, "eps": eps, "cutoff": cutoff,
-        "gamma_quad": gamma_quadratic(s, eps),
-        "gamma_cubic": gamma_cubic(s, eps)})
-    kinds = (("quad", quad_integral_J, gamma_quadratic(s, eps)),
-             ("cubic", cubic_integral_I, gamma_cubic(s, eps)))
-    # (fit key, alpha, M): the M-sweep at alpha = 0, the alpha-sweep at M = 2
-    cells = ([("m", 0.0, M) for M in (2.0, 4.0, 8.0, 16.0, 32.0)]
-             + [("alpha", a, 2.0) for a in (4.0, 8.0, 16.0, 32.0)])
-    for key, alpha, M in cells:
-        for kind, integral, _ in kinds:
-            rep.add_sample(integral(alpha, M, s, eps, cutoff),
-                           fit=f"{kind}_{key}", m=M, alpha=alpha, kind=kind)
-    for kind, integral, gamma in kinds:
-        for key, cap in (("m", 1.0 + 2.0 * gamma + 0.15),
-                         ("alpha", 2.0 * gamma + 0.15)):
-            rep.check_fit(f"{kind}_{key}_exponent_le_cap",
-                          rep.fit_samples(f"{kind}_{key}", key),
-                          lambda p: p <= cap)
-            rep.params[f"{kind}_{key}_cap"] = cap
-        base = integral(0.0, 8.0, s, eps, cutoff)
-        wide = integral(0.0, 8.0, s, eps, 2.0 * cutoff)
-        rep.checks[f"{kind}_cutoff_converged"] = bool(
-            abs(wide - base) <= 0.05 * base)
-    return rep
+    return [("params", params_report(p))]
 
 
 def _cmd_estimates(cfg, outdir):
@@ -356,49 +289,45 @@ def _cmd_estimates(cfg, outdir):
     # the integrals own the cutoff rule; run them first so that a cutoff
     # they refuse stops the command before the operator sweeps
     try:
-        integral = _integral_report(infr["s"], infr["eps"], exp["cutoff"])
+        integral = integral_scaling_experiment(infr["s"], infr["eps"],
+                                               exp["cutoff"])
     except ValueError as e:
         raise ConfigError(f"experiment.cutoff: {e}") from None
-    grid_cfg = cfg["grid"]
+    g = cfg["grid"]
     out = []
     for name in exp["terms"]:
-        rep = verify_operator_estimate(
-            name, infr["s"], infr["eps"], exp["alpha_list"], exp["M_list"],
-            trials=exp["trials"], grid_n=grid_cfg["n_points"],
-            half_length=grid_cfg["half_length"])
         stem = name.replace("+", "p").replace("-", "m")
-        out.append((f"operator_{stem}", rep))
-    out.append(("integral_scaling", integral))
-    return out
+        out.append((f"operator_{stem}", verify_operator_estimate(
+            name, infr["s"], infr["eps"], exp["alpha_list"], exp["M_list"],
+            trials=exp["trials"], grid_n=g["n_points"],
+            half_length=g["half_length"])))
+    return out + [("integral_scaling", integral)]
 
 
 def _cmd_smoothing(cfg, outdir):
     _require(cfg, "time.T", "time.dt", "experiment.resolutions",
              "data.amplitude")
-    for n in cfg["experiment"]["resolutions"]:
+    t, infr, d, exp = cfg["time"], cfg["infr"], cfg["data"], cfg["experiment"]
+    for n in exp["resolutions"]:
         _build_grid(cfg, n, "experiment.resolutions")
-    infr = cfg["infr"]
-    eps_list = infr["eps_list"] if infr["eps_list"] else [infr["eps"]]
     rep = smoothing_experiment(
-        seed=cfg["data"]["seed"], s=infr["s"], eps_list=eps_list,
-        T=cfg["time"]["T"], resolutions=cfg["experiment"]["resolutions"],
-        amplitude=cfg["data"]["amplitude"], base_dt=cfg["time"]["dt"],
-        half_length=cfg["grid"]["half_length"])
+        seed=d["seed"], s=infr["s"], eps_list=infr["eps_list"] or [infr["eps"]],
+        T=t["T"], resolutions=exp["resolutions"], amplitude=d["amplitude"],
+        base_dt=t["dt"], half_length=cfg["grid"]["half_length"])
     return [("smoothing", rep)]
 
 
 def _cmd_lipschitz(cfg, outdir):
     _require(cfg, "time.T", "time.dt", "experiment.resolutions",
              "experiment.perturbation_size")
-    for n in cfg["experiment"]["resolutions"]:
+    t, d, exp = cfg["time"], cfg["data"], cfg["experiment"]
+    for n in exp["resolutions"]:
         _build_grid(cfg, n, "experiment.resolutions")
     rep = lipschitz_experiment(
-        seed=cfg["data"]["seed"], s=cfg["infr"]["s"], T=cfg["time"]["T"],
-        perturbation_size=cfg["experiment"]["perturbation_size"],
-        resolutions=cfg["experiment"]["resolutions"],
-        amplitude=cfg["data"]["amplitude"], dt=cfg["time"]["dt"],
-        c_max=cfg["experiment"]["c_max"],
-        half_length=cfg["grid"]["half_length"])
+        seed=d["seed"], s=cfg["infr"]["s"], T=t["T"],
+        perturbation_size=exp["perturbation_size"],
+        resolutions=exp["resolutions"], amplitude=d["amplitude"], dt=t["dt"],
+        c_max=exp["c_max"], half_length=cfg["grid"]["half_length"])
     return [("lipschitz", rep)]
 
 
@@ -416,28 +345,13 @@ def _cmd_nfe(cfg, outdir):
     _require(cfg, "infr.J_max", "time.T", "time.dt", "time.snapshot_every",
              "data.amplitude")
     p = _build_params(cfg)
-    t, infr = cfg["time"], cfg["infr"]
-    grid = _build_grid(cfg)
-    u0 = _build_data(grid, cfg)
+    t = cfg["time"]
+    u0 = _build_data(_build_grid(cfg), cfg)
     traj = evolve_gauged(gauge_forward(u0), T=t["T"], dt=t["dt"],
-                         rhs_mode="terms",
-                         snapshot_every=t["snapshot_every"])
-    nr = nfe_residual(traj, infr["J_max"], p)
+                         rhs_mode="terms", snapshot_every=t["snapshot_every"])
+    nr = nfe_residual(traj, cfg["infr"]["J_max"], p)
     print(nr.summary())
-    rep = EstimateReport("nfe", params={
-        "quadrature_error": nr.quadrature_error,
-        "norm_index": nr.norm_index, "counts": nr.counts,
-        "phase_cap": nr.phase_cap, "h_max": nr.h_max})
-    for j in sorted(nr.residuals):
-        rep.add_sample(nr.residuals[j], kind="residual", j=j)
-    rep.notes.extend(nr.warnings)
-    levels = sorted(nr.residuals)
-    vals = [nr.residuals[j] for j in levels]
-    rep.checks["residual_monotone"] = bool(
-        all(b <= a for a, b in zip(vals, vals[1:])))
-    if infr["J_max"] >= 2:
-        rep.checks["deepest_below_depth1"] = bool(vals[-1] < vals[0])
-    return [("nfe", rep)]
+    return [("nfe", nfe_report(nr))]
 
 
 _DISPATCH = {
@@ -461,7 +375,7 @@ def _build_parser():
         prog="bolab",
         description="Benjamin-Ono spectral laboratory: simulations, gauge "
                     "checks, and scaling experiments with JSON/CSV reports.")
-    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("command", choices=_DISPATCH)
     p.add_argument("--config", help="JSON config file (flags override it)")
     for path, ftype, _, flag, help_text in _SPEC:
         kind = {"choices": ftype} if isinstance(ftype, tuple) else {"type": ftype}
@@ -493,7 +407,8 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    outdir = _output_dir(cfg)
+    outdir = (cfg.get("output_dir") or os.environ.get(ENV_OUTPUT_DIR)
+              or os.path.join(os.getcwd(), "bolab-reports"))
     try:
         results = _DISPATCH[cfg["command"]](cfg, outdir)
     except ConfigError as e:
@@ -503,15 +418,12 @@ def main(argv=None):
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 
-    failed = False
     for stem, rep in results:
         rep.params["config"] = cfg
         rep.write(outdir, stem)
         print(rep.summary())
-        if rep.checks and rep.verdict != "pass":
-            failed = True
     print(f"reports in {outdir}")
-    return 1 if failed else 0
+    return int(any(rep.verdict != "pass" for _, rep in results))
 
 
 if __name__ == "__main__":

@@ -1,27 +1,20 @@
-"""Quantitative scaling experiments on the gauged flow.
+"""Quantitative experiments on the gauged flow, and the report of every
+``bolab`` command.
 
-Four measurement campaigns, each returning a self-contained
-:class:`~bolab.reports.EstimateReport`:
+Each driver returns a self-contained :class:`~bolab.reports.EstimateReport`
+and decides its checks here, so the command line only builds inputs:
 
-* :func:`verify_operator_estimate` — sweeps the frequency-restricted
-  operators ``T^{alpha,M}`` over windows and shell widths on ensembles of
-  random unit-norm inputs and fits the growth exponents, comparing against
-  the predicted caps (upper-bound semantics: measured growth must not
-  exceed the target exponent plus tolerance; sharpness is never claimed).
-* :func:`smoothing_experiment` — evolves rough random data of exactly
-  ``H^{s+1}`` regularity and measures the profile remainder
-  ``R(t) = e^{it omega} V(t) - V(0)`` in ``H^{s+1+eps}``: the remainder
-  norm should be stable under resolution doubling while the same norm of
-  the data diverges at the rate forced by the prescribed tail.
-* :func:`lipschitz_experiment` — evolves a pair of gauged fields whose
-  initial separation is calibrated to ``perturbation_size`` and tracks the
-  ratio of the separation to its initial value.
-* :func:`lemma21_experiment` — sweeps the data amplitude ``h`` and checks
-  that the sup of the profile time derivative scales like ``h^2`` for
-  small ``h`` and stays below ``C (h^2 + h^3)`` with a single constant.
+* :func:`verify_operator_estimate` — growth exponents of ``T^{alpha,M}``;
+* :func:`smoothing_experiment` — the profile remainder stays stable in
+  ``H^{s+1+eps}`` under resolution doubling while the data norm diverges;
+* :func:`lipschitz_experiment` — separation ratio of two gauged flows;
+* :func:`lemma21_experiment` — amplitude scaling of the profile derivative;
+* :func:`simulate_experiment`, :func:`gauge_check_experiment`,
+  :func:`params_report`, :func:`integral_scaling_experiment` and
+  :func:`nfe_report` — the reports of the other commands.
 
-Each campaign measures something or refuses: an argument that would leave
-nothing to measure (no trials, a zero perturbation, a zero amplitude) is a
+Each measurement runs or refuses: an argument that would leave nothing to
+measure (no trials, a zero perturbation, amplitude or ``u0``) is a
 ``ValueError`` naming it, raised before any work.
 
 All randomness flows through seeded generators recorded in the report, so
@@ -32,17 +25,23 @@ through ``EstimateReport.check_fit``, so an inconclusive fit never passes.
 import numpy as np
 
 from .spectral import Grid, SpectralField, dispersion, sobolev_norm, to_physical
-from .dynamics import evolve_gauged, evolve_gauged_batch, step_count
-from .gauge import gauge_forward, profile_time_derivative_sup
+from .dynamics import evolve_bo, evolve_gauged, evolve_gauged_batch, step_count
+from .gauge import gauge_forward, gauge_inverse, profile_time_derivative_sup
 from .infr import (bo_terms, gamma_cubic, gamma_quadratic,
                    term_values_on_lattice, window_indicator)
+from .integrals import cubic_integral_I, quad_integral_J
 from .reports import EstimateReport, PowerFit
 
 __all__ = ["rough_profile_data", "rough_real_data", "unit_rough_field",
            "bump_shape", "verify_operator_estimate", "smoothing_experiment",
-           "lipschitz_experiment", "lemma21_experiment"]
+           "lipschitz_experiment", "lemma21_experiment", "simulate_experiment",
+           "gauge_check_experiment", "params_report",
+           "integral_scaling_experiment", "nfe_report"]
 
 EXPONENT_TOL = 0.1  # slack added to every exponent cap
+ROUND_TRIP_BOUND = 1e-10  # relative L2 error of the gauge round trip
+CONSISTENCY_BOUND = 1e-6  # H^{s+1} gap of the gauged and direct flows at T
+NFE_FLOOR_FACTOR = 1e-6  # nfe residual floor, in units of quadrature_error
 BUMP_WIDTH = 6.0  # Gaussian width of the bump_shape spectrum, in lattice modes
 
 
@@ -471,4 +470,108 @@ def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
     rep.notes.append(
         f"fitted C = {c_star:.4g}; per-amplitude ratios "
         + ", ".join(f"h={h:g}: {c:.4g}" for h, c in sorted(ratios.items())))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# reports of the other commands
+# ---------------------------------------------------------------------------
+
+def simulate_experiment(u0, T, dt, snapshot_every):
+    """(trajectory, report) of the direct flow of ``u0``; the report has no
+    checks: the L2 norm at each snapshot, its drift, the largest |zero mode|."""
+    traj = evolve_bo(u0, T=T, dt=dt, snapshot_every=snapshot_every)
+    norms = [sobolev_norm(traj.field(i), 0.0) for i in range(len(traj))]
+    rep = EstimateReport("simulate", params={
+        "metadata": traj.metadata, "l2_drift": float(max(norms) - min(norms)),
+        "zero_mode_max": float(np.max(np.abs(traj.data[:, u0.grid.n // 2])))})
+    for l2, ti in zip(norms, traj.times):
+        rep.add_sample(l2, kind="l2_norm", t=float(ti))
+    return traj, rep
+
+
+def gauge_check_experiment(u0, T, dt, s):
+    """Checks: the relative L2 error of the gauge round trip of ``u0`` is at
+    most ROUND_TRIP_BOUND, and at time T the gauged flow lies within
+    CONSISTENCY_BOUND in H^{s+1} of the gauge of the direct flow.  ``u0``
+    must not be zero: its norm divides the round-trip error."""
+    u_norm = sobolev_norm(u0, 0.0)
+    if u_norm == 0.0:
+        raise ValueError("u0 must not be zero, its norm divides the round trip")
+    V0 = gauge_forward(u0)
+    rt = sobolev_norm(gauge_inverse(V0) - u0, 0.0) / u_norm
+    traj_u = evolve_bo(u0, T=T, dt=dt, snapshot_every=10 ** 9)
+    traj_v = evolve_gauged(V0, T=T, dt=dt, snapshot_every=10 ** 9)
+    err = sobolev_norm(traj_v.final - gauge_forward(traj_u.final), s + 1.0)
+    rep = EstimateReport("gauge_check", params={})
+    rep.add_sample(rt, kind="round_trip_rel_error")
+    rep.add_sample(err, kind="consistency_error")
+    rep.checks["round_trip_le_1e-10"] = bool(rt <= ROUND_TRIP_BOUND)
+    rep.checks["consistency_le_1e-6"] = bool(err <= CONSISTENCY_BOUND)
+    return rep
+
+
+def params_report(p):
+    """Report of the InfrParams table; an infeasible ``p`` fails it."""
+    rep = EstimateReport("params", params={"table": dict(p.table())})
+    for name, value in p.table():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            rep.add_sample(float(value), kind="parameter", name=name)
+    if not p.feasible:
+        rep.checks["feasible"] = False
+    return rep
+
+
+def integral_scaling_experiment(s, eps, cutoff):
+    """M- and alpha-sweeps of the quadrature oracles with exponent caps.
+
+    The integrals are the squared dual quantities, so the caps double the
+    operator exponents: M-slope <= 1 + 2 gamma + 0.15, alpha-slope <=
+    2 gamma + 0.15.  A cutoff-doubling cell guards tail convergence.
+    """
+    rep = EstimateReport("integral_scaling", params={
+        "s": s, "eps": eps, "cutoff": cutoff,
+        "gamma_quad": gamma_quadratic(s, eps),
+        "gamma_cubic": gamma_cubic(s, eps)})
+    kinds = (("quad", quad_integral_J, gamma_quadratic(s, eps)),
+             ("cubic", cubic_integral_I, gamma_cubic(s, eps)))
+    # (fit key, alpha, M): the M-sweep at alpha = 0, the alpha-sweep at M = 2
+    cells = ([("m", 0.0, M) for M in (2.0, 4.0, 8.0, 16.0, 32.0)]
+             + [("alpha", a, 2.0) for a in (4.0, 8.0, 16.0, 32.0)])
+    for key, alpha, M in cells:
+        for kind, integral, _ in kinds:
+            rep.add_sample(integral(alpha, M, s, eps, cutoff),
+                           fit=f"{kind}_{key}", m=M, alpha=alpha, kind=kind)
+    for kind, integral, gamma in kinds:
+        for key, cap in (("m", 1.0 + 2.0 * gamma + 0.15),
+                         ("alpha", 2.0 * gamma + 0.15)):
+            rep.check_fit(f"{kind}_{key}_exponent_le_cap",
+                          rep.fit_samples(f"{kind}_{key}", key),
+                          lambda p: p <= cap)
+            rep.params[f"{kind}_{key}_cap"] = cap
+        base = integral(0.0, 8.0, s, eps, cutoff)
+        wide = integral(0.0, 8.0, s, eps, 2.0 * cutoff)
+        rep.checks[f"{kind}_cutoff_converged"] = bool(
+            abs(wide - base) <= 0.05 * base)
+    return rep
+
+
+def nfe_report(nr):
+    """Report of the NfeReport ``nr``, one sample per depth.  Checks: each
+    residual at most the one before (``residual_monotone``), and the deepest
+    strictly below depth 1 (``deepest_below_depth1``, from J_max = 2 on).
+    A pair closer than NFE_FLOOR_FACTOR x ``quadrature_error`` is
+    "inconclusive"; equal residuals are still monotone."""
+    rep = EstimateReport("nfe", params={
+        "quadrature_error": nr.quadrature_error,
+        "norm_index": nr.norm_index, "counts": nr.counts,
+        "phase_cap": nr.phase_cap, "h_max": nr.h_max}, notes=list(nr.warnings))
+    vals = [nr.residuals[j] for j in sorted(nr.residuals)]
+    for j, value in sorted(nr.residuals.items()):
+        rep.add_sample(value, kind="residual", j=j)
+    floor = NFE_FLOOR_FACTOR * nr.quadrature_error
+    rep.check_order("residual_monotone", list(zip(vals, vals[1:])), floor)
+    if len(vals) >= 2:
+        rep.check_order("deepest_below_depth1", [(vals[0], vals[-1])], floor,
+                        strict=True)
     return rep

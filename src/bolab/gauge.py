@@ -83,8 +83,6 @@ from .spectral import (
 
 # Smallest allowed min_x |1 + V| before the inverse map is refused.
 GAUGE_FLOOR = 0.1
-# Sobolev exponent s of the norm-control ratio, which is taken at H^{s+1}.
-CONTROL_S = 0.5
 
 
 @lru_cache(maxsize=64)
@@ -133,25 +131,13 @@ def gauge_forward(u):
 
     The exponential is evaluated pointwise on the doubled lattice and then
     restricted to the base band, so the returned V is the band-limited gauge
-    variable.  Warns when the norm-control ratio
-    ||V||_{H^{s+1}} / (||F||_{H^{s+1}} e^{||F||/2}) at s = CONTROL_S exceeds
-    4, i.e. when the data is far outside the perturbative regime.
+    variable.
     """
     g = u.grid
     F = antiderivative(u)
     pg = padded_grid(g)
     v_samples = np.exp(-0.5j * to_padded(F.coeffs, pg)) - 1.0
-    V = SpectralField(g, from_padded(v_samples, pg))
-
-    nf = sobolev_norm(F, CONTROL_S + 1.0)
-    if nf > 0.0:
-        ratio = sobolev_norm(V, CONTROL_S + 1.0) / (nf * np.exp(nf / 2.0))
-        if ratio > 4.0:
-            warnings.warn(
-                f"gauge norm-control ratio {ratio:.2f} > 4; "
-                "the data is far outside the perturbative regime"
-            )
-    return V
+    return SpectralField(g, from_padded(v_samples, pg))
 
 
 def _v_samples(c, b):

@@ -5,7 +5,9 @@ the flat table of sampled values, named power-law fits (each carrying its own
 log-log residual), named pass/fail checks, and an overall verdict.  A fit
 whose residual exceeds ``RESIDUAL_CAP`` in log-log space is *inconclusive*
 and can never support a pass: :meth:`EstimateReport.check_fit` is the one
-place that turns a fit into a check, and it enforces that rule.
+place that turns a fit into a check, and it enforces that rule.  Likewise
+:meth:`EstimateReport.check_order` calls a pair closer than its floor
+*inconclusive*.
 
 Reports serialize to JSON (full, self-contained) and CSV (flat samples table
 with the fixed column schema: experiment, the union of per-sample parameter
@@ -120,6 +122,15 @@ class EstimateReport:
         """Set ``checks[check]`` to ``holds(fit.exponent)`` for a conclusive
         fit, and to "inconclusive" otherwise, whatever ``holds`` would say."""
         self.checks[check] = (bool(holds(fit.exponent)) if fit.conclusive
+                              else "inconclusive")
+
+    def check_order(self, check, pairs, floor, strict=False):
+        """Set ``checks[check]`` for b <= a (b < a if ``strict``) on every
+        pair (a, b) of the list ``pairs``: False when some b > a + floor, True when every b <= a
+        (b < a - floor if ``strict``), and "inconclusive" otherwise."""
+        above = any(b > a + floor for a, b in pairs)
+        below = all(b < a - floor if strict else b <= a for a, b in pairs)
+        self.checks[check] = (False if above else True if below
                               else "inconclusive")
 
     # -- serialization -------------------------------------------------------

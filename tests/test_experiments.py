@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import bolab.experiments as experiments
-from bolab.experiments import (bump_shape, lemma21_experiment,
+from bolab.experiments import (bump_shape, gauge_check_experiment,
+                               lemma21_experiment,
                                lipschitz_experiment, rough_profile_data,
                                rough_real_data, smoothing_experiment,
                                unit_rough_field, verify_operator_estimate)
@@ -186,6 +187,15 @@ def test_smoothing_zero_amplitude_raises(monkeypatch):
     with pytest.raises(ValueError, match="amplitude"):
         smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=0.02,
                              resolutions=[128, 256], amplitude=0.0)
+
+
+def test_gauge_check_zero_data_raises(monkeypatch):
+    # zero data makes the relative round trip 0/0: refused before any run
+    monkeypatch.setattr(experiments, "evolve_bo", None)
+    monkeypatch.setattr(experiments, "gauge_forward", None)
+    u0 = rough_real_data(Grid(64, np.pi), 0.5, 1, 0.0)
+    with pytest.raises(ValueError, match="u0"):
+        gauge_check_experiment(u0, T=0.01, dt=1e-3, s=0.5)
 
 
 @pytest.mark.parametrize("p, passes", [(0.25, False), (0.35, True)])

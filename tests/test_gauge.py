@@ -132,9 +132,10 @@ def test_gauge_forward_small_amplitude_expansion():
         assert err <= C * lam**2
 
 
-def test_gauge_forward_norm_control_and_reconstruction():
-    # perturbative data: no norm-control warning, and the inverse recovers u
-    # to rounding, above the floor and without an imaginary-residue warning
+def test_gauge_forward_silent_and_reconstruction():
+    # perturbative data: the forward map warns of nothing, and the inverse
+    # recovers u to rounding, above the floor and without an
+    # imaginary-residue warning
     g = Grid(512, 8 * np.pi)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -146,25 +147,6 @@ def test_gauge_forward_norm_control_and_reconstruction():
         assert sobolev_norm(u - back, 0.0) <= 1e-10 * max(sobolev_norm(u, 0), 1e-30)
         margin = np.min(np.abs(1.0 + to_padded(V.coeffs, padded_grid(g))))
         assert margin > GAUGE_FLOOR
-
-
-def test_norm_control_ratio_peaks_at_one_half():
-    # ||V||_{H^{s+1}} / (||F||_{H^{s+1}} e^{||F||/2}) at s = CONTROL_S tends to
-    # 1/2 as the data shrinks (V ~ -iF/2) and falls as the amplitude grows,
-    # so the ratio > 4 warning of gauge_forward stays silent even far outside
-    # the perturbative regime
-    g = Grid(512, 8 * np.pi)
-    u = random_real_field(g, np.random.default_rng(5), kmax=40)
-    s1 = gauge.CONTROL_S + 1.0
-    ratios = []
-    for amp in (1e-3, 0.5, 5.0, 50.0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            V = gauge_forward(amp * u)
-        nf = sobolev_norm(antiderivative(amp * u), s1)
-        ratios.append(sobolev_norm(V, s1) / (nf * np.exp(nf / 2.0)))
-    assert ratios[0] == pytest.approx(0.5, rel=1e-3)
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
 # -- inverse map --------------------------------------------------------------

@@ -100,6 +100,40 @@ def test_check_fit_inconclusive_fit_never_passes():
     assert rep.verdict == "fail"
 
 
+@pytest.mark.parametrize("a, b, strict, want", [
+    (1.0, 1.0, False, True),            # equal: still ordered
+    (1.0, 0.5, False, True),
+    (1.0, 1.0 + 1e-3, False, "inconclusive"),
+    (1.0, 1.0 + 1e-2, False, "inconclusive"),   # on the band edge
+    (1.0, 1.0 + 2e-2, False, False),
+    (1.0, 1.0, True, "inconclusive"),    # equal: not strictly below
+    (1.0, 1.0 - 1e-2, True, "inconclusive"),    # on the band edge
+    (1.0, 1.0 - 2e-2, True, True),
+    (1.0, 1.0 + 2e-2, True, False),
+])
+def test_check_order_pair(a, b, strict, want):
+    # floor 1e-2: b within it of a is not told apart from a
+    rep = EstimateReport("demo", params={})
+    rep.check_order("c", [(a, b)], 1e-2, strict=strict)
+    got = rep.checks["c"]
+    assert got == want and type(got) is type(want)
+
+
+def test_check_order_combines_pairs():
+    rep = EstimateReport("demo", params={})
+    rep.check_order("ok", [(3.0, 2.0), (2.0, 2.0)], 0.1)
+    rep.check_order("tie", [(3.0, 2.0), (2.0, 2.05)], 0.1)
+    rep.check_order("bad", [(3.0, 3.05), (2.0, 2.5)], 0.1)
+    rep.check_order("none", [], 0.1)
+    assert rep.checks == {"ok": True, "tie": "inconclusive", "bad": False,
+                          "none": True}
+    assert rep.verdict == "fail"
+    # a zero floor is the plain comparison, equality aside when strict
+    rep.check_order("plain", [(1.0, 1.0 + 1e-15)], 0.0)
+    rep.check_order("nan", [(1.0, float("nan"))], 0.1)
+    assert rep.checks["plain"] is False and rep.checks["nan"] == "inconclusive"
+
+
 def test_report_verdict_and_summary():
     rep = _small_report()
     assert rep.verdict == "pass"
