@@ -27,15 +27,26 @@ fuse into a single product,
     Q_- + C_- = -P_{-hi}(V_{-hi} . Pp dx W),
 
 which is the exact nonlinearity with (1 + V) replaced by a band projection
-of V.  The band system (`rhs_terms_total_coeffs`) therefore shares its first
-stage with the exact right side, `_w_stage`: samples of V and V_x, W and
-its coefficients, dx W, and the samples of Pm dx W (4 transforms).  The low
-band adds the forward transform of (1 + V) Pm dx W (1), and `_band_pieces`
-the samples of Pp dx W, V_{+hi} and V_{-hi} and the forward transforms of
-the two high-band products (5): 10 padded transforms per evaluation,
-against 5 for the exact right side.
+of V.  The projection can be dropped: Pm dx W holds only frequencies < 0
+and 1 + V_lo + V_{-hi} only frequencies <= 1, so their product never
+reaches xi > 1, and on the doubled lattice the aliases of V . Pm dx W land
+outside the base band.  Hence, with the mirror statement for the -hi band,
+
+    Q_+ + C_+ = -P_{+hi}(V . Pm dx W) = -P_{+hi}((1 + V) . Pm dx W),
+    Q_- + C_- = -P_{-hi}(V . Pp dx W).
+
+So both right sides start from `_w_stage`: the samples of V and V_x, and
+the coefficients of W and of dx W (3 padded transforms).
+`_minus_product` takes the base band of (1 + V) Pm dx W as Pm dx W, read
+off its padded coefficients with no transform, plus V . Pm dx W (samples of
+Pm dx W and one forward transform, 2): 5 transforms for the exact right
+side.  The band system takes its +hi band from that V term, and
+`_band_pieces` adds V . Pp dx W for the -hi band (2): 7 transforms.  The
+unit term stays out of the high-band transforms: carried through one, its
+rounding would be relative to Pm dx W, about eps / amp relative to the band
+pieces at amplitude amp.
 `rhs_quadratic` and `rhs_cubic` keep the piece-by-piece form as the oracles
-of that identity.
+of these identities.
 
 The samples of V and V_x on the doubled lattice are taken in one place,
 `_v_samples` (2 transforms, in one stacked inverse call).  The first stage
@@ -74,10 +85,10 @@ from .spectral import (
     pad_fft_order,
     padded_grid,
     region_mask,
+    restrict_fft_order,
     samples_to_fft_order,
     sobolev_norm,
     to_padded,
-    unpad_fft_order,
     zero_mean_project,
 )
 
@@ -95,17 +106,13 @@ def _bands(grid):
     unchanged."""
     pg = padded_grid(grid)
     xi, xi2 = grid.xi, np.fft.ifftshift(pg.xi)
-    masks = {
-        "minus2": xi2 < 0.0,
-        "plus2": xi2 > 0.0,
-        "plus_hi2": region_mask(xi2, "+hi"),
-        "minus_hi2": region_mask(xi2, "-hi"),
-    }
+    masks = {"minus2": xi2 < 0.0, "plus2": xi2 > 0.0}
     arrays = {name: m.astype(np.complex128) for name, m in masks.items()}
     arrays["ixi2"] = 1j * xi2
     for a in arrays.values():
         a[grid.n] = 0.0
-    arrays["lo"] = region_mask(xi, "lo").astype(np.complex128)
+    for name, region in (("lo", "lo"), ("plus_hi", "+hi"), ("minus_hi", "-hi")):
+        arrays[name] = region_mask(xi, region).astype(np.complex128)
     arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)  # symbol of 2i Pm dx^2
     for a in arrays.values():
         a.setflags(write=False)
@@ -141,12 +148,10 @@ def gauge_forward(u):
 
 
 def _v_samples(c, b):
-    """Padded coefficients of V (FFT order), and the samples of V and V_x on
-    the doubled lattice b.pg.  One inverse call on the stack of the two: two
-    padded transforms."""
+    """Samples of V and V_x on the doubled lattice b.pg.  One inverse call on
+    the stack of the two: two padded transforms."""
     cpad = pad_fft_order(c, b.pg)
-    vs, dvs = fft_order_to_samples(np.stack((cpad, cpad * b.ixi2)), b.pg)
-    return cpad, vs, dvs
+    return fft_order_to_samples(np.stack((cpad, cpad * b.ixi2)), b.pg)
 
 
 def gauge_inverse(V):
@@ -157,7 +162,7 @@ def gauge_inverse(V):
     """
     g = V.grid
     b = _bands(g)
-    _, vs, dvs = _v_samples(V.coeffs, b)
+    vs, dvs = _v_samples(V.coeffs, b)
     margin = float(np.min(np.abs(1.0 + vs)))
     if margin < GAUGE_FLOOR:
         raise ValueError(
@@ -199,7 +204,7 @@ def rhs_cubic(V, sign):
     b = _bands(g)
     pg = b.pg
     hi, opp = _signs(sign)
-    _, vs, dvs = _v_samples(V.coeffs, b)
+    vs, dvs = _v_samples(V.coeffs, b)
     # stays on the doubled lattice, in FFT order
     inner = pg.dx * samples_to_fft_order(np.conj(vs) * dvs) * b.ixi2
     inner *= b.plus2 if opp == "+" else b.minus2
@@ -212,25 +217,43 @@ def rhs_cubic(V, sign):
 def _w_stage(c, b):
     """First stage shared by the exact and band right sides.
 
-    Returns the padded coefficients of V, the samples of V, the padded
-    coefficients dwc of dx W with W = (1 + conj V) V_x (both in FFT order),
-    the samples gm of Pm dx W, and mean(W^2) over the last axis (one value
-    per field).  Four padded transforms.
+    Returns the samples of V, the padded coefficients dwc of dx W with
+    W = (1 + conj V) V_x (FFT order), and mean(W^2) over the last axis (one
+    value per field).  Three padded transforms.
     """
     pg = b.pg
-    cpad, vs, dvs = _v_samples(c, b)
+    vs, dvs = _v_samples(c, b)
     ws = (1.0 + np.conj(vs)) * dvs
     dwc = pg.dx * samples_to_fft_order(ws) * b.ixi2
-    gm = fft_order_to_samples(dwc * b.minus2, pg)
-    return cpad, vs, dwc, gm, np.mean(ws * ws, axis=-1)
+    return vs, dwc, np.mean(ws * ws, axis=-1)
 
 
-def _exact_from_stage(c, g, b, vs, gm, mean_w2):
-    """Exact right side from the stage samples and gm = samples of Pm dx W.
+def _v_times(vs, half, b):
+    """Base band of V . g, where g has the padded coefficients `half` (FFT
+    order): the samples of g, times those of V, transformed back.  Two
+    padded transforms."""
+    return from_padded(vs * fft_order_to_samples(half, b.pg), b.pg)
+
+
+def _minus_product(vs, dwc, b):
+    """Base band of (1 + V) Pm dx W, and of its V term V . Pm dx W alone.
+
+    The unit term Pm dx W is read off dwc with no transform; only the V
+    term goes through the doubled lattice (two padded transforms).  Kept
+    apart, the V term carries rounding relative to V . Pm dx W, not to the
+    larger Pm dx W, so the band system can take its +hi band from it.
+    """
+    pm = dwc * b.minus2
+    v_term = _v_times(vs, pm, b)
+    return restrict_fft_order(pm, b.pg) + v_term, v_term
+
+
+def _exact_from_stage(c, g, b, product, mean_w2):
+    """Exact right side from the base band `product` of (1 + V) Pm dx W.
     The mean term has one value per field; it multiplies the transposed
     arrays, whose first axis is the frequency, so a scalar and a batch both
     broadcast."""
-    out = -2j * from_padded((1.0 + vs) * gm, b.pg)
+    out = -2j * product
     out += b.linear * c
     mean_term = -1j * mean_w2
     out += (mean_term * c.T).T
@@ -239,18 +262,12 @@ def _exact_from_stage(c, g, b, vs, gm, mean_w2):
     return out
 
 
-def _band_pieces(cpad, dwc, gm, b):
-    """Q_+ + C_+ + Q_- + C_- = -P_{+hi}(V_{+hi} gm) - P_{-hi}(V_{-hi} gp), where
-    gm, gp are the samples of Pm dx W and Pp dx W; gp is taken here from the
-    padded coefficients dwc of dx W (FFT order, as is cpad).  Five padded
-    transforms."""
-    pg = b.pg
-    gp = fft_order_to_samples(dwc * b.plus2, pg)
-    sp = fft_order_to_samples(cpad * b.plus_hi2, pg)
-    sm = fft_order_to_samples(cpad * b.minus_hi2, pg)
-    hi = samples_to_fft_order(sp * gm) * b.plus_hi2
-    hi += samples_to_fft_order(sm * gp) * b.minus_hi2
-    return -unpad_fft_order(hi, pg)
+def _band_pieces(vs, dwc, v_minus, b):
+    """Q_+ + C_+ + Q_- + C_- = -P_{+hi}(V gm) - P_{-hi}(V gp), from v_minus,
+    the base band of V gm (`_minus_product`), and V gp, taken here (two
+    padded transforms); gm, gp are the samples of Pm dx W and Pp dx W."""
+    v_plus = _v_times(vs, dwc * b.plus2, b)
+    return -(v_minus * b.plus_hi + v_plus * b.minus_hi)
 
 
 def rhs_exact_coeffs(c, g):
@@ -258,11 +275,13 @@ def rhs_exact_coeffs(c, g):
 
     V_t + H V_xx = -2i (1 + V) Pm dx W + 2i Pm dx^2 V - i mean(W^2) (1 + V).
     Valid for any complex band-limited V, not only gauge images.  ``c`` may
-    be an (..., n) batch of fields on the grid g, one per row.
+    be an (..., n) batch of fields on the grid g, one per row.  Five padded
+    transforms.
     """
     b = _bands(g)
-    _, vs, _, gm, mean_w2 = _w_stage(c, b)
-    return _exact_from_stage(c, g, b, vs, gm, mean_w2)
+    vs, dwc, mean_w2 = _w_stage(c, b)
+    product, _ = _minus_product(vs, dwc, b)
+    return _exact_from_stage(c, g, b, product, mean_w2)
 
 
 def rhs_terms_total_coeffs(c, g):
@@ -272,14 +291,16 @@ def rhs_terms_total_coeffs(c, g):
 
     The high bands keep only the four paraproduct pieces (the mean correction
     is dropped there); the low band keeps the exact forcing, which is never
-    expanded.  One fused pass of 10 padded transforms (see the module
-    docstring).  ``c`` may be an (..., n) batch, as in `rhs_exact_coeffs`.
+    expanded.  The +hi band is -2i P_{+hi}(V . Pm dx W), the V term the
+    exact right side computes anyway, and the -hi band its mirror: seven
+    padded transforms (see the module docstring).  ``c`` may be an (..., n)
+    batch, as in `rhs_exact_coeffs`.
     """
     b = _bands(g)
-    cpad, vs, dwc, gm, mean_w2 = _w_stage(c, b)
-    total = _exact_from_stage(c, g, b, vs, gm, mean_w2) * b.lo
-    total += 2j * _band_pieces(cpad, dwc, gm, b)
-    total[..., 0] = 0.0
+    vs, dwc, mean_w2 = _w_stage(c, b)
+    product, v_minus = _minus_product(vs, dwc, b)
+    total = _exact_from_stage(c, g, b, product, mean_w2) * b.lo
+    total += 2j * _band_pieces(vs, dwc, v_minus, b)
     return total
 
 
@@ -288,9 +309,11 @@ def profile_time_derivative_sup(V):
 
     The evolution couples these pieces with coefficient 2i; the returned
     value carries no such constant.  The two signs live on disjoint bands,
-    so this is the sup of their fused sum.
+    so this is the sup of P_{+hi}(V . Pm dx W) and P_{-hi}(V . Pp dx W),
+    the two V terms of the band system (seven padded transforms).
     """
     g = V.grid
     b = _bands(g)
-    cpad, _, dwc, gm, _ = _w_stage(V.coeffs, b)
-    return float(np.max(np.abs(_band_pieces(cpad, dwc, gm, b))))
+    vs, dwc, _ = _w_stage(V.coeffs, b)
+    _, v_minus = _minus_product(vs, dwc, b)
+    return float(np.max(np.abs(_band_pieces(vs, dwc, v_minus, b))))

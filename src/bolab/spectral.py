@@ -294,9 +294,10 @@ def sobolev_norm(field, s):
 # final product land outside the retained band.
 #
 # The doubled lattice is only held in FFT order: `pad_fft_order` pads the
-# base band straight into it and `unpad_fft_order` gathers the base band
-# straight out of a raw FFT, so no padded transform swaps halves or applies
-# (-1)^k.  Lattice order is for base-grid transforms only (`to_physical`,
+# base band straight into it, `unpad_fft_order` gathers the base band
+# straight out of a raw FFT and `restrict_fft_order` out of padded
+# coefficients, so no padded transform swaps halves or applies (-1)^k.
+# Lattice order is for base-grid transforms only (`to_physical`,
 # `to_spectral`, the per-step min|1 + V| of `dynamics`).
 
 @lru_cache(maxsize=64)
@@ -326,15 +327,27 @@ def pad_fft_order(coeffs, pgrid):
     return np.concatenate((c[..., h:], zeros, c[..., :h]), axis=-1)
 
 
+def _gather_band(a, factor):
+    """factor times the base band of the doubled-lattice FFT-order array a,
+    in lattice order with a zero Nyquist slot."""
+    n = a.shape[-1] // 2
+    h = n // 2
+    out = factor * np.concatenate((a[..., 2 * n - h :], a[..., :h]), axis=-1)
+    out[..., 0] = 0.0
+    return out
+
+
 def unpad_fft_order(raw, pgrid):
     """Base-band coefficients (lattice order, zero Nyquist) of a raw FFT on
     the doubled lattice pgrid."""
-    n = pgrid.n // 2
-    h = n // 2
-    _, scale = _band_signs(pgrid)
-    out = scale * np.concatenate((raw[..., 2 * n - h :], raw[..., :h]), axis=-1)
-    out[..., 0] = 0.0
-    return out
+    return _gather_band(raw, _band_signs(pgrid)[1])
+
+
+def restrict_fft_order(cf, pgrid):
+    """Base-band coefficients (lattice order, zero Nyquist) of doubled-lattice
+    coefficients in FFT order with (-1)^k applied: the inverse of
+    `pad_fft_order`, with no transform."""
+    return _gather_band(cf, _band_signs(pgrid)[0])
 
 
 def to_padded(coeffs, pgrid):

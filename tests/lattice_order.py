@@ -45,12 +45,7 @@ def from_padded(samples, pgrid):
 def doubled_masks(grid):
     """The doubled-lattice constants of `gauge._bands`, in lattice order."""
     xi2 = padded_grid(grid).xi
-    masks = {
-        "minus2": xi2 < 0.0,
-        "plus2": xi2 > 0.0,
-        "plus_hi2": region_mask(xi2, "+hi"),
-        "minus_hi2": region_mask(xi2, "-hi"),
-    }
+    masks = {"minus2": xi2 < 0.0, "plus2": xi2 > 0.0}
     arrays = {name: m.astype(np.complex128) for name, m in masks.items()}
     arrays["ixi2"] = 1j * xi2
     return arrays
@@ -66,9 +61,10 @@ def _rhs(c, g, terms):
     dvs = coeffs_to_samples(cpad * m["ixi2"], pg)
     ws = (1.0 + np.conj(vs)) * dvs
     dwc = samples_to_coeffs(ws, pg) * m["ixi2"]
-    gm = coeffs_to_samples(dwc * m["minus2"], pg)
+    pm = dwc * m["minus2"]
+    v_minus = from_padded(vs * coeffs_to_samples(pm, pg), pg)
     mean_term = -1j * np.mean(ws * ws, axis=-1)
-    out = -2j * from_padded((1.0 + vs) * gm, pg)
+    out = -2j * (unpad_coeffs(pm, n) + v_minus)
     out += 2j * (-(xi**2)) * (xi < 0.0) * c
     out += (mean_term * c.T).T
     out.T[n // 2] += mean_term * (2.0 * g.half_length)
@@ -76,13 +72,11 @@ def _rhs(c, g, terms):
     if not terms:
         return out
     total = out * region_mask(xi, "lo").astype(np.complex128)
-    gp = coeffs_to_samples(dwc * m["plus2"], pg)
-    sp = coeffs_to_samples(cpad * m["plus_hi2"], pg)
-    sm = coeffs_to_samples(cpad * m["minus_hi2"], pg)
-    hi = samples_to_coeffs(sp * gm, pg) * m["plus_hi2"]
-    hi += samples_to_coeffs(sm * gp, pg) * m["minus_hi2"]
-    total += 2j * -unpad_coeffs(hi, n)
-    total[..., 0] = 0.0
+    v_plus = from_padded(vs * coeffs_to_samples(dwc * m["plus2"], pg), pg)
+    total += 2j * -(
+        v_minus * region_mask(xi, "+hi").astype(np.complex128)
+        + v_plus * region_mask(xi, "-hi").astype(np.complex128)
+    )
     return total
 
 

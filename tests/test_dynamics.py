@@ -283,12 +283,36 @@ def test_gauged_margin_guard_names_the_batch_member():
 
 
 def test_unstable_dt_names_the_batch_member():
+    # the failed batch trial falls back to one probe per member, which names
+    # the member and the bound its field alone gets
     g = Grid(64, np.pi)
     stable = gauge_forward(to_spectral(0.01 * np.sin(g.x), g))
     unstable = gauge_forward(to_spectral(np.sin(10 * g.x), g))
     evolve_gauged(stable, T=0.5, dt=0.5)
-    with pytest.raises(ValueError, match=r"^member 1: .*stability bound"):
-        evolve_gauged_batch([stable, unstable], T=0.5, dt=0.5)
+    with pytest.raises(ValueError, match="stability bound") as alone:
+        evolve_gauged(unstable, T=0.5, dt=0.5)
+    with pytest.raises(ValueError) as batch:
+        evolve_gauged_batch([stable, unstable, stable], T=0.5, dt=0.5)
+    assert str(batch.value) == f"member 1: {alone.value}"
+
+
+def test_stable_batch_takes_one_probe_trial(monkeypatch):
+    # the probe of a stable batch marches the whole (B, n) array once
+    import bolab.dynamics as dynamics
+
+    march, trials = dynamics._march, []
+
+    def spy(c0, grid, h, steps, rhs, on_step=None):
+        if on_step is None:
+            trials.append(np.shape(c0))
+        return march(c0, grid, h, steps, rhs, on_step)
+
+    monkeypatch.setattr(dynamics, "_march", spy)
+    g = Grid(64, np.pi)
+    rng = np.random.default_rng(12)
+    fields = [gauge_forward(0.1 * random_real_field(g, rng)) for _ in range(3)]
+    evolve_gauged_batch(fields, T=1e-3, dt=1e-4)
+    assert trials == [(3, g.n)]
 
 
 @pytest.mark.parametrize("n", [64, 256])

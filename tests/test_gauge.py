@@ -5,6 +5,7 @@ brute-force direct summation before anything dynamical uses them, and the
 full right side is checked against the chain rule of the gauge map itself.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -379,9 +380,12 @@ def _band_oracle(V):
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_rhs_terms_total_fused_matches_piecewise_oracle(n):
-    g = Grid(n, np.pi)
+    # the bound is relative to the output; a high band taken from the
+    # transform of (1 + V) . Pm dx W would carry rounding of the unit term,
+    # about eps / amp relative, and fail it at small amp
     rng = np.random.default_rng(n)
-    for amp in (0.05, 1.0):
+    for L, amp in itertools.product((np.pi, 8 * np.pi, 10.0), (1e-3, 0.05, 1.0)):
+        g = Grid(n, L)
         V = random_complex_field(g, rng, amp=amp)
         got = rhs_terms_total_coeffs(V.coeffs, g)
         want = _band_oracle(V)
@@ -413,7 +417,7 @@ def test_transforms_per_right_side(monkeypatch):
     g = Grid(128, np.pi)
     V = random_complex_field(g, np.random.default_rng(3), amp=0.2)
     counts = _count_transforms(monkeypatch)
-    for fn, want in ((gauge.rhs_terms_total_coeffs, 10), (gauge.rhs_exact_coeffs, 5)):
+    for fn, want in ((gauge.rhs_terms_total_coeffs, 7), (gauge.rhs_exact_coeffs, 5)):
         counts["n"] = 0
         fn(V.coeffs, g)
         assert counts["n"] == want, fn.__name__

@@ -12,11 +12,21 @@ Regenerate the goldens from the repository root with
     PYTHONPATH=src python tests/test_golden.py
 
 A change that moves rounding regenerates the goldens and records the
-largest change in CHANGES.md.  The change is measured as relative, except
-for ``nfe``'s ``quadrature_error`` (and its depth-0 sample), which is a
-cancellation-level number and is measured as absolute.
+largest change in CHANGES.md.  Print it first, before regenerating, with
+
+    PYTHONPATH=src python tests/test_golden.py --compare
+
+which gives, per command, the largest change of any number between the
+committed goldens and a fresh run.  The change is relative, except for the
+cancellation-level numbers in ``_ABSOLUTE`` (``nfe``'s ``quadrature_error``
+and residual samples, ``gauge-check``'s round-trip and consistency errors),
+whose change is absolute.
 """
 
+import contextlib
+import csv
+import io
+import json
 import os
 import pathlib
 import re
@@ -116,6 +126,90 @@ def test_nfe_reports_do_not_depend_on_blas_threads(tmp_path):
         assert runs[0][name] == runs[1][name], f"{name} depends on the thread count"
 
 
+# Cancellation-level numbers: small differences of large quantities, whose
+# relative change says nothing.  Keyed by command, a test of (record, key):
+# the record is the JSON object or the CSV row that holds the number.
+_ABSOLUTE = {
+    "nfe": lambda rec, key: key == "quadrature_error" or (
+        key == "value" and rec.get("kind") == "residual"),
+    "gauge-check": lambda rec, key: key == "value" and rec.get("kind") in (
+        "round_trip_rel_error", "consistency_error"),
+}
+
+
+def _numbers(name, data):
+    """{label: (record, key, value)} of every leaf of one report file: value
+    is a float for a number and the text otherwise, record the JSON object
+    or CSV row that holds it."""
+    out = {}
+
+    def walk(node, label, record, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, f"{label}.{k}", node, k)
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, f"{label}[{i}]", record, key)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out[label] = (record, key, float(node))
+        else:
+            out[label] = (record, key, repr(node))
+
+    if name.endswith(".json"):
+        walk(json.loads(data), name, {}, None)
+        return out
+    for i, row in enumerate(csv.DictReader(io.StringIO(data.decode()))):
+        for key, text in row.items():
+            try:
+                value = float(text)
+            except ValueError:
+                value = text
+            out[f"{name} row {i} {key}"] = (row, key, value)
+    return out
+
+
+def compare():
+    """Print each command's largest change between the committed goldens
+    and a fresh run.  Returns 1 if a report changed in anything but the
+    value of a number, else 0."""
+    status = 0
+    for command in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                fresh = _reports(command, tmp)
+        golden = {p.name: p.read_bytes()
+                  for p in sorted((GOLDEN / command).iterdir())}
+        if fresh == golden:
+            print(f"{command}: byte-identical")
+            continue
+        absolute = _ABSOLUTE.get(command, lambda rec, key: False)
+        worst = {"relative": (0.0, None), "absolute": (0.0, None)}
+        if sorted(fresh) != sorted(golden):
+            print(f"{command}: files {sorted(golden)} -> {sorted(fresh)}")
+            status = 1
+        for name in sorted(set(fresh) & set(golden)):
+            old, new = _numbers(name, golden[name]), _numbers(name, fresh[name])
+            for label in sorted(set(old) | set(new)):
+                rec, key, a = old.get(label, (None, None, None))
+                b = new.get(label, (None, None, None))[2]
+                if not (isinstance(a, float) and isinstance(b, float)):
+                    if a != b:
+                        print(f"{command}: {label}: {a!r} -> {b!r}")
+                        status = 1
+                    continue
+                if absolute(rec, key):
+                    kind, change = "absolute", abs(a - b)
+                else:
+                    kind = "relative"
+                    change = abs(a - b) / max(abs(a), abs(b), 1e-300)
+                if change > worst[kind][0]:
+                    worst[kind] = (change, label)
+        parts = [f"largest {kind} change {change:.2g} at {label}"
+                 for kind, (change, label) in worst.items() if label]
+        print(f"{command}: " + ("; ".join(parts) or "numbers unchanged"))
+    return status
+
+
 def regenerate():
     for command in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
@@ -129,4 +223,6 @@ def regenerate():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--compare"]:
+        sys.exit(compare())
     regenerate()
