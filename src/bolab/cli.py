@@ -3,29 +3,34 @@
     bolab <command> [--config run.json] [flags...]
 
 Commands: simulate, gauge-check, params, estimates, smoothing, lipschitz,
-lemma21, nfe.  A command checks the keys it reads, builds its inputs and
-prints; its reports come from ``bolab.experiments``, which decides every
-check.  ``main`` embeds the resolved config in each report, writes it as
-JSON + CSV into the output directory (--output-dir flag, config
-"output_dir", env BOLAB_OUTPUT_DIR, or ./bolab-reports) and prints a
-one-line verdict summary.  Exit codes: 0 every verdict passes (or the run
-is descriptive-only), 1 a verdict failed or was inconclusive, 2 usage or
-config error (a value out of range for its command included), 3 numerical
-failure.
+lemma21, nfe.  A command builds its inputs from the config and prints; its
+reports come from ``bolab.experiments``, which decides every check.
+``main`` embeds the resolved config in each report, writes it as JSON + CSV
+into the output directory (--output-dir flag, config "output_dir", env
+BOLAB_OUTPUT_DIR, or ./bolab-reports) and prints a one-line verdict
+summary.  Exit codes: 0 every verdict passes (or the run is
+descriptive-only), 1 a verdict failed or was inconclusive, 2 usage or
+config error, 3 numerical failure.
 
 Configuration is a JSON file whose sections and keys are the rows of
 ``_SPEC``: each row gives a key's dotted path, flag type, default, flag and
-help.  ``DEFAULTS``, the type checks of config-file values and the flags are
-all derived from it.  Flags override file values, file values override
-per-command defaults.  Unknown keys are rejected with their field path; a
-key whose default is null also accepts null, so the config embedded in a
-report replays as it is.  Identical config + seed produce byte-identical
-CSV reports.
+help.  ``DEFAULTS``, the type checks of config values (list entries
+included; a number must be finite) and the flags are all derived from it.
+Flags override file values, file values override per-command defaults.
+Unknown keys are rejected with their field path; a key whose default is
+null also accepts null, so the config embedded in a report replays as it
+is.  Identical config + seed produce byte-identical CSV reports.
+
+Whether a value is usable is the library's rule: a function refuses an
+argument with ``spectral.ArgumentError``, and ``main`` maps its name to
+the ``_SPEC`` path of that leaf (zero data to ``data.amplitude``) and
+exits 2 naming the key, before any report is written.
 """
 
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -40,7 +45,7 @@ from .experiments import (CONSISTENCY_BOUND, ROUND_TRIP_BOUND,
 from .gauge import gauge_forward
 from .infr import bo_terms, infr_params
 from .nfe import nfe_residual
-from .spectral import Grid, to_spectral
+from .spectral import ArgumentError, Grid, to_spectral
 
 ENV_OUTPUT_DIR = "BOLAB_OUTPUT_DIR"
 DATA_KINDS = ("gaussian-derivative", "rough-random")
@@ -129,12 +134,31 @@ COMMAND_DEFAULTS = {
 }
 
 
-# flag type -> what a config-file value must be; list flag types are absent
-_EXPECT = {int: ("an integer", int), float: ("a number", (int, float)),
-           str: ("a string", str), DATA_KINDS: ("a string", str)}
+# flag type -> (what a config value must be, its kind for _suits)
+_EXPECT = {int: ("an integer", int), float: ("a number", float),
+           str: ("a string", str), DATA_KINDS: ("a string", str),
+           _ints: ("a list of integers", [int]),
+           _floats: ("a list of numbers", [float]),
+           _names: ("a list of strings", [str])}
+
+
+def _suits(val, kind):
+    """Whether ``val`` is of ``kind``: int, float (a finite number), str, or
+    [entry kind] for a list."""
+    if isinstance(kind, list):
+        return isinstance(val, list) and all(_suits(v, kind[0]) for v in val)
+    if kind is float:
+        return _suits(val, int) or (isinstance(val, float) and math.isfinite(val))
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 _TYPES = {"command": str, **{path: ftype for path, ftype, _, _, _ in _SPEC}}
 _NULLABLE = {path for path, _, default, _, _ in _SPEC if default is None}
 _SECTIONS = {path.rpartition(".")[0] for path in _TYPES} - {""}
+# the config key of an argument a library function refuses: the _SPEC path
+# of that leaf (the leaves are unique), and data.amplitude for zero data
+_KEYS = {path.rpartition(".")[2]: path for path, _, _, _, _ in _SPEC}
+_KEYS.update(u0="data.amplitude", traj="data.amplitude")
 
 
 def _validate(node, path=""):
@@ -147,9 +171,9 @@ def _validate(node, path=""):
         elif here not in _TYPES:
             raise ConfigError(f"{here}: unknown key")
         elif not (val is None and here in _NULLABLE):
-            noun, types = _EXPECT.get(_TYPES[here], ("a list", list))
-            if isinstance(val, bool) or not isinstance(val, types):
-                raise ConfigError(f"{here}: expected {noun}")
+            noun, kind = _EXPECT[_TYPES[here]]
+            if not _suits(val, kind):
+                raise ConfigError(f"{here}: expected {noun}, got {val!r}")
 
 
 def _deep_merge(base, override):
@@ -184,56 +208,14 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
     return cfg
 
 
-# (test, requirement) that a value must meet for a command that reads it.
-# Each command checks the keys it reads: `params` resolves them all.
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
-_NONEMPTY = (len, "must not be empty")
-_USABLE = {"time.T": _POSITIVE, "time.dt": _POSITIVE,
-           "time.snapshot_every": _AT_LEAST_1,
-           "data.amplitude": (lambda v: v != 0, "must not be zero"),
-           "infr.J_max": (lambda v: 1 <= v <= 3, "must be 1, 2 or 3"),
-           "experiment.alpha_list": (lambda v: len(set(v)) > 1,
-                                     "must hold two distinct values"),
-           "experiment.M_list": (lambda v: len(set(v)) > 1 and min(v) > 0,
-                                 "must hold two distinct values, all positive"),
-           "experiment.resolutions": _NONEMPTY,
-           "experiment.trials": _AT_LEAST_1,
-           "experiment.perturbation_size": _POSITIVE,
-           "experiment.amplitudes": (
-               lambda v: v and all(h > 0 for h in v),
-               "must be nonempty and all positive")}
-
-
-def _require(cfg, *paths):
-    """ConfigError naming the first of ``paths`` whose value is unusable."""
-    for path in paths:
-        section, key = path.split(".")
-        usable, need = _USABLE[path]
-        if not usable(cfg[section][key]):
-            raise ConfigError(f"{path}: {need}, got {cfg[section][key]!r}")
-
-
-def _build_grid(cfg, n_points=None, n_key="grid.n_points"):
-    """Grid at ``grid.half_length`` and ``n_points`` (default ``grid.n_points``);
-    a value Grid rejects is a ConfigError naming its key (``n_key`` for n)."""
+def _build_grid(cfg):
     g = cfg["grid"]
-    n = g["n_points"] if n_points is None else n_points
-    try:
-        return Grid(n, g["half_length"])
-    except ValueError as e:
-        key = n_key if str(e).startswith("n_points") else "grid.half_length"
-        raise ConfigError(f"{key}: {e}") from None
+    return Grid(g["n_points"], g["half_length"])
 
 
 def _build_params(cfg):
-    """infr_params of the config; each argument error it raises opens with
-    the argument's name, which gives the ConfigError's key."""
     p = cfg["infr"]
-    try:
-        return infr_params(p["s"], p["eps"], N_threshold=p["N_threshold"])
-    except ValueError as e:
-        raise ConfigError(f"infr.{str(e).split()[0]}: {e}") from None
+    return infr_params(p["s"], p["eps"], N_threshold=p["N_threshold"])
 
 
 def _build_data(grid, cfg):
@@ -249,7 +231,6 @@ def _build_data(grid, cfg):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg, outdir):
-    _require(cfg, "time.T", "time.dt", "time.snapshot_every")
     t = cfg["time"]
     traj, rep = simulate_experiment(_build_data(_build_grid(cfg), cfg), t["T"],
                                     t["dt"], t["snapshot_every"])
@@ -260,7 +241,6 @@ def _cmd_simulate(cfg, outdir):
 
 
 def _cmd_gauge_check(cfg, outdir):
-    _require(cfg, "time.T", "time.dt", "data.amplitude")
     t = cfg["time"]
     rep = gauge_check_experiment(_build_data(_build_grid(cfg), cfg), t["T"],
                                  t["dt"], cfg["infr"]["s"])
@@ -283,16 +263,9 @@ def _cmd_params(cfg, outdir):
 
 def _cmd_estimates(cfg, outdir):
     infr, exp = cfg["infr"], cfg["experiment"]
-    _require(cfg, "experiment.alpha_list", "experiment.M_list",
-             "experiment.trials")
-    _build_grid(cfg)
     # the integrals own the cutoff rule; run them first so that a cutoff
     # they refuse stops the command before the operator sweeps
-    try:
-        integral = integral_scaling_experiment(infr["s"], infr["eps"],
-                                               exp["cutoff"])
-    except ValueError as e:
-        raise ConfigError(f"experiment.cutoff: {e}") from None
+    integral = integral_scaling_experiment(infr["s"], infr["eps"], exp["cutoff"])
     g = cfg["grid"]
     out = []
     for name in exp["terms"]:
@@ -305,11 +278,7 @@ def _cmd_estimates(cfg, outdir):
 
 
 def _cmd_smoothing(cfg, outdir):
-    _require(cfg, "time.T", "time.dt", "experiment.resolutions",
-             "data.amplitude")
     t, infr, d, exp = cfg["time"], cfg["infr"], cfg["data"], cfg["experiment"]
-    for n in exp["resolutions"]:
-        _build_grid(cfg, n, "experiment.resolutions")
     rep = smoothing_experiment(
         seed=d["seed"], s=infr["s"], eps_list=infr["eps_list"] or [infr["eps"]],
         T=t["T"], resolutions=exp["resolutions"], amplitude=d["amplitude"],
@@ -318,11 +287,7 @@ def _cmd_smoothing(cfg, outdir):
 
 
 def _cmd_lipschitz(cfg, outdir):
-    _require(cfg, "time.T", "time.dt", "experiment.resolutions",
-             "experiment.perturbation_size")
     t, d, exp = cfg["time"], cfg["data"], cfg["experiment"]
-    for n in exp["resolutions"]:
-        _build_grid(cfg, n, "experiment.resolutions")
     rep = lipschitz_experiment(
         seed=d["seed"], s=cfg["infr"]["s"], T=t["T"],
         perturbation_size=exp["perturbation_size"],
@@ -332,8 +297,6 @@ def _cmd_lipschitz(cfg, outdir):
 
 
 def _cmd_lemma21(cfg, outdir):
-    _require(cfg, "time.T", "time.dt", "experiment.amplitudes")
-    _build_grid(cfg)
     rep = lemma21_experiment(
         cfg["experiment"]["amplitudes"], cfg["infr"]["s"], cfg["time"]["T"],
         n_points=cfg["grid"]["n_points"], dt=cfg["time"]["dt"],
@@ -342,8 +305,6 @@ def _cmd_lemma21(cfg, outdir):
 
 
 def _cmd_nfe(cfg, outdir):
-    _require(cfg, "infr.J_max", "time.T", "time.dt", "time.snapshot_every",
-             "data.amplitude")
     p = _build_params(cfg)
     t = cfg["time"]
     u0 = _build_data(_build_grid(cfg), cfg)
@@ -411,12 +372,13 @@ def main(argv=None):
               or os.path.join(os.getcwd(), "bolab-reports"))
     try:
         results = _DISPATCH[cfg["command"]](cfg, outdir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
+        key = _KEYS.get(e.argument) if isinstance(e, ArgumentError) else None
+        if key is None:
+            print(f"numerical failure: {e}", file=sys.stderr)
+            return 3
+        print(f"config error: {key}: {e}", file=sys.stderr)
+        return 2
 
     for stem, rep in results:
         rep.params["config"] = cfg

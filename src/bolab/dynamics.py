@@ -25,6 +25,7 @@ import numpy as np
 
 from .gauge import GAUGE_FLOOR, rhs_exact_coeffs, rhs_terms_total_coeffs
 from .spectral import (
+    ArgumentError,
     Grid,
     SpectralField,
     atomic_write,
@@ -143,19 +144,20 @@ def _march(c0, grid, h, steps, rhs, on_step=None):
 
 def step_count(T, dt):
     """Number of steps of a run to time T at a step of about dt: T / dt
-    rounded, and at least one; the step T / steps then lands exactly on T."""
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    rounded, and at least one; the step T / steps then lands exactly on T.
+    A T or dt that is not positive and finite is an ArgumentError."""
+    for name, value in (("T", T), ("dt", dt)):
+        if not 0 < value < np.inf:
+            raise ArgumentError(name, f"must be positive and finite, got {value!r}")
     return max(1, int(round(T / dt)))
 
 
 def _check_schedule(T, dt, snapshot_every):
-    """ValueError naming the first unusable time argument of an evolution."""
+    """ArgumentError naming the first unusable time argument of an evolution."""
     step_count(T, dt)
     if snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
+        raise ArgumentError("snapshot_every",
+                            f"must be at least 1, got {snapshot_every!r}")
 
 
 def _at(t, score):

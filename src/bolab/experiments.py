@@ -13,9 +13,11 @@ and decides its checks here, so the command line only builds inputs:
   :func:`params_report`, :func:`integral_scaling_experiment` and
   :func:`nfe_report` — the reports of the other commands.
 
-Each measurement runs or refuses: an argument that would leave nothing to
-measure (no trials, a zero perturbation, amplitude or ``u0``) is a
-``ValueError`` naming it, raised before any work.
+Each measurement runs or refuses: an argument it cannot use (no trials,
+an unfittable window list, a zero perturbation, amplitude or ``u0``, no
+usable resolution) is a :class:`~bolab.spectral.ArgumentError` carrying
+its name, raised before any evolution or lattice work.  The command line
+restates no such rule; it only turns the name into a config key.
 
 All randomness flows through seeded generators recorded in the report, so
 reports are bit-reproducible.  Every check read off a power-law fit goes
@@ -24,7 +26,8 @@ through ``EstimateReport.check_fit``, so an inconclusive fit never passes.
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, dispersion, sobolev_norm, to_physical
+from .spectral import (ArgumentError, Grid, SpectralField, dispersion,
+                       sobolev_norm, to_physical)
 from .dynamics import evolve_bo, evolve_gauged, evolve_gauged_batch, step_count
 from .gauge import gauge_forward, gauge_inverse, profile_time_derivative_sup
 from .infr import (bo_terms, gamma_cubic, gamma_quadratic,
@@ -163,17 +166,20 @@ def verify_operator_estimate(term, s, eps,
     must hold two distinct values and ``M_list`` two distinct positive ones.
     """
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+        raise ArgumentError("trials", f"must be at least 1, got {trials!r}")
     terms = bo_terms()
     if term not in terms:
-        raise ValueError(f"term must be one of {sorted(terms)}, got {term!r}")
+        raise ArgumentError("term",
+                            f"must be one of {sorted(terms)}, got {term!r}")
     term = terms[term]
     alpha_list = sorted(float(a) for a in alpha_list)
     M_list = sorted(float(m) for m in M_list)
     if len(set(alpha_list)) < 2:
-        raise ValueError(f"alpha_list needs two distinct values, got {alpha_list}")
+        raise ArgumentError("alpha_list",
+                            f"needs two distinct values, got {alpha_list}")
     if len(set(M_list)) < 2 or M_list[0] <= 0.0:
-        raise ValueError(f"M_list needs two distinct positive widths, got {M_list}")
+        raise ArgumentError("M_list",
+                            f"needs two distinct positive widths, got {M_list}")
     arity = term.arity
     gamma = gamma_quadratic(s, eps) if arity == 2 else gamma_cubic(s, eps)
     gamma0 = gamma_quadratic(s, 0.0) if arity == 2 else gamma_cubic(s, 0.0)
@@ -248,6 +254,20 @@ def verify_operator_estimate(term, s, eps,
 # nonlinear smoothing
 # ---------------------------------------------------------------------------
 
+def _resolution_grids(resolutions, half_length):
+    """The Grid of every resolution, built before any evolution; an empty
+    list or a size Grid refuses is an ArgumentError naming ``resolutions``."""
+    if not resolutions:
+        raise ArgumentError("resolutions", "must not be empty")
+    try:
+        return [Grid(N, half_length) for N in resolutions]
+    except ArgumentError as e:
+        if e.argument != "n_points":
+            raise
+        raise ArgumentError("resolutions",
+                            f"entries are grid sizes: {e}") from None
+
+
 def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
                          base_dt=1e-4, half_length=np.pi):
     """Remainder-norm stability under resolution doubling.
@@ -267,11 +287,13 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     growth of ||V0||_{H^{s+1+eps}} vs N within 0.1 of the construction rate
     eps - 0.01; remainder tail slope steeper than the data tail slope by at
     least 0.3 (slopes from the largest resolution).  ``amplitude`` must
-    not be zero: zero data has no remainder to measure.
+    not be zero: zero data has no remainder to measure.  ``resolutions``
+    must be a nonempty list of grid sizes (see ``_resolution_grids``).
     """
     if amplitude == 0.0:
-        raise ValueError(f"amplitude must not be zero, got {amplitude!r}")
+        raise ArgumentError("amplitude", f"must not be zero, got {amplitude!r}")
     resolutions = [int(N) for N in resolutions]
+    grids = _resolution_grids(resolutions, half_length)
     eps_list = [float(e) for e in eps_list]
     rep = EstimateReport("smoothing", params={
         "seed": seed, "s": s, "eps_list": eps_list, "T": T,
@@ -280,8 +302,7 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     sups = {e: [] for e in eps_list}
     slopes_r = {e: {} for e in eps_list}
     slopes_v0 = {}
-    for N in resolutions:
-        grid = Grid(N, half_length)
+    for N, grid in zip(resolutions, grids):
         v0 = rough_profile_data(grid, s, seed, amplitude)
         dt = base_dt * (512.0 / N) ** 1.5
         traj = evolve_gauged(v0, T=T, dt=dt, rhs_mode="terms",
@@ -354,12 +375,14 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
     `evolve_gauged_batch` call.  Checks: every sup ratio at most
     ``c_max``; sups within a factor 2 across resolution doubling at fixed
     size and across size halving at fixed resolution.
-    ``perturbation_size`` must be positive.
+    ``perturbation_size`` must be positive, and ``resolutions`` a nonempty
+    list of grid sizes (see ``_resolution_grids``).
     """
     if not perturbation_size > 0.0:
-        raise ValueError(
-            f"perturbation_size must be positive, got {perturbation_size!r}")
+        raise ArgumentError(
+            "perturbation_size", f"must be positive, got {perturbation_size!r}")
     resolutions = [int(N) for N in resolutions]
+    grids = _resolution_grids(resolutions, half_length)
     rep = EstimateReport("lipschitz", params={
         "seed": seed, "s": s, "T": T,
         "perturbation_size": perturbation_size,
@@ -367,8 +390,7 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
         "c_max": c_max, "half_length": half_length})
     sizes = [perturbation_size, perturbation_size / 2.0]
     sup_by_cell = {}
-    for N in resolutions:
-        grid = Grid(N, half_length)
+    for N, grid in zip(resolutions, grids):
         u0 = rough_real_data(grid, s, seed, amplitude)
         w = rough_real_data(grid, s, seed + 77777, 1.0)
         w = w * (1.0 / sobolev_norm(w, s))
@@ -436,8 +458,8 @@ def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
     """
     amplitudes = [float(h) for h in amplitudes]
     if not amplitudes or not all(h > 0.0 for h in amplitudes):
-        raise ValueError(
-            f"amplitudes must be nonempty and all positive, got {amplitudes!r}")
+        raise ArgumentError(
+            "amplitudes", f"must be nonempty and all positive, got {amplitudes!r}")
     rep = EstimateReport("lemma21", params={
         "amplitudes": amplitudes, "s": s, "T": T, "n_points": n_points,
         "dt": dt, "seed": seed, "half_length": half_length})
@@ -497,7 +519,7 @@ def gauge_check_experiment(u0, T, dt, s):
     must not be zero: its norm divides the round-trip error."""
     u_norm = sobolev_norm(u0, 0.0)
     if u_norm == 0.0:
-        raise ValueError("u0 must not be zero, its norm divides the round trip")
+        raise ArgumentError("u0", "must not be zero, its norm divides the round trip")
     V0 = gauge_forward(u0)
     rt = sobolev_norm(gauge_inverse(V0) - u0, 0.0) / u_norm
     traj_u = evolve_bo(u0, T=T, dt=dt, snapshot_every=10 ** 9)

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .spectral import SpectralField, conj_reflect, dispersion, region_mask
+from .spectral import (ArgumentError, SpectralField, conj_reflect, dispersion,
+                       region_mask)
 
 COUPLING = 2j  # factor multiplying every term in the evolution equation
 
@@ -205,40 +206,33 @@ class InfrParams:
         return rows
 
 
-def infr_params(s, eps, sigma=None, N_threshold=1000.0):
+def infr_params(s, eps, N_threshold=1000.0):
     """Fix the iteration exponents at regularity (s, eps).
 
     gamma_quad = max{1/2 + eps - s, 0}, gamma_cubic = max{1/4 + (eps - s)/2,
-    eps - 1/2, 0}, beta = 1/2.  The default sigma sits at the midpoint of the
-    admissible window (gamma + beta, 1 - gamma), which works out to
-    (1 + beta)/2 = 3/4 independent of gamma.  A custom sigma must satisfy
-    gamma + beta < sigma < 1.
+    eps - 1/2, 0}, beta = 1/2.  sigma sits at the midpoint of the admissible
+    window (gamma + beta, 1 - gamma), which works out to (1 + beta)/2 = 3/4
+    independent of gamma.
 
-    Requires s > 0 and 0 <= eps < min{s, 3/4}.  If theta ends up
-    nonpositive the result is reported infeasible rather than rejected (the
-    per-term table shows which pieces survive); the threshold accessors then
-    raise.
+    Requires s > 0, 0 <= eps < min{s, 3/4} and N_threshold > 1, else an
+    ArgumentError names the argument.  If theta ends up nonpositive the
+    result is reported infeasible rather than rejected (the per-term table
+    shows which pieces survive); the threshold accessors then raise.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not s > 0:
+        raise ArgumentError("s", f"must be positive, got {s}")
+    if not eps >= 0:
+        raise ArgumentError("eps", f"must be nonnegative, got {eps}")
     if eps >= min(s, 0.75):
-        raise ValueError(f"eps must satisfy eps < min(s, 3/4); got eps={eps}, s={s}")
-    if N_threshold <= 1:
-        raise ValueError(f"N_threshold must exceed 1, got {N_threshold}")
+        raise ArgumentError(
+            "eps", f"must satisfy eps < min(s, 3/4); got eps={eps}, s={s}")
+    if not N_threshold > 1:
+        raise ArgumentError("N_threshold", f"must exceed 1, got {N_threshold}")
 
     gq = gamma_quadratic(s, eps)
     gc = gamma_cubic(s, eps)
     gamma = max(gq, gc)
-    if sigma is None:
-        sigma = gamma + BETA + 0.5 * (1.0 - 2.0 * gamma - BETA)  # = (1 + beta)/2
-    else:
-        sigma = float(sigma)
-        if not gamma + BETA < sigma < 1.0:
-            raise ValueError(
-                f"sigma must lie in (gamma + beta, 1) = ({gamma + BETA}, 1), got {sigma}"
-            )
+    sigma = gamma + BETA + 0.5 * (1.0 - 2.0 * gamma - BETA)  # = (1 + beta)/2
 
     def _theta(g):
         return 1.0 - max(g + BETA, sigma + g)
@@ -258,7 +252,7 @@ def infr_params(s, eps, sigma=None, N_threshold=1000.0):
 
     return InfrParams(
         s=float(s), eps=float(eps), gamma_quad=gq, gamma_cubic=gc, gamma=gamma,
-        beta=BETA, sigma=float(sigma), theta=theta, delta=delta,
+        beta=BETA, sigma=sigma, theta=theta, delta=delta,
         N_threshold=float(N_threshold), feasible=feasible, message=message,
         per_term=tuple(per_term),
     )

@@ -41,6 +41,8 @@ Empty windows integrate to zero exactly.  Deterministic given (mesh, cutoff).
 
 import numpy as np
 
+from .spectral import ArgumentError
+
 __all__ = ["quad_integral_J", "cubic_integral_I"]
 
 
@@ -50,12 +52,13 @@ def _jap(x):
 
 
 def _validate(M, cutoff, mesh):
+    """ArgumentError naming the first unusable argument of an integral."""
     if not M > 0:
-        raise ValueError(f"window width M must be positive, got {M}")
+        raise ArgumentError("M", f"must be positive, got {M}")
     if not cutoff > 1:
-        raise ValueError(f"cutoff must exceed 1, got {cutoff}")
+        raise ArgumentError("cutoff", f"must exceed 1, got {cutoff}")
     if mesh < 8:
-        raise ValueError(f"mesh must be at least 8, got {mesh}")
+        raise ArgumentError("mesh", f"must be at least 8, got {mesh}")
 
 
 def _sup_over_xi(inner, cutoff, mesh):

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, dispersion, sobolev_norm
+from .spectral import ArgumentError, SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
 from .infr import COUPLING, bo_terms, sum_by_output, term_values_on_lattice
 
@@ -370,12 +370,17 @@ def nfe_residual(traj, J_max, params):
 
     Costs are guarded: J_max is at most 3, and a depth-1 term lattice or a
     substitution step with more than ``MAX_COMPOSED`` tuples raises (a
-    substitution step with its estimated count).
+    substitution step with its estimated count).  A J_max outside 1..3 and
+    a trajectory that is zero throughout (nothing to expand) are
+    ArgumentErrors.
     """
     if not isinstance(J_max, int) or not 1 <= J_max <= 3:
-        raise ValueError(
-            f"J_max must be a positive integer no larger than 3 (tuple "
+        raise ArgumentError(
+            "J_max", f"must be a positive integer no larger than 3 (tuple "
             f"counts grow combinatorially), got {J_max!r}")
+    if not np.any(traj.data):
+        raise ArgumentError("traj", "must not be zero throughout: zero data "
+                                    "has no residual to measure")
 
     grid = traj.grid
     n = grid.n

@@ -29,6 +29,15 @@ BOSF_VERSION = 1
 _HEADER = struct.Struct("<4sIIdd")
 
 
+class ArgumentError(ValueError):
+    """A public function refuses the value of its argument ``argument``; the
+    message reads "<argument> <requirement>"."""
+
+    def __init__(self, argument, requirement):
+        super().__init__(f"{argument} {requirement}")
+        self.argument = argument
+
+
 def dispersion(xi):
     """Dispersion symbol omega(xi) = |xi| xi of the linearized equation."""
     return np.abs(xi) * xi
@@ -45,13 +54,13 @@ class Grid:
     def __init__(self, n_points, half_length):
         n = int(n_points)
         if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 8, got {n_points}")
+            raise ArgumentError(
+                "n_points", f"must be a power of two >= 8, got {n_points}")
         L = float(half_length)
-        if L < np.pi:
-            raise ValueError(
-                f"half_length must be >= pi so that the frequency spacing "
-                f"pi/L <= 1 resolves the band |xi| <= 1, got {half_length}"
-            )
+        if not L >= np.pi:
+            raise ArgumentError(
+                "half_length", f"must be >= pi so that the frequency spacing "
+                f"pi/L <= 1 resolves the band |xi| <= 1, got {half_length}")
         self.n = n
         self.half_length = L
         self.dx = 2.0 * L / n

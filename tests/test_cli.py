@@ -98,12 +98,26 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("gauge-check", "--amplitude", "0"), "data.amplitude"),
     (("smoothing", "--amplitude", "0"), "data.amplitude"),
     (("nfe", "--amplitude", "0"), "data.amplitude"),
+    (("lipschitz", "--resolutions", ""), "experiment.resolutions"),
+    (("simulate", "--T", "inf"), "time.T"),
+    (("smoothing", "--T", "inf"), "time.T"),
+    (("simulate", "--half-length", "nan"), "grid.half_length"),
+    (("simulate", "--half-length", "inf"), "grid.half_length"),
+    (("simulate", "--amplitude", "nan"), "data.amplitude"),
+    (("params", "--s", "nan"), "infr.s"),
+    (("nfe", "--n-threshold", "nan"), "infr.N_threshold"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
 def test_unusable_value_is_config_error(tmp_path, capsys, args, key):
     assert run(tmp_path, *args) == 2
     assert f"config error: {key}: " in capsys.readouterr().err
-    assert not os.listdir(tmp_path)  # rejected before any work
+    assert not os.listdir(tmp_path)  # rejected before any report is written
+
+
+def test_spec_leaves_are_unique():
+    # main names the key of a refused library argument by its leaf
+    leaves = [path.rpartition(".")[2] for path, _, _, _, _ in cli._SPEC]
+    assert len(set(leaves)) == len(leaves) == 24
 
 
 def test_estimates_alphas_below_the_unrolling_bound_are_inconclusive(
@@ -119,16 +133,19 @@ def test_estimates_alphas_below_the_unrolling_bound_are_inconclusive(
     capsys.readouterr()
 
 
-# a flag value, its parsed value, and a config-file value of the wrong type,
-# per flag type
+# a flag value, its parsed value, and config-file values of the wrong type
+# (a non-finite number, or a list entry of the wrong type, included), per
+# flag type
+_NAN, _INF = float("nan"), float("inf")
 _SAMPLES = {
-    str: ("elsewhere", "elsewhere", 3),
-    cli.DATA_KINDS: ("rough-random", "rough-random", 3),
-    int: ("7", 7, 1.5),
-    float: ("0.75", 0.75, "fast"),
-    cli._floats: ("1.5,2.5", [1.5, 2.5], "1.5"),
-    cli._ints: ("3,4", [3, 4], 3),
-    cli._names: ("Q+,C-", ["Q+", "C-"], "Q+"),
+    str: ("elsewhere", "elsewhere", (3,)),
+    cli.DATA_KINDS: ("rough-random", "rough-random", (3,)),
+    int: ("7", 7, (1.5, True)),
+    float: ("0.75", 0.75, ("fast", _NAN, _INF, -_INF)),
+    cli._floats: ("1.5,2.5", [1.5, 2.5],
+                  ("1.5", ["a", 0.1], [0.1, _NAN], [_INF])),
+    cli._ints: ("3,4", [3, 4], (3, [64.5], [64, "128"])),
+    cli._names: ("Q+,C-", ["Q+", "C-"], ("Q+", ["Q+", 3])),
 }
 
 
@@ -143,15 +160,16 @@ def _at(path, value):
 @pytest.mark.parametrize("row", cli._SPEC, ids=lambda row: row[0])
 def test_spec_row_flag_and_type(row):
     path, ftype, _, flag, _ = row
-    text, value, wrong = _SAMPLES[ftype]
+    text, value, wrongs = _SAMPLES[ftype]
     args = cli._build_parser().parse_args(["params", flag, text])
     got = resolve_config("params", None, cli._flags_to_config(args))
     want = resolve_config("params", _at(path, value))
     assert got == want
     assert got != resolve_config("params")
-    with pytest.raises(ConfigError) as err:
-        resolve_config("params", _at(path, wrong))
-    assert str(err.value).startswith(f"{path}: expected ")
+    for wrong in wrongs:
+        with pytest.raises(ConfigError) as err:
+            resolve_config("params", _at(path, wrong))
+        assert str(err.value).startswith(f"{path}: expected ")
 
 
 def test_embedded_config_replays(tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from bolab.dynamics import (
 )
 from bolab.gauge import gauge_forward
 from bolab.spectral import (
+    ArgumentError,
     Grid,
     SpectralField,
     conj_reflect,
@@ -215,10 +216,15 @@ def test_step_count_rounds_and_lands_on_T():
 @pytest.mark.parametrize("T, dt, name", [
     (0.0, 1e-3, "T"), (-0.01, 1e-3, "T"), (float("nan"), 1e-3, "T"),
     (0.01, 0.0, "dt"), (0.01, -0.001, "dt"), (0.01, float("nan"), "dt"),
+    # an infinite T would overflow round(T / dt), and an infinite dt would
+    # give one step of size T
+    (float("inf"), 1e-3, "T"), (0.01, float("inf"), "dt"),
+    (0.01, float("-inf"), "dt"),
 ])
 def test_step_count_rejects_nonpositive(T, dt, name):
-    with pytest.raises(ValueError, match=rf"^{name} must be positive"):
+    with pytest.raises(ArgumentError, match=rf"^{name} must be positive") as err:
         step_count(T, dt)
+    assert err.value.argument == name
 
 
 @pytest.mark.parametrize("kwargs, name", [

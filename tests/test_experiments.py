@@ -20,7 +20,8 @@ from bolab.experiments import (bump_shape, gauge_check_experiment,
                                unit_rough_field, verify_operator_estimate)
 from bolab.dynamics import evolve_gauged_batch
 from bolab.infr import bo_terms
-from bolab.spectral import Grid, dispersion, sobolev_norm, to_physical
+from bolab.spectral import (ArgumentError, Grid, dispersion, sobolev_norm,
+                            to_physical)
 from test_reports import report_from_dict
 
 
@@ -292,6 +293,32 @@ def test_lipschitz_zero_perturbation_raises(monkeypatch):
         with pytest.raises(ValueError, match="perturbation_size"):
             lipschitz_experiment(seed=5, s=0.5, T=0.02,
                                  perturbation_size=size, resolutions=[128])
+
+
+_RESOLUTION_SWEEPS = {
+    "smoothing": lambda **kw: smoothing_experiment(
+        seed=1, s=0.5, eps_list=[0.4], T=0.02, **kw),
+    "lipschitz": lambda **kw: lipschitz_experiment(
+        seed=5, s=0.5, T=0.02, perturbation_size=1e-3, **kw),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(_RESOLUTION_SWEEPS))
+@pytest.mark.parametrize("kwargs, name", [
+    ({"resolutions": []}, "resolutions"),
+    ({"resolutions": [100]}, "resolutions"),
+    ({"resolutions": [128, 100]}, "resolutions"),
+    ({"resolutions": [128], "half_length": 1.0}, "half_length"),
+], ids=["empty", "not-a-power-of-two", "second-refused", "half-length"])
+def test_resolution_sweeps_refuse_unusable_grids(monkeypatch, sweep, kwargs,
+                                                 name):
+    # no resolution leaves nothing to compare (lipschitz would report a
+    # vacuous stable_under_resolution); every grid is built before any run
+    for evolve in ("evolve_gauged", "evolve_gauged_batch", "gauge_forward"):
+        monkeypatch.setattr(experiments, evolve, None)
+    with pytest.raises(ArgumentError, match=f"^{name} ") as err:
+        _RESOLUTION_SWEEPS[sweep](**kwargs)
+    assert err.value.argument == name
 
 
 # ---------------------------------------------------------------------------

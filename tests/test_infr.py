@@ -244,19 +244,6 @@ def test_params_reports_infeasible_instead_of_refusing():
         p.level_threshold(2, 100.0)
 
 
-def test_params_custom_sigma():
-    p = infr_params(0.5, 0.0, sigma=0.6)
-    assert p.theta == pytest.approx(0.4)
-    assert p.delta == pytest.approx(0.4)
-    with pytest.raises(ValueError, match="sigma"):
-        infr_params(0.5, 0.0, sigma=0.5)  # not above gamma + beta
-    with pytest.raises(ValueError, match="sigma"):
-        infr_params(0.5, 0.0, sigma=1.0)
-    # custom sigma in the infeasible regime: accepted, still reported infeasible
-    p = infr_params(0.5, 0.4, sigma=0.95)
-    assert not p.feasible
-
-
 def test_params_domain_errors():
     with pytest.raises(ValueError, match="s must"):
         infr_params(0.0, 0.0)

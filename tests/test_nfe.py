@@ -13,6 +13,7 @@ the omegas of its columns, which ``test_batch_phase_is_output_minus_columns``
 checks on every batch the engine builds.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +37,8 @@ from bolab.nfe import (
     _trapz_weights,
     nfe_residual,
 )
-from bolab.spectral import Grid, SpectralField, dispersion, sobolev_norm
+from bolab.spectral import (ArgumentError, Grid, SpectralField, dispersion,
+                            sobolev_norm)
 from ibp_oracle import ibp_trapz_loop
 
 
@@ -334,12 +336,14 @@ def test_compose_conjugated_slot_hand_values():
 
 
 def test_zero_trajectory():
+    # zero data has nothing to expand: refused, naming the trajectory,
+    # rather than reporting residuals of 0.0 that no check can tell apart
     g = Grid(32, np.pi)
     data = np.zeros((3, g.n), dtype=complex)
     traj = Trajectory(g, [0.0, 0.01, 0.02], data, "V", {"rhs": "terms"})
-    rep = nfe_residual(traj, 2, infr_params(0.5, 0.0, N_threshold=40.0))
-    assert rep.residuals == {1: 0.0, 2: 0.0}
-    assert rep.quadrature_error == 0.0
+    with pytest.raises(ArgumentError, match="^traj must not be zero") as err:
+        nfe_residual(traj, 2, infr_params(0.5, 0.0, N_threshold=40.0))
+    assert err.value.argument == "traj"
 
 
 def test_residual_ordering_small_lattice():
@@ -437,7 +441,11 @@ def test_sigma_override_exercises_composition(monkeypatch):
     rng = np.random.default_rng(5)
     V0 = band_field(g, rng, 2, 14, 0.05, decay=1.0)
     traj = evolve_gauged(V0, T=0.005, dt=1e-4, rhs_mode="terms")
-    p = infr_params(0.5, 0.0, sigma=0.501, N_threshold=1.3)
+    # theta = 1 - max(gamma + beta, sigma + gamma) at gamma = 0, and
+    # delta = theta / (2 beta) = theta
+    theta = 1.0 - 0.501
+    p = dataclasses.replace(infr_params(0.5, 0.0, N_threshold=1.3),
+                            sigma=0.501, theta=theta, delta=theta)
     monkeypatch.setattr(nfe, "MAX_COMPOSED", 4_000_000)
     rep = nfe_residual(traj, 2, p)
     print(rep.summary())
