@@ -23,8 +23,8 @@ is.  Identical config + seed produce byte-identical CSV reports.
 
 Whether a value is usable is the library's rule: a function refuses an
 argument with ``spectral.ArgumentError``, and ``main`` maps its name to
-the ``_SPEC`` path of that leaf (zero data to ``data.amplitude``) and
-exits 2 naming the key, before any report is written.
+the ``_SPEC`` path of that leaf (zero data to ``data.amplitude``, a mean
+to ``grid.half_length``) and exits 2 naming the key, before any report.
 """
 
 import argparse
@@ -156,9 +156,10 @@ _TYPES = {"command": str, **{path: ftype for path, ftype, _, _, _ in _SPEC}}
 _NULLABLE = {path for path, _, default, _, _ in _SPEC if default is None}
 _SECTIONS = {path.rpartition(".")[0] for path in _TYPES} - {""}
 # the config key of an argument a library function refuses: the _SPEC path
-# of that leaf (the leaves are unique), and data.amplitude for zero data
+# of that leaf (the leaves are unique); data.amplitude for zero data, and
+# grid.half_length for data with a mean (gaussian data decays in the box)
 _KEYS = {path.rpartition(".")[2]: path for path, _, _, _, _ in _SPEC}
-_KEYS.update(u0="data.amplitude", traj="data.amplitude")
+_KEYS.update(u0="data.amplitude", traj="data.amplitude", u="grid.half_length")
 
 
 def _validate(node, path=""):

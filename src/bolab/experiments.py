@@ -13,11 +13,11 @@ and decides its checks here, so the command line only builds inputs:
   :func:`params_report`, :func:`integral_scaling_experiment` and
   :func:`nfe_report` — the reports of the other commands.
 
-Each measurement runs or refuses: an argument it cannot use (no trials,
-an unfittable window list, a zero perturbation, amplitude or ``u0``, no
-usable resolution) is a :class:`~bolab.spectral.ArgumentError` carrying
-its name, raised before any evolution or lattice work.  The command line
-restates no such rule; it only turns the name into a config key.
+Each measurement runs on its input as given or refuses it: an argument it
+cannot use (no trials, an unfittable window list, a zero perturbation,
+amplitude or ``u0``, a ``u`` with a mean, no grid size) is an
+:class:`~bolab.spectral.ArgumentError` carrying its name; a window list
+with no alpha fit or M-sweep anchor leaves its check "inconclusive".
 
 All randomness flows through seeded generators recorded in the report, so
 reports are bit-reproducible.  Every check read off a power-law fit goes
@@ -157,8 +157,8 @@ def verify_operator_estimate(term, s, eps,
     window is unrolling across the lattice corner, which measures geometry,
     not the exponent); with fewer than two such windows both alpha checks
     are inconclusive.  The M exponent is fitted per anchor alpha and
-    averaged; anchors are the alphas at least twice the largest M, so the
-    (|alpha|+M)^gamma factor stays flat across the M sweep.
+    averaged over anchors, the fitted alphas >= 2 max(M) (so (|alpha|+M)^gamma
+    stays flat across the M sweep); with no anchor it is inconclusive.
 
     Checks (upper bounds, tolerance 0.1): strong alpha exponent vs
     gamma(eps); mean M exponent vs 1/2; weak-form (Fourier-sup) alpha
@@ -195,8 +195,7 @@ def verify_operator_estimate(term, s, eps,
     m_ref = M_list[0]
     unroll = 2.0 * grid.dxi * (grid.n // 2)
     fit_alphas = [a for a in alpha_list if a >= unroll]
-    anchors = ([a for a in fit_alphas if a >= 2.0 * M_list[-1]]
-               or alpha_list[-1:])
+    anchors = [a for a in fit_alphas if a >= 2.0 * M_list[-1]]
     # window cells (alpha, M) -> [strong, weak] sums over the ensemble; each
     # member's tuples are enumerated once and replayed for every cell
     cells = {cell: [0.0, 0.0] for cell in
@@ -241,6 +240,8 @@ def verify_operator_estimate(term, s, eps,
         rep.checks["m_exponent_le_half"] = bool(m_mean <= 0.5 + EXPONENT_TOL)
     else:
         rep.checks["m_exponent_le_half"] = "inconclusive"
+        if not anchors:
+            rep.notes.append(f"no alpha >= {unroll:g} and 2 max(M): no M fit")
     rep.notes.append(
         f"{term.name}: alpha exp {fit_alpha.exponent:+.3f} (cap "
         f"{gamma + EXPONENT_TOL:.2f}), mean M exp "
@@ -292,8 +293,8 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     """
     if amplitude == 0.0:
         raise ArgumentError("amplitude", f"must not be zero, got {amplitude!r}")
-    resolutions = [int(N) for N in resolutions]
     grids = _resolution_grids(resolutions, half_length)
+    resolutions = [g.n for g in grids]
     eps_list = [float(e) for e in eps_list]
     rep = EstimateReport("smoothing", params={
         "seed": seed, "s": s, "eps_list": eps_list, "T": T,
@@ -381,8 +382,8 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
     if not perturbation_size > 0.0:
         raise ArgumentError(
             "perturbation_size", f"must be positive, got {perturbation_size!r}")
-    resolutions = [int(N) for N in resolutions]
     grids = _resolution_grids(resolutions, half_length)
+    resolutions = [g.n for g in grids]
     rep = EstimateReport("lipschitz", params={
         "seed": seed, "s": s, "T": T,
         "perturbation_size": perturbation_size,

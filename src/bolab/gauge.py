@@ -5,9 +5,10 @@ antiderivative of u.  The map has the exact pointwise inverse
 
     u = 2i (1 + conj(V)) V_x.
 
-`gauge_forward(u)` returns the field V, e.g. ``V0 = gauge_forward(u0)``;
-`gauge_inverse(V)` applies the inverse, realifies it and refuses a V with
-min |1 + V| below GAUGE_FLOOR.  Along the flow V satisfies (with
+`gauge_forward(u)` returns the field V, e.g. ``V0 = gauge_forward(u0)``,
+and refuses a ``u`` with a mean; `gauge_inverse(V)` applies the inverse,
+realifies it with no warning and refuses a V with min |1 + V| below
+GAUGE_FLOOR.  Along the flow V satisfies (with
 W = (1 + conj(V)) V_x and Pm / Pp the negative / positive frequency
 projections)
 
@@ -69,13 +70,13 @@ The coefficient-array right sides (`rhs_exact_coeffs`,
 single-field result bit for bit.
 """
 
-import warnings
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
 from .spectral import (
+    ArgumentError,
     SpectralField,
     antiderivative_symbol,
     conj_reflect,
@@ -89,7 +90,6 @@ from .spectral import (
     samples_to_fft_order,
     sobolev_norm,
     to_padded,
-    zero_mean_project,
 )
 
 # Smallest allowed min_x |1 + V| before the inverse map is refused.
@@ -122,14 +122,15 @@ def _bands(grid):
 def antiderivative(u):
     """Zero-mean antiderivative F (the zero mode of F is fixed to 0).
 
-    A nonzero mean has no periodic antiderivative; if present it is projected
-    away with a warning.
+    A nonzero mean has no periodic antiderivative: a zero mode above 1e-13
+    of the L2 norm is an ArgumentError naming ``u``; one below it is
+    rounding, and the symbol drops it.
     """
     g = u.grid
-    norm = sobolev_norm(u, 0)
-    if abs(u.coeffs[g.n // 2]) > 1e-13 * max(norm, 1e-300):
-        warnings.warn("dropping nonzero mean before antidifferentiation")
-        u = zero_mean_project(u)
+    ratio = abs(u.coeffs[g.n // 2]) / max(sobolev_norm(u, 0), 1e-300)
+    if ratio > 1e-13:
+        raise ArgumentError("u", f"must have zero mean to have a periodic "
+                            f"antiderivative, got |u_hat(0)| / ||u|| = {ratio:.2g}")
     return SpectralField(g, u.coeffs * antiderivative_symbol(g))
 
 
@@ -138,7 +139,7 @@ def gauge_forward(u):
 
     The exponential is evaluated pointwise on the doubled lattice and then
     restricted to the base band, so the returned V is the band-limited gauge
-    variable.
+    variable.  Data with a nonzero mean is refused (see `antiderivative`).
     """
     g = u.grid
     F = antiderivative(u)
@@ -170,14 +171,7 @@ def gauge_inverse(V):
             f"< {GAUGE_FLOOR}"
         )
     uc = from_padded(2j * (1.0 + np.conj(vs)) * dvs, b.pg)
-    herm = 0.5 * (uc + conj_reflect(uc))
-    residue = float(np.max(np.abs(uc - herm)))
-    scale = float(np.max(np.abs(herm)))
-    if residue > 1e-10 * max(scale, 1e-300):
-        warnings.warn(
-            f"reconstructed field has imaginary residue {residue:.2e}; realified"
-        )
-    return SpectralField(g, herm)
+    return SpectralField(g, 0.5 * (uc + conj_reflect(uc)))
 
 
 def _signs(sign):

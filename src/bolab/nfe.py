@@ -20,10 +20,11 @@ the cubic ones.  The infinite normal form reduction splits the tuples at
 remainder in which the time derivative falls on one slot), substitutes the
 equation back into the differentiated slot, and repeats with thresholds
 c_J |Phi_1|^delta at depth J.  :func:`nfe_residual` measures, on a stored
-trajectory, how much of W(T) - W(0) the depth-J truncation explains.  The
-tuples of each depth are held as flat batches (``_Batch``); ``_compose``
-builds a depth from the one above it, and is the one place that applies the
-composition rule (a conjugated slot flips the child's conjugation flags).
+trajectory of the band system (it refuses any other), how much of
+W(T) - W(0) the depth-J truncation explains.  The tuples of each depth are
+held as flat batches (``_Batch``); ``_compose`` builds a depth from the
+one above it, and is the one place that applies the composition rule (a
+conjugated slot flips the child's conjugation flags).
 
 The residual rests on a telescoping identity: with every kept integral
 and boundary term evaluated through the same integration-by-parts identity
@@ -371,8 +372,8 @@ def nfe_residual(traj, J_max, params):
     Costs are guarded: J_max is at most 3, and a depth-1 term lattice or a
     substitution step with more than ``MAX_COMPOSED`` tuples raises (a
     substitution step with its estimated count).  A J_max outside 1..3 and
-    a trajectory that is zero throughout (nothing to expand) are
-    ArgumentErrors.
+    a trajectory that is zero throughout or not of the band system (its
+    metadata "rhs" other than "terms") are ArgumentErrors.
     """
     if not isinstance(J_max, int) or not 1 <= J_max <= 3:
         raise ArgumentError(
@@ -381,16 +382,15 @@ def nfe_residual(traj, J_max, params):
     if not np.any(traj.data):
         raise ArgumentError("traj", "must not be zero throughout: zero data "
                                     "has no residual to measure")
+    if traj.metadata.get("rhs", "terms") != "terms":
+        raise ArgumentError("traj", f"must come from the band system (rhs "
+                            f"'terms'), got rhs {traj.metadata['rhs']!r}")
 
     grid = traj.grid
     n = grid.n
     times = np.asarray(traj.times, dtype=float)
     w = _trapz_weights(times)  # rejects fewer than two snapshots
     warnings = []
-    if traj.metadata.get("rhs", "terms") != "terms":
-        warnings.append(
-            "trajectory was not generated by the truncated band system; "
-            "the profile-derivative identity is only approximate")
 
     qvec, series = _time_series(traj, w)
     norm_index = params.s + 1.0

@@ -46,21 +46,23 @@ def dispersion(xi):
 class Grid:
     """Spatial lattice on [-L, L) and its frequency lattice.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction; safe to share between threads.  Sizes
+    are taken as given: ``n_points`` an integral power of two >= 8 and
+    ``half_length`` finite and >= pi, or an ArgumentError.
     """
 
     __slots__ = ("n", "half_length", "dx", "dxi", "x", "k", "xi", "_phase")
 
     def __init__(self, n_points, half_length):
-        n = int(n_points)
+        n = int(n_points) if n_points % 1 == 0 else 0
         if n < 8 or (n & (n - 1)) != 0:
             raise ArgumentError(
                 "n_points", f"must be a power of two >= 8, got {n_points}")
         L = float(half_length)
-        if not L >= np.pi:
+        if not np.pi <= L < np.inf:
             raise ArgumentError(
-                "half_length", f"must be >= pi so that the frequency spacing "
-                f"pi/L <= 1 resolves the band |xi| <= 1, got {half_length}")
+                "half_length", f"must be finite and >= pi so that the frequency "
+                f"spacing pi/L <= 1 resolves the band |xi| <= 1, got {half_length}")
         self.n = n
         self.half_length = L
         self.dx = 2.0 * L / n

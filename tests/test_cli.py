@@ -106,6 +106,8 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("simulate", "--amplitude", "nan"), "data.amplitude"),
     (("params", "--s", "nan"), "infr.s"),
     (("nfe", "--n-threshold", "nan"), "infr.N_threshold"),
+    (("gauge-check", "--half-length", "6.283185307179586"), "grid.half_length"),
+    (("nfe", "--kind", "gaussian-derivative"), "grid.half_length"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
 def test_unusable_value_is_config_error(tmp_path, capsys, args, key):
@@ -129,6 +131,7 @@ def test_estimates_alphas_below_the_unrolling_bound_are_inconclusive(
     rep = json.loads((tmp_path / "operator_Qp.json").read_text())
     assert rep["checks"]["alpha_exponent_le_gamma"] == "inconclusive"
     assert rep["checks"]["weak_alpha_exponent_le_gamma0"] == "inconclusive"
+    assert rep["checks"]["m_exponent_le_half"] == "inconclusive"
     assert "alpha_strong" not in rep["fits"]
     capsys.readouterr()
 
@@ -390,3 +393,53 @@ def test_cli_decides_no_verdict():
     # and decides their checks (as test_reachability keeps dead code out)
     source = pathlib.Path(cli.__file__).read_text()
     assert _verdicts_decided(source) == []
+
+
+# ---------------------------------------------------------------------------
+# every refused argument has a config key
+# ---------------------------------------------------------------------------
+
+# refused arguments that no command passes from the config: verify_operator
+# _estimate's term (resolve_config checks experiment.terms first) and the
+# integrals' M and mesh (the sweeps fix them)
+_NOT_FROM_CONFIG = {"term", "M", "mesh"}
+
+
+def _refused_arguments():
+    """(names, unresolved) of every ``ArgumentError`` raised in bolab: the
+    first argument is a string constant, or a loop variable over a literal
+    tuple of tuples that names it, as in ``dynamics.step_count``."""
+    names, unresolved = set(), []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loops = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.For) and isinstance(node.target, ast.Tuple) \
+                    and isinstance(node.iter, (ast.Tuple, ast.List)):
+                for i, var in enumerate(node.target.elts):
+                    loops.setdefault(getattr(var, "id", None), set()).update(
+                        item.elts[i].value for item in node.iter.elts
+                        if isinstance(item, ast.Tuple)
+                        and isinstance(item.elts[i], ast.Constant))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and "ArgumentError" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant):
+                names.add(arg.value)
+            elif isinstance(arg, ast.Name) and loops.get(arg.id):
+                names |= loops[arg.id]
+            else:
+                unresolved.append(f"{path.name}:{node.lineno}")
+    return names, unresolved
+
+
+def test_every_refused_argument_has_a_config_key():
+    # an ArgumentError whose name is no key of _KEYS exits 3 (numerical
+    # failure), not 2 naming the key; a new refusal must not do so quietly
+    names, unresolved = _refused_arguments()
+    assert unresolved == []
+    assert {"T", "dt", "n_points", "u", "traj"} <= names  # the scan reads
+    assert names - set(cli._KEYS) == _NOT_FROM_CONFIG

@@ -163,6 +163,17 @@ def test_operator_sample_table_shape(name, arity_cells):
     assert anchors == {64.0, 128.0}  # every alpha at least twice max(M)
 
 
+def test_operator_without_an_anchor_has_no_m_fit():
+    # no fitted alpha reaches 2 max(M) = 2048: the M sweep is not run at
+    # the largest alpha instead, where (|alpha| + M)^gamma is not flat
+    rep = verify_operator_estimate("Q+", 0.5, 0.4, M_list=[16, 1024],
+                                   trials=1, grid_n=32)
+    assert rep.checks["m_exponent_le_half"] == "inconclusive"
+    assert not any(str(r.get("fit", "")).startswith("m_sweep")
+                   for r in rep.samples)
+    assert any(note.endswith("no M fit") for note in rep.notes)
+
+
 # ---------------------------------------------------------------------------
 # smoothing
 # ---------------------------------------------------------------------------
@@ -309,7 +320,10 @@ _RESOLUTION_SWEEPS = {
     ({"resolutions": [100]}, "resolutions"),
     ({"resolutions": [128, 100]}, "resolutions"),
     ({"resolutions": [128], "half_length": 1.0}, "half_length"),
-], ids=["empty", "not-a-power-of-two", "second-refused", "half-length"])
+    ({"resolutions": [64.5]}, "resolutions"),
+    ({"resolutions": [128], "half_length": np.inf}, "half_length"),
+], ids=["empty", "not-a-power-of-two", "second-refused", "half-length",
+        "fractional", "infinite-half-length"])
 def test_resolution_sweeps_refuse_unusable_grids(monkeypatch, sweep, kwargs,
                                                  name):
     # no resolution leaves nothing to compare (lipschitz would report a

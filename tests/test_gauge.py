@@ -94,14 +94,34 @@ def test_antiderivative_inverts_derivative():
         assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
 
 
-def test_antiderivative_warns_on_mean():
+def test_antiderivative_refuses_mean():
     g = Grid(32, np.pi)
     u = to_spectral(1.0 + np.sin(g.x), g)
-    with pytest.warns(UserWarning, match="mean"):
-        F = antiderivative(u)
-    # the mean is dropped, so d/dx F = sin still
-    back = derivative(F)
+    with pytest.raises(spectral.ArgumentError, match="zero mean") as err:
+        antiderivative(u)
+    assert err.value.argument == "u"
+    # a zero mode at rounding level (1e-13 of the L2 norm) is still dropped
+    sin = to_spectral(np.sin(g.x), g)
+    c = sin.coeffs.copy()
+    c[g.n // 2] = 0.9e-13 * sobolev_norm(sin, 0)
+    back = derivative(antiderivative(SpectralField(g, c)))
     assert np.allclose(coeffs_to_samples(back.coeffs, g).real, np.sin(g.x), atol=1e-13)
+    c[g.n // 2] = 1.1e-13 * sobolev_norm(sin, 0)
+    with pytest.raises(spectral.ArgumentError):
+        antiderivative(SpectralField(g, c))
+
+
+def test_gauge_forward_refuses_gaussian_data_with_a_mean():
+    # gaussian-derivative data has a zero mean only once it decays inside
+    # the box: |u_hat(0)| / ||u|| is 8.8e-10 at L = 2 pi, 3.4e-17 at 3 pi
+    def data(L):
+        g = Grid(256, L)
+        return to_spectral(0.3 * -g.x * np.exp(-g.x**2 / 2.0), g)
+
+    with pytest.raises(spectral.ArgumentError, match="zero mean") as err:
+        gauge_forward(data(2 * np.pi))
+    assert err.value.argument == "u"
+    gauge_forward(data(3 * np.pi))
 
 
 # -- forward map --------------------------------------------------------------
@@ -134,9 +154,8 @@ def test_gauge_forward_small_amplitude_expansion():
 
 
 def test_gauge_forward_silent_and_reconstruction():
-    # perturbative data: the forward map warns of nothing, and the inverse
-    # recovers u to rounding, above the floor and without an
-    # imaginary-residue warning
+    # perturbative data: neither map warns, and the inverse recovers u to
+    # rounding, above the floor
     g = Grid(512, 8 * np.pi)
     rng = np.random.default_rng(5)
     for _ in range(5):

@@ -483,10 +483,12 @@ def test_validation_and_warnings():
     with pytest.raises(ValueError, match="Assumption 1"):
         nfe_residual(traj, 2, bad)
 
-    # a trajectory of the full right side is flagged as approximate
-    exact = evolve_gauged(V0, T=1e-3, dt=1e-4)
-    rep = nfe_residual(exact, 1, p)
-    assert any("approximate" in msg for msg in rep.warnings)
+    # a trajectory of the full right side is refused: the identity the
+    # residual rests on holds for the band system only
+    exact = evolve_gauged(V0, T=1e-3, dt=1e-4, rhs_mode="exact")
+    with pytest.raises(ArgumentError, match="band system") as err:
+        nfe_residual(exact, 1, p)
+    assert err.value.argument == "traj"
 
     # coarse cadence relative to the lattice phases is flagged too
     coarse = Trajectory(g, [0.0, 1.0], data, "V", {"rhs": "terms"})

@@ -38,6 +38,22 @@ def test_make_grid_rejects(n, L):
         sp.Grid(n, L)
 
 
+@pytest.mark.parametrize("n, L, name", [
+    (64.5, np.pi, "n_points"), (np.inf, np.pi, "n_points"),
+    (np.nan, np.pi, "n_points"), (64, np.inf, "half_length"),
+    (64, np.nan, "half_length")])
+def test_grid_refuses_what_it_would_coerce(n, L, name):
+    # a fractional size is not truncated, and an infinite box does not
+    # build a NaN lattice
+    with pytest.raises(sp.ArgumentError, match=f"^{name} ") as err:
+        sp.Grid(n, L)
+    assert err.value.argument == name
+
+
+def test_grid_takes_an_integral_float_size():
+    assert sp.Grid(64.0, np.pi) == sp.Grid(64, np.pi)
+
+
 def test_cosine_hand_dft():
     # int cos(x) exp(-i xi x) dx over [-pi, pi) = pi at xi = +-1, else 0
     g = sp.Grid(8, np.pi)
