@@ -43,7 +43,7 @@ from .experiments import (CONSISTENCY_BOUND, ROUND_TRIP_BOUND,
                           params_report, rough_real_data, simulate_experiment,
                           smoothing_experiment, verify_operator_estimate)
 from .gauge import gauge_forward
-from .infr import bo_terms, infr_params
+from .infr import infr_params
 from .nfe import nfe_residual
 from .spectral import ArgumentError, Grid, to_spectral
 
@@ -136,15 +136,18 @@ COMMAND_DEFAULTS = {
 
 # flag type -> (what a config value must be, its kind for _suits)
 _EXPECT = {int: ("an integer", int), float: ("a number", float),
-           str: ("a string", str), DATA_KINDS: ("a string", str),
+           str: ("a string", str),
+           DATA_KINDS: (f"one of {', '.join(DATA_KINDS)}", DATA_KINDS),
            _ints: ("a list of integers", [int]),
            _floats: ("a list of numbers", [float]),
            _names: ("a list of strings", [str])}
 
 
 def _suits(val, kind):
-    """Whether ``val`` is of ``kind``: int, float (a finite number), str, or
-    [entry kind] for a list."""
+    """Whether ``val`` is of ``kind``: int, float (a finite number), str,
+    [entry kind] for a list, or a tuple of the values it may take."""
+    if isinstance(kind, tuple):
+        return val in kind
     if isinstance(kind, list):
         return isinstance(val, list) and all(_suits(v, kind[0]) for v in val)
     if kind is float:
@@ -156,10 +159,11 @@ _TYPES = {"command": str, **{path: ftype for path, ftype, _, _, _ in _SPEC}}
 _NULLABLE = {path for path, _, default, _, _ in _SPEC if default is None}
 _SECTIONS = {path.rpartition(".")[0] for path in _TYPES} - {""}
 # the config key of an argument a library function refuses: the _SPEC path
-# of that leaf (the leaves are unique); data.amplitude for zero data, and
-# grid.half_length for data with a mean (gaussian data decays in the box)
+# of its leaf or of the list it is an entry of (term); data.amplitude for
+# zero data, grid.half_length for a mean (gaussian data decays in the box)
 _KEYS = {path.rpartition(".")[2]: path for path, _, _, _, _ in _SPEC}
-_KEYS.update(u0="data.amplitude", traj="data.amplitude", u="grid.half_length")
+_KEYS.update(u0="data.amplitude", traj="data.amplitude", u="grid.half_length",
+             term="experiment.terms")
 
 
 def _validate(node, path=""):
@@ -200,12 +204,6 @@ def resolve_config(command, file_cfg=None, flag_cfg=None):
         raise ConfigError(
             f"command: config says {configured!r} but {command!r} was invoked")
     cfg["command"] = command
-    kind = cfg["data"]["kind"]
-    if kind not in DATA_KINDS:
-        raise ConfigError(f"data.kind: must be one of {', '.join(DATA_KINDS)}")
-    for name in cfg["experiment"]["terms"]:
-        if name not in bo_terms():
-            raise ConfigError(f"experiment.terms: unknown term {name!r}")
     return cfg
 
 

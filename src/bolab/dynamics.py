@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .gauge import GAUGE_FLOOR, rhs_exact_coeffs, rhs_terms_total_coeffs
+from .gauge import require_invertible, rhs_exact_coeffs, rhs_terms_total_coeffs
 from .spectral import (
     ArgumentError,
     Grid,
@@ -263,12 +263,7 @@ def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
         return core(c, g)
 
     def hook(c, t):
-        margin = np.min(np.abs(1.0 + coeffs_to_samples(c, g)), axis=-1)
-        if margin.min() < GAUGE_FLOOR:
-            raise ValueError(
-                f"gauge not invertible at this amplitude: min |1 + V| = "
-                f"{margin.min():.3g} at {_at(t, margin)}"
-            )
+        require_invertible(coeffs_to_samples(c, g), lambda m: _at(t, m))
 
     _check_schedule(T, dt, snapshot_every)
     _probe_dt(c0, g, dt, rhs)

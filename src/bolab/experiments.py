@@ -14,8 +14,9 @@ and decides its checks here, so the command line only builds inputs:
   :func:`nfe_report` — the reports of the other commands.
 
 Each measurement runs on its input as given or refuses it: an argument it
-cannot use (no trials, an unfittable window list, a zero perturbation,
-amplitude or ``u0``, a ``u`` with a mean, no grid size) is an
+cannot use (no trials, an unfittable window list, a perturbation that is
+zero or below the gauge map's resolution, a zero amplitude or ``u0``, a
+``u`` with a mean, no grid size, resolutions out of order) is an
 :class:`~bolab.spectral.ArgumentError` carrying its name; a window list
 with no alpha fit or M-sweep anchor leaves its check "inconclusive".
 
@@ -33,7 +34,7 @@ from .gauge import gauge_forward, gauge_inverse, profile_time_derivative_sup
 from .infr import (bo_terms, gamma_cubic, gamma_quadratic,
                    term_values_on_lattice, window_indicator)
 from .integrals import cubic_integral_I, quad_integral_J
-from .reports import EstimateReport, PowerFit
+from .reports import EstimateReport, PowerFit, fit_power
 
 __all__ = ["rough_profile_data", "rough_real_data", "unit_rough_field",
            "bump_shape", "verify_operator_estimate", "smoothing_experiment",
@@ -128,9 +129,9 @@ def _dyadic_tail_slope(grid, coeffs):
         centers.append(np.sqrt(lo * hi))
         energies.append(np.sqrt(e2))
         j += 1
-    if len(centers) < 2 or min(energies) <= 0.0:
+    if len(centers) < 2:  # fit_power needs two samples
         return np.nan
-    return float(np.polyfit(np.log(centers), np.log(energies), 1)[0])
+    return fit_power(centers, energies).exponent
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +258,21 @@ def verify_operator_estimate(term, s, eps,
 
 def _resolution_grids(resolutions, half_length):
     """The Grid of every resolution, built before any evolution; an empty
-    list or a size Grid refuses is an ArgumentError naming ``resolutions``."""
+    list, a size Grid refuses or a list that is not strictly increasing is
+    an ArgumentError naming ``resolutions``."""
     if not resolutions:
         raise ArgumentError("resolutions", "must not be empty")
     try:
-        return [Grid(N, half_length) for N in resolutions]
+        grids = [Grid(N, half_length) for N in resolutions]
     except ArgumentError as e:
         if e.argument != "n_points":
             raise
         raise ArgumentError("resolutions",
                             f"entries are grid sizes: {e}") from None
+    if any(a.n >= b.n for a, b in zip(grids, grids[1:])):
+        raise ArgumentError("resolutions",
+                            f"must be strictly increasing, got {resolutions}")
+    return grids
 
 
 def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
@@ -289,7 +295,8 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     eps - 0.01; remainder tail slope steeper than the data tail slope by at
     least 0.3 (slopes from the largest resolution).  ``amplitude`` must
     not be zero: zero data has no remainder to measure.  ``resolutions``
-    must be a nonempty list of grid sizes (see ``_resolution_grids``).
+    must be a strictly increasing list of grid sizes (see
+    ``_resolution_grids``).
     """
     if amplitude == 0.0:
         raise ArgumentError("amplitude", f"must not be zero, got {amplitude!r}")
@@ -376,8 +383,9 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
     `evolve_gauged_batch` call.  Checks: every sup ratio at most
     ``c_max``; sups within a factor 2 across resolution doubling at fixed
     size and across size halving at fixed resolution.
-    ``perturbation_size`` must be positive, and ``resolutions`` a nonempty
-    list of grid sizes (see ``_resolution_grids``).
+    ``perturbation_size`` must be positive and large enough for the gauge
+    map to resolve (a nonzero calibrated gap), and ``resolutions`` a
+    strictly increasing list of grid sizes (see ``_resolution_grids``).
     """
     if not perturbation_size > 0.0:
         raise ArgumentError(
@@ -396,20 +404,25 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
         w = rough_real_data(grid, s, seed + 77777, 1.0)
         w = w * (1.0 / sobolev_norm(w, s))
         v_base = gauge_forward(u0)
-        v_perts = []
+        v_perts, gaps0 = [], []
         for size in sizes:
-            # one secant step: the gauge response is linear to O(size)
+            # one secant step: the gauge response is linear to O(size); a
+            # size the map cannot resolve leaves no response (delta = 0)
             probe = gauge_forward(u0 + w * size)
             response = sobolev_norm(
                 SpectralField(grid, probe.coeffs - v_base.coeffs), s + 1.0)
-            delta = size * (size / response)
+            delta = size * (size / response) if response > 0.0 else 0.0
             v_perts.append(gauge_forward(u0 + w * delta))
+            gaps0.append(sobolev_norm(
+                SpectralField(grid, v_perts[-1].coeffs - v_base.coeffs), s + 1.0))
+            if gaps0[-1] == 0.0:
+                raise ArgumentError(
+                    "perturbation_size", f"{size:g} is below what the gauge "
+                    f"map resolves at n = {N}: the calibrated initial gap is 0")
         base, *perts = evolve_gauged_batch(
             [v_base, *v_perts], T=T, dt=dt, rhs_mode="exact",
             snapshot_every=max(1, step_count(T, dt) // 20))
-        for size, pert in zip(sizes, perts):
-            gap0 = sobolev_norm(
-                SpectralField(grid, pert.data[0] - base.data[0]), s + 1.0)
+        for size, pert, gap0 in zip(sizes, perts, gaps0):
             ratios = []
             for i, t in enumerate(base.times):
                 diff = SpectralField(grid, pert.data[i] - base.data[i])

@@ -8,7 +8,7 @@ antiderivative of u.  The map has the exact pointwise inverse
 `gauge_forward(u)` returns the field V, e.g. ``V0 = gauge_forward(u0)``,
 and refuses a ``u`` with a mean; `gauge_inverse(V)` applies the inverse,
 realifies it with no warning and refuses a V with min |1 + V| below
-GAUGE_FLOOR.  Along the flow V satisfies (with
+GAUGE_FLOOR (`require_invertible`).  Along the flow V satisfies (with
 W = (1 + conj(V)) V_x and Pm / Pp the negative / positive frequency
 projections)
 
@@ -155,6 +155,16 @@ def _v_samples(c, b):
     return fft_order_to_samples(np.stack((cpad, cpad * b.ixi2)), b.pg)
 
 
+def require_invertible(vs, at=None):
+    """Refuse samples vs of V (rows on the last axis) with min |1 + V| below
+    GAUGE_FLOOR; ``at(margin)``, given the per-row minima, places the error."""
+    margin = np.min(np.abs(1.0 + vs), axis=-1)
+    if margin.min() < GAUGE_FLOOR:
+        where = f" at {at(margin)}" if at else ""
+        raise ValueError(f"gauge not invertible at this amplitude: min |1 + V| "
+                         f"= {margin.min():.3g} < {GAUGE_FLOOR}{where}")
+
+
 def gauge_inverse(V):
     """Invert the gauge: u = 2i (1 + conj V) V_x, realified.
 
@@ -164,12 +174,7 @@ def gauge_inverse(V):
     g = V.grid
     b = _bands(g)
     vs, dvs = _v_samples(V.coeffs, b)
-    margin = float(np.min(np.abs(1.0 + vs)))
-    if margin < GAUGE_FLOOR:
-        raise ValueError(
-            f"gauge not invertible at this amplitude: min |1 + V| = {margin:.3g} "
-            f"< {GAUGE_FLOOR}"
-        )
+    require_invertible(vs)
     uc = from_padded(2j * (1.0 + np.conj(vs)) * dvs, b.pg)
     return SpectralField(g, 0.5 * (uc + conj_reflect(uc)))
 

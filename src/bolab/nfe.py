@@ -404,7 +404,7 @@ def nfe_residual(traj, J_max, params):
     tvs = {name: term_values_on_lattice(term, env_field, max_tuples=MAX_COMPOSED)
            for name, term in bo_terms().items()}
 
-    frontier, counts = _level_one(tvs, params.N_threshold)
+    frontier, counts = _level_one(tvs, params.level_threshold(1))
     child_cap = _lattice_phase_cap(grid)
     h_max = float(np.diff(times).max())
     if h_max * child_cap > 0.75:

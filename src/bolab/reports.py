@@ -51,9 +51,10 @@ class PowerFit:
 def fit_power(xs, ys):
     """Log-log least squares with an rms residual.
 
-    Nonpositive samples cannot be fitted on a log scale; the fit comes back
-    inconclusive with NaN exponent rather than raising, so sweeps that hit
-    empty windows still produce a (failing-safe) report.
+    Nonpositive samples cannot be fitted on a log scale, and samples at
+    fewer than two distinct x values determine no slope; either way the fit
+    comes back inconclusive with NaN exponent rather than raising, so sweeps
+    that hit empty windows still produce a (failing-safe) report.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -61,8 +62,8 @@ def fit_power(xs, ys):
         raise ValueError("fit_power needs two equal-length 1-D sample arrays")
     if len(xs) < 2:
         raise ValueError("fit_power needs at least two samples")
-    if np.any(xs <= 0) or np.any(ys <= 0) or not (np.isfinite(xs).all()
-                                                  and np.isfinite(ys).all()):
+    if np.any(xs <= 0) or np.any(ys <= 0) or not np.isfinite([xs, ys]).all() \
+            or xs.min() == xs.max():
         return PowerFit(math.nan, math.nan, math.inf, False)
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -243,14 +243,14 @@ def derivative(field):
     return apply_multiplier(field, derivative_symbol(field.grid))
 
 
-REGIONS = ("+", "-", "lo", "hi", "+hi", "-hi", "+lo", "-lo")
+REGIONS = ("+", "-", "lo", "+hi", "-hi")
 
 
 def region_mask(xi, region):
     """Boolean indicator of a frequency region.
 
-    "lo" is |xi| <= 1 (ties at |xi| = 1 belong to lo), "hi" is |xi| > 1,
-    "+"/"-" are the open half-lines.  Composites intersect.
+    "lo" is |xi| <= 1 (ties at |xi| = 1 belong to lo), "+hi"/"-hi" are
+    xi > 1 and xi < -1, "+"/"-" are the open half-lines.
     """
     if region == "+":
         return xi > 0
@@ -258,16 +258,10 @@ def region_mask(xi, region):
         return xi < 0
     if region == "lo":
         return np.abs(xi) <= 1
-    if region == "hi":
-        return np.abs(xi) > 1
     if region == "+hi":
         return xi > 1
     if region == "-hi":
         return xi < -1
-    if region == "+lo":
-        return (xi > 0) & (xi <= 1)
-    if region == "-lo":
-        return (xi < 0) & (xi >= -1)
     raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
 
 

@@ -52,11 +52,12 @@ def test_flags_override_config_file(tmp_path):
     assert rep["params"]["config"]["infr"]["s"] == 0.5    # flag wins
 
 
-def test_resolve_config_validates_terms_and_kind():
-    with pytest.raises(ConfigError, match="experiment.terms"):
-        resolve_config("estimates", {"experiment": {"terms": ["Z+"]}})
-    with pytest.raises(ConfigError, match="data.kind"):
+def test_resolve_config_validates_kind():
+    # a term name is the library's rule (see test_unusable_value_is_config_error)
+    with pytest.raises(ConfigError, match="data.kind: expected one of "):
         resolve_config("simulate", {"data": {"kind": "plane-wave"}})
+    with pytest.raises(ConfigError, match="data.kind: expected one of "):
+        resolve_config("simulate", None, {"data": {"kind": "plane-wave"}})
 
 
 @pytest.mark.parametrize("j_max", ["0", "4"])
@@ -95,6 +96,11 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("estimates", "--trials", "0"), "experiment.trials"),
     (("estimates", "--cutoff", "1"), "experiment.cutoff"),
     (("lipschitz", "--perturbation-size", "0"), "experiment.perturbation_size"),
+    (("lipschitz", "--perturbation-size", "1e-20", "--resolutions", "128",
+      "--T", "0.01"), "experiment.perturbation_size"),
+    (("smoothing", "--resolutions", "256,128"), "experiment.resolutions"),
+    (("smoothing", "--resolutions", "128,128"), "experiment.resolutions"),
+    (("estimates", "--terms", "Z+"), "experiment.terms"),
     (("gauge-check", "--amplitude", "0"), "data.amplitude"),
     (("smoothing", "--amplitude", "0"), "data.amplitude"),
     (("nfe", "--amplitude", "0"), "data.amplitude"),
@@ -399,10 +405,9 @@ def test_cli_decides_no_verdict():
 # every refused argument has a config key
 # ---------------------------------------------------------------------------
 
-# refused arguments that no command passes from the config: verify_operator
-# _estimate's term (resolve_config checks experiment.terms first) and the
-# integrals' M and mesh (the sweeps fix them)
-_NOT_FROM_CONFIG = {"term", "M", "mesh"}
+# refused arguments that no command passes from the config: the integrals'
+# M and mesh (the sweeps fix them)
+_NOT_FROM_CONFIG = {"M", "mesh"}
 
 
 def _refused_arguments():

@@ -297,10 +297,12 @@ def test_lipschitz_within_2x_bound(monkeypatch, factor, stable):
 
 
 def test_lipschitz_zero_perturbation_raises(monkeypatch):
-    # identical data have no separation to track: refused before any run
+    # identical data have no separation to track: refused before any run,
+    # as is a size so small that the gauge map returns the base field (no
+    # response to calibrate on)
     monkeypatch.setattr(experiments, "evolve_gauged", None)
     monkeypatch.setattr(experiments, "evolve_gauged_batch", None)
-    for size in (0.0, -1e-3):
+    for size in (0.0, -1e-3, 1e-20):
         with pytest.raises(ValueError, match="perturbation_size"):
             lipschitz_experiment(seed=5, s=0.5, T=0.02,
                                  perturbation_size=size, resolutions=[128])
@@ -322,8 +324,10 @@ _RESOLUTION_SWEEPS = {
     ({"resolutions": [128], "half_length": 1.0}, "half_length"),
     ({"resolutions": [64.5]}, "resolutions"),
     ({"resolutions": [128], "half_length": np.inf}, "half_length"),
+    ({"resolutions": [256, 128]}, "resolutions"),
+    ({"resolutions": [128, 128]}, "resolutions"),
 ], ids=["empty", "not-a-power-of-two", "second-refused", "half-length",
-        "fractional", "infinite-half-length"])
+        "fractional", "infinite-half-length", "decreasing", "repeated"])
 def test_resolution_sweeps_refuse_unusable_grids(monkeypatch, sweep, kwargs,
                                                  name):
     # no resolution leaves nothing to compare (lipschitz would report a

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def test_fit_power_inconclusive_cases():
     f = fit_power(xs, with_zero)
     assert np.isnan(f.exponent)
     assert not f.conclusive
+
+    # one distinct abscissa determines no slope: no RankWarning, no fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xs in ([0.1, 0.1], [0.1, 0.1, 0.1]):
+            f = fit_power(xs, np.linspace(0.02, 0.03, len(xs)))
+            assert np.isnan(f.exponent) and not f.conclusive
 
     with pytest.raises(ValueError, match="two samples"):
         fit_power([1.0], [1.0])
