@@ -16,6 +16,15 @@ right-side evaluation instead of B.  The startup probe, finiteness and the
 min |1 + V| floor are checked per member, and an error names the member;
 the probe takes one batched trial and goes member by member only when
 that trial fails.
+
+The min |1 + V| floor is watched at every step time after t = 0, with no
+base-lattice transform per step: the state after step i is checked on the
+samples of V that the k1 stage of step i + 1 takes anyway (the gauged right
+sides hand their ``watch`` the even entries of the doubled-lattice samples,
+the base-lattice points), before that stage does any other work.  The final
+state has no next stage and takes its own transform.  The error names the
+member and the time of the state, as a per-step transform would.  The
+startup probe is not watched.
 """
 
 import json
@@ -115,30 +124,54 @@ class Trajectory:
         return cls(grid, times, data, manifest["tag"], manifest["metadata"])
 
 
-def _ifrk4_step(c, E, E2, h, rhs):
-    """One integrating-factor RK4 step of size h; E = exp(-i omega h / 2), E2 = E^2."""
-    k1 = rhs(c)
-    k2 = rhs(E * (c + (h / 2) * k1))
-    k3 = rhs(E * c + (h / 2) * k2)
-    k4 = rhs(E2 * c + h * (E * k3))
-    return E2 * c + (h / 6) * (E2 * k1 + 2 * E * (k2 + k3) + k4)
+def _ifrk4_step(c, E, E2, twoE, h, rhs, watch=None):
+    """One integrating-factor RK4 step of size h; E = exp(-i omega h / 2),
+    E2 = E^2, twoE = 2 E.  A ``watch`` goes to the k1 right side as its
+    second argument.  rhs returns a new array, which the step may update in
+    place.  Each complex product keeps the operand order of
+    E2 c + (h/6) (E2 k1 + 2 E (k2 + k3) + k4): numpy may round a b and b a
+    differently in the last bit."""
+    k1 = rhs(c) if watch is None else rhs(c, watch)
+    a = (h / 2) * k1
+    a += c
+    k2 = rhs(np.multiply(E, a, out=a))
+    a = E * c
+    a += (h / 2) * k2
+    k3 = rhs(a)
+    E2c = E2 * c
+    a = E * k3
+    a *= h
+    a += E2c
+    k4 = rhs(a)
+    k2 += k3
+    acc = E2 * k1
+    acc += np.multiply(twoE, k2, out=k2)
+    acc += k4
+    acc *= h / 6
+    acc += E2c
+    return acc
 
 
 def _march(c0, grid, h, steps, rhs, on_step=None):
     """Up to `steps` IF-RK4 steps of size h from the (..., n) array c0, calling
-    on_step(i, c) after step i.  Stops at the first step whose result is not
-    finite; returns the number of finite steps taken and the last state
-    computed, which is that non-finite result if the march stopped early."""
+    on_step(i, c) after step i.  A callable that on_step returns is the watch
+    of that state: step i + 1 hands it to its k1 right side, which calls it
+    with the state's base-lattice samples.  Stops at the first step whose
+    result is not finite; returns the number of finite steps taken and the
+    last state computed, which is that non-finite result if the march
+    stopped early."""
     E = np.exp(-1j * dispersion(grid.xi) * (h / 2))
     E2 = E * E
+    twoE = 2 * E
     c = np.array(c0, dtype=np.complex128)
+    watch = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
-            c = _ifrk4_step(c, E, E2, h, rhs)
+            c = _ifrk4_step(c, E, E2, twoE, h, rhs, watch)
             if not np.all(np.isfinite(c)):
                 return i - 1, c
             if on_step is not None:
-                on_step(i, c)
+                watch = on_step(i, c)
     return steps, c
 
 
@@ -169,9 +202,12 @@ def _at(t, score):
     return f"member {int(np.argmin(score))}, t = {t:.6g}"
 
 
-def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
+def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, watch=None):
     """Snapshot times, snapshots (n_snapshots, ..., n) and step of an IF-RK4
-    run of the (..., n) array c0 to time T."""
+    run of the (..., n) array c0 to time T.  ``watch(samples, t)``, if
+    given, checks the base-lattice samples of the state at each step time
+    t > 0, as the module docstring describes; rhs then takes a watch as its
+    optional second argument."""
     steps = step_count(T, dt)
     h = T / steps
     times = [0.0]
@@ -179,11 +215,15 @@ def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, step_hook=None):
 
     def on_step(i, c):
         t = i * h
-        if step_hook is not None:
-            step_hook(c, t)
         if i % snapshot_every == 0 or i == steps:
             times.append(t)
             snaps.append(c)
+        if watch is None:
+            return None
+        if i == steps:
+            watch(coeffs_to_samples(c, grid), t)
+            return None
+        return lambda samples: watch(samples, t)
 
     done, c = _march(c0, grid, h, steps, rhs, on_step)
     if done < steps:
@@ -259,15 +299,15 @@ def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
     else:
         raise ValueError(f"rhs_mode must be 'exact' or 'terms', got {rhs_mode!r}")
 
-    def rhs(c):
-        return core(c, g)
+    def rhs(c, watch=None):
+        return core(c, g, watch)
 
-    def hook(c, t):
-        require_invertible(coeffs_to_samples(c, g), lambda m: _at(t, m))
+    def watch(samples, t):
+        require_invertible(samples, lambda m: _at(t, m))
 
     _check_schedule(T, dt, snapshot_every)
     _probe_dt(c0, g, dt, rhs)
-    times, data, h = _ifrk4(c0, g, T, dt, rhs, snapshot_every, step_hook=hook)
+    times, data, h = _ifrk4(c0, g, T, dt, rhs, snapshot_every, watch)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": rhs_mode}
     return times, data, meta
 
@@ -277,7 +317,8 @@ def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
 
     rhs_mode "exact" uses the full gauged right side; "terms" uses the
     truncated band system (four paraproduct pieces + exact low band).  The
-    invertibility margin min |1 + V| is watched every step.
+    invertibility margin min |1 + V| is watched every step (see the module
+    docstring).
     """
     times, data, meta = _evolve_gauged(V0.coeffs, V0.grid, T, dt, rhs_mode,
                                        snapshot_every)

@@ -15,8 +15,8 @@ and decides its checks here, so the command line only builds inputs:
 
 Each measurement runs on its input as given or refuses it: an argument it
 cannot use (no trials, an unfittable window list, a perturbation that is
-zero or below the gauge map's resolution, a zero amplitude or ``u0``, a
-``u`` with a mean, no grid size, resolutions out of order) is an
+zero or whose calibrated gap is rounding noise, a zero amplitude or
+``u0``, a ``u`` with a mean, no grid size, resolutions out of order) is an
 :class:`~bolab.spectral.ArgumentError` carrying its name; a window list
 with no alpha fit or M-sweep anchor leaves its check "inconclusive".
 
@@ -46,6 +46,8 @@ EXPONENT_TOL = 0.1  # slack added to every exponent cap
 ROUND_TRIP_BOUND = 1e-10  # relative L2 error of the gauge round trip
 CONSISTENCY_BOUND = 1e-6  # H^{s+1} gap of the gauged and direct flows at T
 NFE_FLOOR_FACTOR = 1e-6  # nfe residual floor, in units of quadrature_error
+# largest factor between a calibrated Lipschitz gap and its requested size
+GAP_FACTOR = 2.0
 BUMP_WIDTH = 6.0  # Gaussian width of the bump_shape spectrum, in lattice modes
 
 
@@ -384,8 +386,11 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
     ``c_max``; sups within a factor 2 across resolution doubling at fixed
     size and across size halving at fixed resolution.
     ``perturbation_size`` must be positive and large enough for the gauge
-    map to resolve (a nonzero calibrated gap), and ``resolutions`` a
-    strictly increasing list of grid sizes (see ``_resolution_grids``).
+    map to resolve: every calibrated gap, at every resolution, within a
+    factor GAP_FACTOR of its requested size, checked before any evolution
+    (a gap made of rounding noise is not the requested perturbation).
+    ``resolutions`` must be a strictly increasing list of grid sizes (see
+    ``_resolution_grids``).
     """
     if not perturbation_size > 0.0:
         raise ArgumentError(
@@ -398,7 +403,7 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
         "resolutions": resolutions, "amplitude": amplitude, "dt": dt,
         "c_max": c_max, "half_length": half_length})
     sizes = [perturbation_size, perturbation_size / 2.0]
-    sup_by_cell = {}
+    calibrated = []
     for N, grid in zip(resolutions, grids):
         u0 = rough_real_data(grid, s, seed, amplitude)
         w = rough_real_data(grid, s, seed + 77777, 1.0)
@@ -415,10 +420,15 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
             v_perts.append(gauge_forward(u0 + w * delta))
             gaps0.append(sobolev_norm(
                 SpectralField(grid, v_perts[-1].coeffs - v_base.coeffs), s + 1.0))
-            if gaps0[-1] == 0.0:
+            if not 1.0 / GAP_FACTOR <= gaps0[-1] / size <= GAP_FACTOR:
                 raise ArgumentError(
                     "perturbation_size", f"{size:g} is below what the gauge "
-                    f"map resolves at n = {N}: the calibrated initial gap is 0")
+                    f"map resolves at n = {N}: the calibrated initial gap is "
+                    f"{gaps0[-1]:.3g}, {gaps0[-1] / size:.3g} times the size, "
+                    f"outside [1/{GAP_FACTOR:g}, {GAP_FACTOR:g}]")
+        calibrated.append((N, grid, v_base, v_perts, gaps0))
+    sup_by_cell = {}
+    for N, grid, v_base, v_perts, gaps0 in calibrated:
         base, *perts = evolve_gauged_batch(
             [v_base, *v_perts], T=T, dt=dt, rhs_mode="exact",
             snapshot_every=max(1, step_count(T, dt) // 20))

@@ -52,6 +52,15 @@ of these identities.
 The samples of V and V_x on the doubled lattice are taken in one place,
 `_v_samples` (2 transforms, in one stacked inverse call).  The first stage
 of both right sides, the inverse map and `rhs_cubic` all start from it.
+So does the min |1 + V| watch of `dynamics`: both right sides take an
+optional ``watch``, called with the even entries of those samples of V,
+which sit at the base-lattice points.
+
+The stages build their arrays in place, and each complex product keeps one
+operand order (``np.multiply(vs, s, out=s)``, not ``s *= vs``): numpy may
+round ``a * b`` and ``b * a`` differently in the last bit, and it evaluates
+``a * temp`` as ``temp *= a`` once the temporary reaches 256 KiB, so a large
+batch would otherwise round its rows unlike the single fields.
 
 All products are dealiased on the doubled lattice.  Base-band products go
 through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
@@ -79,6 +88,7 @@ from .spectral import (
     ArgumentError,
     SpectralField,
     antiderivative_symbol,
+    base_band_slices,
     conj_reflect,
     dealiased_product,
     fft_order_to_samples,
@@ -149,10 +159,14 @@ def gauge_forward(u):
 
 
 def _v_samples(c, b):
-    """Samples of V and V_x on the doubled lattice b.pg.  One inverse call on
-    the stack of the two: two padded transforms."""
-    cpad = pad_fft_order(c, b.pg)
-    return fft_order_to_samples(np.stack((cpad, cpad * b.ixi2)), b.pg)
+    """Samples of V and V_x on the doubled lattice b.pg, a (2, ..., 2n) array.
+    Both are padded straight into one buffer, V_x only on the base band where
+    its coefficients live; one inverse call: two padded transforms."""
+    buf = np.zeros((2,) + c.shape[:-1] + (b.pg.n,), dtype=np.complex128)
+    cpad = pad_fft_order(c, b.pg, out=buf[0])
+    for band in base_band_slices(b.pg):
+        np.multiply(cpad[band], b.ixi2[band], out=buf[1][band])
+    return fft_order_to_samples(buf, b.pg)
 
 
 def require_invertible(vs, at=None):
@@ -213,25 +227,35 @@ def rhs_cubic(V, sign):
     return SpectralField(g, out)
 
 
-def _w_stage(c, b):
+def _w_stage(c, b, watch=None):
     """First stage shared by the exact and band right sides.
 
     Returns the samples of V, the padded coefficients dwc of dx W with
     W = (1 + conj V) V_x (FFT order), and mean(W^2) over the last axis (one
-    value per field).  Three padded transforms.
+    value per field).  Three padded transforms.  ``watch``, if given, is
+    called first with the even entries of the samples of V, its values at
+    the base-lattice points.
     """
     pg = b.pg
     vs, dvs = _v_samples(c, b)
-    ws = (1.0 + np.conj(vs)) * dvs
-    dwc = pg.dx * samples_to_fft_order(ws) * b.ixi2
-    return vs, dwc, np.mean(ws * ws, axis=-1)
+    if watch is not None:
+        watch(vs[..., ::2])
+    ws = np.conj(vs)
+    ws += 1.0
+    np.multiply(ws, dvs, out=ws)
+    dwc = samples_to_fft_order(ws)
+    dwc *= pg.dx
+    np.multiply(dwc, b.ixi2, out=dwc)
+    np.multiply(ws, ws, out=ws)
+    return vs, dwc, np.add.reduce(ws, axis=-1) / ws.shape[-1]
 
 
 def _v_times(vs, half, b):
     """Base band of V . g, where g has the padded coefficients `half` (FFT
     order): the samples of g, times those of V, transformed back.  Two
     padded transforms."""
-    return from_padded(vs * fft_order_to_samples(half, b.pg), b.pg)
+    s = fft_order_to_samples(half, b.pg)
+    return from_padded(np.multiply(vs, s, out=s), b.pg)
 
 
 def _minus_product(vs, dwc, b):
@@ -244,19 +268,21 @@ def _minus_product(vs, dwc, b):
     """
     pm = dwc * b.minus2
     v_term = _v_times(vs, pm, b)
-    return restrict_fft_order(pm, b.pg) + v_term, v_term
+    product = restrict_fft_order(pm, b.pg)
+    product += v_term
+    return product, v_term
 
 
 def _exact_from_stage(c, g, b, product, mean_w2):
-    """Exact right side from the base band `product` of (1 + V) Pm dx W.
-    The mean term has one value per field; it multiplies the transposed
-    arrays, whose first axis is the frequency, so a scalar and a batch both
+    """Exact right side from the base band `product` of (1 + V) Pm dx W,
+    built in the array `product`.  The mean term has one value per field,
+    taken as a (..., 1) column so that a scalar and a batch both
     broadcast."""
-    out = -2j * product
+    out = np.multiply(-2j, product, out=product)
     out += b.linear * c
     mean_term = -1j * mean_w2
-    out += (mean_term * c.T).T
-    out.T[g.n // 2] += mean_term * (2.0 * g.half_length)
+    out += np.multiply(mean_term[..., None], c)
+    out[..., g.n // 2] += mean_term * (2.0 * g.half_length)
     out[..., 0] = 0.0
     return out
 
@@ -265,25 +291,27 @@ def _band_pieces(vs, dwc, v_minus, b):
     """Q_+ + C_+ + Q_- + C_- = -P_{+hi}(V gm) - P_{-hi}(V gp), from v_minus,
     the base band of V gm (`_minus_product`), and V gp, taken here (two
     padded transforms); gm, gp are the samples of Pm dx W and Pp dx W."""
-    v_plus = _v_times(vs, dwc * b.plus2, b)
-    return -(v_minus * b.plus_hi + v_plus * b.minus_hi)
+    pieces = v_minus * b.plus_hi
+    pieces += _v_times(vs, dwc * b.plus2, b) * b.minus_hi
+    return np.negative(pieces, out=pieces)
 
 
-def rhs_exact_coeffs(c, g):
+def rhs_exact_coeffs(c, g, watch=None):
     """Coefficient array of the full gauged right side (everything but -H V_xx).
 
     V_t + H V_xx = -2i (1 + V) Pm dx W + 2i Pm dx^2 V - i mean(W^2) (1 + V).
     Valid for any complex band-limited V, not only gauge images.  ``c`` may
     be an (..., n) batch of fields on the grid g, one per row.  Five padded
-    transforms.
+    transforms.  ``watch``, if given, is called with the samples of V on the
+    base lattice, which the first stage takes anyway (see `_w_stage`).
     """
     b = _bands(g)
-    vs, dwc, mean_w2 = _w_stage(c, b)
+    vs, dwc, mean_w2 = _w_stage(c, b, watch)
     product, _ = _minus_product(vs, dwc, b)
     return _exact_from_stage(c, g, b, product, mean_w2)
 
 
-def rhs_terms_total_coeffs(c, g):
+def rhs_terms_total_coeffs(c, g, watch=None):
     """Right side of the truncated band system used by the normal form layer:
 
         2i (Q_+ + Q_- + C_+ + C_-)  +  P_lo(full right side).
@@ -293,13 +321,16 @@ def rhs_terms_total_coeffs(c, g):
     expanded.  The +hi band is -2i P_{+hi}(V . Pm dx W), the V term the
     exact right side computes anyway, and the -hi band its mirror: seven
     padded transforms (see the module docstring).  ``c`` may be an (..., n)
-    batch, as in `rhs_exact_coeffs`.
+    batch and ``watch`` is called as in `rhs_exact_coeffs`.
     """
     b = _bands(g)
-    vs, dwc, mean_w2 = _w_stage(c, b)
+    vs, dwc, mean_w2 = _w_stage(c, b, watch)
     product, v_minus = _minus_product(vs, dwc, b)
-    total = _exact_from_stage(c, g, b, product, mean_w2) * b.lo
-    total += 2j * _band_pieces(vs, dwc, v_minus, b)
+    total = _exact_from_stage(c, g, b, product, mean_w2)
+    total *= b.lo
+    pieces = _band_pieces(vs, dwc, v_minus, b)
+    pieces *= 2j
+    total += pieces
     return total
 
 

@@ -98,6 +98,8 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("lipschitz", "--perturbation-size", "0"), "experiment.perturbation_size"),
     (("lipschitz", "--perturbation-size", "1e-20", "--resolutions", "128",
       "--T", "0.01"), "experiment.perturbation_size"),
+    (("lipschitz", "--perturbation-size", "1e-14", "--resolutions", "128,256",
+      "--T", "0.01"), "experiment.perturbation_size"),
     (("smoothing", "--resolutions", "256,128"), "experiment.resolutions"),
     (("smoothing", "--resolutions", "128,128"), "experiment.resolutions"),
     (("estimates", "--terms", "Z+"), "experiment.terms"),

@@ -308,6 +308,27 @@ def test_lipschitz_zero_perturbation_raises(monkeypatch):
                                  perturbation_size=size, resolutions=[128])
 
 
+def test_lipschitz_refuses_a_gap_of_rounding_noise(monkeypatch):
+    # at 1e-14 an n = 256 gap calibrates to over twice its size: rounding,
+    # not the requested perturbation, so the size is refused before any run;
+    # at 1e-13 every gap lies within GAP_FACTOR and the runs start
+    class Started(Exception):
+        pass
+
+    def flow(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(experiments, "evolve_gauged_batch", flow)
+    noise = r"at n = 256: .* times the size, outside \[1/2, 2\]$"
+    with pytest.raises(ArgumentError, match=noise) as refused:
+        lipschitz_experiment(seed=42, s=0.5, T=0.01, perturbation_size=1e-14,
+                             resolutions=[128, 256], amplitude=0.3)
+    assert refused.value.argument == "perturbation_size"
+    with pytest.raises(Started):
+        lipschitz_experiment(seed=42, s=0.5, T=0.01, perturbation_size=1e-13,
+                             resolutions=[128, 256], amplitude=0.3)
+
+
 _RESOLUTION_SWEEPS = {
     "smoothing": lambda **kw: smoothing_experiment(
         seed=1, s=0.5, eps_list=[0.4], T=0.02, **kw),

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import lattice_order
-from bolab import gauge, spectral
+from bolab import dynamics, gauge, spectral
+from bolab.dynamics import evolve_gauged, evolve_gauged_batch
 from bolab.gauge import (
     GAUGE_FLOOR,
     antiderivative,
@@ -417,12 +418,16 @@ def test_rhs_terms_total_fused_matches_piecewise_oracle(n):
 
 def _count_transforms(monkeypatch):
     # padded transforms go through the FFT-order pair; a call on an
-    # (..., 2n) stack counts one per transformed row
-    counts = {"n": 0}
+    # (..., 2n) stack counts one per transformed row, in "n" and under its
+    # row length; base-lattice transforms of the gauged evolution go through
+    # `coeffs_to_samples`, and its calls count under that name
+    counts = {"n": 0, "coeffs_to_samples": 0}
 
     def counted(fn):
         def wrapper(a, *args):
-            counts["n"] += a.size // a.shape[-1]
+            rows = a.size // a.shape[-1]
+            counts["n"] += rows
+            counts[a.shape[-1]] = counts.get(a.shape[-1], 0) + rows
             return fn(a, *args)
 
         return wrapper
@@ -430,6 +435,13 @@ def _count_transforms(monkeypatch):
     for module in (gauge, spectral):
         for name in ("fft_order_to_samples", "samples_to_fft_order"):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    base = dynamics.coeffs_to_samples
+
+    def base_counted(c, grid):
+        counts["coeffs_to_samples"] += 1
+        return base(c, grid)
+
+    monkeypatch.setattr(dynamics, "coeffs_to_samples", base_counted)
     return counts
 
 
@@ -441,6 +453,46 @@ def test_transforms_per_right_side(monkeypatch):
         counts["n"] = 0
         fn(V.coeffs, g)
         assert counts["n"] == want, fn.__name__
+
+
+@pytest.mark.parametrize("rhs_mode, per_rhs", [("exact", 5), ("terms", 7)])
+@pytest.mark.parametrize("members", [1, 3])
+def test_transforms_per_gauged_run(monkeypatch, rhs_mode, per_rhs, members):
+    # the min |1 + V| watch reads each state's samples from the next step's
+    # k1 stage, so a run of S steps takes one base-lattice transform, of the
+    # final state, and every step, the probe's 8 included, keeps 4 right
+    # sides of per_rhs padded transforms per member
+    g = Grid(64, np.pi)
+    rng = np.random.default_rng(4)
+    fields = [gauge_forward(0.2 * random_real_field(g, rng))
+              for _ in range(members)]
+    counts = _count_transforms(monkeypatch)
+    steps = 5
+    if members == 1:
+        evolve_gauged(fields[0], T=steps * 1e-4, dt=1e-4, rhs_mode=rhs_mode)
+    else:
+        evolve_gauged_batch(fields, T=steps * 1e-4, dt=1e-4, rhs_mode=rhs_mode)
+    assert counts["coeffs_to_samples"] == 1
+    assert counts.get(g.n) == members
+    assert counts.get(2 * g.n) == members * 4 * per_rhs * (steps + 8)
+
+
+@pytest.mark.parametrize("fn", ["rhs_exact_coeffs", "rhs_terms_total_coeffs"])
+def test_rows_equal_single_calls_at_trajectory_size(fn):
+    # nfe evaluates the band right side on every snapshot of a trajectory at
+    # once, (801, 128) at its defaults: arrays past numpy's 256 KiB
+    # temporary-elision size, where `a * temp` runs as `temp *= a`, and a
+    # complex product can round differently with its operands swapped
+    g = Grid(128, np.pi)
+    rng = np.random.default_rng(801)
+    shape = (801, g.n)
+    c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c /= (1.0 + np.abs(g.k)) ** 1.2
+    c[..., 0] = 0.0
+    rhs = getattr(gauge, fn)
+    got = rhs(c, g)
+    for k in range(len(c)):
+        assert np.array_equal(got[k], rhs(c[k].copy(), g)), k
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])

@@ -399,3 +399,16 @@ def test_padded_pair_equals_lattice_order_oracle(n, L):
         assert got.shape == want.shape and np.array_equal(got, want)
         got, want = sp.from_padded(s, pg), lattice_order.from_padded(s, pg)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512, 4096])
+@pytest.mark.parametrize("L", [np.pi, 8 * np.pi, 10.0])
+def test_sample_scale_equals_the_quotient(n, L):
+    # fft_order_to_samples scales by the product with 1/dx: numpy's complex
+    # division by a real is that product, so the samples equal the quotient
+    # value for value
+    pg = sp.padded_grid(sp.Grid(n, L))
+    rng = np.random.default_rng(n)
+    cf = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
+    want = np.fft.ifft(cf, axis=-1) / pg.dx
+    assert np.array_equal(sp.fft_order_to_samples(cf, pg), want)
