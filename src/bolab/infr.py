@@ -11,20 +11,26 @@ structure directly:
   frequency regions, multiplier) in normalized form -- the evolution
   equation couples each piece with an overall factor 2i, which is *not*
   included here.
-* ``term_values_on_lattice`` materializes the individual lattice tuples of
-  one term application (indices, phases, kernels, values), and
-  ``split_resonant`` partitions them by a threshold on |Phi|.  It is the
-  only place that enumerates tuples.  ``phase`` is the resonance function
-  in the parameterization of the frequency-restricted operator estimates:
-  the sign of omega is flipped on conjugated slots.  The phase of the time
-  integrand belongs to :mod:`bolab.nfe`.
+* ``term_blocks`` enumerates the individual lattice tuples of one term
+  application (indices, phases, kernels, values) as blocks of consecutive
+  i1 values, each capped by the tuple budget ``BLOCK_TUPLES``; it is the
+  only place that enumerates tuples.  The cubic tuple count grows about 8x
+  per doubling of n, so a caller that sums over the tuples consumes the
+  blocks as they come and never holds a whole cubic lattice.
+  ``term_values_on_lattice`` concatenates the blocks for the callers that
+  need every tuple at once, and ``split_resonant`` partitions them by a
+  threshold on |Phi|.  ``phase`` is the resonance function in the
+  parameterization of the frequency-restricted operator estimates: the sign
+  of omega is flipped on conjugated slots.  The phase of the time integrand
+  belongs to :mod:`bolab.nfe`.
 * ``apply_T_sigma``, ``apply_T_alpha_M`` and ``dyadic_sigma_from_restricted``
   apply a term with a weight on the resonance function: <Phi>^{-sigma}, the
   window indicator |Phi - alpha| < M, and the dyadic-shell reconstruction of
-  the sigma weight.  Each replays the materialized tuples,
-  ``TermValues.field(weight(phase))``, so a caller that needs many weights
-  on the same inputs enumerates once and replays per weight.  sigma = 0
-  reproduces the plain right-hand-side pieces.
+  the sigma weight.  Each replays the blocks one at a time,
+  ``TermValues.add_to(acc, weight(phase))``, into one running output, so a
+  caller that needs many weights on the same inputs enumerates once and
+  replays every block per weight.  sigma = 0 reproduces the plain
+  right-hand-side pieces.
 * ``infr_params`` fixes the exponent bookkeeping (gamma, beta, sigma, theta,
   delta, the thresholds c_j) for the normal-form iteration at a given
   regularity (s, eps).
@@ -38,7 +44,12 @@ All operators sum the lattice directly (no FFT), with modes below
 1e-14 x max|coefficient| dropped per slot (except the last, which the
 output fixes).  Results are deterministic: each output frequency sums its
 tuples in enumeration order (i1, then i2, then output index), which
-``term_values_on_lattice`` fixes and ``sum_by_output`` keeps.
+``term_blocks`` fixes.  ``add_by_output``, the running form of
+``sum_by_output``, adds a block into the output in that order, so the sum
+over the blocks, block after block, equals one sum over the whole lattice
+bit for bit, whatever the budget.  Every per-tuple quantity is computed
+element by element, by operations that round one element of a block as they
+round it in the whole lattice.
 """
 
 import itertools
@@ -278,12 +289,14 @@ def _slot_fields(term, inputs):
     return fields
 
 
-def _slot_values(term, fields):
-    """Value arrays indexed by each slot's convolution frequency.
+def _slot_values(term, inputs):
+    """The grid of ``inputs`` (see ``_slot_fields``), and value arrays
+    indexed by each slot's convolution frequency.
 
     Conjugated slots hold conj(c[-xi]) (zero at the unpaired end mode);
     slot-region masks are applied here.
     """
+    fields = _slot_fields(term, inputs)
     out = []
     for j, f in enumerate(fields):
         c = f.coeffs
@@ -293,7 +306,7 @@ def _slot_values(term, fields):
         if reg is not None:
             c = c * region_mask(f.grid.xi, reg)
         out.append(c)
-    return out
+    return fields[0].grid, out
 
 
 def _active(values):
@@ -311,6 +324,21 @@ def window_indicator(ph, alpha, M):
     return (np.abs(ph - float(alpha)) < float(M)).astype(float)
 
 
+def _replay(term, inputs, weight):
+    """Sum value x ``weight(block)`` per output over the term's blocks, one
+    block at a time, into one field."""
+    fields = _slot_fields(term, inputs)
+    grid = fields[0].grid
+    acc = np.zeros(grid.n, dtype=complex)
+    for tv in term_blocks(term, fields):
+        tv.add_to(acc, weight(tv))
+    return SpectralField(grid, acc)
+
+
+def _sigma_weight(phase, sigma):
+    return (1.0 + phase * phase) ** (-0.5 * sigma)
+
+
 def apply_T_sigma(term, inputs, sigma):
     """Apply the term with the phase weight <Phi>^(-sigma).
 
@@ -318,14 +346,14 @@ def apply_T_sigma(term, inputs, sigma):
     (gauge.rhs_quadratic / gauge.rhs_cubic).
     """
     sigma = float(sigma)
-    tv = term_values_on_lattice(term, inputs)
-    return tv.field((1.0 + tv.phase * tv.phase) ** (-0.5 * sigma))
+    return _replay(term, inputs, lambda tv: _sigma_weight(tv.phase, sigma))
 
 
 def apply_T_alpha_M(term, inputs, alpha, M):
     """Apply the term restricted to the phase window |Phi - alpha| < M (strict)."""
-    tv = term_values_on_lattice(term, inputs)
-    return tv.field(window_indicator(tv.phase, alpha, M))
+    window_indicator(np.empty(0), alpha, M)  # refuses M <= 0 before any work
+    return _replay(term, inputs,
+                   lambda tv: window_indicator(tv.phase, alpha, M))
 
 
 def _shell_index(abs_ph):
@@ -346,17 +374,32 @@ def dyadic_sigma_from_restricted(term, inputs, sigma):
     so the accumulated sums agree bit for bit.
     """
     sigma = float(sigma)
-    tv = term_values_on_lattice(term, inputs)
-    base = (1.0 + tv.phase * tv.phase) ** (-0.5 * sigma)
-    r = _shell_index(np.abs(tv.phase))
-    total = np.zeros_like(base)
-    for shell in range(int(r.max(initial=0)) + 1):
-        total = total + np.where(r == shell, base, 0.0)
-    return tv.field(total)
+
+    def weight(tv):
+        base = _sigma_weight(tv.phase, sigma)
+        r = _shell_index(np.abs(tv.phase))
+        total = np.zeros_like(base)
+        for shell in range(int(r.max(initial=0)) + 1):
+            total = total + np.where(r == shell, base, 0.0)
+        return total
+
+    return _replay(term, inputs, weight)
 
 
 # ---------------------------------------------------------------------------
 # materialized tuples
+
+
+def add_by_output(acc, out_idx, values):
+    """Add complex ``values`` into ``acc`` at their output indices, each
+    output in the order given; returns ``acc``.
+
+    The running form of :func:`sum_by_output`: adding consecutive blocks of
+    one tuple sequence, block after block, equals one sum over the whole
+    sequence bit for bit.
+    """
+    np.add.at(acc, out_idx, values)
+    return acc
 
 
 def sum_by_output(out_idx, values, n):
@@ -365,15 +408,13 @@ def sum_by_output(out_idx, values, n):
     Each output sums its entries in the order given, so equal inputs give
     bitwise-equal sums.
     """
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(out_idx, values.real, minlength=n)
-    out.imag = np.bincount(out_idx, values.imag, minlength=n)
-    return out
+    return add_by_output(np.zeros(n, dtype=complex), out_idx, values)
 
 
 @dataclass
 class TermValues:
-    """Flattened lattice tuples of one term application.
+    """Flattened lattice tuples of one term application, or of one block
+    of them.
 
     Arrays over tuples: ``out_idx`` (output lattice index), ``slot_idx``
     (arity x m, slot convolution-frequency indices), ``phase`` (the
@@ -393,11 +434,18 @@ class TermValues:
     def __len__(self):
         return self.out_idx.shape[0]
 
+    def add_to(self, acc, weight=None):
+        """Add value (x ``weight`` per tuple) into the length-n array
+        ``acc``, each output in tuple order."""
+        v = self.value if weight is None else self.value * weight
+        add_by_output(acc, self.out_idx, v)
+
     def field(self, weight=None):
         """Accumulate value (x ``weight`` per tuple) into a spectral field,
         each output in tuple order."""
-        v = self.value if weight is None else self.value * weight
-        return SpectralField(self.grid, sum_by_output(self.out_idx, v, self.grid.n))
+        acc = np.zeros(self.grid.n, dtype=complex)
+        self.add_to(acc, weight)
+        return SpectralField(self.grid, acc)
 
     def restrict(self, mask):
         mask = np.asarray(mask)
@@ -407,23 +455,16 @@ class TermValues:
         )
 
 
-def term_values_on_lattice(term, inputs, max_tuples=None):
-    """Materialize the active lattice tuples of one term application.
+# Tuple budget of one block of term_blocks.  A block holds whole i1 rows,
+# so one row larger than the budget is a block of its own.
+BLOCK_TUPLES = 1 << 14
 
-    The one enumeration of the module: every operator replays its output.
-    Slots 1..k-1 run over their active modes (1e-14 relative cutoff per
-    slot) and the last slot is fixed by the output frequency.  Tuples
-    outside ``term.in_region``, with zero multiplier, a zero last slot or
-    an output on the end mode are dropped.  Tuples come in the order i1,
-    then i2, then output index; ``field()`` sums them in that order and
-    equals ``apply_T_sigma(term, inputs, 0)`` bit for bit.  ``inputs`` is
-    one SpectralField or ``term.arity`` fields on one grid.  A number
-    ``max_tuples`` is a cost guard: more kept tuples raise ValueError.  None,
-    the default, enumerates every tuple.
-    """
-    fields = _slot_fields(term, inputs)
-    grid = fields[0].grid
-    vals = _slot_values(term, fields)
+
+def _index_blocks(term, grid, vals, max_tuples):
+    """Index rows (output, slot 1, ..., slot k) of the kept tuples, one
+    (k + 1, m) array per block of consecutive i1 values.  Empty blocks are
+    never yielded.  The running tuple count is checked against
+    ``max_tuples`` after every i1 value."""
     n, k = grid.n, term.arity
     xi = grid.xi
     io = np.arange(n)
@@ -433,8 +474,7 @@ def term_values_on_lattice(term, inputs, max_tuples=None):
     inner_xis = [xi[col][:, None] for col in inner.T]
     # xi_k = xi - xi_1 - ... - xi_{k-1}, with index i - half <-> xi_i
     offset = (k - 1) * (n // 2) - inner.sum(axis=1)[:, None]
-    rows = [np.empty((k + 1, 0), dtype=int)]
-    count = 0
+    rows, size, count = [], 0, 0
     for i1 in _active(vals[0]):
         last = io + (offset - i1)
         inside = (last >= 0) & (last < n)
@@ -450,19 +490,74 @@ def term_values_on_lattice(term, inputs, max_tuples=None):
                 f"term lattice too large: more than {max_tuples} active tuples "
                 f"for {term.name}; raise max_tuples or restrict the inputs"
             )
+        if not r.size:
+            continue
+        if rows and size + r.size > BLOCK_TUPLES:
+            yield np.concatenate(rows, axis=1)
+            rows, size = [], 0
         rows.append(np.vstack([c, np.full(r.size, i1), inner[r].T, last[r, c]]))
+        size += r.size
+    if rows:
+        yield np.concatenate(rows, axis=1)
 
-    idx = np.concatenate(rows, axis=1)
+
+def _tuples(term, grid, vals, idx):
+    """The TermValues of the index rows ``idx`` of ``_index_blocks``."""
     out_idx, slot_idx = idx[0], idx[1:]
+    xi = grid.xi
     om = dispersion(xi)
     ph = om[out_idx]
     for s, col in zip(term.phase_signs(), slot_idx):
         ph = ph - s * om[col]
-    kernel = term.multiplier([xi[col] for col in slot_idx]) * (grid.dxi / (2.0 * np.pi)) ** (k - 1)
+    kernel = (term.multiplier([xi[col] for col in slot_idx])
+              * (grid.dxi / (2.0 * np.pi)) ** (term.arity - 1))
+    # np.multiply, out of place: numpy rounds an in-place complex product of
+    # one element unlike the same element of a longer array, and evaluates
+    # ``value * v[col]`` on a large temporary with the operands swapped;
+    # either would make the bits depend on the block size
     value = kernel.astype(complex)
     for v, col in zip(vals, slot_idx):
-        value *= v[col]
+        value = np.multiply(value, v[col])
     return TermValues(term, grid, out_idx, slot_idx, ph, kernel, value)
+
+
+def term_blocks(term, inputs, max_tuples=None):
+    """The active lattice tuples of one term application, as an iterator
+    of TermValues blocks.
+
+    The one enumeration of the module: every operator replays its blocks.
+    Slots 1..k-1 run over their active modes (1e-14 relative cutoff per
+    slot) and the last slot is fixed by the output frequency.  Tuples
+    outside ``term.in_region``, with zero multiplier, a zero last slot or
+    an output on the end mode are dropped.  Tuples come in the order i1,
+    then i2, then output index; each block holds the tuples of consecutive
+    i1 values, at most ``BLOCK_TUPLES`` of them unless one i1 value alone
+    has more, and no block is empty.  ``inputs`` is one SpectralField or
+    ``term.arity`` fields on one grid, checked before the first block.  A
+    number ``max_tuples`` is a cost guard on the count across all blocks:
+    more kept tuples raise ValueError when the iteration reaches them.
+    None, the default, enumerates every tuple.
+    """
+    grid, vals = _slot_values(term, inputs)
+    return (_tuples(term, grid, vals, idx)
+            for idx in _index_blocks(term, grid, vals, max_tuples))
+
+
+def term_values_on_lattice(term, inputs, max_tuples=None):
+    """Materialize the active lattice tuples of one term application: the
+    blocks of :func:`term_blocks` (same ``inputs`` and ``max_tuples``) as
+    one TermValues.
+
+    ``field()`` sums them in enumeration order and equals
+    ``apply_T_sigma(term, inputs, 0)`` bit for bit.  Every tuple is held
+    at once, so a caller that only sums over the tuples replays the blocks
+    instead.
+    """
+    grid, vals = _slot_values(term, inputs)
+    idx = np.concatenate(
+        [np.empty((term.arity + 1, 0), dtype=int),
+         *_index_blocks(term, grid, vals, max_tuples)], axis=1)
+    return _tuples(term, grid, vals, idx)
 
 
 def split_resonant(term_values, threshold):

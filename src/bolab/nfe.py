@@ -34,9 +34,12 @@ used to define it, the depth-J truncation collapses to
 
 where I_{J+1} is the remainder integrand over the depth-J nonresonant tuple
 set, with the differentiated slot read from the exact right side.  Only the
-thin nonresonant sets are ever enumerated (via :func:`bolab.infr
-.term_values_on_lattice` on a support envelope of the trajectory), boundary
-terms cancel exactly, and the reported residual
+thin nonresonant sets are ever kept: the depth-1 tuples are read block by
+block (:func:`bolab.infr.term_blocks` on a support envelope of the
+trajectory) and each block leaves only its nonresonant tuples, the
+frontier, and its count per output.  Whole term lattices are built only
+when a deeper depth is expanded, as the children of the substitution.
+Boundary terms cancel exactly, and the reported residual
 
     residual_J = || W(T) - W(0) - trunc_J ||_{H^{s+1}}
 
@@ -67,7 +70,8 @@ import numpy as np
 
 from .spectral import ArgumentError, SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
-from .infr import COUPLING, bo_terms, sum_by_output, term_values_on_lattice
+from .infr import (COUPLING, bo_terms, sum_by_output, term_blocks,
+                   term_values_on_lattice)
 
 # Cap on the tuples of one depth-1 term lattice and on the estimated tuples
 # of one substitution step; nfe_residual raises above it.
@@ -190,14 +194,21 @@ def _contract(b, V, D, W):
     return acc
 
 
+_RHS_ROWS = 64  # snapshots per band right-side call in _time_series
+
+
 def _time_series(traj, w):
     """The quadrature defect W(T) - W(0) - trapz(dW/dt) of the stored
     trajectory, and the three series ``_ibp_trapz`` sums over, one row per
     lattice index and one column per snapshot: V_hat, the raw right side
-    e^{-i t omega} dW/dt, and w_i e^{i t_i omega}."""
+    e^{-i t omega} dW/dt, and w_i e^{i t_i omega}.  The right side is taken
+    ``_RHS_ROWS`` snapshots per call; each row equals its single-field call
+    bit for bit."""
     grid, times, data = traj.grid, np.asarray(traj.times, dtype=float), traj.data
     carriers = np.exp(1j * times[:, None] * dispersion(grid.xi)[None, :])
-    rhs = rhs_terms_total_coeffs(data, grid)
+    rhs = np.empty_like(data)
+    for i in range(0, len(data), _RHS_ROWS):
+        rhs[i:i + _RHS_ROWS] = rhs_terms_total_coeffs(data[i:i + _RHS_ROWS], grid)
     vdelta = carriers[-1] * data[-1] - carriers[0] * data[0]
     qvec = vdelta - np.einsum("i,ij->j", w, carriers * rhs)
     return qvec, tuple(np.ascontiguousarray(a.T)
@@ -225,25 +236,41 @@ def _ibp_trapz(batches, V, D, W):
         V.shape[0])
 
 
-def _level_one(tvs, N):
-    """Nonresonant depth-1 batches (|Phi| >= N in the oscillation convention)."""
+def _level_one(blocks, N, n):
+    """Nonresonant depth-1 batches (|Phi| >= N in the oscillation convention).
+
+    ``blocks`` maps each term name to an iterable of its TermValues blocks,
+    which are read one at a time: only their nonresonant tuples are kept,
+    as one batch per term in tuple order.  Also returns the depth-1 census
+    per term and the number of tuples of all terms at each output index.
+    """
     batches, counts = [], {}
-    for name in sorted(tvs):
-        tv = tvs[name]
-        phase = _oscillation_phase(tv.grid, tv.out_idx, tv.slot_idx)
-        mask = np.abs(phase) >= N
-        counts[name] = {"tuples": int(len(tv)), "nonresonant": int(mask.sum())}
-        if not mask.any():
+    per_output = np.zeros(n, dtype=np.int64)
+    for name in sorted(blocks):
+        parts, total, term = [], 0, None
+        for tv in blocks[name]:
+            term = tv.term
+            phase = _oscillation_phase(tv.grid, tv.out_idx, tv.slot_idx)
+            mask = np.abs(phase) >= N
+            total += len(tv)
+            per_output += np.bincount(tv.out_idx, minlength=n)
+            parts.append((tv.out_idx[mask], tv.slot_idx[:, mask], phase[mask],
+                          tv.kernel[mask]))
+        kept = sum(p[0].size for p in parts)
+        counts[name] = {"tuples": total, "nonresonant": kept}
+        if not kept:
             continue
+        out_idx, cols, phase, kernel = (np.concatenate(a, axis=-1)
+                                        for a in zip(*parts))
         batches.append(_Batch(
-            conj=tv.term.conj,
-            out_idx=tv.out_idx[mask],
-            cols=tv.slot_idx[:, mask],
-            phase=phase[mask],
-            phase1=np.abs(phase[mask]),
-            coef=COUPLING * tv.kernel[mask],
+            conj=term.conj,
+            out_idx=out_idx,
+            cols=cols,
+            phase=phase,
+            phase1=np.abs(phase),
+            coef=COUPLING * kernel,
         ))
-    return batches, counts
+    return batches, counts, per_output
 
 
 def _child_index(tvs):
@@ -255,14 +282,13 @@ def _child_index(tvs):
     return index
 
 
-def _compose_estimate(batches, tvs, n):
-    """Number of composed tuples substitution would create, before thresholds."""
-    cnt = np.zeros(n, dtype=np.int64)
-    for tv in tvs.values():
-        cnt += np.bincount(tv.out_idx, minlength=n)
+def _compose_estimate(batches, per_output):
+    """Number of composed tuples substitution would create, before
+    thresholds; ``per_output`` counts the child tuples at each output."""
+    n = per_output.size
     total = 0
     for b in batches:
-        total += int(cnt[_reads(b.conj, b.cols, n)].sum())
+        total += int(per_output[_reads(b.conj, b.cols, n)].sum())
     return total
 
 
@@ -401,10 +427,11 @@ def nfe_residual(traj, J_max, params):
     quadrature_error = norm_of(qvec)
 
     env_field = SpectralField(grid, np.abs(traj.data).max(axis=0))
-    tvs = {name: term_values_on_lattice(term, env_field, max_tuples=MAX_COMPOSED)
-           for name, term in bo_terms().items()}
-
-    frontier, counts = _level_one(tvs, params.level_threshold(1))
+    terms = bo_terms()
+    frontier, counts, per_output = _level_one(
+        {name: term_blocks(term, env_field, max_tuples=MAX_COMPOSED)
+         for name, term in terms.items()},
+        params.level_threshold(1), n)
     child_cap = _lattice_phase_cap(grid)
     h_max = float(np.diff(times).max())
     if h_max * child_cap > 0.75:
@@ -414,7 +441,7 @@ def nfe_residual(traj, J_max, params):
 
     residuals = {}
     composed = {}
-    child_sorted = None
+    tvs = child_sorted = None
     residuals[1] = norm_of(qvec + _ibp_trapz(frontier, *series))
     for J in range(2, J_max + 1):
         if not frontier:
@@ -434,12 +461,15 @@ def nfe_residual(traj, J_max, params):
             frontier = []
             residuals[J] = quadrature_error
             continue
-        estimate = _compose_estimate(frontier, tvs, n)
+        estimate = _compose_estimate(frontier, per_output)
         if estimate > MAX_COMPOSED:
             raise ValueError(
                 f"depth-{J} substitution would build about {estimate} "
                 f"composed tuples, above the cap nfe.MAX_COMPOSED = {MAX_COMPOSED}")
-        if child_sorted is None:
+        if tvs is None:
+            # whole child lattices, held only while a depth is expanded
+            tvs = {name: term_values_on_lattice(term, env_field)
+                   for name, term in terms.items()}
             child_sorted = _child_index(tvs)
         frontier = _compose(frontier, tvs, child_sorted, J, params, n)
         kept = sum(len(b) for b in frontier)

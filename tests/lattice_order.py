@@ -2,21 +2,39 @@
 
 `spectral` and `gauge` hold the doubled lattice only in FFT order.  This
 module keeps the path they replaced: base-band coefficients are padded into
-the doubled lattice in increasing-k order and transformed with
-`coeffs_to_samples`/`samples_to_coeffs`, which swap halves and apply (-1)^k
-on every call.  The right sides below are the same stages, operation for
-operation, so the FFT-order results must equal them value for value
-(`np.array_equal`).
+the doubled lattice in increasing-k order and transformed by the pair
+below, which swaps halves and applies (-1)^k on every call.  The pair is
+written on `np.fft` here, from the conventions of `bolab.spectral` (samples
+from x = -L, the integral weights dx and 1/dx), and shares no code with the
+library's transforms, so a change to their scale or sign shows.  The right
+sides below are the same stages, operation for operation, so the FFT-order
+results must equal them value for value (`np.array_equal`).
 """
 
 import numpy as np
 
-from bolab.spectral import (
-    coeffs_to_samples,
-    padded_grid,
-    region_mask,
-    samples_to_coeffs,
-)
+from bolab.spectral import padded_grid, region_mask
+
+
+def _signs(grid):
+    """(-1)^k over the lattice k = -n/2 .. n/2-1."""
+    return np.where(np.arange(-grid.n // 2, grid.n // 2) % 2 == 0, 1.0, -1.0)
+
+
+def coeffs_to_samples(coeffs, grid):
+    """Samples at x_j = -L + j dx of lattice-order coefficients (last axis):
+    the inverse FFT of (-1)^k c in FFT order, times 1/dx."""
+    shifted = np.fft.ifftshift(coeffs * _signs(grid), axes=-1)
+    return np.fft.ifft(shifted, axis=-1) * (1.0 / (2.0 * grid.half_length / grid.n))
+
+
+def samples_to_coeffs(samples, grid):
+    """Lattice-order coefficients of samples (last axis): dx (-1)^k times
+    the forward FFT in lattice order, with the Nyquist slot zeroed."""
+    dx = 2.0 * grid.half_length / grid.n
+    c = dx * _signs(grid) * np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)
+    c[..., 0] = 0.0
+    return c
 
 
 def pad_coeffs(coeffs, n):

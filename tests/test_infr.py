@@ -10,9 +10,11 @@ phase of ``bolab.nfe``.
 import numpy as np
 import pytest
 
+from bolab import infr
 from bolab.gauge import rhs_cubic, rhs_quadratic
 from bolab.infr import (
     COUPLING,
+    add_by_output,
     apply_T_alpha_M,
     apply_T_sigma,
     bo_terms,
@@ -21,6 +23,8 @@ from bolab.infr import (
     gamma_quadratic,
     infr_params,
     split_resonant,
+    sum_by_output,
+    term_blocks,
     term_values_on_lattice,
 )
 from bolab.spectral import Grid, SpectralField, dispersion, region_mask
@@ -590,3 +594,132 @@ def test_term_values_cost_guard():
     V = random_complex_field(g, rng, 30)
     with pytest.raises(ValueError, match="max_tuples"):
         term_values_on_lattice(bo_terms()["C+"], (V, V, V), max_tuples=100)
+
+
+# ---------------------------------------------------------------------------
+# blocks
+
+
+_WHOLE = 1 << 40  # a budget above every lattice here: one block
+
+
+def _replays(term, inputs):
+    """Every replay of the term: the materialized field and the three
+    weighted operators."""
+    return {
+        "field": term_values_on_lattice(term, inputs).field().coeffs,
+        "T_sigma": apply_T_sigma(term, inputs, 0.75).coeffs,
+        "T_alpha_M": apply_T_alpha_M(
+            term, inputs, -40.0 if term.name.endswith("+") else 40.0, 30.0).coeffs,
+        "dyadic": dyadic_sigma_from_restricted(term, inputs, 0.75).coeffs,
+    }
+
+
+def test_running_sum_equals_one_bincount():
+    """Blocks added one after another with add_by_output, and sum_by_output
+    over the whole, give the bits of one bincount per part in entry order."""
+    rng = np.random.default_rng(61)
+    n, m = 64, 20_000
+    out_idx = rng.integers(1, n, m)
+    values = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m) \
+        + 1j * rng.standard_normal(m)
+    want = np.empty(n, dtype=complex)
+    want.real = np.bincount(out_idx, values.real, minlength=n)
+    want.imag = np.bincount(out_idx, values.imag, minlength=n)
+    acc = np.zeros(n, dtype=complex)
+    cuts = np.sort(rng.choice(np.arange(1, m), 40, replace=False))
+    for idx, vals in zip(np.split(out_idx, cuts), np.split(values, cuts)):
+        add_by_output(acc, idx, vals)
+    assert np.array_equal(acc, want)
+    assert np.array_equal(sum_by_output(out_idx, values, n), want)
+
+
+@pytest.mark.parametrize("name", ["Q+", "Q-", "C+", "C-"])
+def test_blocks_change_no_bit(name, monkeypatch):
+    """At a budget of one tuple, of one i1 row and above the total, the
+    blocks hold whole consecutive i1 rows within the budget, concatenate to
+    the whole lattice, and every replay equals the one-block replay bit for
+    bit."""
+    g = Grid(64, np.pi)
+    rng = np.random.default_rng(53)
+    term = bo_terms()[name]
+    inputs = tuple(random_complex_field(g, rng, 24) for _ in range(term.arity))
+    monkeypatch.setattr(infr, "BLOCK_TUPLES", _WHOLE)
+    (whole,) = list(term_blocks(term, inputs))
+    want = _replays(term, inputs)
+    rows = np.unique(whole.slot_idx[0], return_counts=True)[1]
+    assert rows.size > 2
+    for budget, count in ((1, rows.size), (int(rows.max()), None),
+                          (len(whole) + 1, 1)):
+        monkeypatch.setattr(infr, "BLOCK_TUPLES", budget)
+        blocks = list(term_blocks(term, inputs))
+        assert len(blocks) == count if count else 1 < len(blocks) < rows.size
+        i1s = [b.slot_idx[0] for b in blocks]
+        assert all(0 < i1.size <= budget or i1.min() == i1.max() for i1 in i1s)
+        assert all(a.max() < b.min() for a, b in zip(i1s, i1s[1:]))
+        for key in ("out_idx", "slot_idx", "phase", "kernel", "value"):
+            got = np.concatenate([getattr(b, key) for b in blocks], axis=-1)
+            assert np.array_equal(got, getattr(whole, key)), (budget, key)
+        for key, coeffs in _replays(term, inputs).items():
+            assert np.array_equal(coeffs, want[key]), (budget, key)
+
+
+def test_block_size_does_not_round_values(monkeypatch):
+    """C+ at n = 128: one block of 196,664 tuples, past the 256 KiB at which
+    numpy reuses a temporary operand and swaps a complex product's operand
+    order, against one i1 row per block.  Every value has the same bits."""
+    g = Grid(128, np.pi)
+    rng = np.random.default_rng(7)
+    term = bo_terms()["C+"]
+    inputs = tuple(random_complex_field(g, rng, 63) for _ in range(3))
+    values = []
+    for budget in (1, _WHOLE):
+        monkeypatch.setattr(infr, "BLOCK_TUPLES", budget)
+        values.append(np.concatenate([b.value for b in term_blocks(term, inputs)]))
+    assert values[1].size > 1 << 15
+    assert np.array_equal(values[0], values[1])
+
+
+def test_rows_without_tuples_make_no_block(monkeypatch):
+    """Inputs whose active i1 rows keep no tuple, or only some of them: no
+    block is empty, and an input with no tuple at all has no block, an
+    empty materialization and zero replays."""
+    monkeypatch.setattr(infr, "BLOCK_TUPLES", 1)
+    g = Grid(32, np.pi)
+    term = bo_terms()["Q+"]
+    # the active i1 = 2 pairs only with -1, into output 1, outside "+hi"
+    sparse = field_from_modes(g, {2: 0.7, 3: 1.0, -1: 0.5, 9: 0.1})
+    blocks = list(term_blocks(term, sparse))
+    assert [b.slot_idx[0].tolist() for b in blocks] == [[19], [25]]
+    assert sum(len(b) for b in blocks) == len(term_values_on_lattice(term, sparse))
+    # only positive modes: no Q+ tuple has a second slot in "-"
+    none = field_from_modes(g, {3: 1.0, 5: 0.5})
+    assert list(term_blocks(term, none)) == []
+    tv = term_values_on_lattice(term, none)
+    assert len(tv) == 0 and tv.slot_idx.shape == (2, 0)
+    for coeffs in _replays(term, none).values():
+        assert np.all(coeffs == 0.0)
+
+
+def test_cost_guard_counts_across_blocks(monkeypatch):
+    """max_tuples bounds the count over all blocks: at one row per block it
+    lets the first block through and raises, with its message, in the
+    iteration that passes the bound."""
+    monkeypatch.setattr(infr, "BLOCK_TUPLES", 1)
+    g = Grid(32, np.pi)
+    rng = np.random.default_rng(59)
+    term = bo_terms()["C+"]
+    V = random_complex_field(g, rng, 10)
+    sizes = [len(b) for b in term_blocks(term, V)]
+    assert len(sizes) > 3
+    cap = sizes[0] + sizes[1]
+    blocks = term_blocks(term, V, max_tuples=cap)
+    assert len(next(blocks)) == sizes[0]
+    with pytest.raises(ValueError, match=rf"^term lattice too large: more than "
+                       rf"{cap} active tuples for C\+; raise max_tuples or "
+                       rf"restrict the inputs$"):
+        next(blocks)
+    with pytest.raises(ValueError, match=f"more than {cap} active tuples"):
+        term_values_on_lattice(term, V, max_tuples=cap)
+    # a bound equal to the total count is not exceeded
+    assert len(term_values_on_lattice(term, V, max_tuples=sum(sizes))) == sum(sizes)

@@ -14,12 +14,13 @@ checks on every batch the engine builds.
 """
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bolab import nfe
+from bolab import infr, nfe
 from bolab.dynamics import Trajectory, evolve_gauged
 from bolab.experiments import rough_real_data
 from bolab.gauge import gauge_forward, rhs_terms_total_coeffs
@@ -144,7 +145,8 @@ def _frontiers(traj, params, depth):
     env_field = SpectralField(traj.grid, np.abs(traj.data).max(axis=0))
     tvs = {name: term_values_on_lattice(t, env_field)
            for name, t in bo_terms().items()}
-    frontier, _ = _level_one(tvs, params.N_threshold)
+    frontier, _, _ = _level_one({name: [tv] for name, tv in tvs.items()},
+                                params.N_threshold, traj.grid.n)
     out = [frontier]
     for level in range(2, depth + 1):
         frontier = _compose(frontier, tvs, _child_index(tvs), level, params,
@@ -278,7 +280,8 @@ def test_compose_quadratic_parent_hand_values():
     expect_total = sum(int((tvs[t].out_idx == read).sum())
                        for t in tvs for read in (half + 5, half - 2))
     assert total == expect_total
-    assert _compose_estimate([batch], tvs, n) == expect_total
+    per_output = sum(np.bincount(tv.out_idx, minlength=n) for tv in tvs.values())
+    assert _compose_estimate([batch], per_output) == expect_total
 
     # hand case: slot 0 substituted by the Q+ child (6, -1); coefficient
     # (-2i K1 / (i Phi1)) * 2i K' with K1 = 4/(2pi), K' = 1/(2pi), Phi1 = -12
@@ -460,6 +463,44 @@ def test_sigma_override_exercises_composition(monkeypatch):
     monkeypatch.setattr(nfe, "MAX_COMPOSED", 100)
     with pytest.raises(ValueError, match="term lattice too large"):
         nfe_residual(traj, 2, p)
+
+
+def test_residuals_do_not_depend_on_the_block_budget(monkeypatch):
+    # the depth-1 batches are cut from the blocks in tuple order, so one
+    # tuple per block and one block in all give the same report, and the
+    # expanded depth of the composition setup as well
+    traj = _default_trajectory(1e-3)
+    p = infr_params(0.5, 0.0, N_threshold=1000.0)
+    comp, pc = _composition_setup(2e-3)
+    pc = dataclasses.replace(infr_params(0.5, 0.0, N_threshold=pc.N_threshold),
+                             sigma=0.501, theta=0.499, delta=0.499)
+    reports = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(infr, "BLOCK_TUPLES", budget)
+        reports.append([nfe_residual(traj, 2, p), nfe_residual(comp, 2, pc)])
+    for one, whole in zip(*reports):
+        assert one.residuals == whole.residuals
+        assert one.counts == whole.counts and one.composed == whole.composed
+    assert reports[0][1].composed[2]["status"] == "expanded"
+
+
+# tracemalloc peak of the default ``bolab nfe`` residual: 18.9 MB measured
+# with only the depth-1 frontier kept, 44.5 MB when the four term lattices
+# (two cubic ones of 198,555 tuples) were held
+NFE_PEAK_BOUND = 28e6
+
+
+def test_default_residual_memory_is_bounded():
+    traj = _default_trajectory(0.02)
+    p = infr_params(0.5, 0.0, N_threshold=1000.0)
+    tracemalloc.start()
+    try:
+        rep = nfe_residual(traj, 2, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.counts["C+"]["tuples"] == 198_555
+    assert peak < NFE_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_validation_and_warnings():
