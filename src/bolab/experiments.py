@@ -31,7 +31,7 @@ from .spectral import (ArgumentError, Grid, SpectralField, dispersion,
                        sobolev_norm, to_physical)
 from .dynamics import evolve_bo, evolve_gauged, evolve_gauged_batch, step_count
 from .gauge import gauge_forward, gauge_inverse, profile_time_derivative_sup
-from .infr import (bo_terms, gamma_cubic, gamma_quadratic, term_blocks,
+from .infr import (_replay, bo_terms, gamma_cubic, gamma_quadratic,
                    window_indicator)
 from .integrals import cubic_integral_I, quad_integral_J
 from .reports import EstimateReport, PowerFit, fit_power
@@ -200,20 +200,17 @@ def verify_operator_estimate(term, s, eps,
     fit_alphas = [a for a in alpha_list if a >= unroll]
     anchors = [a for a in fit_alphas if a >= 2.0 * M_list[-1]]
     # window cells (alpha, M) -> [strong, weak] sums over the ensemble; each
-    # member's tuples are enumerated once, block by block, and every block
-    # is replayed into a running output per cell
+    # member's tuples are enumerated once and replayed into every cell
     cells = {cell: [0.0, 0.0] for cell in
              [(a, m_ref) for a in fit_alphas]
              + [(a, M) for a in anchors for M in M_list]}
+    windows = [lambda tv, a=a, M=M: window_indicator(tv.phase, sign * a, M)
+               for a, M in cells]
     for _ in range(trials):
         inputs = [unit_rough_field(grid, s, rng) for _ in range(arity)]
-        outs = {cell: np.zeros(grid.n, dtype=complex) for cell in cells}
-        for tv in term_blocks(term, inputs):
-            for (a, M), acc in outs.items():
-                tv.add_to(acc, window_indicator(tv.phase, sign * a, M))
+        outs = _replay(term, inputs, windows)
         floor = min(np.max(np.abs(f.coeffs)) for f in inputs)
-        for cell, sums in cells.items():
-            out = SpectralField(grid, outs[cell])
+        for sums, out in zip(cells.values(), outs):
             sums[0] += sobolev_norm(out, s + eps + 1.0)
             sums[1] += np.max(np.abs(out.coeffs)) / floor
 

@@ -27,10 +27,10 @@ structure directly:
   apply a term with a weight on the resonance function: <Phi>^{-sigma}, the
   window indicator |Phi - alpha| < M, and the dyadic-shell reconstruction of
   the sigma weight.  Each replays the blocks one at a time,
-  ``TermValues.add_to(acc, weight(phase))``, into one running output, so a
-  caller that needs many weights on the same inputs enumerates once and
-  replays every block per weight.  sigma = 0 reproduces the plain
-  right-hand-side pieces.
+  ``TermValues.add_to(acc, weight(phase))``, into one running output.
+  ``_replay`` takes a sequence of weights, so a caller that needs many
+  weights on the same inputs enumerates once and replays every block per
+  weight.  sigma = 0 reproduces the plain right-hand-side pieces.
 * ``infr_params`` fixes the exponent bookkeeping (gamma, beta, sigma, theta,
   delta, the thresholds c_j) for the normal-form iteration at a given
   regularity (s, eps).
@@ -38,18 +38,17 @@ structure directly:
 Every operator takes one ``SpectralField``, shared by every slot, or a
 sequence of ``term.arity`` fields on one grid; anything else raises
 ValueError.  No tuple cap applies unless the caller passes ``max_tuples``
-to ``term_values_on_lattice``.
+to ``term_blocks`` or ``term_values_on_lattice``.
 
 All operators sum the lattice directly (no FFT), with modes below
 1e-14 x max|coefficient| dropped per slot (except the last, which the
 output fixes).  Results are deterministic: each output frequency sums its
 tuples in enumeration order (i1, then i2, then output index), which
-``term_blocks`` fixes.  ``add_by_output``, the running form of
-``sum_by_output``, adds a block into the output in that order, so the sum
-over the blocks, block after block, equals one sum over the whole lattice
-bit for bit, whatever the budget.  Every per-tuple quantity is computed
-element by element, by operations that round one element of a block as they
-round it in the whole lattice.
+``term_blocks`` fixes.  ``add_by_output`` adds a block into a running
+output in that order, so the sum over the blocks, block after block, equals
+one sum over the whole lattice bit for bit, whatever the budget.  Every
+per-tuple quantity is computed element by element, by operations that round
+one element of a block as they round it in the whole lattice.
 """
 
 import itertools
@@ -324,15 +323,18 @@ def window_indicator(ph, alpha, M):
     return (np.abs(ph - float(alpha)) < float(M)).astype(float)
 
 
-def _replay(term, inputs, weight):
-    """Sum value x ``weight(block)`` per output over the term's blocks, one
-    block at a time, into one field."""
+def _replay(term, inputs, weights):
+    """One field per weight of ``weights``: the sum of value x
+    ``weight(block)`` per output over the term's blocks.  The tuples are
+    enumerated once, and each block is replayed per weight into that
+    weight's running output."""
     fields = _slot_fields(term, inputs)
     grid = fields[0].grid
-    acc = np.zeros(grid.n, dtype=complex)
+    accs = [np.zeros(grid.n, dtype=complex) for _ in weights]
     for tv in term_blocks(term, fields):
-        tv.add_to(acc, weight(tv))
-    return SpectralField(grid, acc)
+        for acc, weight in zip(accs, weights):
+            tv.add_to(acc, weight(tv))
+    return [SpectralField(grid, acc) for acc in accs]
 
 
 def _sigma_weight(phase, sigma):
@@ -346,14 +348,17 @@ def apply_T_sigma(term, inputs, sigma):
     (gauge.rhs_quadratic / gauge.rhs_cubic).
     """
     sigma = float(sigma)
-    return _replay(term, inputs, lambda tv: _sigma_weight(tv.phase, sigma))
+    (out,) = _replay(term, inputs,
+                     [lambda tv: _sigma_weight(tv.phase, sigma)])
+    return out
 
 
 def apply_T_alpha_M(term, inputs, alpha, M):
     """Apply the term restricted to the phase window |Phi - alpha| < M (strict)."""
     window_indicator(np.empty(0), alpha, M)  # refuses M <= 0 before any work
-    return _replay(term, inputs,
-                   lambda tv: window_indicator(tv.phase, alpha, M))
+    (out,) = _replay(term, inputs,
+                     [lambda tv: window_indicator(tv.phase, alpha, M)])
+    return out
 
 
 def _shell_index(abs_ph):
@@ -383,7 +388,8 @@ def dyadic_sigma_from_restricted(term, inputs, sigma):
             total = total + np.where(r == shell, base, 0.0)
         return total
 
-    return _replay(term, inputs, weight)
+    (out,) = _replay(term, inputs, [weight])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +400,11 @@ def add_by_output(acc, out_idx, values):
     """Add complex ``values`` into ``acc`` at their output indices, each
     output in the order given; returns ``acc``.
 
-    The running form of :func:`sum_by_output`: adding consecutive blocks of
-    one tuple sequence, block after block, equals one sum over the whole
-    sequence bit for bit.
+    A running sum: adding consecutive blocks of one tuple sequence, block
+    after block, equals one sum over the whole sequence bit for bit.
     """
     np.add.at(acc, out_idx, values)
     return acc
-
-
-def sum_by_output(out_idx, values, n):
-    """Complex ``values`` summed per output index into a length-``n`` array.
-
-    Each output sums its entries in the order given, so equal inputs give
-    bitwise-equal sums.
-    """
-    return add_by_output(np.zeros(n, dtype=complex), out_idx, values)
 
 
 @dataclass

@@ -8,23 +8,28 @@ frequency lattice,
                     + (low-band forcing),
 
 with Phi = omega(xi) - sum_j omega(xi_j) the oscillation phase of the tuple
-(``_oscillation_phase``; it keeps this form at every depth, because the
-omega of a substituted column cancels).  A conjugated slot reads
-conj(V_hat(-xi_j)), at lattice index n - col (``_reads``), and oscillates
-like a plain slot because omega is odd, so Phi has no sign flip.  The
-resonance function ``TermValues.phase`` of :mod:`bolab.infr`, which the
-frequency-restricted operator estimates use, flips omega on conjugated
-slots: the two agree on the quadratic pieces and differ by 2 omega(xi_2) on
-the cubic ones.  The infinite normal form reduction splits the tuples at
-|Phi| = N, integrates the nonresonant part by parts (boundary terms plus a
-remainder in which the time derivative falls on one slot), substitutes the
-equation back into the differentiated slot, and repeats with thresholds
-c_J |Phi_1|^delta at depth J.  :func:`nfe_residual` measures, on a stored
-trajectory of the band system (it refuses any other), how much of
-W(T) - W(0) the depth-J truncation explains.  The tuples of each depth are
-held as flat batches (``_Batch``); ``_compose`` builds a depth from the
-one above it, and is the one place that applies the composition rule (a
-conjugated slot flips the child's conjugation flags).
+(``_oscillation_phase``).  A conjugated slot reads conj(V_hat(-xi_j)), at
+lattice index n - col (``_reads``), and oscillates like a plain slot
+because omega is odd, so Phi has no sign flip.  The resonance function
+``TermValues.phase`` of :mod:`bolab.infr`, which the frequency-restricted
+operator estimates use, flips omega on conjugated slots: the two agree on
+the quadratic pieces and differ by 2 omega(xi_2) on the cubic ones.  The
+infinite normal form reduction splits the tuples at |Phi| = N, integrates
+the nonresonant part by parts (boundary terms plus a remainder in which the
+time derivative falls on one slot), substitutes the equation back into the
+differentiated slot, and repeats with thresholds c_J |Phi_1|^delta at depth
+J.  :func:`nfe_residual` measures, on a stored trajectory of the band system
+(it refuses any other), how much of W(T) - W(0) the depth-J truncation
+explains.
+
+Depth 1 is measured.  Its nonresonant tuples, the frontier, are read block
+by block (:func:`bolab.infr.term_blocks` on a support envelope of the
+trajectory); each block leaves only its nonresonant tuples, held as one flat
+batch per term (``_Batch``).  A deeper depth is never substituted.  It is
+empty, because depth 1 left no frontier or because its smallest threshold
+exceeds the largest phase the lattice can reach, or ``nfe_residual``
+refuses J_max.  :func:`bolab.infr.infr_params` fixes sigma = 3/4, so
+c_2 >= 3^8 = 6561.
 
 The residual rests on a telescoping identity: with every kept integral
 and boundary term evaluated through the same integration-by-parts identity
@@ -33,20 +38,15 @@ used to define it, the depth-J truncation collapses to
     trunc_J = trapz(full integrand) - trapz(I_{J+1}),
 
 where I_{J+1} is the remainder integrand over the depth-J nonresonant tuple
-set, with the differentiated slot read from the exact right side.  Only the
-thin nonresonant sets are ever kept: the depth-1 tuples are read block by
-block (:func:`bolab.infr.term_blocks` on a support envelope of the
-trajectory) and each block leaves only its nonresonant tuples, the
-frontier, and its count per output.  Whole term lattices are built only
-when a deeper depth is expanded, as the children of the substitution.
-Boundary terms cancel exactly, and the reported residual
+set, with the differentiated slot read from the exact right side.  Boundary
+terms cancel exactly, and the reported residual
 
     residual_J = || W(T) - W(0) - trunc_J ||_{H^{s+1}}
 
-equals the norm of (quadrature defect) + trapz(I_{J+1}).  When the depth-J
-nonresonant set is empty -- provable a priori once c_J N^delta exceeds the
-largest phase the lattice can produce -- the residual equals the measured
-quadrature defect exactly, which the report exposes as ``quadrature_error``.
+equals the norm of (quadrature defect) + trapz(I_{J+1}).  At depth 1 that
+is the remainder over the frontier; at an empty depth the residual equals
+the measured quadrature defect exactly, which the report exposes as
+``quadrature_error``.
 
 The remainder is summed in time without rotating any tuple.  Every batch
 phase is omega(out) - sum_j omega(cols_j), so e^{i t Phi} prod_j W_j =
@@ -60,8 +60,8 @@ contraction over time per block of pair columns of one momentum, and each
 tuple reads its entry.
 
 Low-band slots are never expanded: the differentiated slot reads the full
-right side, and the low-band part of that read simply stays inside the kept
-integrand at every depth.
+right side, and the low-band part of that read stays inside the kept
+integrand.
 """
 
 from dataclasses import dataclass
@@ -70,29 +70,25 @@ import numpy as np
 
 from .spectral import ArgumentError, SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
-from .infr import (COUPLING, bo_terms, sum_by_output, term_blocks,
-                   term_values_on_lattice)
+from .infr import COUPLING, add_by_output, bo_terms, term_blocks
 
-# Cap on the tuples of one depth-1 term lattice and on the estimated tuples
-# of one substitution step; nfe_residual raises above it.
+# Cap on the tuples of one depth-1 term lattice; nfe_residual raises above it.
 MAX_COMPOSED = 2_000_000
 
 
 @dataclass
 class _Batch:
-    """Flattened nonresonant tuples of one composition shape at one depth.
+    """Flattened nonresonant depth-1 tuples of one term.
 
     Represents the integrand sum_p e^{i s phase_p} coef_p prod_cols(slot
     value); ``conj`` fixes which columns read conjugated coefficients (see
-    ``_reads``), ``phase1`` the depth-1 phase magnitude that steers deeper
-    thresholds.
+    ``_reads``).
     """
 
     conj: tuple
     out_idx: np.ndarray
     cols: np.ndarray
     phase: np.ndarray
-    phase1: np.ndarray
     coef: np.ndarray
 
     def __len__(self):
@@ -224,28 +220,25 @@ def _ibp_trapz(batches, V, D, W):
     from the exact right side.  The phase factorizes onto the output (see
     the module docstring), so the sum runs on the (n, T) series of
     ``_time_series``: ``V`` = V_hat, ``D`` = e^{-i t omega} dW/dt and
-    ``W`` = w_i e^{i t_i omega}; ``_contract`` takes it per batch.
+    ``W`` = w_i e^{i t_i omega}; ``_contract`` takes it per batch, and the
+    batches add into one running sum, each output in batch order.
     """
-    live = [b for b in batches if len(b)]
-    if not live:
-        return np.zeros(V.shape[0], dtype=complex)
-    return sum_by_output(
-        np.concatenate([b.out_idx for b in live]),
-        np.concatenate([-b.coef / (1j * b.phase) * _contract(b, V, D, W)
-                        for b in live]),
-        V.shape[0])
+    acc = np.zeros(V.shape[0], dtype=complex)
+    for b in batches:
+        add_by_output(acc, b.out_idx,
+                      -b.coef / (1j * b.phase) * _contract(b, V, D, W))
+    return acc
 
 
-def _level_one(blocks, N, n):
+def _level_one(blocks, N):
     """Nonresonant depth-1 batches (|Phi| >= N in the oscillation convention).
 
     ``blocks`` maps each term name to an iterable of its TermValues blocks,
     which are read one at a time: only their nonresonant tuples are kept,
     as one batch per term in tuple order.  Also returns the depth-1 census
-    per term and the number of tuples of all terms at each output index.
+    per term.
     """
     batches, counts = [], {}
-    per_output = np.zeros(n, dtype=np.int64)
     for name in sorted(blocks):
         parts, total, term = [], 0, None
         for tv in blocks[name]:
@@ -253,7 +246,6 @@ def _level_one(blocks, N, n):
             phase = _oscillation_phase(tv.grid, tv.out_idx, tv.slot_idx)
             mask = np.abs(phase) >= N
             total += len(tv)
-            per_output += np.bincount(tv.out_idx, minlength=n)
             parts.append((tv.out_idx[mask], tv.slot_idx[:, mask], phase[mask],
                           tv.kernel[mask]))
         kept = sum(p[0].size for p in parts)
@@ -262,87 +254,9 @@ def _level_one(blocks, N, n):
             continue
         out_idx, cols, phase, kernel = (np.concatenate(a, axis=-1)
                                         for a in zip(*parts))
-        batches.append(_Batch(
-            conj=term.conj,
-            out_idx=out_idx,
-            cols=cols,
-            phase=phase,
-            phase1=np.abs(phase),
-            coef=COUPLING * kernel,
-        ))
-    return batches, counts, per_output
-
-
-def _child_index(tvs):
-    """Per term: tuple rows sorted by output index, for join-by-frequency."""
-    index = {}
-    for name, tv in tvs.items():
-        order = np.argsort(tv.out_idx, kind="stable")
-        index[name] = (order, tv.out_idx[order])
-    return index
-
-
-def _compose_estimate(batches, per_output):
-    """Number of composed tuples substitution would create, before
-    thresholds; ``per_output`` counts the child tuples at each output."""
-    n = per_output.size
-    total = 0
-    for b in batches:
-        total += int(per_output[_reads(b.conj, b.cols, n)].sum())
-    return total
-
-
-def _compose(batches, tvs, child_sorted, level, params, n):
-    """Substitute every term into every column of every parent tuple.
-
-    Returns only the composed tuples that are nonresonant at this depth
-    (|Phi_level| >= c_level |Phi_1|^delta), already equipped with the
-    accumulated 1/(i Phi_parent) factor and the child coupling.
-    """
-    out = []
-    for b in batches:
-        k = len(b.conj)
-        reads = _reads(b.conj, b.cols, n)
-        for col in range(k):
-            conj_mark = b.conj[col]
-            targets = reads[col]
-            keep_cols = [c for c in range(k) if c != col]
-            for name in sorted(tvs):
-                tv = tvs[name]
-                order, sorted_out = child_sorted[name]
-                starts = np.searchsorted(sorted_out, targets, side="left")
-                ends = np.searchsorted(sorted_out, targets, side="right")
-                match = ends - starts
-                total = int(match.sum())
-                if total == 0:
-                    continue
-                prow = np.repeat(np.arange(targets.size), match)
-                cum = np.cumsum(match)
-                local = np.repeat(ends - cum, match) + np.arange(total)
-                crow = order[local]
-
-                ccols = tv.slot_idx[:, crow]
-                cconj = tv.term.conj
-                couple = COUPLING
-                if conj_mark:
-                    # conj(n_tilde(-xi)): conjugate-transform the child tuple
-                    ccols = n - ccols
-                    cconj = tuple(not c for c in cconj)
-                    couple = np.conj(COUPLING)
-                cols = np.vstack([b.cols[keep_cols][:, prow], ccols])
-                conj = tuple(b.conj[c] for c in keep_cols) + cconj
-                out_idx = b.out_idx[prow]
-                phase = _oscillation_phase(tv.grid, out_idx, cols)
-                phase1 = b.phase1[prow]
-                coef = (-b.coef[prow] / (1j * b.phase[prow])) \
-                    * (couple * tv.kernel[crow])
-
-                keep = np.abs(phase) >= params.level_threshold(level, phase1)
-                if not keep.any():
-                    continue
-                out.append(_Batch(conj, out_idx[keep], cols[:, keep],
-                                  phase[keep], phase1[keep], coef[keep]))
-    return out
+        batches.append(_Batch(conj=term.conj, out_idx=out_idx, cols=cols,
+                              phase=phase, coef=COUPLING * kernel))
+    return batches, counts
 
 
 def _lattice_phase_cap(grid):
@@ -360,8 +274,9 @@ class NfeReport:
     ``quadrature_error`` is the measured trapezoid defect
     ||W(T) - W(0) - trapz(dW/dt)|| in the same norm, the exact value of any
     residual whose remainder set is empty.  ``counts`` reports the depth-1
-    tuple census per term, ``composed`` the status of each deeper expansion
-    ("empty-by-phase-bound", "empty-frontier", or tuple counts).
+    tuple census per term, ``composed`` why each deeper depth is empty
+    ("empty-by-phase-bound", with the smallest threshold and the largest
+    reachable phase, or "empty-frontier").
     """
 
     residuals: dict
@@ -387,24 +302,27 @@ def nfe_residual(traj, J_max, params):
     band system (``evolve_gauged(..., rhs_mode="terms")``); the identity
     dW/dt = e^{it omega} rhs_terms_total_coeffs(V_hat) is exact for that
     flow, and the residuals then measure only the unexpanded remainder plus
-    the trapezoid defect.  Depth-1 splits tuples at |Phi| = N_threshold,
-    deeper splits at c_J |Phi_1|^delta; composed enumerations are skipped
-    whenever the threshold provably exceeds every phase the lattice can form.
+    the trapezoid defect.  Depth 1 splits tuples at |Phi| = N_threshold and
+    is measured.  A deeper depth J splits at c_J |Phi_1|^delta and is never
+    expanded: it is empty when depth 1 left no nonresonant tuple or when
+    its smallest threshold exceeds the largest phase the lattice can reach,
+    and its residual is then the quadrature defect.  When depth 2 is not
+    provably empty, J_max >= 2 is an ArgumentError that gives both numbers;
+    J_max = 1 runs.
 
     Snapshot cadence matters: the trapezoid rule must resolve e^{it Phi} for
     the largest retained |Phi|, so keep max_step * phase_cap below about 0.5
     (the report carries both numbers and warns when the product is large).
 
-    Costs are guarded: J_max is at most 3, and a depth-1 term lattice or a
-    substitution step with more than ``MAX_COMPOSED`` tuples raises (a
-    substitution step with its estimated count).  A J_max outside 1..3 and
-    a trajectory that is zero throughout or not of the band system (its
+    Costs are guarded: a depth-1 term lattice with more than
+    ``MAX_COMPOSED`` tuples raises ValueError.  A J_max outside 1..3 and a
+    trajectory that is zero throughout or not of the band system (its
     metadata "rhs" other than "terms") are ArgumentErrors.
     """
     if not isinstance(J_max, int) or not 1 <= J_max <= 3:
         raise ArgumentError(
-            "J_max", f"must be a positive integer no larger than 3 (tuple "
-            f"counts grow combinatorially), got {J_max!r}")
+            "J_max", f"must be a positive integer no larger than 3, got "
+            f"{J_max!r}")
     if not np.any(traj.data):
         raise ArgumentError("traj", "must not be zero throughout: zero data "
                                     "has no residual to measure")
@@ -413,10 +331,41 @@ def nfe_residual(traj, J_max, params):
                             f"'terms'), got rhs {traj.metadata['rhs']!r}")
 
     grid = traj.grid
-    n = grid.n
     times = np.asarray(traj.times, dtype=float)
     w = _trapz_weights(times)  # rejects fewer than two snapshots
     warnings = []
+
+    env_field = SpectralField(grid, np.abs(traj.data).max(axis=0))
+    frontier, counts = _level_one(
+        {name: term_blocks(term, env_field, max_tuples=MAX_COMPOSED)
+         for name, term in bo_terms().items()},
+        params.level_threshold(1))
+    phase_cap = _lattice_phase_cap(grid)
+    h_max = float(np.diff(times).max())
+    if h_max * phase_cap > 0.75:
+        warnings.append(
+            f"snapshot cadence is coarse for this lattice: max_step x "
+            f"phase_cap = {h_max * phase_cap:.2f} (aim for < 0.5)")
+
+    # depth 2 is proved empty or refused, and every depth after an empty
+    # one is empty
+    composed = {}
+    if J_max >= 2 and frontier:
+        phi1_min = min(float(np.abs(b.phase).min()) for b in frontier)
+        reachable = (max(float(np.abs(b.phase).max()) for b in frontier)
+                     + phase_cap)
+        # raises with the assumption message if infeasible
+        threshold_min = float(params.level_threshold(2, phi1_min))
+        if threshold_min <= reachable:
+            raise ArgumentError(
+                "J_max", f"must be 1 here: the lattice does not prove depth 2 "
+                f"empty (smallest depth-2 threshold {threshold_min:.6g}, "
+                f"largest reachable phase {reachable:.6g}), got {J_max}")
+        composed[2] = {"status": "empty-by-phase-bound",
+                       "threshold_min": threshold_min,
+                       "phase_reachable": reachable}
+    for J in range(2 + len(composed), J_max + 1):
+        composed[J] = {"status": "empty-frontier"}
 
     qvec, series = _time_series(traj, w)
     norm_index = params.s + 1.0
@@ -425,61 +374,8 @@ def nfe_residual(traj, J_max, params):
         return float(sobolev_norm(SpectralField(grid, vec), norm_index))
 
     quadrature_error = norm_of(qvec)
-
-    env_field = SpectralField(grid, np.abs(traj.data).max(axis=0))
-    terms = bo_terms()
-    frontier, counts, per_output = _level_one(
-        {name: term_blocks(term, env_field, max_tuples=MAX_COMPOSED)
-         for name, term in terms.items()},
-        params.level_threshold(1), n)
-    child_cap = _lattice_phase_cap(grid)
-    h_max = float(np.diff(times).max())
-    if h_max * child_cap > 0.75:
-        warnings.append(
-            f"snapshot cadence is coarse for this lattice: max_step x "
-            f"phase_cap = {h_max * child_cap:.2f} (aim for < 0.5)")
-
-    residuals = {}
-    composed = {}
-    tvs = child_sorted = None
-    residuals[1] = norm_of(qvec + _ibp_trapz(frontier, *series))
-    for J in range(2, J_max + 1):
-        if not frontier:
-            composed[J] = {"status": "empty-frontier"}
-            residuals[J] = quadrature_error
-            continue
-        phase1_min = min(float(b.phase1.min()) for b in frontier)
-        frontier_cap = max(float(np.abs(b.phase).max()) for b in frontier)
-        # raises with the assumption message if infeasible
-        threshold_min = float(params.level_threshold(J, phase1_min))
-        if threshold_min > frontier_cap + child_cap:
-            composed[J] = {
-                "status": "empty-by-phase-bound",
-                "threshold_min": threshold_min,
-                "phase_reachable": frontier_cap + child_cap,
-            }
-            frontier = []
-            residuals[J] = quadrature_error
-            continue
-        estimate = _compose_estimate(frontier, per_output)
-        if estimate > MAX_COMPOSED:
-            raise ValueError(
-                f"depth-{J} substitution would build about {estimate} "
-                f"composed tuples, above the cap nfe.MAX_COMPOSED = {MAX_COMPOSED}")
-        if tvs is None:
-            # whole child lattices, held only while a depth is expanded
-            tvs = {name: term_values_on_lattice(term, env_field)
-                   for name, term in terms.items()}
-            child_sorted = _child_index(tvs)
-        frontier = _compose(frontier, tvs, child_sorted, J, params, n)
-        kept = sum(len(b) for b in frontier)
-        composed[J] = {
-            "status": "expanded",
-            "composed": estimate,
-            "nonresonant": kept,
-            "threshold_min": threshold_min,
-        }
-        residuals[J] = norm_of(qvec + _ibp_trapz(frontier, *series))
+    residuals = {1: norm_of(qvec + _ibp_trapz(frontier, *series))}
+    residuals.update((J, quadrature_error) for J in composed)
 
     return NfeReport(
         residuals=residuals,
@@ -488,6 +384,6 @@ def nfe_residual(traj, J_max, params):
         counts=counts,
         composed=composed,
         h_max=h_max,
-        phase_cap=child_cap,
+        phase_cap=phase_cap,
         warnings=warnings,
     )

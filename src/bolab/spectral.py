@@ -93,7 +93,7 @@ class SpectralField:
     """Fourier coefficients of a function on a Grid.
 
     Immutable value type: the coefficient array is read-only, and all
-    operations return new fields.  Supports +, -, scalar *, scalar /.
+    operations return new fields.  Supports +, - and scalar *.
 
     Every instance holds ``grid.n`` finite coefficients with a zero Nyquist
     slot (index 0, k = -n/2).  The constructor is the one place enforcing
@@ -136,12 +136,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return SpectralField(self.grid, self.coeffs / complex(scalar))
-
-    def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs)
 
     def __repr__(self):
         return f"SpectralField(grid={self.grid!r}, ||.||={sobolev_norm(self, 0):.3e})"

@@ -114,6 +114,7 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("simulate", "--amplitude", "nan"), "data.amplitude"),
     (("params", "--s", "nan"), "infr.s"),
     (("nfe", "--n-threshold", "nan"), "infr.N_threshold"),
+    (("nfe", "--n-threshold", "10"), "infr.J_max"),
     (("gauge-check", "--half-length", "6.283185307179586"), "grid.half_length"),
     (("nfe", "--kind", "gaussian-derivative"), "grid.half_length"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)

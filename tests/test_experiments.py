@@ -99,7 +99,7 @@ def test_operator_report_structure():
 
 def test_operator_zero_trials_raises(monkeypatch):
     # no ensemble measures nothing: refused before any lattice work
-    monkeypatch.setattr(experiments, "term_blocks", None)
+    monkeypatch.setattr(experiments, "_replay", None)
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
             verify_operator_estimate("C+", 0.5, 0.0, trials=trials)
@@ -110,7 +110,7 @@ def test_operator_zero_trials_raises(monkeypatch):
 def test_operator_term_must_be_a_name(monkeypatch, term):
     # the term is named, never passed as a descriptor: refused before any
     # lattice work
-    monkeypatch.setattr(experiments, "term_blocks", None)
+    monkeypatch.setattr(experiments, "_replay", None)
     with pytest.raises(ValueError, match="term must be one of"):
         verify_operator_estimate(term, 0.5, 0.0)
 
@@ -121,7 +121,7 @@ def test_operator_term_must_be_a_name(monkeypatch, term):
 def test_operator_unfittable_window_lists_raise(monkeypatch, lists, name):
     # a non-positive width or fewer than two values cannot be fitted:
     # refused before any lattice work
-    monkeypatch.setattr(experiments, "term_blocks", None)
+    monkeypatch.setattr(experiments, "_replay", None)
     with pytest.raises(ValueError, match=name):
         verify_operator_estimate("Q+", 0.5, 0.0, **lists)
 
@@ -139,13 +139,13 @@ def test_operator_empty_windows_never_pass():
 def test_operator_enumerates_once_per_member(name, monkeypatch):
     # every window cell replays the member's tuples; none enumerates again
     calls = []
-    real = experiments.term_blocks
+    real = infr.term_blocks
 
     def counting(*args, **kwargs):
         calls.append(args[0].name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "term_blocks", counting)
+    monkeypatch.setattr(infr, "term_blocks", counting)
     verify_operator_estimate(name, 0.5, 0.4, alpha_list=[64, 128],
                              M_list=[8, 16], trials=3, grid_n=32)
     assert calls == [name] * 3

@@ -1,21 +1,18 @@
 """Tests for the normal form residual engine.
 
-The engine is checked four ways: a closed-form single-tuple evaluation of the
-integration-by-parts quadrature, the grouped quadrature against the
-per-snapshot loop it replaced (``tests/ibp_oracle.py``), hand-composed tuples
-(indices, phases, coefficients) for the substitution step, and a full
+The engine is checked three ways: a closed-form single-tuple evaluation of
+the integration-by-parts quadrature, the grouped quadrature against the
+per-snapshot loop it replaced (``tests/ibp_oracle.py``), and a full
 independent evaluation of the depth-1 truncation by the plain route
 (trapezoid of the nonresonant integrand plus explicit boundary endpoints).
-The composition rule (a conjugated slot flips the child's conjugation flags)
-lives only in ``_compose``, and the conjugated-slot hand values check it
-there.  The quadrature relies on every batch phase being omega(out) minus
-the omegas of its columns, which ``test_batch_phase_is_output_minus_columns``
-checks on every batch the engine builds.
+The quadrature relies on every batch phase being omega(out) minus the
+omegas of its columns, which ``test_batch_phase_is_output_minus_columns``
+checks on every batch the engine builds.  Depths beyond 1 are proved empty
+or refused, never expanded, and the premise of that rule (c_2 >= 3^8 for
+every parameter set of ``infr_params``) has a test of its own.
 """
 
-import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,13 +24,9 @@ from bolab.gauge import gauge_forward, rhs_terms_total_coeffs
 from bolab.infr import COUPLING, bo_terms, infr_params, term_values_on_lattice
 from bolab.nfe import (
     _Batch,
-    _child_index,
-    _compose,
-    _compose_estimate,
     _ibp_trapz,
     _lattice_phase_cap,
     _level_one,
-    _reads,
     _time_series,
     _trapz_weights,
     nfe_residual,
@@ -41,13 +34,6 @@ from bolab.nfe import (
 from bolab.spectral import (ArgumentError, Grid, SpectralField, dispersion,
                             sobolev_norm)
 from ibp_oracle import ibp_trapz_loop
-
-
-def field_from_modes(grid, modes):
-    c = np.zeros(grid.n, dtype=complex)
-    for k, val in modes.items():
-        c[int(k) + grid.n // 2] = val
-    return SpectralField(grid, c)
 
 
 def band_field(grid, rng, kmin, kmax, amplitude, decay=1.0):
@@ -96,8 +82,7 @@ def test_ibp_evaluator_single_tuple():
     assert phi == pytest.approx(2.0)  # omega(-1) - omega(1) - omega(-2)
     coef = 0.3 - 0.2j
     batch = _Batch(conj=(False, True), out_idx=np.array([out]), cols=cols,
-                   phase=np.array([phi]), phase1=np.array([abs(phi)]),
-                   coef=np.array([complex(coef)]))
+                   phase=np.array([phi]), coef=np.array([complex(coef)]))
     got = _ibp_trapz([batch], data.T.copy(), rhs.T.copy(),
                      (w[:, None] * carriers).T.copy())
 
@@ -121,38 +106,26 @@ def _default_trajectory(T):
     return evolve_gauged(gauge_forward(u0), T=T, dt=2.5e-5, rhs_mode="terms")
 
 
-def _composition_setup(T, half_length=np.pi):
-    """The flow of ``test_sigma_override_exercises_composition`` on a grid of
-    ``half_length``, with thresholds that compose every arity.
-
-    That test's own depth-2 threshold (about 115) keeps only cubic-in-cubic
-    tuples (arity 5); a fixed 100 dxi^2 keeps arities 3, 4 and 5.
-    """
+def _small_flow(T, half_length=np.pi):
+    """A flow of band data on modes 2..14 at n = 32, read on a grid of
+    ``half_length``, and a depth-1 threshold of 1.3 dxi^2, just above the
+    smallest nonzero lattice phase, so the frontier holds nearly every
+    tuple."""
     g = Grid(32, np.pi)
     V0 = band_field(g, np.random.default_rng(5), 2, 14, 0.05, decay=1.0)
     traj = evolve_gauged(V0, T=T, dt=1e-4, rhs_mode="terms")
     g = Grid(32, half_length)
     traj = Trajectory(g, traj.times, traj.data, "V", traj.metadata)
-    scale = g.dxi ** 2
-    params = SimpleNamespace(
-        N_threshold=1.3 * scale,
-        level_threshold=lambda level, phi1: np.full(np.shape(phi1), 100 * scale))
-    return traj, params
+    return traj, 1.3 * g.dxi ** 2
 
 
-def _frontiers(traj, params, depth):
-    """The depth-1 .. ``depth`` frontiers that ``nfe_residual`` builds."""
+def _frontier(traj, N):
+    """The depth-1 frontier that ``nfe_residual`` builds at threshold N."""
     env_field = SpectralField(traj.grid, np.abs(traj.data).max(axis=0))
-    tvs = {name: term_values_on_lattice(t, env_field)
-           for name, t in bo_terms().items()}
-    frontier, _, _ = _level_one({name: [tv] for name, tv in tvs.items()},
-                                params.N_threshold, traj.grid.n)
-    out = [frontier]
-    for level in range(2, depth + 1):
-        frontier = _compose(frontier, tvs, _child_index(tvs), level, params,
-                            traj.grid.n)
-        out.append(frontier)
-    return out
+    frontier, _ = _level_one(
+        {name: [term_values_on_lattice(t, env_field)]
+         for name, t in bo_terms().items()}, N)
+    return frontier
 
 
 def _against_oracle(frontier, traj):
@@ -175,15 +148,8 @@ def _assert_oracle_agrees(frontier, traj):
 
 def test_ibp_matches_oracle_on_default_frontier():
     traj = _default_trajectory(1e-3)
-    (frontier,) = _frontiers(traj, infr_params(0.5, 0.0, N_threshold=1000.0), 1)
+    frontier = _frontier(traj, 1000.0)
     assert sorted(len(b.conj) for b in frontier) == [2, 2, 3, 3]
-    _assert_oracle_agrees(frontier, traj)
-
-
-def test_ibp_matches_oracle_on_composed_frontier():
-    traj, p = _composition_setup(2e-3)
-    _, frontier = _frontiers(traj, p, 2)
-    assert {len(b.conj) for b in frontier} == {3, 4, 5}
     _assert_oracle_agrees(frontier, traj)
 
 
@@ -195,7 +161,7 @@ def test_ibp_matches_oracle_at_nonuniform_times():
                       full.metadata)
     steps = np.diff(traj.times)
     assert steps.max() > 1.5 * steps.min()
-    (frontier,) = _frontiers(traj, infr_params(0.5, 0.0, N_threshold=1000.0), 1)
+    frontier = _frontier(traj, 1000.0)
     _assert_oracle_agrees(frontier, traj)
 
 
@@ -209,129 +175,19 @@ def test_ibp_of_no_batches_is_zero():
 @pytest.mark.parametrize("half_length", [np.pi, 1.5 * np.pi, 2.2 * np.pi],
                          ids=["pi", "1.5pi", "2.2pi"])
 def test_batch_phase_is_output_minus_columns(half_length):
-    """Every batch of ``_level_one`` and ``_compose`` has phase
-    omega(out) - sum_j omega(cols_j), the identity the quadrature factorizes
-    on.  A depth-J phase is a sum of J tuple phases, each at most
-    ``_lattice_phase_cap`` in size, so rounding stays within 64 ulp of
-    J x phase_cap (at half_length pi the phases are integers and exact)."""
-    traj, p = _composition_setup(2e-3, half_length)
+    """Every batch of ``_level_one`` has phase omega(out) - sum_j
+    omega(cols_j), the identity the quadrature factorizes on.  A tuple phase
+    is at most ``_lattice_phase_cap`` in size, so rounding stays within
+    64 ulp of it (at half_length pi the phases are integers and exact)."""
+    traj, N = _small_flow(2e-3, half_length)
     g = traj.grid
     om = dispersion(g.xi)
-    frontiers = _frontiers(traj, p, 2)
-    for depth, frontier in enumerate(frontiers, start=1):
-        assert frontier
-        tol = 64 * np.finfo(float).eps * depth * _lattice_phase_cap(g)
-        for b in frontier:
-            gap = b.phase - (om[b.out_idx] - om[b.cols].sum(axis=0))
-            assert np.abs(gap).max() <= tol
-    assert {len(b.conj) for b in frontiers[1]} == {3, 4, 5}
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def _envelope_tvs(grid, kmax):
-    env = field_from_modes(grid, {k: 1.0 for k in range(-kmax, kmax + 1) if k})
-    return {name: term_values_on_lattice(t, env)
-            for name, t in bo_terms().items()}
-
-
-def _single_parent_batch(tvs, name, slot_indices):
-    tv = tvs[name]
-    pick = np.ones(len(tv), dtype=bool)
-    for j, idx in enumerate(slot_indices):
-        pick &= tv.slot_idx[j] == idx
-    assert pick.sum() == 1
-    sel = tv.restrict(pick)
-    om = dispersion(tv.grid.xi)
-    phi = om[sel.out_idx] - om[sel.slot_idx].sum(axis=0)
-    return _Batch(conj=sel.term.conj, out_idx=sel.out_idx, cols=sel.slot_idx,
-                  phase=phi, phase1=np.abs(phi), coef=COUPLING * sel.kernel)
-
-
-def test_compose_quadratic_parent_hand_values():
-    """One Q+ parent (xi1, xi2) = (5, -2), threshold forced to zero: the
-    composed set must carry the right indices, phases and coefficients."""
-    g = Grid(16, np.pi)
-    n, half = g.n, g.n // 2
-    tvs = _envelope_tvs(g, 6)
-    batch = _single_parent_batch(tvs, "Q+", (half + 5, half - 2))
-    assert batch.phase[0] == pytest.approx(-12.0)  # omega(3)-omega(5)-omega(-2)
-
-    free = SimpleNamespace(level_threshold=lambda level, phi1: 0.0)
-    comp = _compose([batch], tvs, _child_index(tvs), 2, free, n)
-
-    om = dispersion(g.xi)
-    total = 0
-    for b in comp:
-        total += len(b)
-        assert np.all(b.out_idx == half + 3)
-        assert np.allclose(b.phase1, 12.0)
-        # convolution frequencies of the composed columns sum to the output
-        assert np.allclose(g.xi[b.cols].sum(axis=0), g.xi[half + 3])
-        # oscillation phase of the composed leaves, no flips
-        assert np.allclose(b.phase, om[half + 3] - om[b.cols].sum(axis=0))
-        reads = _reads(b.conj, b.cols, n)
-        for j, cflag in enumerate(b.conj):
-            expect_reads = (n - b.cols[j]) if cflag else b.cols[j]
-            assert np.array_equal(reads[j], expect_reads)
-    # every child tuple whose output matches a parent read appears exactly once
-    expect_total = sum(int((tvs[t].out_idx == read).sum())
-                       for t in tvs for read in (half + 5, half - 2))
-    assert total == expect_total
-    per_output = sum(np.bincount(tv.out_idx, minlength=n) for tv in tvs.values())
-    assert _compose_estimate([batch], per_output) == expect_total
-
-    # hand case: slot 0 substituted by the Q+ child (6, -1); coefficient
-    # (-2i K1 / (i Phi1)) * 2i K' with K1 = 4/(2pi), K' = 1/(2pi), Phi1 = -12
-    found = 0
-    for b in comp:
-        if b.conj != (False, False, False):
-            continue
-        hit = ((b.cols[0] == half - 2) & (b.cols[1] == half + 6)
-               & (b.cols[2] == half - 1))
-        if hit.any():
-            (i,) = np.nonzero(hit)
-            assert b.phase[i[0]] == pytest.approx(-22.0)  # -12 + (25 - 36 + 1)
-            assert b.coef[i[0]] == pytest.approx(1j / (3 * np.pi ** 2))
-            found += hit.sum()
-    assert found == 1
-
-
-def test_compose_conjugated_slot_hand_values():
-    """A C+ parent (5, -2, 1): substitution into the conjugated slot must
-    reflect the child frequencies, flip its flags and conjugate the
-    coupling; the composed phase is the parent's minus the child's."""
-    g = Grid(16, np.pi)
-    n, half = g.n, g.n // 2
-    tvs = _envelope_tvs(g, 6)
-    batch = _single_parent_batch(tvs, "C+", (half + 5, half - 2, half + 1))
-    assert batch.phase[0] == pytest.approx(-6.0)  # 16 - 25 + 4 - 1
-
-    free = SimpleNamespace(level_threshold=lambda level, phi1: 0.0)
-    comp = _compose([batch], tvs, _child_index(tvs), 2, free, n)
-
-    om = dispersion(g.xi)
-    for b in comp:
-        assert np.allclose(b.phase, om[half + 4] - om[b.cols].sum(axis=0))
-    # hand case: conjugated slot (read +2) substituted by the Q+ child
-    # (4, -2); transformed columns are (-4, +2) with both flags set
-    found = 0
-    for b in comp:
-        if b.conj != (False, False, True, True):
-            continue
-        hit = ((b.cols[0] == half + 5) & (b.cols[1] == half + 1)
-               & (b.cols[2] == half - 4) & (b.cols[3] == half + 2))
-        if hit.any():
-            (i,) = np.nonzero(hit)
-            # Phi = -6 - Phi_child, Phi_child = omega(2)-omega(4)-omega(-2) = -8
-            assert b.phase[i[0]] == pytest.approx(2.0)
-            # (-2i K1/(i Phi1)) * conj(2i) K'; the cubic parent kernel
-            # carries the squared measure: K1 = -1/(4 pi^2), K' = 4/(2 pi)
-            assert b.coef[i[0]] == pytest.approx(1j / (3 * np.pi ** 3))
-            found += hit.sum()
-    assert found == 1
+    frontier = _frontier(traj, N)
+    assert {len(b.conj) for b in frontier} == {2, 3}
+    tol = 64 * np.finfo(float).eps * _lattice_phase_cap(g)
+    for b in frontier:
+        gap = b.phase - (om[b.out_idx] - om[b.cols].sum(axis=0))
+        assert np.abs(gap).max() <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -430,58 +286,49 @@ def test_residual_matches_independent_formula():
     assert res_plain == pytest.approx(rep.residuals[1], rel=2e-2)
 
 
-def test_sigma_override_exercises_composition(monkeypatch):
-    """A sigma close to gamma + beta shrinks c_2 enough for genuine depth-2
-    nonresonant tuples; the composed machinery must run and improve on
-    depth 1.
+def test_depth_two_premise_of_every_parameter_set():
+    """``infr_params`` fixes sigma = 3/4, so theta <= 1/4 and the depth-2
+    coefficient c_2 = 3^(2/theta) is at least 3^8 at every feasible
+    (s, eps).  ``nfe_residual`` only ever proves depth 2 empty or refuses
+    it; a change of the exponent rule that lowers c_2 fails here first."""
+    feasible = []
+    for s in np.linspace(0.05, 3.0, 60):
+        for eps in np.linspace(0.0, min(s, 0.75), 16, endpoint=False):
+            p = infr_params(s, eps)
+            if p.feasible:
+                feasible.append(p)
+                assert p.c(2) >= 3 ** 8, (s, eps, p.c(2))
+    assert len(feasible) > 500
 
-    Lattice phases are even integers, so with N barely above 1 the smallest
-    nonresonant parent phase is 2 and the depth-2 threshold is about
-    c_2 * 2^delta ~ 115; cubic child phases reach 130 on modes up to 14,
-    which keeps the composed nonresonant set nonempty.
-    """
-    g = Grid(32, np.pi)
-    rng = np.random.default_rng(5)
-    V0 = band_field(g, rng, 2, 14, 0.05, decay=1.0)
-    traj = evolve_gauged(V0, T=0.005, dt=1e-4, rhs_mode="terms")
-    # theta = 1 - max(gamma + beta, sigma + gamma) at gamma = 0, and
-    # delta = theta / (2 beta) = theta
-    theta = 1.0 - 0.501
-    p = dataclasses.replace(infr_params(0.5, 0.0, N_threshold=1.3),
-                            sigma=0.501, theta=theta, delta=theta)
-    monkeypatch.setattr(nfe, "MAX_COMPOSED", 4_000_000)
-    rep = nfe_residual(traj, 2, p)
-    print(rep.summary())
-    print("composed:", rep.composed)
-    assert rep.composed[2]["status"] == "expanded"
-    assert rep.composed[2]["nonresonant"] > 0
-    assert rep.residuals[2] < rep.residuals[1]
-    # the same cap also guards the per-term lattices, tripped first when tiny
-    monkeypatch.setattr(nfe, "MAX_COMPOSED", 50_000)
-    with pytest.raises(ValueError, match="composed tuples"):
+
+def test_depth_two_not_proved_empty_is_refused():
+    """At N_threshold = 10 the default flow leaves a frontier whose depth-2
+    threshold lies below the largest phase the lattice can reach: J_max = 2
+    is refused with both numbers, and J_max = 1 runs."""
+    traj = _default_trajectory(1e-3)
+    p = infr_params(0.5, 0.0, N_threshold=10.0)
+    with pytest.raises(ArgumentError, match="does not prove depth 2 empty "
+                       r"\(smallest depth-2 threshold [0-9.e+]+, largest "
+                       r"reachable phase [0-9.e+]+\)") as err:
         nfe_residual(traj, 2, p)
-    monkeypatch.setattr(nfe, "MAX_COMPOSED", 100)
-    with pytest.raises(ValueError, match="term lattice too large"):
-        nfe_residual(traj, 2, p)
+    assert err.value.argument == "J_max"
+    rep = nfe_residual(traj, 1, p)
+    assert list(rep.residuals) == [1] and rep.composed == {}
+    assert sum(c["nonresonant"] for c in rep.counts.values()) > 0
 
 
 def test_residuals_do_not_depend_on_the_block_budget(monkeypatch):
     # the depth-1 batches are cut from the blocks in tuple order, so one
-    # tuple per block and one block in all give the same report, and the
-    # expanded depth of the composition setup as well
+    # tuple per block and one block in all give the same report
     traj = _default_trajectory(1e-3)
     p = infr_params(0.5, 0.0, N_threshold=1000.0)
-    comp, pc = _composition_setup(2e-3)
-    pc = dataclasses.replace(infr_params(0.5, 0.0, N_threshold=pc.N_threshold),
-                             sigma=0.501, theta=0.499, delta=0.499)
     reports = []
     for budget in (1, 1 << 40):
         monkeypatch.setattr(infr, "BLOCK_TUPLES", budget)
-        reports.append([nfe_residual(traj, 2, p), nfe_residual(comp, 2, pc)])
-    for one, whole in zip(*reports):
-        assert one.residuals == whole.residuals
-        assert one.counts == whole.counts and one.composed == whole.composed
-    assert reports[0][1].composed[2]["status"] == "expanded"
+        reports.append(nfe_residual(traj, 2, p))
+    one, whole = reports
+    assert one.residuals == whole.residuals
+    assert one.counts == whole.counts and one.composed == whole.composed
 
 
 # tracemalloc peak of the default ``bolab nfe`` residual: 18.9 MB measured
@@ -503,7 +350,7 @@ def test_default_residual_memory_is_bounded():
     assert peak < NFE_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def test_validation_and_warnings():
+def test_validation_and_warnings(monkeypatch):
     g = Grid(16, np.pi)
     rng = np.random.default_rng(1)
     V0 = band_field(g, rng, 2, 5, 0.1)
@@ -535,3 +382,8 @@ def test_validation_and_warnings():
     coarse = Trajectory(g, [0.0, 1.0], data, "V", {"rhs": "terms"})
     rep = nfe_residual(coarse, 1, p)
     assert any("cadence" in msg for msg in rep.warnings)
+
+    # the cap on a depth-1 term lattice
+    monkeypatch.setattr(nfe, "MAX_COMPOSED", 10)
+    with pytest.raises(ValueError, match="term lattice too large"):
+        nfe_residual(traj, 1, p)
