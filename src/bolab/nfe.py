@@ -72,8 +72,9 @@ from .spectral import ArgumentError, SpectralField, dispersion, sobolev_norm
 from .gauge import rhs_terms_total_coeffs
 from .infr import COUPLING, add_by_output, bo_terms, term_blocks
 
-# Cap on the tuples of one depth-1 term lattice; nfe_residual raises above it.
-MAX_COMPOSED = 2_000_000
+# Cap on the tuples of one depth-1 term lattice, the only lattice nfe_residual
+# enumerates; it raises above it.
+MAX_LATTICE_TUPLES = 2_000_000
 
 
 @dataclass
@@ -315,8 +316,8 @@ def nfe_residual(traj, J_max, params):
     (the report carries both numbers and warns when the product is large).
 
     Costs are guarded: a depth-1 term lattice with more than
-    ``MAX_COMPOSED`` tuples raises ValueError.  A J_max outside 1..3 and a
-    trajectory that is zero throughout or not of the band system (its
+    ``MAX_LATTICE_TUPLES`` tuples raises ValueError.  A J_max outside 1..3
+    and a trajectory that is zero throughout or not of the band system (its
     metadata "rhs" other than "terms") are ArgumentErrors.
     """
     if not isinstance(J_max, int) or not 1 <= J_max <= 3:
@@ -337,7 +338,7 @@ def nfe_residual(traj, J_max, params):
 
     env_field = SpectralField(grid, np.abs(traj.data).max(axis=0))
     frontier, counts = _level_one(
-        {name: term_blocks(term, env_field, max_tuples=MAX_COMPOSED)
+        {name: term_blocks(term, env_field, max_tuples=MAX_LATTICE_TUPLES)
          for name, term in bo_terms().items()},
         params.level_threshold(1))
     phase_cap = _lattice_phase_cap(grid)

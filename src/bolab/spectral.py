@@ -23,6 +23,7 @@ import tempfile
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 BOSF_MAGIC = b"BOSF"
 BOSF_VERSION = 1
@@ -180,6 +181,17 @@ def to_physical(field):
 # `coeffs_to_samples`/`samples_to_coeffs` convert it through the same pair.
 # n is even, so fftshift and ifftshift are the same swap of the two halves;
 # one concatenate does it at a fraction of np.roll's per-call cost.
+#
+# The pair calls numpy's pocketfft gufuncs (numpy.fft._pocketfft_umath,
+# numpy >= 2.0) directly: np.fft.ifft/fft spend about 4-5 us of Python per
+# call before the gufunc runs, a large share of a right side at n <= 256.
+# To give np.fft's bits, each call passes what np.fft itself passes: the
+# normalisation factor (1/n for the inverse, 1 for the forward), the last
+# axis as core axis, and a fresh complex128 out, which also makes a real
+# float64 input come out complex128.  These are the only FFT calls in bolab.
+
+_CORE_AXES = [(-1,), (), (-1,)]
+
 
 def fft_order_to_samples(cf, grid):
     """Samples of coefficients in FFT order with (-1)^k applied.
@@ -187,14 +199,16 @@ def fft_order_to_samples(cf, grid):
     The 1/dx scale is a product with the reciprocal: numpy divides a complex
     array by a real as (a + i b) * (1 / dx), by Smith's formula, so this is
     the quotient value for value, at a fraction of its cost."""
-    samples = np.fft.ifft(cf, axis=-1)
+    samples = _pocketfft.ifft(cf, 1.0 / cf.shape[-1], axes=_CORE_AXES,
+                              out=np.empty(cf.shape, dtype=np.complex128))
     samples *= 1.0 / grid.dx
     return samples
 
 
 def samples_to_fft_order(samples):
     """Raw FFT of samples: (-1)^k / dx times the coefficients, in FFT order."""
-    return np.fft.fft(samples, axis=-1)
+    return _pocketfft.fft(samples, 1, axes=_CORE_AXES,
+                          out=np.empty(samples.shape, dtype=np.complex128))
 
 
 def _swap_halves(a):

@@ -384,6 +384,6 @@ def test_validation_and_warnings(monkeypatch):
     assert any("cadence" in msg for msg in rep.warnings)
 
     # the cap on a depth-1 term lattice
-    monkeypatch.setattr(nfe, "MAX_COMPOSED", 10)
+    monkeypatch.setattr(nfe, "MAX_LATTICE_TUPLES", 10)
     with pytest.raises(ValueError, match="term lattice too large"):
         nfe_residual(traj, 1, p)

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -410,3 +413,98 @@ def test_sample_scale_equals_the_quotient(n, L):
     cf = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
     want = np.fft.ifft(cf, axis=-1) / pg.dx
     assert np.array_equal(sp.fft_order_to_samples(cf, pg), want)
+
+
+# ---------------------------------------------------------------------------
+# the FFT-order pair calls pocketfft's gufuncs: np.fft's bits, one owner
+# ---------------------------------------------------------------------------
+
+def _pair_inputs(n, rng):
+    """Input forms the pair receives on the doubled lattice of a base grid
+    of n points: 1-D, a batch, the stacked V/V_x of gauge._v_samples, a
+    strided view, a Fortran-ordered batch, real samples and an empty batch."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    m = 2 * n
+    wide = cplx(3, 2 * m)
+    return {
+        "1-D": cplx(m),
+        "batch": cplx(3, m),
+        "stacked": cplx(2, 3, m),
+        "strided": wide[:, ::2],
+        "fortran": np.asfortranarray(cplx(m, 3).T),
+        "real": rng.standard_normal((3, m)),
+        "empty": np.zeros((0, m), dtype=np.complex128),
+    }
+
+
+@pytest.mark.parametrize("n", [8, 128, 1024])
+@pytest.mark.parametrize("L", [np.pi, 10.0])
+def test_pair_equals_the_public_fft(n, L):
+    # a numpy whose private gufuncs change meaning fails here by name, not
+    # as a golden diff
+    pg = sp.padded_grid(sp.Grid(n, L))
+    for form, a in _pair_inputs(n, np.random.default_rng(n)).items():
+        got = sp.fft_order_to_samples(a, pg)
+        want = np.fft.ifft(a, axis=-1) * (1.0 / pg.dx)
+        assert got.dtype == np.complex128 and got.shape == a.shape, form
+        assert np.array_equal(got, want), form
+        got = sp.samples_to_fft_order(a)
+        assert got.dtype == np.complex128 and got.shape == a.shape, form
+        assert np.array_equal(got, np.fft.fft(a, axis=-1)), form
+
+
+_PUBLIC_FFT = {"fft", "ifft"}
+_GUFUNCS = "_pocketfft_umath"
+
+
+def _fft_calls(source):
+    """Places in ``source`` that transform outside the FFT-order pair: a
+    call of ``<x>.fft.fft``/``<x>.fft.ifft``, an import of fft or ifft from
+    numpy.fft, and any naming of numpy's private pocketfft module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _PUBLIC_FFT \
+                and getattr(node.func.value, "attr", None) == "fft":
+            found.append(f"line {node.lineno}: calls fft.{node.func.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module == "numpy.fft" and names & _PUBLIC_FFT:
+                found.append(f"line {node.lineno}: imports numpy.fft's fft")
+            if _GUFUNCS in (node.module or "") or _GUFUNCS in names:
+                found.append(f"line {node.lineno}: imports {_GUFUNCS}")
+        elif isinstance(node, ast.Import):
+            if any(_GUFUNCS in alias.name for alias in node.names):
+                found.append(f"line {node.lineno}: imports {_GUFUNCS}")
+        elif _GUFUNCS in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(f"line {node.lineno}: names {_GUFUNCS}")
+    return found
+
+
+def test_fft_detector_finds_each_kind():
+    # a scan that finds nothing would pass vacuously
+    source = """
+import numpy.fft._pocketfft_umath
+from numpy.fft import _pocketfft_umath as pfu
+from numpy.fft._pocketfft_umath import ifft
+from numpy.fft import fft
+np.fft.fft(a, axis=-1)
+numpy.fft.ifft(a)
+pfu = np.fft._pocketfft_umath
+np.fft.ifftshift(a)
+np.fft.fftfreq(8)
+"""
+    assert len(_fft_calls(source)) == 7
+
+
+def test_the_pair_owns_every_transform():
+    # every transform goes through fft_order_to_samples/samples_to_fft_order,
+    # so the pair is the one place where np.fft's bits are kept
+    for path in sorted(pathlib.Path(sp.__file__).parent.glob("*.py")):
+        found = _fft_calls(path.read_text())
+        if path.name == "spectral.py":
+            assert found and all(_GUFUNCS in f for f in found), found
+        else:
+            assert found == [], (path.name, found)
