@@ -17,14 +17,14 @@ min |1 + V| floor are checked per member, and an error names the member;
 the probe takes one batched trial and goes member by member only when
 that trial fails.
 
-The min |1 + V| floor is watched at every step time after t = 0, with no
-base-lattice transform per step: the state after step i is checked on the
-samples of V that the k1 stage of step i + 1 takes anyway (the gauged right
-sides hand their ``watch`` the even entries of the doubled-lattice samples,
-the base-lattice points), before that stage does any other work.  The final
-state has no next stage and takes its own transform.  The error names the
-member and the time of the state, as a per-step transform would.  The
-startup probe is not watched.
+Each state's right side is taken once, in `_march`: it is the k1 stage of
+the next step, a snapshot keeps it (`Trajectory.right_sides`, which `nfe`
+reads), and at every step time after t = 0 it watches the min |1 + V|
+floor with no base-lattice transform, since the gauged right sides call the
+watch with the even entries of their doubled-lattice samples of V (the
+base-lattice points) before any other work.  The final state takes its own
+right side, so it is watched the same way.  The error names the member and
+the time of the state.  The startup probe is not watched.
 """
 
 import json
@@ -38,7 +38,6 @@ from .spectral import (
     Grid,
     SpectralField,
     atomic_write,
-    coeffs_to_samples,
     dispersion,
     from_padded,
     padded_grid,
@@ -57,18 +56,21 @@ class Trajectory:
 
     `data` is an (n_snapshots, n) complex matrix of coefficients in lattice
     order, `times` the matching sample times.  `tag` is "u" for the direct
-    flow and "V" for the gauged flow.
+    flow and "V" for the gauged flow.  `right_sides`, laid out as `data`,
+    holds the right side the stepper took at each snapshot, or None: `save`
+    does not write them, so `load` gives None.
     """
 
-    def __init__(self, grid, times, data, tag, metadata=None):
+    def __init__(self, grid, times, data, tag, metadata=None, right_sides=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.data = np.asarray(data, dtype=np.complex128)
-        if self.data.shape != (self.times.size, grid.n):
-            raise ValueError(
-                f"data shape {self.data.shape} does not match "
-                f"{self.times.size} times on an n={grid.n} grid"
-            )
+        self.right_sides = (None if right_sides is None
+                            else np.asarray(right_sides, dtype=np.complex128))
+        shapes = {a.shape for a in (self.data, self.right_sides) if a is not None}
+        if shapes != {(self.times.size, grid.n)}:
+            raise ValueError(f"data and right-side shapes {sorted(shapes)} do not "
+                             f"match {self.times.size} times on an n={grid.n} grid")
         self.tag = tag
         self.metadata = dict(metadata or {})
 
@@ -124,14 +126,13 @@ class Trajectory:
         return cls(grid, times, data, manifest["tag"], manifest["metadata"])
 
 
-def _ifrk4_step(c, E, E2, twoE, h, rhs, watch=None):
-    """One integrating-factor RK4 step of size h; E = exp(-i omega h / 2),
-    E2 = E^2, twoE = 2 E.  A ``watch`` goes to the k1 right side as its
-    second argument.  rhs returns a new array, which the step may update in
-    place.  Each complex product keeps the operand order of
-    E2 c + (h/6) (E2 k1 + 2 E (k2 + k3) + k4): numpy may round a b and b a
-    differently in the last bit."""
-    k1 = rhs(c) if watch is None else rhs(c, watch)
+def _ifrk4_step(c, k1, E, E2, twoE, h, rhs):
+    """One integrating-factor RK4 step of size h from c, whose right side k1
+    = rhs(c) the caller has taken; E = exp(-i omega h / 2), E2 = E^2, twoE =
+    2 E.  The step never writes into k1 or c.  rhs returns a new array,
+    which the step may update in place.  Each complex product keeps the
+    operand order of E2 c + (h/6) (E2 k1 + 2 E (k2 + k3) + k4): numpy may
+    round a b and b a differently in the last bit."""
     a = (h / 2) * k1
     a += c
     k2 = rhs(np.multiply(E, a, out=a))
@@ -152,26 +153,32 @@ def _ifrk4_step(c, E, E2, twoE, h, rhs, watch=None):
     return acc
 
 
-def _march(c0, grid, h, steps, rhs, on_step=None):
-    """Up to `steps` IF-RK4 steps of size h from the (..., n) array c0, calling
-    on_step(i, c) after step i.  A callable that on_step returns is the watch
-    of that state: step i + 1 hands it to its k1 right side, which calls it
-    with the state's base-lattice samples.  Stops at the first step whose
-    result is not finite; returns the number of finite steps taken and the
-    last state computed, which is that non-finite result if the march
+def _march(c0, grid, h, steps, rhs, on_state=None, watch=None):
+    """Up to `steps` IF-RK4 steps of size h from the (..., n) array c0.
+
+    Each state's right side is taken here, once: k = rhs(c), the k1 stage of
+    the next step, handed to on_state(i, c, k) for state i (c0 is state 0).
+    The final state takes one only for on_state.  At t = i h > 0 the right
+    side also takes ``watch(samples, t)``, if given, as its second argument,
+    to call with the state's base-lattice samples.  Stops at the first step
+    whose result is not finite; returns the number of finite steps taken and
+    the last state computed, which is that non-finite result if the march
     stopped early."""
     E = np.exp(-1j * dispersion(grid.xi) * (h / 2))
     E2 = E * E
     twoE = 2 * E
     c = np.array(c0, dtype=np.complex128)
-    watch = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, steps + 1):
-            c = _ifrk4_step(c, E, E2, twoE, h, rhs, watch)
-            if not np.all(np.isfinite(c)):
-                return i - 1, c
-            if on_step is not None:
-                watch = on_step(i, c)
+        for i in range(steps + 1):
+            if i:
+                c = _ifrk4_step(c, k, E, E2, twoE, h, rhs)
+                if not np.all(np.isfinite(c)):
+                    return i - 1, c
+            if on_state is None and i == steps:
+                break
+            k = rhs(c, lambda s: watch(s, i * h)) if i and watch else rhs(c)
+            if on_state is not None:
+                on_state(i, c, k)
     return steps, c
 
 
@@ -203,36 +210,28 @@ def _at(t, score):
 
 
 def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, watch=None):
-    """Snapshot times, snapshots (n_snapshots, ..., n) and step of an IF-RK4
-    run of the (..., n) array c0 to time T.  ``watch(samples, t)``, if
-    given, checks the base-lattice samples of the state at each step time
-    t > 0, as the module docstring describes; rhs then takes a watch as its
-    optional second argument."""
+    """Snapshot times, snapshots (n_snapshots, ..., n), the right sides that
+    `_march` took at them, in the same layout, and step of an IF-RK4 run of
+    the (..., n) array c0 to time T.  ``watch(samples, t)``, if given, checks
+    the state at each step time t > 0, as the module docstring describes."""
     steps = step_count(T, dt)
     h = T / steps
-    times = [0.0]
-    snaps = [np.array(c0, dtype=np.complex128)]
+    times, snaps, right_sides = [], [], []
 
-    def on_step(i, c):
-        t = i * h
+    def on_state(i, c, k):
         if i % snapshot_every == 0 or i == steps:
-            times.append(t)
+            times.append(i * h)
             snaps.append(c)
-        if watch is None:
-            return None
-        if i == steps:
-            watch(coeffs_to_samples(c, grid), t)
-            return None
-        return lambda samples: watch(samples, t)
+            right_sides.append(k)
 
-    done, c = _march(c0, grid, h, steps, rhs, on_step)
+    done, c = _march(c0, grid, h, steps, rhs, on_state, watch)
     if done < steps:
         finite = np.all(np.isfinite(c), axis=-1)
         raise RuntimeError(
             f"solution lost finiteness at step {done + 1} of {steps} "
             f"({_at((done + 1) * h, finite)}); reduce dt or the data amplitude"
         )
-    return np.asarray(times), np.stack(snaps), h
+    return np.asarray(times), np.stack(snaps), np.stack(right_sides), h
 
 
 def _probe_dt(c0, grid, dt, rhs):
@@ -283,15 +282,15 @@ def evolve_bo(u0, T, dt, snapshot_every=1):
 
     _check_schedule(T, dt, snapshot_every)
     _probe_dt(u0.coeffs, g, dt, rhs)
-    times, data, h = _ifrk4(u0.coeffs, g, T, dt, rhs, snapshot_every)
+    times, data, right_sides, h = _ifrk4(u0.coeffs, g, T, dt, rhs, snapshot_every)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": "bo"}
-    return Trajectory(g, times, data, "u", meta)
+    return Trajectory(g, times, data, "u", meta, right_sides)
 
 
 def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
     """The one body of both gauged evolutions: c0 is an (n,) field or a
     (B, n) batch on the grid g.  Returns the times, the (n_snapshots, ..., n)
-    snapshots and the metadata."""
+    snapshots, their right sides and the metadata."""
     if rhs_mode == "exact":
         core = rhs_exact_coeffs
     elif rhs_mode == "terms":
@@ -307,9 +306,9 @@ def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
 
     _check_schedule(T, dt, snapshot_every)
     _probe_dt(c0, g, dt, rhs)
-    times, data, h = _ifrk4(c0, g, T, dt, rhs, snapshot_every, watch)
+    times, data, right_sides, h = _ifrk4(c0, g, T, dt, rhs, snapshot_every, watch)
     meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": rhs_mode}
-    return times, data, meta
+    return times, data, right_sides, meta
 
 
 def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
@@ -320,9 +319,9 @@ def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
     invertibility margin min |1 + V| is watched every step (see the module
     docstring).
     """
-    times, data, meta = _evolve_gauged(V0.coeffs, V0.grid, T, dt, rhs_mode,
-                                       snapshot_every)
-    return Trajectory(V0.grid, times, data, "V", meta)
+    times, data, right_sides, meta = _evolve_gauged(
+        V0.coeffs, V0.grid, T, dt, rhs_mode, snapshot_every)
+    return Trajectory(V0.grid, times, data, "V", meta, right_sides)
 
 
 def evolve_gauged_batch(fields, T, dt, rhs_mode="exact", snapshot_every=1):
@@ -341,7 +340,9 @@ def evolve_gauged_batch(fields, T, dt, rhs_mode="exact", snapshot_every=1):
     if any(f.grid != g for f in fields):
         raise ValueError(f"evolve_gauged_batch takes fields on one grid, {g!r}")
     c0 = np.stack([f.coeffs for f in fields])
-    times, data, meta = _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every)
-    return [Trajectory(g, times, np.ascontiguousarray(data[:, k]), "V", meta)
+    times, data, right_sides, meta = _evolve_gauged(c0, g, T, dt, rhs_mode,
+                                                    snapshot_every)
+    return [Trajectory(g, times, np.ascontiguousarray(data[:, k]), "V", meta,
+                       np.ascontiguousarray(right_sides[:, k]))
             for k in range(len(fields))]
 

@@ -20,7 +20,8 @@ time derivative falls on one slot), substitutes the equation back into the
 differentiated slot, and repeats with thresholds c_J |Phi_1|^delta at depth
 J.  :func:`nfe_residual` measures, on a stored trajectory of the band system
 (it refuses any other), how much of W(T) - W(0) the depth-J truncation
-explains.
+explains.  It reads dW/dt from the right sides the stepper took at the
+snapshots (``Trajectory.right_sides``) and takes none of its own.
 
 Depth 1 is measured.  Its nonresonant tuples, the frontier, are read block
 by block (:func:`bolab.infr.term_blocks` on a support envelope of the
@@ -51,7 +52,7 @@ the measured quadrature defect exactly, which the report exposes as
 The remainder is summed in time without rotating any tuple.  Every batch
 phase is omega(out) - sum_j omega(cols_j), so e^{i t Phi} prod_j W_j =
 e^{i t omega(out)} prod_j V_hat_j: the oscillation rides on the output, and
-the slots read the stored coefficients and the raw right side.  With a
+the slots read the stored coefficients and the stored raw right side.  With a
 tuple split into a row (its head slots and its output) and a column (its
 last two slots), the time sum is sum_t R_row(t) C_col(t), and any row and
 column of one pair momentum (the sum of the last two slot frequencies) make
@@ -69,7 +70,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import ArgumentError, SpectralField, dispersion, sobolev_norm
-from .gauge import rhs_terms_total_coeffs
 from .infr import COUPLING, add_by_output, bo_terms, term_blocks
 
 # Cap on the tuples of one depth-1 term lattice, the only lattice nfe_residual
@@ -191,21 +191,15 @@ def _contract(b, V, D, W):
     return acc
 
 
-_RHS_ROWS = 64  # snapshots per band right-side call in _time_series
-
-
 def _time_series(traj, w):
     """The quadrature defect W(T) - W(0) - trapz(dW/dt) of the stored
     trajectory, and the three series ``_ibp_trapz`` sums over, one row per
     lattice index and one column per snapshot: V_hat, the raw right side
-    e^{-i t omega} dW/dt, and w_i e^{i t_i omega}.  The right side is taken
-    ``_RHS_ROWS`` snapshots per call; each row equals its single-field call
-    bit for bit."""
-    grid, times, data = traj.grid, np.asarray(traj.times, dtype=float), traj.data
+    e^{-i t omega} dW/dt, and w_i e^{i t_i omega}.  The right side is the
+    one the stepper took at each snapshot, ``traj.right_sides``."""
+    grid, times, data, rhs = (traj.grid, np.asarray(traj.times, dtype=float),
+                              traj.data, traj.right_sides)
     carriers = np.exp(1j * times[:, None] * dispersion(grid.xi)[None, :])
-    rhs = np.empty_like(data)
-    for i in range(0, len(data), _RHS_ROWS):
-        rhs[i:i + _RHS_ROWS] = rhs_terms_total_coeffs(data[i:i + _RHS_ROWS], grid)
     vdelta = carriers[-1] * data[-1] - carriers[0] * data[0]
     qvec = vdelta - np.einsum("i,ij->j", w, carriers * rhs)
     return qvec, tuple(np.ascontiguousarray(a.T)
@@ -300,16 +294,16 @@ def nfe_residual(traj, J_max, params):
     """Truncation residuals of the depth-J normal form on a stored trajectory.
 
     ``traj`` must hold the gauged coefficients V_hat(t) of the truncated
-    band system (``evolve_gauged(..., rhs_mode="terms")``); the identity
-    dW/dt = e^{it omega} rhs_terms_total_coeffs(V_hat) is exact for that
-    flow, and the residuals then measure only the unexpanded remainder plus
-    the trapezoid defect.  Depth 1 splits tuples at |Phi| = N_threshold and
-    is measured.  A deeper depth J splits at c_J |Phi_1|^delta and is never
-    expanded: it is empty when depth 1 left no nonresonant tuple or when
-    its smallest threshold exceeds the largest phase the lattice can reach,
-    and its residual is then the quadrature defect.  When depth 2 is not
-    provably empty, J_max >= 2 is an ArgumentError that gives both numbers;
-    J_max = 1 runs.
+    band system and the right sides the stepper took at them, as
+    ``evolve_gauged(..., rhs_mode="terms")`` returns it: dW/dt = e^{it omega}
+    (right side) exactly, so the residuals measure only the unexpanded
+    remainder plus the trapezoid defect.  Depth 1 splits tuples at |Phi| =
+    N_threshold and is measured.  A deeper depth J splits at c_J
+    |Phi_1|^delta and is never expanded: it is empty when depth 1 left no
+    nonresonant tuple or when its smallest threshold exceeds the largest
+    phase the lattice can reach, and its residual is then the quadrature
+    defect.  When depth 2 is not provably empty, J_max >= 2 is an
+    ArgumentError that gives both numbers; J_max = 1 runs.
 
     Snapshot cadence matters: the trapezoid rule must resolve e^{it Phi} for
     the largest retained |Phi|, so keep max_step * phase_cap below about 0.5
@@ -317,8 +311,9 @@ def nfe_residual(traj, J_max, params):
 
     Costs are guarded: a depth-1 term lattice with more than
     ``MAX_LATTICE_TUPLES`` tuples raises ValueError.  A J_max outside 1..3
-    and a trajectory that is zero throughout or not of the band system (its
-    metadata "rhs" other than "terms") are ArgumentErrors.
+    and a trajectory that is zero throughout, not of the band system (its
+    metadata "rhs" other than "terms") or without right sides (as
+    `Trajectory.load` returns it) are ArgumentErrors.
     """
     if not isinstance(J_max, int) or not 1 <= J_max <= 3:
         raise ArgumentError(
@@ -327,9 +322,12 @@ def nfe_residual(traj, J_max, params):
     if not np.any(traj.data):
         raise ArgumentError("traj", "must not be zero throughout: zero data "
                                     "has no residual to measure")
-    if traj.metadata.get("rhs", "terms") != "terms":
-        raise ArgumentError("traj", f"must come from the band system (rhs "
-                            f"'terms'), got rhs {traj.metadata['rhs']!r}")
+    mode = traj.metadata.get("rhs")
+    if mode != "terms" or traj.right_sides is None:
+        got = "no right sides" if traj.right_sides is None else "right sides"
+        raise ArgumentError("traj", "must be a run of the band system with its "
+                            "right sides, as evolve_gauged(..., rhs_mode='terms') "
+                            f"returns it; got rhs {mode!r} and {got}")
 
     grid = traj.grid
     times = np.asarray(traj.times, dtype=float)

@@ -17,7 +17,7 @@ from bolab.dynamics import (
     evolve_gauged_batch,
     step_count,
 )
-from bolab.gauge import gauge_forward
+from bolab.gauge import gauge_forward, rhs_exact_coeffs, rhs_terms_total_coeffs
 from bolab.spectral import (
     ArgumentError,
     Grid,
@@ -314,10 +314,10 @@ def test_stable_batch_takes_one_probe_trial(monkeypatch):
 
     march, trials = dynamics._march, []
 
-    def spy(c0, grid, h, steps, rhs, on_step=None):
-        if on_step is None:
+    def spy(c0, grid, h, steps, rhs, on_state=None, watch=None):
+        if on_state is None:
             trials.append(np.shape(c0))
-        return march(c0, grid, h, steps, rhs, on_step)
+        return march(c0, grid, h, steps, rhs, on_state, watch)
 
     monkeypatch.setattr(dynamics, "_march", spy)
     g = Grid(64, np.pi)
@@ -325,6 +325,71 @@ def test_stable_batch_takes_one_probe_trial(monkeypatch):
     fields = [gauge_forward(0.1 * random_real_field(g, rng)) for _ in range(3)]
     evolve_gauged_batch(fields, T=1e-3, dt=1e-4)
     assert trials == [(3, g.n)]
+
+
+@pytest.mark.parametrize("snapshot_every", [1, 7])
+def test_stored_right_sides_equal_fresh_calls(snapshot_every):
+    # each snapshot carries the right side the stepper took at it, the k1
+    # stage of the next step or the final state's own, bit for bit; a step
+    # that wrote into its k1 would change the stored one
+    g = Grid(64, np.pi)
+    rng = np.random.default_rng(21)
+    pg = padded_grid(g)
+    half_ixi = 0.5j * g.xi
+
+    def bo(c, grid):
+        s = to_padded(c, pg)
+        return half_ixi * from_padded(s * s, pg)
+
+    T, dt = 30 * 1e-4, 1e-4
+    u0 = 0.3 * random_real_field(g, rng)
+    runs = [(evolve_bo(u0, T=T, dt=dt, snapshot_every=snapshot_every), bo)]
+    fields = [gauge_forward(0.3 * random_real_field(g, rng)) for _ in range(3)]
+    for rhs_mode, fn in (("exact", rhs_exact_coeffs),
+                         ("terms", rhs_terms_total_coeffs)):
+        kw = dict(T=T, dt=dt, rhs_mode=rhs_mode, snapshot_every=snapshot_every)
+        runs.append((evolve_gauged(fields[0], **kw), fn))
+        runs += [(traj, fn) for traj in evolve_gauged_batch(fields, **kw)]
+    for traj, fn in runs:
+        assert len(traj) == 30 // snapshot_every + 1 + (30 % snapshot_every > 0)
+        assert traj.times[-1] == T
+        assert traj.right_sides.shape == traj.data.shape
+        for c, k in zip(traj.data, traj.right_sides):
+            assert np.array_equal(k, fn(c.copy(), g))
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_right_side_calls_per_run(monkeypatch, members):
+    # one right side per state: 4 per step and one for the final state, plus
+    # the probe's trial of 8 steps, which takes none for its final state; a
+    # batch takes one call per evaluation
+    import bolab.dynamics as dynamics
+
+    calls = []
+    real = dynamics.rhs_terms_total_coeffs
+
+    def counted(c, g, watch=None):
+        calls.append(np.shape(c))
+        return real(c, g, watch)
+
+    monkeypatch.setattr(dynamics, "rhs_terms_total_coeffs", counted)
+    g = Grid(64, np.pi)
+    rng = np.random.default_rng(22)
+    fields = [gauge_forward(0.1 * random_real_field(g, rng))
+              for _ in range(members)]
+    steps = 9
+    evolve_gauged_batch(fields, T=steps * 1e-4, dt=1e-4, rhs_mode="terms",
+                        snapshot_every=4)
+    assert len(calls) == 4 * steps + 1 + 4 * 8
+    assert set(calls) == {(members, g.n)}
+
+
+def test_trajectory_refuses_right_sides_of_another_shape():
+    g = Grid(16, np.pi)
+    data = np.zeros((2, g.n), dtype=complex)
+    Trajectory(g, [0.0, 0.1], data, "V", right_sides=data)
+    with pytest.raises(ValueError, match="right-side shapes"):
+        Trajectory(g, [0.0, 0.1], data, "V", right_sides=data[0])
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -381,6 +446,8 @@ def test_trajectory_save_load_round_trip(tmp_path):
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.data, traj.data)
     assert back.metadata["scheme"] == "ifrk4"
+    # the right sides are not saved
+    assert traj.right_sides is not None and back.right_sides is None
 
 
 def test_trajectory_save_is_atomic(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lattice_order
-from bolab import dynamics, gauge, spectral
+from bolab import gauge, spectral
 from bolab.dynamics import evolve_gauged, evolve_gauged_batch
 from bolab.gauge import (
     GAUGE_FLOOR,
@@ -417,11 +417,11 @@ def test_rhs_terms_total_fused_matches_piecewise_oracle(n):
 
 
 def _count_transforms(monkeypatch):
-    # padded transforms go through the FFT-order pair; a call on an
-    # (..., 2n) stack counts one per transformed row, in "n" and under its
-    # row length; base-lattice transforms of the gauged evolution go through
-    # `coeffs_to_samples`, and its calls count under that name
-    counts = {"n": 0, "coeffs_to_samples": 0}
+    # every transform goes through the FFT-order pair, the base-lattice
+    # `coeffs_to_samples`/`samples_to_coeffs` included; a call on an
+    # (..., m) stack counts one per transformed row, in "n" and under its
+    # row length m
+    counts = {"n": 0}
 
     def counted(fn):
         def wrapper(a, *args):
@@ -435,13 +435,6 @@ def _count_transforms(monkeypatch):
     for module in (gauge, spectral):
         for name in ("fft_order_to_samples", "samples_to_fft_order"):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    base = dynamics.coeffs_to_samples
-
-    def base_counted(c, grid):
-        counts["coeffs_to_samples"] += 1
-        return base(c, grid)
-
-    monkeypatch.setattr(dynamics, "coeffs_to_samples", base_counted)
     return counts
 
 
@@ -458,10 +451,10 @@ def test_transforms_per_right_side(monkeypatch):
 @pytest.mark.parametrize("rhs_mode, per_rhs", [("exact", 5), ("terms", 7)])
 @pytest.mark.parametrize("members", [1, 3])
 def test_transforms_per_gauged_run(monkeypatch, rhs_mode, per_rhs, members):
-    # the min |1 + V| watch reads each state's samples from the next step's
-    # k1 stage, so a run of S steps takes one base-lattice transform, of the
-    # final state, and every step, the probe's 8 included, keeps 4 right
-    # sides of per_rhs padded transforms per member
+    # the min |1 + V| watch reads each state's samples from its right side,
+    # so a run takes no base-lattice transform; a run of S steps takes 4 S
+    # right sides and one for the final state, and the probe's 8 steps take
+    # 4 each, all of per_rhs padded transforms per member
     g = Grid(64, np.pi)
     rng = np.random.default_rng(4)
     fields = [gauge_forward(0.2 * random_real_field(g, rng))
@@ -472,17 +465,17 @@ def test_transforms_per_gauged_run(monkeypatch, rhs_mode, per_rhs, members):
         evolve_gauged(fields[0], T=steps * 1e-4, dt=1e-4, rhs_mode=rhs_mode)
     else:
         evolve_gauged_batch(fields, T=steps * 1e-4, dt=1e-4, rhs_mode=rhs_mode)
-    assert counts["coeffs_to_samples"] == 1
-    assert counts.get(g.n) == members
-    assert counts.get(2 * g.n) == members * 4 * per_rhs * (steps + 8)
+    assert counts.get(g.n, 0) == 0
+    assert counts.get(2 * g.n) == members * per_rhs * (4 * steps + 1 + 4 * 8)
 
 
 @pytest.mark.parametrize("fn", ["rhs_exact_coeffs", "rhs_terms_total_coeffs"])
 def test_rows_equal_single_calls_at_trajectory_size(fn):
-    # nfe evaluates the band right side on every snapshot of a trajectory at
-    # once, (801, 128) at its defaults: arrays past numpy's 256 KiB
-    # temporary-elision size, where `a * temp` runs as `temp *= a`, and a
-    # complex product can round differently with its operands swapped
+    # the right sides take (..., n) batches, and each row must equal its
+    # single-field call at any batch size: (801, 128), the snapshots of a
+    # default `bolab nfe` run, is past numpy's 256 KiB temporary-elision
+    # size, where `a * temp` runs as `temp *= a`, and a complex product can
+    # round differently with its operands swapped
     g = Grid(128, np.pi)
     rng = np.random.default_rng(801)
     shape = (801, g.n)

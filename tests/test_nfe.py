@@ -158,7 +158,7 @@ def test_ibp_matches_oracle_at_nonuniform_times():
     pick = np.r_[0, np.sort(np.random.default_rng(2).choice(
         np.arange(1, len(full) - 1), 17, replace=False)), len(full) - 1]
     traj = Trajectory(full.grid, full.times[pick], full.data[pick], "V",
-                      full.metadata)
+                      full.metadata, full.right_sides[pick])
     steps = np.diff(traj.times)
     assert steps.max() > 1.5 * steps.min()
     frontier = _frontier(traj, 1000.0)
@@ -199,7 +199,8 @@ def test_zero_trajectory():
     # rather than reporting residuals of 0.0 that no check can tell apart
     g = Grid(32, np.pi)
     data = np.zeros((3, g.n), dtype=complex)
-    traj = Trajectory(g, [0.0, 0.01, 0.02], data, "V", {"rhs": "terms"})
+    traj = Trajectory(g, [0.0, 0.01, 0.02], data, "V", {"rhs": "terms"},
+                      rhs_terms_total_coeffs(data, g))
     with pytest.raises(ArgumentError, match="^traj must not be zero") as err:
         nfe_residual(traj, 2, infr_params(0.5, 0.0, N_threshold=40.0))
     assert err.value.argument == "traj"
@@ -355,7 +356,8 @@ def test_validation_and_warnings(monkeypatch):
     rng = np.random.default_rng(1)
     V0 = band_field(g, rng, 2, 5, 0.1)
     data = np.vstack([V0.coeffs, V0.coeffs])
-    traj = Trajectory(g, [0.0, 1e-3], data, "V", {"rhs": "terms"})
+    rhs = rhs_terms_total_coeffs(data, g)
+    traj = Trajectory(g, [0.0, 1e-3], data, "V", {"rhs": "terms"}, rhs)
     p = infr_params(0.5, 0.0, N_threshold=2.0)
 
     with pytest.raises(ValueError, match="positive integer"):
@@ -363,7 +365,8 @@ def test_validation_and_warnings(monkeypatch):
     with pytest.raises(ValueError, match="J_max"):
         nfe_residual(traj, 4, p)
     with pytest.raises(ValueError, match="two snapshots"):
-        nfe_residual(Trajectory(g, [0.0], data[:1], "V"), 1, p)
+        nfe_residual(Trajectory(g, [0.0], data[:1], "V", {"rhs": "terms"},
+                                rhs[:1]), 1, p)
 
     # depth 1 never needs c_J, deeper levels refuse infeasible parameters
     bad = infr_params(0.5, 0.4, N_threshold=2.0)
@@ -378,8 +381,18 @@ def test_validation_and_warnings(monkeypatch):
         nfe_residual(exact, 1, p)
     assert err.value.argument == "traj"
 
+    # the residual reads the right sides the stepper took: a trajectory
+    # without them, as `Trajectory.load` returns, or without the band
+    # system's metadata, is refused with the same message
+    for bare in (Trajectory(g, [0.0, 1e-3], data, "V", {"rhs": "terms"}),
+                 Trajectory(g, [0.0, 1e-3], data, "V", right_sides=rhs)):
+        with pytest.raises(ArgumentError, match="^traj must be a run of the "
+                           "band system with its right sides") as err:
+            nfe_residual(bare, 1, p)
+        assert err.value.argument == "traj"
+
     # coarse cadence relative to the lattice phases is flagged too
-    coarse = Trajectory(g, [0.0, 1.0], data, "V", {"rhs": "terms"})
+    coarse = Trajectory(g, [0.0, 1.0], data, "V", {"rhs": "terms"}, rhs)
     rep = nfe_residual(coarse, 1, p)
     assert any("cadence" in msg for msg in rep.warnings)
 
