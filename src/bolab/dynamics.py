@@ -18,16 +18,19 @@ the probe takes one batched trial and goes member by member only when
 that trial fails.
 
 Each state's right side is taken once, in `_march`: it is the k1 stage of
-the next step, a snapshot keeps it (`Trajectory.right_sides`, which `nfe`
-reads), and at every step time after t = 0 it watches the min |1 + V|
+the next step, and at every step time after t = 0 it watches the min |1 + V|
 floor with no base-lattice transform, since the gauged right sides call the
 watch with the even entries of their doubled-lattice samples of V (the
 base-lattice points) before any other work.  The final state takes its own
 right side, so it is watched the same way.  The error names the member and
-the time of the state.  The startup probe is not watched.
+the time of the state.  The startup probe is not watched.  `_march` also
+keeps the snapshots and their right sides (`Trajectory.right_sides`, which
+`nfe` reads) in (..., n_snapshots, n) arrays sized before the first step;
+a batch member's are views of the batch's.
 """
 
 import json
+import numbers
 import os
 
 import numpy as np
@@ -117,8 +120,12 @@ class Trajectory:
                 f"this version reads format {TRAJECTORY_FORMAT}")
         grid = Grid(manifest["n_points"], manifest["half_length"])
         times = np.asarray(manifest["times"], dtype=float)
+        names = manifest["snapshots"]
+        if len(names) != times.size:
+            raise ValueError(f"manifest in {directory} names {len(names)} "
+                             f"snapshots for {times.size} times")
         data = np.empty((times.size, grid.n), dtype=np.complex128)
-        for i, name in enumerate(manifest["snapshots"]):
+        for i, name in enumerate(names):
             field, t = read_snapshot(os.path.join(directory, name))
             if field.grid != grid or abs(t - times[i]) > 1e-12 * max(1.0, abs(t)):
                 raise ValueError(f"snapshot {name} disagrees with the manifest")
@@ -153,33 +160,43 @@ def _ifrk4_step(c, k1, E, E2, twoE, h, rhs):
     return acc
 
 
-def _march(c0, grid, h, steps, rhs, on_state=None, watch=None):
+def _march(c0, grid, h, steps, rhs, every=None, watch=None):
     """Up to `steps` IF-RK4 steps of size h from the (..., n) array c0.
 
     Each state's right side is taken here, once: k = rhs(c), the k1 stage of
-    the next step, handed to on_state(i, c, k) for state i (c0 is state 0).
-    The final state takes one only for on_state.  At t = i h > 0 the right
-    side also takes ``watch(samples, t)``, if given, as its second argument,
-    to call with the state's base-lattice samples.  Stops at the first step
-    whose result is not finite; returns the number of finite steps taken and
-    the last state computed, which is that non-finite result if the march
-    stopped early."""
+    the next step.  Given `every`, state i and its k are kept at slot
+    i // every of (..., n_kept, n) arrays sized before the first step, for
+    the kept steps ``np.r_[0:steps:every, steps]`` (the final state at slot
+    -1); without it (the probe) nothing is kept and the final state takes no
+    right side.  At t = i h > 0 the right side also takes ``watch(samples,
+    t)``, if given, as its second argument, to call with the state's
+    base-lattice samples.  Stops at the first step whose result is not
+    finite.  Returns the number of finite steps taken, the last state
+    computed (the non-finite one if the march stopped early), and the kept
+    steps, snapshots and right sides (None without `every`)."""
     E = np.exp(-1j * dispersion(grid.xi) * (h / 2))
     E2 = E * E
     twoE = 2 * E
     c = np.array(c0, dtype=np.complex128)
+    kept = data = right_sides = None
+    if every is not None:
+        kept = np.r_[0:steps:every, steps]
+        data = np.empty(c.shape[:-1] + (kept.size, c.shape[-1]), np.complex128)
+        right_sides = np.empty_like(data)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps + 1):
             if i:
                 c = _ifrk4_step(c, k, E, E2, twoE, h, rhs)
                 if not np.all(np.isfinite(c)):
-                    return i - 1, c
-            if on_state is None and i == steps:
+                    return i - 1, c, kept, data, right_sides
+            if every is None and i == steps:
                 break
             k = rhs(c, lambda s: watch(s, i * h)) if i and watch else rhs(c)
-            if on_state is not None:
-                on_state(i, c, k)
-    return steps, c
+            if every is not None and (i % every == 0 or i == steps):
+                slot = -1 if i == steps else i // every
+                data[..., slot, :] = c
+                right_sides[..., slot, :] = k
+    return steps, c, kept, data, right_sides
 
 
 def step_count(T, dt):
@@ -192,14 +209,6 @@ def step_count(T, dt):
     return max(1, int(round(T / dt)))
 
 
-def _check_schedule(T, dt, snapshot_every):
-    """ArgumentError naming the first unusable time argument of an evolution."""
-    step_count(T, dt)
-    if snapshot_every < 1:
-        raise ArgumentError("snapshot_every",
-                            f"must be at least 1, got {snapshot_every!r}")
-
-
 def _at(t, score):
     """"t = ..." for an error message, led by "member k, " when score holds
     one value per batch member: k has the smallest score (the first False of
@@ -210,28 +219,21 @@ def _at(t, score):
 
 
 def _ifrk4(c0, grid, T, dt, rhs, snapshot_every, watch=None):
-    """Snapshot times, snapshots (n_snapshots, ..., n), the right sides that
+    """Snapshot times, snapshots (..., n_snapshots, n), the right sides that
     `_march` took at them, in the same layout, and step of an IF-RK4 run of
     the (..., n) array c0 to time T.  ``watch(samples, t)``, if given, checks
     the state at each step time t > 0, as the module docstring describes."""
     steps = step_count(T, dt)
     h = T / steps
-    times, snaps, right_sides = [], [], []
-
-    def on_state(i, c, k):
-        if i % snapshot_every == 0 or i == steps:
-            times.append(i * h)
-            snaps.append(c)
-            right_sides.append(k)
-
-    done, c = _march(c0, grid, h, steps, rhs, on_state, watch)
+    done, c, kept, data, right_sides = _march(c0, grid, h, steps, rhs,
+                                              snapshot_every, watch)
     if done < steps:
         finite = np.all(np.isfinite(c), axis=-1)
         raise RuntimeError(
             f"solution lost finiteness at step {done + 1} of {steps} "
             f"({_at((done + 1) * h, finite)}); reduce dt or the data amplitude"
         )
-    return np.asarray(times), np.stack(snaps), np.stack(right_sides), h
+    return kept * h, data, right_sides, h
 
 
 def _probe_dt(c0, grid, dt, rhs):
@@ -245,7 +247,7 @@ def _probe_dt(c0, grid, dt, rhs):
     norm0 = np.sqrt(np.sum(np.abs(c0) ** 2, axis=-1))
 
     def trial(h):
-        done, c = _march(c0, grid, h, 8, rhs)
+        done, c, *_ = _march(c0, grid, h, 8, rhs)
         with np.errstate(over="ignore"):
             norm = np.sqrt(np.sum(np.abs(c) ** 2, axis=-1))
         return done == 8 and bool(np.all(norm <= 4.0 * np.maximum(norm0, 1e-300)))
@@ -270,6 +272,23 @@ def _probe_dt(c0, grid, dt, rhs):
     raise ValueError(f"dt = {dt:g} is unstable for this data at any tried step size")
 
 
+def _run(c0, grid, T, dt, rhs, snapshot_every, tag, rhs_name, watch=None):
+    """The one prologue of every evolution: an unusable T, dt or
+    snapshot_every is an ArgumentError before any work, then `_probe_dt` and
+    `_ifrk4` run on the (..., n) array c0.  Returns the Trajectory of an (n,)
+    c0, or of each row of a (B, n) batch, holding views of the batch's."""
+    step_count(T, dt)
+    if not isinstance(snapshot_every, numbers.Integral) or snapshot_every < 1:
+        raise ArgumentError("snapshot_every", "must be an integer of at least 1, "
+                            f"got {snapshot_every!r}")
+    _probe_dt(c0, grid, dt, rhs)
+    times, data, right_sides, h = _ifrk4(c0, grid, T, dt, rhs, snapshot_every, watch)
+    meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": rhs_name}
+    if c0.ndim == 1:
+        return Trajectory(grid, times, data, tag, meta, right_sides)
+    return [Trajectory(grid, times, d, tag, meta, k) for d, k in zip(data, right_sides)]
+
+
 def evolve_bo(u0, T, dt, snapshot_every=1):
     """Integrate the direct flow u_t + H u_xx = u u_x from real data."""
     g = u0.grid
@@ -280,17 +299,12 @@ def evolve_bo(u0, T, dt, snapshot_every=1):
         s = to_padded(c, pg)
         return half_ixi * from_padded(s * s, pg)
 
-    _check_schedule(T, dt, snapshot_every)
-    _probe_dt(u0.coeffs, g, dt, rhs)
-    times, data, right_sides, h = _ifrk4(u0.coeffs, g, T, dt, rhs, snapshot_every)
-    meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": "bo"}
-    return Trajectory(g, times, data, "u", meta, right_sides)
+    return _run(u0.coeffs, g, T, dt, rhs, snapshot_every, "u", "bo")
 
 
 def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
     """The one body of both gauged evolutions: c0 is an (n,) field or a
-    (B, n) batch on the grid g.  Returns the times, the (n_snapshots, ..., n)
-    snapshots, their right sides and the metadata."""
+    (B, n) batch on the grid g.  Returns what `_run` returns."""
     if rhs_mode == "exact":
         core = rhs_exact_coeffs
     elif rhs_mode == "terms":
@@ -304,11 +318,7 @@ def _evolve_gauged(c0, g, T, dt, rhs_mode, snapshot_every):
     def watch(samples, t):
         require_invertible(samples, lambda m: _at(t, m))
 
-    _check_schedule(T, dt, snapshot_every)
-    _probe_dt(c0, g, dt, rhs)
-    times, data, right_sides, h = _ifrk4(c0, g, T, dt, rhs, snapshot_every, watch)
-    meta = {"dt": h, "scheme": "ifrk4", "dealiasing": "pad2", "rhs": rhs_mode}
-    return times, data, right_sides, meta
+    return _run(c0, g, T, dt, rhs, snapshot_every, "V", rhs_mode, watch)
 
 
 def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
@@ -319,19 +329,18 @@ def evolve_gauged(V0, T, dt, rhs_mode="exact", snapshot_every=1):
     invertibility margin min |1 + V| is watched every step (see the module
     docstring).
     """
-    times, data, right_sides, meta = _evolve_gauged(
-        V0.coeffs, V0.grid, T, dt, rhs_mode, snapshot_every)
-    return Trajectory(V0.grid, times, data, "V", meta, right_sides)
+    return _evolve_gauged(V0.coeffs, V0.grid, T, dt, rhs_mode, snapshot_every)
 
 
 def evolve_gauged_batch(fields, T, dt, rhs_mode="exact", snapshot_every=1):
     """Integrate the gauged flow from several fields on one grid at once.
 
     Returns one Trajectory per field, in order, each equal to what
-    `evolve_gauged` returns for that field alone.  A field that fails
-    (unstable dt, lost finiteness, min |1 + V| below the floor) stops the
-    whole batch, and the error names its index.  An empty list or fields
-    on two grids raise ValueError before any work.
+    `evolve_gauged` returns for that field alone; its arrays are views of
+    the batch's, uncopied.  A field that fails (unstable dt, lost
+    finiteness, min |1 + V| below the floor) stops the whole batch, and the
+    error names its index.  An empty list or fields on two grids raise
+    ValueError before any work.
     """
     fields = list(fields)
     if not fields:
@@ -339,10 +348,5 @@ def evolve_gauged_batch(fields, T, dt, rhs_mode="exact", snapshot_every=1):
     g = fields[0].grid
     if any(f.grid != g for f in fields):
         raise ValueError(f"evolve_gauged_batch takes fields on one grid, {g!r}")
-    c0 = np.stack([f.coeffs for f in fields])
-    times, data, right_sides, meta = _evolve_gauged(c0, g, T, dt, rhs_mode,
-                                                    snapshot_every)
-    return [Trajectory(g, times, np.ascontiguousarray(data[:, k]), "V", meta,
-                       np.ascontiguousarray(right_sides[:, k]))
-            for k in range(len(fields))]
-
+    return _evolve_gauged(np.array([f.coeffs for f in fields]), g, T, dt,
+                          rhs_mode, snapshot_every)

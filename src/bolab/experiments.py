@@ -476,10 +476,10 @@ def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
     for small h (the quadratic terms dominate), and a uniform bound
     C (h^2 + h^3) with a single constant C over the whole sweep — C is
     fitted as the geometric midpoint of the extreme per-h ratios and every
-    ratio must lie within +-50% of it.  The small-h power is fitted over
-    the amplitudes at most 0.2.  All amplitudes are evolved in one
-    `evolve_gauged_batch` call.  ``amplitudes`` must be nonempty and all
-    positive.
+    ratio must lie within a factor 1.5 of C (-33% to +50%).  The small-h
+    power is fitted over the amplitudes at most 0.2.  All amplitudes are
+    evolved in one `evolve_gauged_batch` call.  ``amplitudes`` must be
+    nonempty and all positive.
     """
     amplitudes = [float(h) for h in amplitudes]
     if not amplitudes or not all(h > 0.0 for h in amplitudes):

@@ -327,7 +327,7 @@ def test_gate_10_lipschitz_continuity():
 
 def test_gate_11_small_amplitude_quadratic_rate():
     """Profile time-derivative sup scales like h^{2.0 +- 0.3}; one constant
-    covers h <= 0.5 within +-50%; < 10 min."""
+    covers h <= 0.5 within a factor 1.5 of C (-33% to +50%); < 10 min."""
     t0 = time.perf_counter()
     rep = lemma21_experiment([0.05, 0.1, 0.2, 0.35, 0.5], 0.5, T=0.25)
     power = rep.fits["small_h_power"].exponent
@@ -337,5 +337,6 @@ def test_gate_11_small_amplitude_quadratic_rate():
     ok = checks_ok and abs(power - 2.0) <= 0.3 and dt < 600
     assert verdict(11, ok, f"small-amplitude rate: power {power:.2f} "
                            f"(2.0 +- 0.3), constant {cstar:.2f} covers all "
-                           f"amplitudes within +-50%, {dt:.0f}s")
+                           f"amplitudes within a factor 1.5 (-33% to +50%), "
+                           f"{dt:.0f}s")
     assert rep.verdict == "pass"

@@ -4,6 +4,7 @@ reversibility, and consistency between the direct and gauged flows."""
 import fnmatch
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,8 @@ def test_step_count_rejects_nonpositive(T, dt, name):
     ({"T": 0.01, "dt": 0.0}, "dt"),
     ({"T": -0.01, "dt": 1e-3}, "T"),
     ({"T": 0.01, "dt": 1e-3, "snapshot_every": 0}, "snapshot_every"),
+    # a kept step's slot is step // snapshot_every, an index
+    ({"T": 0.01, "dt": 1e-3, "snapshot_every": 2.0}, "snapshot_every"),
 ])
 def test_evolutions_reject_bad_time_arguments(monkeypatch, kwargs, name):
     # rejected before the stability probe takes a single step
@@ -314,10 +317,10 @@ def test_stable_batch_takes_one_probe_trial(monkeypatch):
 
     march, trials = dynamics._march, []
 
-    def spy(c0, grid, h, steps, rhs, on_state=None, watch=None):
-        if on_state is None:
+    def spy(c0, grid, h, steps, rhs, every=None, watch=None):
+        if every is None:
             trials.append(np.shape(c0))
-        return march(c0, grid, h, steps, rhs, on_state, watch)
+        return march(c0, grid, h, steps, rhs, every, watch)
 
     monkeypatch.setattr(dynamics, "_march", spy)
     g = Grid(64, np.pi)
@@ -327,11 +330,12 @@ def test_stable_batch_takes_one_probe_trial(monkeypatch):
     assert trials == [(3, g.n)]
 
 
-@pytest.mark.parametrize("snapshot_every", [1, 7])
+@pytest.mark.parametrize("snapshot_every", [1, 6, 7, 10**9])
 def test_stored_right_sides_equal_fresh_calls(snapshot_every):
     # each snapshot carries the right side the stepper took at it, the k1
     # stage of the next step or the final state's own, bit for bit; a step
-    # that wrote into its k1 would change the stored one
+    # that wrote into its k1 would change the stored one.  The cadence
+    # divides the 30 steps, does not, or exceeds them.
     g = Grid(64, np.pi)
     rng = np.random.default_rng(21)
     pg = padded_grid(g)
@@ -352,6 +356,8 @@ def test_stored_right_sides_equal_fresh_calls(snapshot_every):
         runs += [(traj, fn) for traj in evolve_gauged_batch(fields, **kw)]
     for traj, fn in runs:
         assert len(traj) == 30 // snapshot_every + 1 + (30 % snapshot_every > 0)
+        assert np.array_equal(traj.times,
+                              np.r_[0:30:snapshot_every, 30] * (T / 30))
         assert traj.times[-1] == T
         assert traj.right_sides.shape == traj.data.shape
         for c, k in zip(traj.data, traj.right_sides):
@@ -382,6 +388,29 @@ def test_right_side_calls_per_run(monkeypatch, members):
                         snapshot_every=4)
     assert len(calls) == 4 * steps + 1 + 4 * 8
     assert set(calls) == {(members, g.n)}
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_kept_snapshots_are_held_once(members):
+    # the march writes each kept state and its right side into arrays sized
+    # before the first step, and a batch member gets views of them, so a run
+    # that keeps every state peaks near what it keeps; lists of per-state
+    # arrays stacked at the end hold it all twice
+    g = Grid(32, np.pi)
+    rng = np.random.default_rng(23)
+    fields = [gauge_forward(0.1 * random_real_field(g, rng))
+              for _ in range(members)]
+    kw = dict(T=400 * 1e-4, dt=1e-4, snapshot_every=1)
+    tracemalloc.start()
+    try:
+        trajs = (evolve_gauged_batch(fields, **kw) if members > 1
+                 else [evolve_gauged(fields[0], **kw)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.data.nbytes + t.right_sides.nbytes for t in trajs)
+    assert kept == members * 2 * 401 * g.n * 16
+    assert peak <= 1.25 * kept
 
 
 def test_trajectory_refuses_right_sides_of_another_shape():
@@ -497,4 +526,24 @@ def test_trajectory_load_refuses_unknown_format(tmp_path, fmt):
         manifest["format"] = fmt
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=rf"unknown trajectory format {fmt}"):
+        Trajectory.load(d)
+
+
+@pytest.mark.parametrize("extra", [-2, 2])
+def test_trajectory_load_refuses_a_snapshot_count_unlike_times(
+        tmp_path, monkeypatch, extra):
+    # refused before any snapshot is read: two fewer names would leave rows
+    # of the data unset, two more would read past the times
+    import bolab.dynamics as dynamics
+
+    g = Grid(32, np.pi)
+    d = tmp_path / "traj"
+    evolve_bo(to_spectral(0.1 * np.sin(g.x), g), T=0.004, dt=1e-3).save(d)
+    manifest = json.loads((d / "manifest.json").read_text())
+    names = manifest["snapshots"]
+    assert len(names) == len(manifest["times"]) == 5
+    manifest["snapshots"] = names[:extra] if extra < 0 else names + names[:extra]
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(dynamics, "read_snapshot", None)
+    with pytest.raises(ValueError, match=rf"names {5 + extra} snapshots for 5 times$"):
         Trajectory.load(d)
