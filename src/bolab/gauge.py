@@ -37,15 +37,16 @@ outside the base band.  Hence, with the mirror statement for the -hi band,
     Q_- + C_- = -P_{-hi}(V . Pp dx W).
 
 So both right sides start from `_w_stage`: the samples of V and V_x, and
-the coefficients of W and of dx W (3 padded transforms).
-`_minus_product` takes the base band of (1 + V) Pm dx W as Pm dx W, read
-off its padded coefficients with no transform, plus V . Pm dx W (samples of
-Pm dx W and one forward transform, 2): 5 transforms for the exact right
-side.  The band system takes its +hi band from that V term, and
-`_band_pieces` adds V . Pp dx W for the -hi band (2): 7 transforms.  The
-unit term stays out of the high-band transforms: carried through one, its
-rounding would be relative to Pm dx W, about eps / amp relative to the band
-pieces at amplitude amp.
+the coefficients of W and of dx W (3 padded transforms).  `_exact` takes
+the base band of (1 + V) Pm dx W as Pm dx W, read off its padded
+coefficients with no transform, plus V . Pm dx W (samples of Pm dx W and
+one forward transform, 2).  It sums the two in FFT order and gathers the
+base band once, with the factor -2i (-1)^k, which carries the -2i of the
+right side: 5 transforms for the exact right side.  `_band_terms` takes the
++hi band from that V term alone and adds V . Pp dx W for the -hi band (2):
+7 transforms.  The unit term stays out of the high-band pieces: carried
+through a transform with them, its rounding would be relative to Pm dx W,
+about eps / amp relative to the band pieces at amplitude amp.
 `rhs_quadratic` and `rhs_cubic` keep the piece-by-piece form as the oracles
 of these identities.
 
@@ -70,8 +71,12 @@ with (-1)^k applied (see `spectral`): the padded coefficients of V and of
 dx W in the stages, the `rhs_cubic` intermediate, and the derivative symbol
 and half-line masks of `_bands`.  They pass through the FFT-order pair
 `spectral.fft_order_to_samples`/`samples_to_fft_order`, so no padded
-transform swaps halves or applies (-1)^k.  Base-band coefficient arrays
-(inputs, outputs and the base masks of `_bands`) stay in lattice order.
+transform swaps halves or applies (-1)^k, and each scale rides on the
+transform as pocketfft's factor (dx forward, (1/2n) (1/dx) inverse), so no
+scale takes a pass of its own.  Base-band coefficient arrays (inputs,
+outputs and the base masks of `_bands`) stay in lattice order.  `_bands`
+holds every per-grid constant that a right side reads, so a right side
+makes one cache lookup.
 
 The coefficient-array right sides (`rhs_exact_coeffs`,
 `rhs_terms_total_coeffs` and their stages) act on the last axis, so an
@@ -88,15 +93,14 @@ from .spectral import (
     ArgumentError,
     SpectralField,
     antiderivative_symbol,
-    base_band_slices,
     conj_reflect,
     dealiased_product,
     fft_order_to_samples,
     from_padded,
+    gather_fft_order,
     pad_fft_order,
     padded_grid,
     region_mask,
-    restrict_fft_order,
     samples_to_fft_order,
     sobolev_norm,
     to_padded,
@@ -108,25 +112,40 @@ GAUGE_FLOOR = 0.1
 
 @lru_cache(maxsize=64)
 def _bands(grid):
-    """Per-grid constants of the right sides, built once: band masks on the
-    base lattice (lattice order), and the derivative symbol and half-line
-    masks on the doubled lattice (FFT order, with the unpaired Nyquist slot
-    k = -n, FFT index n, zeroed).  Masks are complex 0/1 arrays, the values
+    """Every per-grid constant that a right side reads, built once, so that
+    a right side makes one cache lookup.
+
+    On the doubled lattice pg (FFT order, with the unpaired Nyquist slot
+    k = -n, FFT index n, zeroed): the derivative symbol ``ixi2`` and the
+    half-line masks ``minus2``/``plus2``.  On the base lattice (lattice
+    order): the band masks ``lo``, ``plus_hi``, ``minus_hi`` and ``linear``,
+    the symbol of 2i Pm dx^2.  Masks are complex 0/1 arrays, the values
     numpy casts a boolean mask to in a complex product, so products are
-    unchanged."""
+    unchanged.  ``sign`` and ``gather`` are the factors (-1)^k and
+    -2i (-1)^k (the gather factor of the exact right side) as the halves
+    over k = 0 .. n/2-1 and k = -n/2 .. -1 that `spectral.pad_fft_order`
+    and `gather_fft_order` take.  Also m = 2n, mid = n/2 (the lattice index
+    of k = 0) and two_l = 2L.
+    """
     pg = padded_grid(grid)
+    n = grid.n
     xi, xi2 = grid.xi, np.fft.ifftshift(pg.xi)
     masks = {"minus2": xi2 < 0.0, "plus2": xi2 > 0.0}
     arrays = {name: m.astype(np.complex128) for name, m in masks.items()}
     arrays["ixi2"] = 1j * xi2
     for a in arrays.values():
-        a[grid.n] = 0.0
+        a[n] = 0.0
     for name, region in (("lo", "lo"), ("plus_hi", "+hi"), ("minus_hi", "-hi")):
         arrays[name] = region_mask(xi, region).astype(np.complex128)
-    arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)  # symbol of 2i Pm dx^2
-    for a in arrays.values():
+    arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)
+    mid, phase = n // 2, grid._phase
+    factor = -2j * phase
+    halves = {"sign": (phase[mid:], phase[:mid]),
+              "gather": (factor[mid:], factor[:mid])}
+    for a in (*arrays.values(), *halves["sign"], *halves["gather"]):
         a.setflags(write=False)
-    return SimpleNamespace(pg=pg, **arrays)
+    return SimpleNamespace(pg=pg, m=2 * n, mid=mid,
+                           two_l=2.0 * grid.half_length, **arrays, **halves)
 
 
 def antiderivative(u):
@@ -160,12 +179,11 @@ def gauge_forward(u):
 
 def _v_samples(c, b):
     """Samples of V and V_x on the doubled lattice b.pg, a (2, ..., 2n) array.
-    Both are padded straight into one buffer, V_x only on the base band where
-    its coefficients live; one inverse call: two padded transforms."""
-    buf = np.zeros((2,) + c.shape[:-1] + (b.pg.n,), dtype=np.complex128)
-    cpad = pad_fft_order(c, b.pg, out=buf[0])
-    for band in base_band_slices(b.pg):
-        np.multiply(cpad[band], b.ixi2[band], out=buf[1][band])
+    V is padded straight into one buffer, and V_x is its whole-buffer product
+    with i xi (zero off the base band, as the padding is); one inverse call:
+    two padded transforms."""
+    buf = np.zeros((2,) + c.shape[:-1] + (b.m,), dtype=np.complex128)
+    np.multiply(pad_fft_order(c, b.sign, buf[0]), b.ixi2, out=buf[1])
     return fft_order_to_samples(buf, b.pg)
 
 
@@ -219,7 +237,7 @@ def rhs_cubic(V, sign):
     hi, opp = _signs(sign)
     vs, dvs = _v_samples(V.coeffs, b)
     # stays on the doubled lattice, in FFT order
-    inner = pg.dx * samples_to_fft_order(np.conj(vs) * dvs) * b.ixi2
+    inner = samples_to_fft_order(np.conj(vs) * dvs, pg.dx) * b.ixi2
     inner *= b.plus2 if opp == "+" else b.minus2
     s_hi = to_padded(V.coeffs * region_mask(g.xi, hi), pg)
     out = -from_padded(s_hi * fft_order_to_samples(inner, pg), pg)
@@ -236,64 +254,62 @@ def _w_stage(c, b, watch=None):
     called first with the even entries of the samples of V, its values at
     the base-lattice points.
     """
-    pg = b.pg
     vs, dvs = _v_samples(c, b)
     if watch is not None:
         watch(vs[..., ::2])
     ws = np.conj(vs)
     ws += 1.0
     np.multiply(ws, dvs, out=ws)
-    dwc = samples_to_fft_order(ws)
-    dwc *= pg.dx
+    dwc = samples_to_fft_order(ws, b.pg.dx)
     np.multiply(dwc, b.ixi2, out=dwc)
     np.multiply(ws, ws, out=ws)
-    return vs, dwc, np.add.reduce(ws, axis=-1) / ws.shape[-1]
+    return vs, dwc, np.add.reduce(ws, axis=-1) / b.m
 
 
 def _v_times(vs, half, b):
-    """Base band of V . g, where g has the padded coefficients `half` (FFT
-    order): the samples of g, times those of V, transformed back.  Two
+    """dx FFT(V . g) in FFT order, where g has the padded coefficients `half`
+    (FFT order): the samples of g, times those of V, transformed back.  Two
     padded transforms."""
     s = fft_order_to_samples(half, b.pg)
-    return from_padded(np.multiply(vs, s, out=s), b.pg)
+    return samples_to_fft_order(np.multiply(vs, s, out=s), b.pg.dx)
 
 
-def _minus_product(vs, dwc, b):
-    """Base band of (1 + V) Pm dx W, and of its V term V . Pm dx W alone.
+def _exact(c, b, watch):
+    """Exact right side of c, and what the band side reads of its stages.
 
-    The unit term Pm dx W is read off dwc with no transform; only the V
-    term goes through the doubled lattice (two padded transforms).  Kept
-    apart, the V term carries rounding relative to V . Pm dx W, not to the
-    larger Pm dx W, so the band system can take its +hi band from it.
+    The base band of (1 + V) Pm dx W is the unit term Pm dx W, read off dwc
+    with no transform, plus the V term V . Pm dx W (two padded transforms).
+    The two are summed in FFT order and gathered once, the gather factor
+    carrying the -2i of the right side.  The mean term has one value per
+    field, taken as a (..., 1) column so that a scalar and a batch both
+    broadcast.  Returns the right side, the samples of V, dwc and the V term
+    v_minus (FFT order, dx times its transform).  Five padded transforms.
     """
-    pm = dwc * b.minus2
-    v_term = _v_times(vs, pm, b)
-    product = restrict_fft_order(pm, b.pg)
-    product += v_term
-    return product, v_term
-
-
-def _exact_from_stage(c, g, b, product, mean_w2):
-    """Exact right side from the base band `product` of (1 + V) Pm dx W,
-    built in the array `product`.  The mean term has one value per field,
-    taken as a (..., 1) column so that a scalar and a batch both
-    broadcast."""
-    out = np.multiply(-2j, product, out=product)
+    vs, dwc, mean_w2 = _w_stage(c, b, watch)
+    pm = np.multiply(dwc, b.minus2)
+    v_minus = _v_times(vs, pm, b)
+    pm += v_minus
+    out = gather_fft_order(pm, b.gather)
     out += b.linear * c
     mean_term = -1j * mean_w2
     out += np.multiply(mean_term[..., None], c)
-    out[..., g.n // 2] += mean_term * (2.0 * g.half_length)
+    out[..., b.mid] += mean_term * b.two_l
     out[..., 0] = 0.0
-    return out
+    return out, vs, dwc, v_minus
 
 
-def _band_pieces(vs, dwc, v_minus, b):
-    """Q_+ + C_+ + Q_- + C_- = -P_{+hi}(V gm) - P_{-hi}(V gp), from v_minus,
-    the base band of V gm (`_minus_product`), and V gp, taken here (two
-    padded transforms); gm, gp are the samples of Pm dx W and Pp dx W."""
-    pieces = v_minus * b.plus_hi
-    pieces += _v_times(vs, dwc * b.plus2, b) * b.minus_hi
-    return np.negative(pieces, out=pieces)
+def _band_terms(c, b, watch):
+    """The exact right side, and P_{+hi}(V . Pm dx W) + P_{-hi}(V . Pp dx W),
+    the high-band pieces before their factor -2i: the V term of `_exact`
+    on the xi > 1 band, and V . Pp dx W, taken here (two padded transforms),
+    on the xi < -1 band.  Seven padded transforms."""
+    out, vs, dwc, v_minus = _exact(c, b, watch)
+    v_plus = _v_times(vs, np.multiply(dwc, b.plus2, out=dwc), b)
+    pieces = gather_fft_order(v_minus, b.sign)
+    np.multiply(pieces, b.plus_hi, out=pieces)
+    v_plus = gather_fft_order(v_plus, b.sign)
+    pieces += np.multiply(v_plus, b.minus_hi, out=v_plus)
+    return out, pieces
 
 
 def rhs_exact_coeffs(c, g, watch=None):
@@ -305,10 +321,7 @@ def rhs_exact_coeffs(c, g, watch=None):
     transforms.  ``watch``, if given, is called with the samples of V on the
     base lattice, which the first stage takes anyway (see `_w_stage`).
     """
-    b = _bands(g)
-    vs, dwc, mean_w2 = _w_stage(c, b, watch)
-    product, _ = _minus_product(vs, dwc, b)
-    return _exact_from_stage(c, g, b, product, mean_w2)
+    return _exact(c, _bands(g), watch)[0]
 
 
 def rhs_terms_total_coeffs(c, g, watch=None):
@@ -324,13 +337,9 @@ def rhs_terms_total_coeffs(c, g, watch=None):
     batch and ``watch`` is called as in `rhs_exact_coeffs`.
     """
     b = _bands(g)
-    vs, dwc, mean_w2 = _w_stage(c, b, watch)
-    product, v_minus = _minus_product(vs, dwc, b)
-    total = _exact_from_stage(c, g, b, product, mean_w2)
+    total, pieces = _band_terms(c, b, watch)
     total *= b.lo
-    pieces = _band_pieces(vs, dwc, v_minus, b)
-    pieces *= 2j
-    total += pieces
+    total += np.multiply(pieces, -2j, out=pieces)
     return total
 
 
@@ -342,8 +351,5 @@ def profile_time_derivative_sup(V):
     so this is the sup of P_{+hi}(V . Pm dx W) and P_{-hi}(V . Pp dx W),
     the two V terms of the band system (seven padded transforms).
     """
-    g = V.grid
-    b = _bands(g)
-    vs, dwc, _ = _w_stage(V.coeffs, b)
-    _, v_minus = _minus_product(vs, dwc, b)
-    return float(np.max(np.abs(_band_pieces(vs, dwc, v_minus, b))))
+    _, pieces = _band_terms(V.coeffs, _bands(V.grid), None)
+    return float(np.max(np.abs(pieces)))

@@ -71,8 +71,10 @@ class Grid:
         self.x = -L + self.dx * np.arange(n)
         self.k = np.arange(-n // 2, n // 2)
         self.xi = self.dxi * self.k
-        # (-1)^k on the shifted lattice; relates FFT order to samples at x=-L
-        self._phase = np.where(self.k % 2 == 0, 1.0, -1.0)
+        # (-1)^k on the shifted lattice; relates FFT order to samples at x=-L.
+        # Complex, the dtype of every array it multiplies, so that no product
+        # casts it per call (the values are those of the cast).
+        self._phase = np.where(self.k % 2 == 0, 1.0 + 0j, -1.0 + 0j)
         for a in (self.x, self.k, self.xi, self._phase):
             a.setflags(write=False)
 
@@ -175,20 +177,26 @@ def to_physical(field):
 # Two layouts share one transform pair.  FFT order is the layout of np.fft:
 # k = 0 .. n/2-1 then k = -n/2 .. -1, with (-1)^k already applied to the
 # coefficients (it relates FFT order to samples taken from x = -L).
-# `fft_order_to_samples` is the inverse transform and its 1/dx scale;
-# `samples_to_fft_order` is the plain forward FFT, whose caller applies
-# dx (-1)^k.  Lattice order (increasing k) is the layout of SpectralField;
-# `coeffs_to_samples`/`samples_to_coeffs` convert it through the same pair.
-# n is even, so fftshift and ifftshift are the same swap of the two halves;
-# one concatenate does it at a fraction of np.roll's per-call cost.
+# `fft_order_to_samples` is the inverse transform with its 1/dx scale;
+# `samples_to_fft_order` is the forward FFT times the caller's scale (dx for
+# coefficients), whose caller applies (-1)^k.  Lattice order (increasing k)
+# is the layout of SpectralField; `coeffs_to_samples`/`samples_to_coeffs`
+# convert it through the same pair.  n is even, so fftshift and ifftshift
+# are the same swap of the two halves; one concatenate does it at a fraction
+# of np.roll's per-call cost.
 #
 # The pair calls numpy's pocketfft gufuncs (numpy.fft._pocketfft_umath,
 # numpy >= 2.0) directly: np.fft.ifft/fft spend about 4-5 us of Python per
 # call before the gufunc runs, a large share of a right side at n <= 256.
-# To give np.fft's bits, each call passes what np.fft itself passes: the
-# normalisation factor (1/n for the inverse, 1 for the forward), the last
-# axis as core axis, and a fresh complex128 out, which also makes a real
-# float64 input come out complex128.  These are the only FFT calls in bolab.
+# Each call passes the last axis as core axis and a fresh complex128 out,
+# which also makes a real float64 input come out complex128.  The gufunc
+# multiplies each output by its normalisation factor after the transform,
+# component by component, so the factor carries the scale with no pass of
+# its own: the forward factor is the scale itself, and the inverse factor is
+# (1/n) (1/dx).  That fold gives the bits of np.fft.ifft followed by a
+# product with 1/dx only because `Grid` takes n a power of two: 1/n is then
+# a power of two, and scaling by it is exact in either order (at n = 96 the
+# two differ).  These are the only FFT calls in bolab.
 
 _CORE_AXES = [(-1,), (), (-1,)]
 
@@ -199,15 +207,15 @@ def fft_order_to_samples(cf, grid):
     The 1/dx scale is a product with the reciprocal: numpy divides a complex
     array by a real as (a + i b) * (1 / dx), by Smith's formula, so this is
     the quotient value for value, at a fraction of its cost."""
-    samples = _pocketfft.ifft(cf, 1.0 / cf.shape[-1], axes=_CORE_AXES,
-                              out=np.empty(cf.shape, dtype=np.complex128))
-    samples *= 1.0 / grid.dx
-    return samples
+    return _pocketfft.ifft(cf, 1.0 / cf.shape[-1] * (1.0 / grid.dx),
+                           axes=_CORE_AXES,
+                           out=np.empty(cf.shape, dtype=np.complex128))
 
 
-def samples_to_fft_order(samples):
-    """Raw FFT of samples: (-1)^k / dx times the coefficients, in FFT order."""
-    return _pocketfft.fft(samples, 1, axes=_CORE_AXES,
+def samples_to_fft_order(samples, scale):
+    """FFT of samples times ``scale``; with scale dx, the coefficients in FFT
+    order with (-1)^k applied."""
+    return _pocketfft.fft(samples, scale, axes=_CORE_AXES,
                           out=np.empty(samples.shape, dtype=np.complex128))
 
 
@@ -221,7 +229,7 @@ def coeffs_to_samples(coeffs, grid):
 
 
 def samples_to_coeffs(samples, grid):
-    c = grid.dx * grid._phase * _swap_halves(samples_to_fft_order(samples))
+    c = grid._phase * _swap_halves(samples_to_fft_order(samples, grid.dx))
     c[..., 0] = 0.0
     return c
 
@@ -313,83 +321,57 @@ def sobolev_norm(field, s):
 # final product land outside the retained band.
 #
 # The doubled lattice is only held in FFT order: `pad_fft_order` pads the
-# base band straight into it, `unpad_fft_order` gathers the base band
-# straight out of a raw FFT and `restrict_fft_order` out of padded
-# coefficients, so no padded transform swaps halves or applies (-1)^k.
-# Lattice order is for base-grid transforms only (`to_physical`,
-# `to_spectral`, the final-state min|1 + V| check of `dynamics`).
+# base band straight into it and `gather_fft_order` gathers the base band
+# straight out of it, each with a factor given as its two halves over
+# k = 0 .. n/2-1 and k = -n/2 .. -1, so no padded transform swaps halves.
+# `to_padded` and `from_padded` take (-1)^k as views of the doubled grid's,
+# so no padded call makes a cache lookup.  Lattice order is for base-grid
+# transforms only (`to_physical`, `to_spectral`).
 
 @lru_cache(maxsize=64)
 def padded_grid(grid):
     return Grid(2 * grid.n, grid.half_length)
 
 
-@lru_cache(maxsize=64)
 def _band_signs(pgrid):
-    """(-1)^k and dx (-1)^k over the base band k = -n/2 .. n/2-1 of the
-    doubled lattice pgrid (lattice order)."""
-    n = pgrid.n // 2
-    phase = pgrid._phase[n // 2 : n // 2 + n]
-    scale = pgrid.dx * phase
-    scale.setflags(write=False)
-    return phase, scale
-
-
-def base_band_slices(pgrid):
-    """The two runs of the base band on the doubled lattice pgrid in FFT
-    order, k = 0 .. n/2-1 and k = -n/2 .. -1, as last-axis indices."""
+    """(-1)^k over the two runs of the base band, k = 0 .. n/2-1 and
+    k = -n/2 .. -1, as views of the doubled lattice pgrid's."""
     h = pgrid.n // 4
-    return (..., slice(0, h)), (..., slice(pgrid.n - h, pgrid.n))
+    return pgrid._phase[2 * h : 3 * h], pgrid._phase[h : 2 * h]
 
 
-def pad_fft_order(coeffs, pgrid, out=None):
-    """Embed base-lattice coefficients (last axis) into the doubled lattice
-    pgrid, in FFT order with (-1)^k applied (zero-fill).  Written into
-    ``out`` when given, which must be zero outside the base band."""
-    n = pgrid.n // 2
-    h = n // 2
-    phase, _ = _band_signs(pgrid)
-    if out is None:
-        out = np.zeros(coeffs.shape[:-1] + (2 * n,), dtype=np.complex128)
-    lo, hi = base_band_slices(pgrid)
-    np.multiply(coeffs[..., h:], phase[h:], out=out[lo])
-    np.multiply(coeffs[..., :h], phase[:h], out=out[hi])
+def pad_fft_order(coeffs, factor, out):
+    """Write base-lattice coefficients (last axis) times ``factor`` into the
+    base band of ``out``, a doubled-lattice FFT-order array that is zero
+    elsewhere; with (-1)^k as factor, out holds their padded coefficients."""
+    lo, hi = factor
+    h = coeffs.shape[-1] // 2
+    np.multiply(coeffs[..., h:], lo, out=out[..., :h])
+    np.multiply(coeffs[..., :h], hi, out=out[..., out.shape[-1] - h :])
     return out
 
 
-def _gather_band(a, factor):
-    """factor times the base band of the doubled-lattice FFT-order array a,
-    in lattice order with a zero Nyquist slot."""
-    n = a.shape[-1] // 2
-    h = n // 2
-    out = np.empty(a.shape[:-1] + (n,), dtype=np.complex128)
-    np.multiply(factor[:h], a[..., 2 * n - h :], out=out[..., :h])
-    np.multiply(factor[h:], a[..., :h], out=out[..., h:])
+def gather_fft_order(a, factor):
+    """``factor`` times the base band of the doubled-lattice FFT-order array
+    a, in lattice order with a zero Nyquist slot."""
+    lo, hi = factor
+    h = a.shape[-1] // 4
+    out = np.empty(a.shape[:-1] + (2 * h,), dtype=np.complex128)
+    np.multiply(hi, a[..., 3 * h :], out=out[..., :h])
+    np.multiply(lo, a[..., :h], out=out[..., h:])
     out[..., 0] = 0.0
     return out
 
 
-def unpad_fft_order(raw, pgrid):
-    """Base-band coefficients (lattice order, zero Nyquist) of a raw FFT on
-    the doubled lattice pgrid."""
-    return _gather_band(raw, _band_signs(pgrid)[1])
-
-
-def restrict_fft_order(cf, pgrid):
-    """Base-band coefficients (lattice order, zero Nyquist) of doubled-lattice
-    coefficients in FFT order with (-1)^k applied: the inverse of
-    `pad_fft_order`, with no transform."""
-    return _gather_band(cf, _band_signs(pgrid)[0])
-
-
 def to_padded(coeffs, pgrid):
     """Samples on the doubled lattice `pgrid` of base-lattice coefficients."""
-    return fft_order_to_samples(pad_fft_order(coeffs, pgrid), pgrid)
+    cf = np.zeros(coeffs.shape[:-1] + (pgrid.n,), dtype=np.complex128)
+    return fft_order_to_samples(pad_fft_order(coeffs, _band_signs(pgrid), cf), pgrid)
 
 
 def from_padded(samples, pgrid):
     """Base-band coefficients of samples on the doubled lattice `pgrid`."""
-    return unpad_fft_order(samples_to_fft_order(samples), pgrid)
+    return gather_fft_order(samples_to_fft_order(samples, pgrid.dx), _band_signs(pgrid))
 
 
 def dealiased_product(c1, c2, pgrid):

@@ -80,7 +80,11 @@ def _rhs(c, g, terms):
     ws = (1.0 + np.conj(vs)) * dvs
     dwc = samples_to_coeffs(ws, pg) * m["ixi2"]
     pm = dwc * m["minus2"]
-    v_minus = from_padded(vs * coeffs_to_samples(pm, pg), pg)
+    # np.multiply keeps V first: ``vs * temp`` runs as ``temp *= vs`` past
+    # numpy's 256 KiB temporary-elision size, and a complex product can round
+    # differently with its operands swapped, so batch rows would not equal
+    # single calls
+    v_minus = from_padded(np.multiply(vs, coeffs_to_samples(pm, pg)), pg)
     mean_term = -1j * np.mean(ws * ws, axis=-1)
     out = -2j * (unpad_coeffs(pm, n) + v_minus)
     out += 2j * (-(xi**2)) * (xi < 0.0) * c
@@ -90,7 +94,7 @@ def _rhs(c, g, terms):
     if not terms:
         return out
     total = out * region_mask(xi, "lo").astype(np.complex128)
-    v_plus = from_padded(vs * coeffs_to_samples(dwc * m["plus2"], pg), pg)
+    v_plus = from_padded(np.multiply(vs, coeffs_to_samples(dwc * m["plus2"], pg)), pg)
     total += 2j * -(
         v_minus * region_mask(xi, "+hi").astype(np.complex128)
         + v_plus * region_mask(xi, "-hi").astype(np.complex128)

@@ -492,10 +492,11 @@ def test_rows_equal_single_calls_at_trajectory_size(fn):
 @pytest.mark.parametrize("L", [np.pi, 8 * np.pi])
 def test_right_sides_equal_lattice_order_oracle(n, L):
     # the FFT-order stages give the values of the lattice-order path, for one
-    # field and for a batch
+    # field and for a batch; (5, n) is the lemma21 batch, past numpy's
+    # 256 KiB temporary-elision size on the doubled lattice at n = 2048
     g = Grid(n, L)
     rng = np.random.default_rng(n)
-    for shape in ((n,), (3, n)):
+    for shape in ((n,), (3, n), (5, n)):
         c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         c /= (1.0 + np.abs(g.k)) ** 1.2
         c[..., 0] = 0.0

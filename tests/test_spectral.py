@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,12 +377,6 @@ def test_transforms_on_last_axis_equal_row_calls(n):
         out = fn(arg, grid)
         for k in range(len(arg)):
             assert np.array_equal(out[k], fn(arg[k].copy(), grid)), fn.__name__
-    padded = sp.pad_fft_order(base, pg)
-    assert padded.shape == (3, 2 * n)
-    for k in range(3):
-        assert np.array_equal(padded[k], sp.pad_fft_order(base[k], pg))
-        assert np.array_equal(sp.unpad_fft_order(padded, pg)[k],
-                              sp.unpad_fft_order(padded[k], pg))
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
@@ -450,9 +445,38 @@ def test_pair_equals_the_public_fft(n, L):
         want = np.fft.ifft(a, axis=-1) * (1.0 / pg.dx)
         assert got.dtype == np.complex128 and got.shape == a.shape, form
         assert np.array_equal(got, want), form
-        got = sp.samples_to_fft_order(a)
+        got = sp.samples_to_fft_order(a, 1.0)
         assert got.dtype == np.complex128 and got.shape == a.shape, form
         assert np.array_equal(got, np.fft.fft(a, axis=-1)), form
+
+
+@pytest.mark.parametrize("m", [2**p for p in range(3, 13)])
+@pytest.mark.parametrize("L", [np.pi, 8 * np.pi])
+def test_folded_scales_equal_the_two_step_products(m, L):
+    # pocketfft's factor carries the scales: dx for the forward pair, and
+    # (1/m) (1/dx) for the inverse; the bytes equal those of np.fft's
+    # transform followed by the product with the scale, zero signs included
+    grid = sp.Grid(m, L)
+    for form, a in _pair_inputs(m // 2, np.random.default_rng(m)).items():
+        got = sp.samples_to_fft_order(a, grid.dx)
+        assert got.tobytes() == (np.fft.fft(a, axis=-1) * grid.dx).tobytes(), form
+        got = sp.fft_order_to_samples(a, grid)
+        want = np.fft.ifft(a, axis=-1) * (1.0 / grid.dx)
+        assert got.tobytes() == want.tobytes(), form
+
+
+def test_folded_inverse_scale_needs_a_power_of_two():
+    # at m = 96, 1/m is not a power of two and the folded factor rounds
+    # unlike the two-step product, so the test above is not vacuous; Grid
+    # refuses that size, which is what keeps the fold exact
+    m, L = 96, np.pi
+    stand_in = SimpleNamespace(dx=2.0 * L / m)
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    got = sp.fft_order_to_samples(a, stand_in)
+    assert not np.array_equal(got, np.fft.ifft(a, axis=-1) * (1.0 / stand_in.dx))
+    with pytest.raises(sp.ArgumentError, match="^n_points "):
+        sp.Grid(m, L)
 
 
 _PUBLIC_FFT = {"fft", "ifft"}
