@@ -36,32 +36,46 @@ outside the base band.  Hence, with the mirror statement for the -hi band,
     Q_+ + C_+ = -P_{+hi}(V . Pm dx W) = -P_{+hi}((1 + V) . Pm dx W),
     Q_- + C_- = -P_{-hi}(V . Pp dx W).
 
-So both right sides start from `_w_stage`: the samples of V and V_x, and
-the coefficients of W and of dx W (3 padded transforms).  `_exact` takes
-the base band of (1 + V) Pm dx W as Pm dx W, read off its padded
-coefficients with no transform, plus V . Pm dx W (samples of Pm dx W and
-one forward transform, 2).  It sums the two in FFT order and gathers the
-base band once, with the factor -2i (-1)^k, which carries the -2i of the
-right side: 5 transforms for the exact right side.  `_band_terms` takes the
-+hi band from that V term alone and adds V . Pp dx W for the -hi band (2):
-7 transforms.  The unit term stays out of the high-band pieces: carried
-through a transform with them, its rounding would be relative to Pm dx W,
-about eps / amp relative to the band pieces at amplitude amp.
+So both right sides are one body, `_right_side`, in four transform calls.
+Its first stage takes the samples of V and V_x (one stacked inverse call,
+2 padded transforms) and the coefficients of dx W, W = (1 + conj V) V_x
+(one forward call, 1).  The exact side takes the base band of
+(1 + V) Pm dx W as Pm dx W, read off its padded coefficients with no
+transform, plus V . Pm dx W (samples of Pm dx W, one inverse call, and one
+forward call, 2).  It sums the two in FFT order and gathers the base band
+once, with the factor -2i (-1)^k, which carries the -2i of the right side:
+5 transform rows in 4 calls.  The band side stacks Pp dx W under Pm dx W in
+those two calls, so they transform two rows each: it takes the +hi band
+from the V term of the exact side alone and the -hi band from V . Pp dx W,
+7 rows in 4 calls.  The unit term stays out of the high-band pieces:
+carried through a transform with them, its rounding would be relative to
+Pm dx W, about eps / amp relative to the band pieces at amplitude amp.
 `rhs_quadratic` and `rhs_cubic` keep the piece-by-piece form as the oracles
 of these identities.
 
 The samples of V and V_x on the doubled lattice are taken in one place,
-`_v_samples` (2 transforms, in one stacked inverse call).  The first stage
-of both right sides, the inverse map and `rhs_cubic` all start from it.
-So does the min |1 + V| watch of `dynamics`: both right sides take an
-optional ``watch``, called with the even entries of those samples of V,
-which sit at the base-lattice points.
+`_v_samples`.  Both right sides, the inverse map and `rhs_cubic` all start
+from it.  So does the min |1 + V| watch of `dynamics`: both right sides
+take an optional ``watch``, called with the even entries of those samples
+of V, which sit at the base-lattice points.
 
 The stages build their arrays in place, and each complex product keeps one
-operand order (``np.multiply(vs, s, out=s)``, not ``s *= vs``): numpy may
-round ``a * b`` and ``b * a`` differently in the last bit, and it evaluates
-``a * temp`` as ``temp *= a`` once the temporary reaches 256 KiB, so a large
-batch would otherwise round its rows unlike the single fields.
+operand order (``np.multiply(vs, row, out=row)``, not ``row *= vs``): numpy
+may round ``a * b`` and ``b * a`` differently in the last bit, and it
+evaluates ``a * temp`` as ``temp *= a`` once the temporary reaches 256 KiB,
+so a large batch would otherwise round its rows unlike the single fields.
+
+Buffers: a right side writes every doubled-lattice array and every
+base-lattice intermediate with ``out=`` into the buffers of `_workspace`, one
+set per (grid, batch shape), made on first use and reused by each later
+call; the last `WORKSPACES` sets are kept.  So after its first call a right
+side allocates only what it returns, which is always a fresh array: the
+IF-RK4 step updates its stages in place, and the march keeps the right
+sides of its snapshots.  Without the buffers, a (2, 2n) array at
+n = 2048 is 128 KiB, glibc's mmap threshold: freed, it goes back to the
+system, and the next call faults it in again.  The buffers make the right
+sides not re-entrant: a ``watch`` must not call one, nor may two threads
+run one at one grid and batch shape at once (bolab starts no thread).
 
 All products are dealiased on the doubled lattice.  Base-band products go
 through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
@@ -75,8 +89,8 @@ transform swaps halves or applies (-1)^k, and each scale rides on the
 transform as pocketfft's factor (dx forward, (1/2n) (1/dx) inverse), so no
 scale takes a pass of its own.  Base-band coefficient arrays (inputs,
 outputs and the base masks of `_bands`) stay in lattice order.  `_bands`
-holds every per-grid constant that a right side reads, so a right side
-makes one cache lookup.
+holds every per-grid constant that a right side reads, and `_workspace`
+holds them beside the buffers, so a right side makes one cache lookup.
 
 The coefficient-array right sides (`rhs_exact_coeffs`,
 `rhs_terms_total_coeffs` and their stages) act on the last axis, so an
@@ -112,8 +126,10 @@ GAUGE_FLOOR = 0.1
 
 @lru_cache(maxsize=64)
 def _bands(grid):
-    """Every per-grid constant that a right side reads, built once, so that
-    a right side makes one cache lookup.
+    """Every per-grid constant that a right side reads, built once and held
+    by each `_workspace` of the grid beside its buffers, so that a right
+    side makes one cache lookup.  The right sides write only the buffers;
+    every array here is read-only.
 
     On the doubled lattice pg (FFT order, with the unpaired Nyquist slot
     k = -n, FFT index n, zeroed): the derivative symbol ``ixi2`` and the
@@ -148,6 +164,37 @@ def _bands(grid):
                            two_l=2.0 * grid.half_length, **arrays, **halves)
 
 
+# Workspaces held at once, the last used kept: one per (grid, batch shape)
+# that a right side runs at.
+WORKSPACES = 8
+
+
+@lru_cache(maxsize=WORKSPACES)
+def _workspace(grid, shape):
+    """The constants `_bands(grid)` as ``b``, and the buffers that a right
+    side of a ``shape`` = (..., n) array writes with ``out=``, so that a call
+    allocates no doubled-lattice array and makes one cache lookup.
+
+    Four (2, ..., 2n) doubled-lattice buffers: ``pad`` (V and V_x padded;
+    no call writes its entries off the base band, which stay zero from its
+    creation on), ``samples`` (their samples; later the V terms), ``halves``
+    (dwc in row 1; then the halves Pm dx W and Pp dx W) and ``work`` (W in
+    row 0; then the samples of the halves and their products with V).  A
+    call writes each entry of the last three before it reads it.  Two
+    (..., n) base-lattice buffers: ``total``, the exact right side inside
+    the band side, and ``term``, for one product at a time.  No right side
+    returns any of these.
+    """
+    b = _bands(grid)
+    doubled = (2,) + shape[:-1] + (b.m,)
+    pad = np.zeros(doubled, dtype=np.complex128)
+    samples, halves, work = (np.empty(doubled, dtype=np.complex128)
+                             for _ in range(3))
+    return SimpleNamespace(b=b, pad=pad, samples=samples, halves=halves,
+                           work=work, total=np.empty(shape, dtype=np.complex128),
+                           term=np.empty(shape, dtype=np.complex128))
+
+
 def antiderivative(u):
     """Zero-mean antiderivative F (the zero mode of F is fixed to 0).
 
@@ -177,14 +224,15 @@ def gauge_forward(u):
     return SpectralField(g, from_padded(v_samples, pg))
 
 
-def _v_samples(c, b):
-    """Samples of V and V_x on the doubled lattice b.pg, a (2, ..., 2n) array.
-    V is padded straight into one buffer, and V_x is its whole-buffer product
-    with i xi (zero off the base band, as the padding is); one inverse call:
-    two padded transforms."""
-    buf = np.zeros((2,) + c.shape[:-1] + (b.m,), dtype=np.complex128)
-    np.multiply(pad_fft_order(c, b.sign, buf[0]), b.ixi2, out=buf[1])
-    return fft_order_to_samples(buf, b.pg)
+def _v_samples(c, ws):
+    """Samples of V and V_x on the doubled lattice, a (2, ..., 2n) array:
+    ``ws.samples`` of the workspace ws (see `_workspace`).  V is padded
+    straight into ``ws.pad``, and V_x is its whole-buffer product with i xi
+    (zero off the base band, as the padding is); one inverse call: two
+    padded transforms."""
+    b, pad = ws.b, ws.pad
+    np.multiply(pad_fft_order(c, b.sign, pad[0]), b.ixi2, out=pad[1])
+    return fft_order_to_samples(pad, b.pg, out=ws.samples)
 
 
 def require_invertible(vs, at=None):
@@ -204,10 +252,10 @@ def gauge_inverse(V):
     is no longer well defined on the lattice at that amplitude).
     """
     g = V.grid
-    b = _bands(g)
-    vs, dvs = _v_samples(V.coeffs, b)
+    ws = _workspace(g, V.coeffs.shape)
+    vs, dvs = _v_samples(V.coeffs, ws)
     require_invertible(vs)
-    uc = from_padded(2j * (1.0 + np.conj(vs)) * dvs, b.pg)
+    uc = from_padded(2j * (1.0 + np.conj(vs)) * dvs, ws.b.pg)
     return SpectralField(g, 0.5 * (uc + conj_reflect(uc)))
 
 
@@ -232,10 +280,10 @@ def rhs_quadratic(V, sign):
 def rhs_cubic(V, sign):
     """Cubic band piece -P_{hi}(V_hi . P_opp dx (conj(V) V_x))."""
     g = V.grid
-    b = _bands(g)
-    pg = b.pg
+    ws = _workspace(g, V.coeffs.shape)
+    b, pg = ws.b, ws.b.pg
     hi, opp = _signs(sign)
-    vs, dvs = _v_samples(V.coeffs, b)
+    vs, dvs = _v_samples(V.coeffs, ws)
     # stays on the doubled lattice, in FFT order
     inner = samples_to_fft_order(np.conj(vs) * dvs, pg.dx) * b.ixi2
     inner *= b.plus2 if opp == "+" else b.minus2
@@ -245,69 +293,52 @@ def rhs_cubic(V, sign):
     return SpectralField(g, out)
 
 
-def _w_stage(c, b, watch=None):
-    """First stage shared by the exact and band right sides.
-
-    Returns the samples of V, the padded coefficients dwc of dx W with
-    W = (1 + conj V) V_x (FFT order), and mean(W^2) over the last axis (one
-    value per field).  Three padded transforms.  ``watch``, if given, is
-    called first with the even entries of the samples of V, its values at
-    the base-lattice points.
+def _right_side(c, ws, watch, band):
+    """The exact right side of c, and with `band` the high-band pieces
+    P_{+hi}(V . Pm dx W) + P_{-hi}(V . Pp dx W) before their factor -2i
+    (else None): four transform calls on the buffers of the workspace ws,
+    as the module docstring describes.  The first stage takes the samples
+    of V and V_x, W = (1 + conj V) V_x, the padded coefficients dwc of dx W
+    and mean(W^2) over the last axis, one value per field, whose term is
+    taken as a (..., 1) column so that a scalar and a batch both broadcast.
+    ``watch``, if given, is called first with the even entries of the
+    samples of V, its values at the base-lattice points.  The exact right
+    side is fresh without `band` and the workspace's ``total`` with it; the
+    pieces are fresh.
     """
-    vs, dvs = _v_samples(c, b)
+    b = ws.b
+    vs, dvs = _v_samples(c, ws)
     if watch is not None:
         watch(vs[..., ::2])
-    ws = np.conj(vs)
-    ws += 1.0
-    np.multiply(ws, dvs, out=ws)
-    dwc = samples_to_fft_order(ws, b.pg.dx)
+    w = ws.work[0]
+    np.conjugate(vs, out=w)
+    w += 1.0
+    np.multiply(w, dvs, out=w)
+    dwc = samples_to_fft_order(w, b.pg.dx, out=ws.halves[1])
     np.multiply(dwc, b.ixi2, out=dwc)
-    np.multiply(ws, ws, out=ws)
-    return vs, dwc, np.add.reduce(ws, axis=-1) / b.m
-
-
-def _v_times(vs, half, b):
-    """dx FFT(V . g) in FFT order, where g has the padded coefficients `half`
-    (FFT order): the samples of g, times those of V, transformed back.  Two
-    padded transforms."""
-    s = fft_order_to_samples(half, b.pg)
-    return samples_to_fft_order(np.multiply(vs, s, out=s), b.pg.dx)
-
-
-def _exact(c, b, watch):
-    """Exact right side of c, and what the band side reads of its stages.
-
-    The base band of (1 + V) Pm dx W is the unit term Pm dx W, read off dwc
-    with no transform, plus the V term V . Pm dx W (two padded transforms).
-    The two are summed in FFT order and gathered once, the gather factor
-    carrying the -2i of the right side.  The mean term has one value per
-    field, taken as a (..., 1) column so that a scalar and a batch both
-    broadcast.  Returns the right side, the samples of V, dwc and the V term
-    v_minus (FFT order, dx times its transform).  Five padded transforms.
-    """
-    vs, dwc, mean_w2 = _w_stage(c, b, watch)
-    pm = np.multiply(dwc, b.minus2)
-    v_minus = _v_times(vs, pm, b)
-    pm += v_minus
-    out = gather_fft_order(pm, b.gather)
-    out += b.linear * c
+    np.multiply(w, w, out=w)
+    mean_w2 = np.add.reduce(w, axis=-1) / b.m
+    rows = 2 if band else 1
+    halves, s, v_terms = ws.halves[:rows], ws.work[:rows], ws.samples[:rows]
+    pm = np.multiply(dwc, b.minus2, out=halves[0])
+    if band:
+        np.multiply(dwc, b.plus2, out=dwc)
+    fft_order_to_samples(halves, b.pg, out=s)
+    for row in s:  # row by row: numpy buffers a broadcast operand
+        np.multiply(vs, row, out=row)
+    samples_to_fft_order(s, b.pg.dx, out=v_terms)
+    pm += v_terms[0]
+    out = gather_fft_order(pm, b.gather, out=ws.total if band else None)
+    out += np.multiply(b.linear, c, out=ws.term)
     mean_term = -1j * mean_w2
-    out += np.multiply(mean_term[..., None], c)
+    out += np.multiply(mean_term[..., None], c, out=ws.term)
     out[..., b.mid] += mean_term * b.two_l
     out[..., 0] = 0.0
-    return out, vs, dwc, v_minus
-
-
-def _band_terms(c, b, watch):
-    """The exact right side, and P_{+hi}(V . Pm dx W) + P_{-hi}(V . Pp dx W),
-    the high-band pieces before their factor -2i: the V term of `_exact`
-    on the xi > 1 band, and V . Pp dx W, taken here (two padded transforms),
-    on the xi < -1 band.  Seven padded transforms."""
-    out, vs, dwc, v_minus = _exact(c, b, watch)
-    v_plus = _v_times(vs, np.multiply(dwc, b.plus2, out=dwc), b)
-    pieces = gather_fft_order(v_minus, b.sign)
+    if not band:
+        return out, None
+    pieces = gather_fft_order(v_terms[0], b.sign)
     np.multiply(pieces, b.plus_hi, out=pieces)
-    v_plus = gather_fft_order(v_plus, b.sign)
+    v_plus = gather_fft_order(v_terms[1], b.sign, out=ws.term)
     pieces += np.multiply(v_plus, b.minus_hi, out=v_plus)
     return out, pieces
 
@@ -318,10 +349,11 @@ def rhs_exact_coeffs(c, g, watch=None):
     V_t + H V_xx = -2i (1 + V) Pm dx W + 2i Pm dx^2 V - i mean(W^2) (1 + V).
     Valid for any complex band-limited V, not only gauge images.  ``c`` may
     be an (..., n) batch of fields on the grid g, one per row.  Five padded
-    transforms.  ``watch``, if given, is called with the samples of V on the
-    base lattice, which the first stage takes anyway (see `_w_stage`).
+    transforms in four calls; the array returned is fresh.  ``watch``, if
+    given, is called with the samples of V on the base lattice, which the
+    first stage takes anyway (see `_right_side`).
     """
-    return _exact(c, _bands(g), watch)[0]
+    return _right_side(c, _workspace(g, c.shape), watch, False)[0]
 
 
 def rhs_terms_total_coeffs(c, g, watch=None):
@@ -333,14 +365,17 @@ def rhs_terms_total_coeffs(c, g, watch=None):
     is dropped there); the low band keeps the exact forcing, which is never
     expanded.  The +hi band is -2i P_{+hi}(V . Pm dx W), the V term the
     exact right side computes anyway, and the -hi band its mirror: seven
-    padded transforms (see the module docstring).  ``c`` may be an (..., n)
-    batch and ``watch`` is called as in `rhs_exact_coeffs`.
+    padded transforms in four calls (see the module docstring).  ``c`` may
+    be an (..., n) batch and ``watch`` is called as in `rhs_exact_coeffs`.
+    The sum is taken into the fresh pieces (addition commutes, bit for bit),
+    so the array returned is fresh.
     """
-    b = _bands(g)
-    total, pieces = _band_terms(c, b, watch)
-    total *= b.lo
-    total += np.multiply(pieces, -2j, out=pieces)
-    return total
+    ws = _workspace(g, c.shape)
+    total, pieces = _right_side(c, ws, watch, True)
+    total *= ws.b.lo
+    pieces *= -2j
+    pieces += total
+    return pieces
 
 
 def profile_time_derivative_sup(V):
@@ -351,5 +386,6 @@ def profile_time_derivative_sup(V):
     so this is the sup of P_{+hi}(V . Pm dx W) and P_{-hi}(V . Pp dx W),
     the two V terms of the band system (seven padded transforms).
     """
-    _, pieces = _band_terms(V.coeffs, _bands(V.grid), None)
+    _, pieces = _right_side(V.coeffs, _workspace(V.grid, V.coeffs.shape),
+                            None, True)
     return float(np.max(np.abs(pieces)))

@@ -188,11 +188,14 @@ def to_physical(field):
 # The pair calls numpy's pocketfft gufuncs (numpy.fft._pocketfft_umath,
 # numpy >= 2.0) directly: np.fft.ifft/fft spend about 4-5 us of Python per
 # call before the gufunc runs, a large share of a right side at n <= 256.
-# Each call passes the last axis as core axis and a fresh complex128 out,
-# which also makes a real float64 input come out complex128.  The gufunc
-# multiplies each output by its normalisation factor after the transform,
-# component by component, so the factor carries the scale with no pass of
-# its own: the forward factor is the scale itself, and the inverse factor is
+# Each call passes the last axis as core axis and a complex128 out, which
+# also makes a real float64 input come out complex128.  The out is fresh
+# unless the caller passes ``out``, a complex128 array of the input's shape
+# apart from it (the gauge stages pass buffers they reuse from call to
+# call); each row transforms the same either way.  The gufunc multiplies
+# each output by its normalisation factor after the transform, component by
+# component, so the factor carries the scale with no pass of its own: the
+# forward factor is the scale itself, and the inverse factor is
 # (1/n) (1/dx).  That fold gives the bits of np.fft.ifft followed by a
 # product with 1/dx only because `Grid` takes n a power of two: 1/n is then
 # a power of two, and scaling by it is exact in either order (at n = 96 the
@@ -201,22 +204,25 @@ def to_physical(field):
 _CORE_AXES = [(-1,), (), (-1,)]
 
 
-def fft_order_to_samples(cf, grid):
-    """Samples of coefficients in FFT order with (-1)^k applied.
+def fft_order_to_samples(cf, grid, out=None):
+    """Samples of coefficients in FFT order with (-1)^k applied, written
+    into ``out`` if given.
 
     The 1/dx scale is a product with the reciprocal: numpy divides a complex
     array by a real as (a + i b) * (1 / dx), by Smith's formula, so this is
     the quotient value for value, at a fraction of its cost."""
+    if out is None:
+        out = np.empty(cf.shape, dtype=np.complex128)
     return _pocketfft.ifft(cf, 1.0 / cf.shape[-1] * (1.0 / grid.dx),
-                           axes=_CORE_AXES,
-                           out=np.empty(cf.shape, dtype=np.complex128))
+                           axes=_CORE_AXES, out=out)
 
 
-def samples_to_fft_order(samples, scale):
-    """FFT of samples times ``scale``; with scale dx, the coefficients in FFT
-    order with (-1)^k applied."""
-    return _pocketfft.fft(samples, scale, axes=_CORE_AXES,
-                          out=np.empty(samples.shape, dtype=np.complex128))
+def samples_to_fft_order(samples, scale, out=None):
+    """FFT of samples times ``scale``, written into ``out`` if given; with
+    scale dx, the coefficients in FFT order with (-1)^k applied."""
+    if out is None:
+        out = np.empty(samples.shape, dtype=np.complex128)
+    return _pocketfft.fft(samples, scale, axes=_CORE_AXES, out=out)
 
 
 def _swap_halves(a):
@@ -324,6 +330,9 @@ def sobolev_norm(field, s):
 # base band straight into it and `gather_fft_order` gathers the base band
 # straight out of it, each with a factor given as its two halves over
 # k = 0 .. n/2-1 and k = -n/2 .. -1, so no padded transform swaps halves.
+# Both write into a caller's array (`pad_fft_order` always, the gather and
+# the FFT-order pair when given ``out``), so the gauge stages run on
+# buffers they reuse from call to call.
 # `to_padded` and `from_padded` take (-1)^k as views of the doubled grid's,
 # so no padded call makes a cache lookup.  Lattice order is for base-grid
 # transforms only (`to_physical`, `to_spectral`).
@@ -351,12 +360,14 @@ def pad_fft_order(coeffs, factor, out):
     return out
 
 
-def gather_fft_order(a, factor):
+def gather_fft_order(a, factor, out=None):
     """``factor`` times the base band of the doubled-lattice FFT-order array
-    a, in lattice order with a zero Nyquist slot."""
+    a, in lattice order with a zero Nyquist slot, written into ``out`` if
+    given."""
     lo, hi = factor
     h = a.shape[-1] // 4
-    out = np.empty(a.shape[:-1] + (2 * h,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(a.shape[:-1] + (2 * h,), dtype=np.complex128)
     np.multiply(hi, a[..., 3 * h :], out=out[..., :h])
     np.multiply(lo, a[..., :h], out=out[..., h:])
     out[..., 0] = 0.0

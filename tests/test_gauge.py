@@ -6,6 +6,7 @@ full right side is checked against the chain rule of the gauge map itself.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -420,15 +421,17 @@ def _count_transforms(monkeypatch):
     # every transform goes through the FFT-order pair, the base-lattice
     # `coeffs_to_samples`/`samples_to_coeffs` included; a call on an
     # (..., m) stack counts one per transformed row, in "n" and under its
-    # row length m
-    counts = {"n": 0}
+    # row length m, and one gufunc call in "calls", whatever ``out`` it
+    # writes to
+    counts = {"n": 0, "calls": 0}
 
     def counted(fn):
-        def wrapper(a, *args):
+        def wrapper(a, *args, **kwargs):
             rows = a.size // a.shape[-1]
             counts["n"] += rows
+            counts["calls"] += 1
             counts[a.shape[-1]] = counts.get(a.shape[-1], 0) + rows
-            return fn(a, *args)
+            return fn(a, *args, **kwargs)
 
         return wrapper
 
@@ -439,13 +442,21 @@ def _count_transforms(monkeypatch):
 
 
 def test_transforms_per_right_side(monkeypatch):
+    # 7 and 5 padded transform rows per field, in 4 gufunc calls whatever
+    # the batch: V and V_x stacked, dx W, the stacked halves (Pm dx W, and
+    # Pp dx W for the band side) and their products with V
     g = Grid(128, np.pi)
-    V = random_complex_field(g, np.random.default_rng(3), amp=0.2)
+    rng = np.random.default_rng(3)
+    V = random_complex_field(g, rng, amp=0.2)
+    batch = np.array([random_complex_field(g, rng, amp=0.2).coeffs
+                      for _ in range(3)])
     counts = _count_transforms(monkeypatch)
-    for fn, want in ((gauge.rhs_terms_total_coeffs, 7), (gauge.rhs_exact_coeffs, 5)):
-        counts["n"] = 0
-        fn(V.coeffs, g)
-        assert counts["n"] == want, fn.__name__
+    for fn, rows in ((gauge.rhs_terms_total_coeffs, 7), (gauge.rhs_exact_coeffs, 5)):
+        for c in (V.coeffs, batch):
+            counts.update(n=0, calls=0)
+            fn(c, g)
+            assert counts["n"] == rows * (c.size // g.n), fn.__name__
+            assert counts["calls"] == 4, fn.__name__
 
 
 @pytest.mark.parametrize("rhs_mode, per_rhs", [("exact", 5), ("terms", 7)])
@@ -454,7 +465,7 @@ def test_transforms_per_gauged_run(monkeypatch, rhs_mode, per_rhs, members):
     # the min |1 + V| watch reads each state's samples from its right side,
     # so a run takes no base-lattice transform; a run of S steps takes 4 S
     # right sides and one for the final state, and the probe's 8 steps take
-    # 4 each, all of per_rhs padded transforms per member
+    # 4 each, all of per_rhs padded transforms per member in 4 calls
     g = Grid(64, np.pi)
     rng = np.random.default_rng(4)
     fields = [gauge_forward(0.2 * random_real_field(g, rng))
@@ -467,6 +478,7 @@ def test_transforms_per_gauged_run(monkeypatch, rhs_mode, per_rhs, members):
         evolve_gauged_batch(fields, T=steps * 1e-4, dt=1e-4, rhs_mode=rhs_mode)
     assert counts.get(g.n, 0) == 0
     assert counts.get(2 * g.n) == members * per_rhs * (4 * steps + 1 + 4 * 8)
+    assert counts["calls"] == 4 * (4 * steps + 1 + 4 * 8)
 
 
 @pytest.mark.parametrize("fn", ["rhs_exact_coeffs", "rhs_terms_total_coeffs"])
@@ -504,6 +516,75 @@ def test_right_sides_equal_lattice_order_oracle(n, L):
             got = getattr(gauge, fn)(c, g)
             want = getattr(lattice_order, fn)(c, g)
             assert got.shape == want.shape and np.array_equal(got, want), fn
+
+
+def _rough(shape, g, rng):
+    c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c /= (1.0 + np.abs(g.k)) ** 1.2
+    c[..., 0] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("fn", ["rhs_exact_coeffs", "rhs_terms_total_coeffs"])
+@pytest.mark.parametrize("n", [64, 2048])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_right_sides_return_fresh_arrays(fn, n, batch):
+    # the stages write the reused buffers of `_workspace`, but a right side
+    # returns an array of its own: the stepper updates k2..k4 in place and
+    # keeps k1, and the march stores the right sides it keeps
+    g = Grid(n, np.pi)
+    rng = np.random.default_rng(n)
+    rhs = getattr(gauge, fn)
+    c1, c2 = _rough(batch + (n,), g, rng), _rough(batch + (n,), g, rng)
+    first = rhs(c1, g)
+    kept = first.copy()
+    second = rhs(c2, g)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    ws = gauge._workspace(g, c1.shape)
+    for buf in (ws.pad, ws.samples, ws.halves, ws.work, ws.total, ws.term):
+        assert not np.shares_memory(first, buf)
+        assert not np.shares_memory(second, buf)
+
+
+@pytest.mark.parametrize("fn", ["rhs_exact_coeffs", "rhs_terms_total_coeffs"])
+def test_right_side_allocates_less_than_one_doubled_lattice_array(fn):
+    # once its buffers exist, a right side at n = 2048 allocates less than
+    # one doubled-lattice array (4096 complex values, 64 KiB): only the
+    # (n,) array it returns is new
+    g = Grid(2048, np.pi)
+    c = _rough((g.n,), g, np.random.default_rng(2048))
+    rhs = getattr(gauge, fn)
+    rhs(c, g)
+    tracemalloc.start()
+    try:
+        rhs(c, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * g.n * 16, peak
+
+
+def test_workspaces_held_are_bounded():
+    # right sides at more batch shapes than the cache holds keep only the
+    # buffers of the last WORKSPACES shapes alive
+    g = Grid(64, np.pi)
+    held_max = gauge.WORKSPACES
+    shapes = [(b, g.n) for b in range(1, 3 * held_max + 1)]
+    per_field = (4 * 2 * 2 * g.n + 2 * g.n) * 16
+    gauge._workspace.cache_clear()
+    tracemalloc.start()
+    try:
+        for shape in shapes:
+            gauge.rhs_terms_total_coeffs(np.zeros(shape, dtype=complex), g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert gauge._workspace.cache_info().currsize == held_max
+    last = sum(b for b, _ in shapes[-held_max:]) * per_field
+    assert last <= held < last + 256 * 1024, (held, last)
+    # every shape's buffers together would not fit that bound
+    assert sum(b for b, _ in shapes) * per_field > last + 256 * 1024
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])

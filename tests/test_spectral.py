@@ -450,6 +450,22 @@ def test_pair_equals_the_public_fft(n, L):
         assert np.array_equal(got, np.fft.fft(a, axis=-1)), form
 
 
+@pytest.mark.parametrize("n", [8, 1024])
+def test_pair_and_gather_write_into_out(n):
+    # given ``out``, the pair and the gather write their result there, as
+    # the gauge stages' reused buffers need, byte for byte as a fresh call
+    pg = sp.padded_grid(sp.Grid(n, np.pi))
+    factor = sp._band_signs(pg)
+    for form, a in _pair_inputs(n, np.random.default_rng(n)).items():
+        for fn, arg in ((sp.fft_order_to_samples, pg), (sp.samples_to_fft_order, pg.dx)):
+            out = np.full(a.shape, np.nan, dtype=np.complex128)
+            assert fn(a, arg, out=out) is out, form
+            assert out.tobytes() == fn(a, arg).tobytes(), form
+        out = np.full(a.shape[:-1] + (n,), np.nan, dtype=np.complex128)
+        assert sp.gather_fft_order(a, factor, out=out) is out, form
+        assert out.tobytes() == sp.gather_fft_order(a, factor).tobytes(), form
+
+
 @pytest.mark.parametrize("m", [2**p for p in range(3, 13)])
 @pytest.mark.parametrize("L", [np.pi, 8 * np.pi])
 def test_folded_scales_equal_the_two_step_products(m, L):
