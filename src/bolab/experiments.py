@@ -16,9 +16,11 @@ and decides its checks here, so the command line only builds inputs:
 Each measurement runs on its input as given or refuses it: an argument it
 cannot use (no trials, an unfittable window list, a perturbation that is
 zero or whose calibrated gap is rounding noise, a zero amplitude or
-``u0``, a ``u`` with a mean, no grid size, resolutions out of order) is an
+``u0``, a ``u`` with a mean, no grid size, resolutions out of order, a
+seed numpy's generator refuses) is an
 :class:`~bolab.spectral.ArgumentError` carrying its name; a window list
-with no alpha fit or M-sweep anchor leaves its check "inconclusive".
+with no alpha fit or M-sweep anchor, or a remainder sup of zero, leaves
+its check "inconclusive".
 
 All randomness flows through seeded generators recorded in the report, so
 reports are bit-reproducible.  Every check read off a power-law fit goes
@@ -55,11 +57,21 @@ BUMP_WIDTH = 6.0  # Gaussian width of the bump_shape spectrum, in lattice modes
 # data generators
 # ---------------------------------------------------------------------------
 
+def _generator(seed):
+    """numpy Generator of ``seed``; a seed numpy refuses (a negative
+    integer, say) is an ArgumentError naming ``seed``."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ArgumentError(
+            "seed", f"must be a non-negative integer, got {seed!r}") from None
+
+
 def _random_phase_field(grid, seed, mag):
     """Real field with |c(k)| = mag(k) and one uniform phase drawn per
     positive mode k in index order (so the low modes agree across
     resolutions for a fixed seed); zero mean, Nyquist empty."""
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     half = grid.n // 2
     c = np.zeros(grid.n, dtype=complex)
     for k in range(1, half):
@@ -193,7 +205,7 @@ def verify_operator_estimate(term, s, eps,
         "gamma_target": gamma, "gamma_weak_target": gamma0,
         "m_target": 0.5, "tolerance": EXPONENT_TOL})
     grid = Grid(grid_n, half_length)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     sign = -1.0 if term.name.endswith("+") else 1.0
     m_ref = M_list[0]
     unroll = 2.0 * grid.dxi * (grid.n // 2)
@@ -293,12 +305,13 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     The evolution runs the band system ("terms"): the measurement
     targets the high-band profile equations, whose restricted nonlinearity
     is exactly what the remainder bound is made of.  Checks per eps:
-    remainder sup stable within 10% across consecutive resolutions; fitted
-    growth of ||V0||_{H^{s+1+eps}} vs N within 0.1 of the construction rate
-    eps - 0.01; remainder tail slope steeper than the data tail slope by at
-    least 0.3 (slopes from the largest resolution).  ``amplitude`` must
-    not be zero: zero data has no remainder to measure.  ``resolutions``
-    must be a strictly increasing list of grid sizes (see
+    remainder sup stable within 10% across consecutive resolutions
+    (inconclusive where a sup is zero, as when T is too short to move the
+    data); fitted growth of ||V0||_{H^{s+1+eps}} vs N within 0.1 of the
+    construction rate eps - 0.01; remainder tail slope steeper than the
+    data tail slope by at least 0.3 (slopes from the largest resolution).
+    ``amplitude`` must not be zero: zero data has no remainder to measure.
+    ``resolutions`` must be a strictly increasing list of grid sizes (see
     ``_resolution_grids``).
     """
     if amplitude == 0.0:
@@ -340,8 +353,14 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
                            tail_slope=slope_v0)
     for eps in eps_list:
         vals = sups[eps]
-        rep.checks[f"remainder_stable_eps{eps:g}"] = all(
-            abs(b / a - 1.0) <= 0.10 for a, b in zip(vals, vals[1:]))
+        zeros = [N for N, v in zip(resolutions, vals) if v == 0.0]
+        if zeros:
+            rep.checks[f"remainder_stable_eps{eps:g}"] = "inconclusive"
+            rep.notes.append(f"remainder sup is 0 at eps={eps:g}, n = "
+                             f"{', '.join(map(str, zeros))}: no ratio to test")
+        else:
+            rep.checks[f"remainder_stable_eps{eps:g}"] = all(
+                abs(b / a - 1.0) <= 0.10 for a, b in zip(vals, vals[1:]))
         if len(resolutions) > 1 and eps > 0.02:
             predicted = eps - 0.01
             rep.check_fit(f"v0_rate_eps{eps:g}",
@@ -585,9 +604,11 @@ def integral_scaling_experiment(s, eps, cutoff):
     # (fit key, alpha, M): the M-sweep at alpha = 0, the alpha-sweep at M = 2
     cells = ([("m", 0.0, M) for M in (2.0, 4.0, 8.0, 16.0, 32.0)]
              + [("alpha", a, 2.0) for a in (4.0, 8.0, 16.0, 32.0)])
+    values = {}
     for key, alpha, M in cells:
         for kind, integral, _ in kinds:
-            rep.add_sample(integral(alpha, M, s, eps, cutoff),
+            values[kind, alpha, M] = integral(alpha, M, s, eps, cutoff)
+            rep.add_sample(values[kind, alpha, M],
                            fit=f"{kind}_{key}", m=M, alpha=alpha, kind=kind)
     for kind, integral, gamma in kinds:
         for key, cap in (("m", 1.0 + 2.0 * gamma + 0.15),
@@ -596,7 +617,7 @@ def integral_scaling_experiment(s, eps, cutoff):
                           rep.fit_samples(f"{kind}_{key}", key),
                           lambda p: p <= cap)
             rep.params[f"{kind}_{key}_cap"] = cap
-        base = integral(0.0, 8.0, s, eps, cutoff)
+        base = values[kind, 0.0, 8.0]          # the M-sweep's cell
         wide = integral(0.0, 8.0, s, eps, 2.0 * cutoff)
         rep.checks[f"{kind}_cutoff_converged"] = bool(
             abs(wide - base) <= 0.05 * base)

@@ -116,6 +116,11 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("nfe", "--n-threshold", "nan"), "infr.N_threshold"),
     (("nfe", "--n-threshold", "10"), "infr.J_max"),
     (("gauge-check", "--half-length", "6.283185307179586"), "grid.half_length"),
+    (("lemma21", "--seed", "-1", "--T", "0.001"), "data.seed"),
+    (("smoothing", "--seed", "-1"), "data.seed"),
+    (("lipschitz", "--seed", "-1"), "data.seed"),
+    (("nfe", "--seed", "-1"), "data.seed"),
+    (("simulate", "--kind", "rough-random", "--seed", "-1"), "data.seed"),
     (("nfe", "--kind", "gaussian-derivative"), "grid.half_length"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
@@ -281,6 +286,17 @@ def test_smoothing_cli_default_scale(tmp_path, capsys):
     assert rep["checks"]["v0_rate_eps0.4"] is True
     assert rep["params"]["config"]["data"]["kind"] == "rough-random"
     capsys.readouterr()
+
+
+def test_smoothing_cli_zero_remainder_exits_1(tmp_path, capsys):
+    # a remainder sup of 0.0 leaves the stability check inconclusive; it
+    # divided by zero and escaped as a traceback before
+    code = run(tmp_path, "smoothing", "--resolutions", "256,512",
+               "--T", "1e-300")
+    capsys.readouterr()
+    assert code == 1
+    rep = json.loads((tmp_path / "smoothing.json").read_text())
+    assert rep["checks"]["remainder_stable_eps0.4"] == "inconclusive"
 
 
 def test_smoothing_cli_half_length_is_used(tmp_path, capsys):

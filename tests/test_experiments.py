@@ -105,6 +105,21 @@ def test_operator_zero_trials_raises(monkeypatch):
             verify_operator_estimate("C+", 0.5, 0.0, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+@pytest.mark.parametrize("owner", [
+    lambda seed: verify_operator_estimate("Q+", 0.5, 0.0, seed=seed),
+    lambda seed: rough_real_data(Grid(64, np.pi), 0.5, seed)],
+    ids=["verify_operator_estimate", "random_phase_field"])
+def test_generator_owners_refuse_an_unusable_seed(monkeypatch, owner, seed):
+    # numpy's generator takes non-negative integers only; its refusal names
+    # the seed, and comes before any lattice work
+    monkeypatch.setattr(experiments, "_replay", None)
+    with pytest.raises(ArgumentError, match="^seed must be a non-negative "
+                       "integer") as refused:
+        owner(seed)
+    assert refused.value.argument == "seed"
+
+
 @pytest.mark.parametrize("term", ["X+", bo_terms()["Q+"]],
                          ids=["unknown-name", "descriptor"])
 def test_operator_term_must_be_a_name(monkeypatch, term):
@@ -221,6 +236,17 @@ def test_smoothing_report_smoke():
     # serialization round-trip keeps the verdict computable from stored data
     back = report_from_dict(json.loads(rep.json_text()))
     assert back.verdict == rep.verdict
+
+
+def test_smoothing_zero_remainder_sup_is_inconclusive():
+    # at T = 1e-300 the flow leaves the data as it is: no remainder, so no
+    # stability ratio, and the note names the zero sups
+    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.4], T=1e-300,
+                               resolutions=[128, 256])
+    assert rep.checks["remainder_stable_eps0.4"] == "inconclusive"
+    assert "remainder sup is 0 at eps=0.4, n = 128, 256: no ratio to test" \
+        in rep.notes
+    assert rep.verdict != "pass"
 
 
 def test_smoothing_zero_amplitude_raises(monkeypatch):

@@ -1,13 +1,19 @@
-"""Window-restricted scaling integrals: window algebra, scaling laws,
+"""Window-restricted scaling integrals: window algebra, the cubic array
+form against its per-xi oracle (`integrals_oracle`), scaling laws,
 mesh/cutoff convergence, frozen regression pins."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+import bolab.integrals as integrals
+import integrals_oracle
 from bolab.integrals import (
     _cubic_inner,
     _cubic_window,
     _quad_inner,
+    _sup_over_xi,
     cubic_integral_I,
     quad_integral_J,
 )
@@ -118,9 +124,109 @@ def test_cubic_inner_against_dense_2d():
               / (a ** 2 * jap(a) ** (2 * s)
                  * jap(xi2) ** (2 * s + 2) * jap(xi3) ** (2 * s)))
         total += float((wt * mask).sum()) * d2 * da
-    windowed = _cubic_inner(xi, alpha, M, s, eps, cutoff, 512)
+    windowed = float(_cubic_inner(np.array([xi]), alpha, M, s, eps, cutoff,
+                                  512)[0])
     print(f"cubic 2d dense={total:.6f} windowed={windowed:.6f}")
     assert windowed == pytest.approx(total, rel=2e-2)
+
+
+# (s, eps) pairs, windows (alpha, M) with alpha of both signs, and cutoffs
+# of the array-form checks against the per-xi oracle
+_CUBIC_PARAMS = [(0.5, 0.0), (0.6, 0.05), (0.75, 0.1)]
+_CUBIC_WINDOWS = [(0.0, 8.0), (8.0, 4.0), (-8.0, 4.0), (32.0, 2.0),
+                  (-64.0, 16.0)]
+_CUBIC_CUTOFFS = [10.0, 48.0, 96.0]
+
+
+def _cubic_xis(cutoff):
+    """37 log-spaced xi up to the cutoff, whose span is empty."""
+    return np.geomspace(1.001, cutoff, 37)
+
+
+@pytest.mark.parametrize("cutoff", _CUBIC_CUTOFFS)
+@pytest.mark.parametrize("s,eps", _CUBIC_PARAMS)
+def test_cubic_inner_matches_per_xi_oracle(s, eps, cutoff):
+    """The array form, one power per node, is the oracle's function at the
+    same nodes: equal per xi to 1e-14 relative, and exactly 0.0 where the
+    oracle's window is empty."""
+    xis = _cubic_xis(cutoff)
+    for alpha, M in _CUBIC_WINDOWS:
+        got = _cubic_inner(xis, alpha, M, s, eps, cutoff, 64)
+        want = np.array([integrals_oracle.cubic_inner(x, alpha, M, s, eps,
+                                                      cutoff, 64)
+                         for x in xis])
+        assert got.shape == xis.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (alpha, M)
+
+
+@pytest.mark.parametrize("mesh,cutoff", [(64, 48.0), (40, 96.0), (96, 10.0)])
+def test_cubic_integral_chunks_match_per_xi_oracle(monkeypatch, mesh, cutoff):
+    """cubic_integral_I hands _cubic_inner the mesh pass and the zoom pass
+    in chunks of CUBIC_CHUNK_NODES nodes, the last one short where a pass
+    is no multiple of the chunk, and finds the oracle's sup to 1e-14
+    relative."""
+    chunk = integrals.CUBIC_CHUNK_NODES // (mesh * mesh)
+    n = max(mesh, int(round(mesh * np.log2(cutoff) / 4.0)))
+    split = [min(chunk, m - i) for m in (n, mesh) for i in range(0, m, chunk)]
+    sizes = []
+
+    def spy(xi, *args):
+        sizes.append(len(xi))
+        return _cubic_inner(xi, *args)
+
+    monkeypatch.setattr(integrals, "_cubic_inner", spy)
+    for (s, eps), (alpha, M) in zip(_CUBIC_PARAMS, _CUBIC_WINDOWS[1:]):
+        sizes.clear()
+        got = cubic_integral_I(alpha, M, s, eps, cutoff, mesh=mesh)
+        want = _sup_over_xi(
+            lambda xis: np.array([integrals_oracle.cubic_inner(
+                x, alpha, M, s, eps, cutoff, mesh) for x in xis]),
+            cutoff, mesh)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert sizes == split
+
+
+def test_cubic_inner_at_the_cutoff_is_exact_zero():
+    """An xi with no span below the cutoff integrates to exactly 0.0, alone
+    or beside live xi, with no floating-point warning."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert _cubic_inner(np.array([48.0]), 0.0, 8.0, 0.5, 0.0, 48.0,
+                            64).tolist() == [0.0]
+        mixed = _cubic_inner(np.array([48.0, 2.0, 50.0]), 0.0, 8.0, 0.5, 0.0,
+                             48.0, 64)
+    assert mixed[0] == 0.0 and mixed[2] == 0.0
+    assert mixed[1] == pytest.approx(
+        integrals_oracle.cubic_inner(2.0, 0.0, 8.0, 0.5, 0.0, 48.0, 64),
+        rel=1e-14)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float here")
+def test_cubic_inner_rounds_no_worse_than_per_xi_oracle():
+    """Against the same nodes weighed in np.longdouble, the array form's
+    largest and mean relative errors are no larger than the oracle's."""
+    old, new = [], []
+    for s, eps in _CUBIC_PARAMS:
+        for cutoff in _CUBIC_CUTOFFS:
+            xis = _cubic_xis(cutoff)[:-1:3]
+            for alpha, M in _CUBIC_WINDOWS:
+                got = _cubic_inner(xis, alpha, M, s, eps, cutoff, 64)
+                for x, g in zip(xis, got):
+                    ref = integrals_oracle.cubic_inner_longdouble(
+                        x, alpha, M, s, eps, cutoff, 64)
+                    if ref == 0.0:
+                        continue
+                    o = integrals_oracle.cubic_inner(x, alpha, M, s, eps,
+                                                     cutoff, 64)
+                    old.append(float(abs((o - ref) / ref)))
+                    new.append(float(abs((g - ref) / ref)))
+    print(f"relative error, {len(new)} xi: oracle max {max(old):.3g} mean "
+          f"{np.mean(old):.3g}; array form max {max(new):.3g} mean "
+          f"{np.mean(new):.3g}")
+    assert len(new) > 400
+    assert max(new) <= max(old)
+    assert np.mean(new) <= np.mean(old)
 
 
 def test_empty_windows_are_zero():
