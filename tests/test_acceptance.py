@@ -4,8 +4,22 @@ Each test prints ``gate NN: PASS/FAIL - detail`` before asserting, so a
 ``pytest tests/test_acceptance.py -v -s`` run reads as a checklist.  The last
 three gates evolve production-scale trajectories and take several minutes
 each; everything else is seconds.
+
+Gates 9, 10 and 11 also compare the numbers they decide on with
+``tests/data/golden/gates.json``, by ``repr``, after their verdict
+assertions: they run the right sides at sizes the golden reports do not
+reach (the band side at n = 1024 and 2048, the exact side at (3, 512),
+(3, 1024) and (5, 256)), so a change that claims the same bits proves it
+there.  A change that moves rounding regenerates the pins from the
+repository root with
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+and records the largest change in CHANGES.md.
 """
 
+import json
+import pathlib
 import time
 
 import numpy as np
@@ -45,9 +59,29 @@ from bolab.spectral import (
 )
 
 
+PINS = pathlib.Path(__file__).parent / "data" / "golden" / "gates.json"
+
+# {gate: pins} while the pins are regenerated, else None
+_RECORDED = None
+
+
 def verdict(num, ok, detail):
     print(f"gate {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def check_pins(gate, numbers):
+    """Compare the numbers a gate decides on, {name: float or list of
+    floats}, with their pins in PINS by ``repr``, or record them while the
+    pins are regenerated."""
+    got = {name: [repr(float(v)) for v in value] if isinstance(value, list)
+           else repr(float(value)) for name, value in numbers.items()}
+    if _RECORDED is not None:
+        _RECORDED[gate] = got
+        return
+    want = json.loads(PINS.read_text())[gate]
+    for name in sorted(set(got) | set(want)):
+        assert got.get(name) == want.get(name), f"{gate}.{name} moved"
 
 
 def random_real_field(grid, rng, decay=2.0, kmax=None):
@@ -307,6 +341,7 @@ def test_gate_09_nonlinear_smoothing():
                           f"data growth {rate:.2f}, tail gap {gap:.2f}, "
                           f"{dt:.0f}s")
     assert rep.verdict == "pass"
+    check_pins("gate_09", {"sups": sups, "rate": rate, "gap": gap})
 
 
 def test_gate_10_lipschitz_continuity():
@@ -316,13 +351,19 @@ def test_gate_10_lipschitz_continuity():
     t0 = time.perf_counter()
     rep = lipschitz_experiment(seed=42, s=0.5, T=0.5, perturbation_size=1e-3,
                                resolutions=[512, 1024])
-    sup = max(r["value"] for r in rep.samples if r["kind"] == "ratio")
+    sups = {}
+    for r in rep.samples:
+        if r["kind"] == "ratio":
+            cell = f"n={r['n']} size={r['size']!r}"
+            sups[cell] = max(sups.get(cell, r["value"]), r["value"])
+    sup = max(sups.values())
     checks_ok = all(v is True for v in rep.checks.values())
     dt = time.perf_counter() - t0
     ok = checks_ok and dt < 1200
     assert verdict(10, ok, f"lipschitz: sup ratio {sup:.4f} (<=10), "
                            f"halving+resolution stable={checks_ok}, {dt:.0f}s")
     assert rep.verdict == "pass"
+    check_pins("gate_10", {f"sup_ratio {cell}": v for cell, v in sups.items()})
 
 
 def test_gate_11_small_amplitude_quadratic_rate():
@@ -340,3 +381,15 @@ def test_gate_11_small_amplitude_quadratic_rate():
                            f"amplitudes within a factor 1.5 (-33% to +50%), "
                            f"{dt:.0f}s")
     assert rep.verdict == "pass"
+    check_pins("gate_11", {
+        "fitted_constant": cstar, "power": power,
+        "ratios": [r["c_ratio"] for r in rep.samples
+                   if r["kind"] == "derivative_sup"]})
+
+
+if __name__ == "__main__":
+    _RECORDED = {}
+    test_gate_09_nonlinear_smoothing()
+    test_gate_10_lipschitz_continuity()
+    test_gate_11_small_amplitude_quadratic_rate()
+    PINS.write_text(json.dumps(_RECORDED, indent=2, sort_keys=True) + "\n")
