@@ -199,14 +199,32 @@ def _march(c0, grid, h, steps, rhs, every=None, watch=None):
     return steps, c, kept, data, right_sides
 
 
+# The most steps one run may take (see `step_count`).
+MAX_STEPS = 10**7
+
+
 def step_count(T, dt):
     """Number of steps of a run to time T at a step of about dt: T / dt
     rounded, and at least one; the step T / steps then lands exactly on T.
-    A T or dt that is not positive and finite is an ArgumentError."""
+    A T or dt that is not positive and finite is an ArgumentError.
+
+    So is a dt that asks for more than MAX_STEPS = 10^7 steps, named
+    ``dt``.  Such a run takes 4 x 10^7 right sides or more: over ten
+    minutes even at n = 8, where a gauged right side still takes about
+    20 us, and hours at the gate sizes.  The longest run of the gates,
+    gate 9's at n = 2048, takes 40,000 steps, 250 times fewer.  Past the
+    ceiling a step count is a slip of dt (dt = 1e-300 asks for about 1e298
+    steps), which would start a march that never ends or fail to size its
+    snapshot arrays."""
     for name, value in (("T", T), ("dt", dt)):
         if not 0 < value < np.inf:
             raise ArgumentError(name, f"must be positive and finite, got {value!r}")
-    return max(1, int(round(T / dt)))
+    steps = T / dt
+    if not steps < MAX_STEPS + 0.5:
+        raise ArgumentError(
+            "dt", f"must be large enough for at most {MAX_STEPS} steps to "
+            f"T = {T!r}, got {dt!r}, which asks for {steps:.3g}")
+    return max(1, int(round(steps)))
 
 
 def _at(t, score):

@@ -73,9 +73,22 @@ side allocates only what it returns, which is always a fresh array: the
 IF-RK4 step updates its stages in place, and the march keeps the right
 sides of its snapshots.  Without the buffers, a (2, 2n) array at
 n = 2048 is 128 KiB, glibc's mmap threshold: freed, it goes back to the
-system, and the next call faults it in again.  The buffers make the right
-sides not re-entrant: a ``watch`` must not call one, nor may two threads
-run one at one grid and batch shape at once (bolab starts no thread).
+system, and the next call faults it in again.  Each entry also holds the
+right side bound to its buffers (`_right_side`): every view, half and
+factor that a call reads is resolved once, when the entry is made, so a
+call makes one cache lookup and no slice of a buffer.  The buffers make the
+right sides not re-entrant: a ``watch`` must not call one, nor may two
+threads run one at one grid and batch shape at once (bolab starts no
+thread).
+
+The band side forms the exact right side on the whole lattice and masks it
+with P_lo, although only the low band keeps it.  Formed on the low band
+alone, it would move bits: the masked exact side is a signed zero off the
+low band, and where a piece has a component that is exactly zero the sum
+takes that zero's sign from it.  That happens at the edge slots
+k = -(n/2 - 1) and n/2 - 1, where V . Pp dx W and V . Pm dx W vanish up to
+rounding, in about a third of the calls on rough data.  Telling those calls
+apart costs about what the low band saves at n <= 1024.
 
 All products are dealiased on the doubled lattice.  Base-band products go
 through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
@@ -111,8 +124,6 @@ from .spectral import (
     dealiased_product,
     fft_order_to_samples,
     from_padded,
-    gather_fft_order,
-    pad_fft_order,
     padded_grid,
     region_mask,
     samples_to_fft_order,
@@ -127,9 +138,8 @@ GAUGE_FLOOR = 0.1
 @lru_cache(maxsize=64)
 def _bands(grid):
     """Every per-grid constant that a right side reads, built once and held
-    by each `_workspace` of the grid beside its buffers, so that a right
-    side makes one cache lookup.  The right sides write only the buffers;
-    every array here is read-only.
+    by each `_workspace` of the grid beside its buffers.  The right sides
+    write only the buffers; every array here is read-only.
 
     On the doubled lattice pg (FFT order, with the unpaired Nyquist slot
     k = -n, FFT index n, zeroed): the derivative symbol ``ixi2`` and the
@@ -171,8 +181,9 @@ WORKSPACES = 8
 
 @lru_cache(maxsize=WORKSPACES)
 def _workspace(grid, shape):
-    """The constants `_bands(grid)` as ``b``, and the buffers that a right
-    side of a ``shape`` = (..., n) array writes with ``out=``, so that a call
+    """The constants `_bands(grid)` as ``b``, the buffers that a right side
+    of a ``shape`` = (..., n) array writes with ``out=``, and the right
+    side bound to them, ``right_side`` (see `_right_side`), so that a call
     allocates no doubled-lattice array and makes one cache lookup.
 
     Four (2, ..., 2n) doubled-lattice buffers: ``pad`` (V and V_x padded;
@@ -181,18 +192,22 @@ def _workspace(grid, shape):
     (dwc in row 1; then the halves Pm dx W and Pp dx W) and ``work`` (W in
     row 0; then the samples of the halves and their products with V).  A
     call writes each entry of the last three before it reads it.  Two
-    (..., n) base-lattice buffers: ``total``, the exact right side inside
-    the band side, and ``term``, for one product at a time.  No right side
-    returns any of these.
+    (..., n) base-lattice buffers: ``total``, the gathered V term (the exact
+    right side inside the band side), and ``term``, for one product at a
+    time.  No right side returns any of these.
     """
     b = _bands(grid)
     doubled = (2,) + shape[:-1] + (b.m,)
     pad = np.zeros(doubled, dtype=np.complex128)
     samples, halves, work = (np.empty(doubled, dtype=np.complex128)
                              for _ in range(3))
-    return SimpleNamespace(b=b, pad=pad, samples=samples, halves=halves,
-                           work=work, total=np.empty(shape, dtype=np.complex128),
-                           term=np.empty(shape, dtype=np.complex128))
+    ws = SimpleNamespace(b=b, pad=pad, samples=samples, halves=halves,
+                         work=work, total=np.empty(shape, dtype=np.complex128),
+                         term=np.empty(shape, dtype=np.complex128),
+                         pad_runs=(pad[0][..., :b.mid], pad[0][..., b.m - b.mid:]))
+    # the entry holds the right side, which holds a namespace of its own: no
+    # reference cycle, so an entry the cache drops is freed at once
+    return SimpleNamespace(**vars(ws), right_side=_right_side(ws))
 
 
 def antiderivative(u):
@@ -227,11 +242,14 @@ def gauge_forward(u):
 def _v_samples(c, ws):
     """Samples of V and V_x on the doubled lattice, a (2, ..., 2n) array:
     ``ws.samples`` of the workspace ws (see `_workspace`).  V is padded
-    straight into ``ws.pad``, and V_x is its whole-buffer product with i xi
-    (zero off the base band, as the padding is); one inverse call: two
-    padded transforms."""
-    b, pad = ws.b, ws.pad
-    np.multiply(pad_fft_order(c, b.sign, pad[0]), b.ixi2, out=pad[1])
+    straight into ``ws.pad`` (through its two halves ``ws.pad_runs``, as
+    `spectral.pad_fft_order` pads), and V_x is its whole-buffer product
+    with i xi (zero off the base band, as the padding is); one inverse
+    call: two padded transforms."""
+    b, pad, (pad_lo, pad_hi) = ws.b, ws.pad, ws.pad_runs
+    np.multiply(c[..., b.mid:], b.sign[0], out=pad_lo)
+    np.multiply(c[..., :b.mid], b.sign[1], out=pad_hi)
+    np.multiply(pad[0], b.ixi2, out=pad[1])
     return fft_order_to_samples(pad, b.pg, out=ws.samples)
 
 
@@ -293,54 +311,88 @@ def rhs_cubic(V, sign):
     return SpectralField(g, out)
 
 
-def _right_side(c, ws, watch, band):
-    """The exact right side of c, and with `band` the high-band pieces
-    P_{+hi}(V . Pm dx W) + P_{-hi}(V . Pp dx W) before their factor -2i
-    (else None): four transform calls on the buffers of the workspace ws,
-    as the module docstring describes.  The first stage takes the samples
-    of V and V_x, W = (1 + conj V) V_x, the padded coefficients dwc of dx W
-    and mean(W^2) over the last axis, one value per field, whose term is
-    taken as a (..., 1) column so that a scalar and a batch both broadcast.
-    ``watch``, if given, is called first with the even entries of the
-    samples of V, its values at the base-lattice points.  The exact right
-    side is fresh without `band` and the workspace's ``total`` with it; the
-    pieces are fresh.
+def _right_side(ws):
+    """The right side bound to the buffers of the workspace ws, with every
+    view, half and factor that it reads resolved here, once per workspace:
+    ``right_side(c, watch, band)`` returns the exact right side of c, and
+    with `band` the high-band pieces P_{+hi}(V . Pm dx W) + P_{-hi}(V . Pp dx W)
+    before their factor -2i (else None), in the four transform calls that
+    the module docstring describes.
+
+    The first stage takes the samples of V and V_x, W = (1 + conj V) V_x,
+    the padded coefficients dwc of dx W and sum(W^2) over the last axis,
+    one value per field.  Its mean term is the one product sum(W^2) (-i/m),
+    exact because m is a power of two, taken as a (..., 1) column so that
+    a scalar and a batch both broadcast.  ``watch``, if given, is called
+    first with the even entries of the samples of V, its values at the
+    base-lattice points.  The exact right side is fresh without `band`;
+    with it, it is the workspace's ``total`` times the ``lo`` mask.  The
+    pieces are fresh.  The transforms are looked up at call time, so a
+    wrapper of `spectral`'s pair sees them.
     """
-    b = ws.b
-    vs, dvs = _v_samples(c, ws)
-    if watch is not None:
-        watch(vs[..., ::2])
-    w = ws.work[0]
-    np.conjugate(vs, out=w)
-    w += 1.0
-    np.multiply(w, dvs, out=w)
-    dwc = samples_to_fft_order(w, b.pg.dx, out=ws.halves[1])
-    np.multiply(dwc, b.ixi2, out=dwc)
-    np.multiply(w, w, out=w)
-    mean_w2 = np.add.reduce(w, axis=-1) / b.m
-    rows = 2 if band else 1
-    halves, s, v_terms = ws.halves[:rows], ws.work[:rows], ws.samples[:rows]
-    pm = np.multiply(dwc, b.minus2, out=halves[0])
-    if band:
-        np.multiply(dwc, b.plus2, out=dwc)
-    fft_order_to_samples(halves, b.pg, out=s)
-    for row in s:  # row by row: numpy buffers a broadcast operand
-        np.multiply(vs, row, out=row)
-    samples_to_fft_order(s, b.pg.dx, out=v_terms)
-    pm += v_terms[0]
-    out = gather_fft_order(pm, b.gather, out=ws.total if band else None)
-    out += np.multiply(b.linear, c, out=ws.term)
-    mean_term = -1j * mean_w2
-    out += np.multiply(mean_term[..., None], c, out=ws.term)
-    out[..., b.mid] += mean_term * b.two_l
-    out[..., 0] = 0.0
-    if not band:
-        return out, None
-    pieces = gather_fft_order(v_terms[0], b.sign)
-    np.multiply(pieces, b.plus_hi, out=pieces)
-    v_plus = gather_fft_order(v_terms[1], b.sign, out=ws.term)
-    pieces += np.multiply(v_plus, b.minus_hi, out=v_plus)
-    return out, pieces
+    b, samples, work, total, term = ws.b, ws.samples, ws.work, ws.total, ws.term
+    pg, dx, h, m, two_l = b.pg, b.pg.dx, b.mid, b.m, b.two_l
+    ixi2, minus2, plus2, linear, lo, plus_hi, minus_hi = (
+        b.ixi2, b.minus2, b.plus2, b.linear, b.lo, b.plus_hi, b.minus_hi)
+    vs, dvs, vs_even = samples[0], samples[1], samples[0][..., ::2]
+    # the same buffers after the last transform: V . Pm dx W and V . Pp dx W
+    v_minus, v_plus = samples[0], samples[1]
+    w, pm, dwc = work[0], ws.halves[0], ws.halves[1]
+    mean_scale = -1j / m
+    # by `band`: the halves transformed, their samples and products with V,
+    # and the V terms
+    halves = (ws.halves[:1], ws.halves)
+    products = (work[:1], work)
+    rows = (tuple(work[:1]), tuple(work))
+    v_terms = (samples[:1], samples)
+    # the halves k >= 0 (first) and k < 0 of the base band, and their factors
+    (sign_lo, sign_hi), (gather_lo, gather_hi) = b.sign, b.gather
+    pm_lo, pm_hi = pm[..., :h], pm[..., m - h:]
+    v_minus_lo, v_minus_hi = v_minus[..., :h], v_minus[..., m - h:]
+    v_plus_lo, v_plus_hi = v_plus[..., :h], v_plus[..., m - h:]
+    total_lo, total_hi = total[..., h:], total[..., :h]
+    term_lo, term_hi = term[..., h:], term[..., :h]
+
+    def right_side(c, watch, band):
+        _v_samples(c, ws)
+        if watch is not None:
+            watch(vs_even)
+        np.conjugate(vs, out=w)
+        np.add(w, 1.0, out=w)
+        np.multiply(w, dvs, out=w)
+        samples_to_fft_order(w, dx, out=dwc)
+        np.multiply(dwc, ixi2, out=dwc)
+        np.multiply(w, w, out=w)
+        mean_term = np.add.reduce(w, axis=-1) * mean_scale
+        np.multiply(dwc, minus2, out=pm)
+        if band:
+            np.multiply(dwc, plus2, out=dwc)
+        fft_order_to_samples(halves[band], pg, out=products[band])
+        for row in rows[band]:  # row by row: numpy buffers a broadcast operand
+            np.multiply(vs, row, out=row)
+        samples_to_fft_order(products[band], dx, out=v_terms[band])
+        np.add(pm, v_minus, out=pm)
+        np.multiply(gather_lo, pm_lo, out=total_lo)
+        np.multiply(gather_hi, pm_hi, out=total_hi)
+        out = np.add(total, np.multiply(linear, c, out=term),
+                     out=total if band else None)
+        out += np.multiply(mean_term[..., None], c, out=term)
+        out[..., h] += mean_term * two_l
+        out[..., 0] = 0.0
+        if not band:
+            return out, None
+        np.multiply(out, lo, out=out)
+        np.multiply(sign_lo, v_minus_lo, out=term_lo)
+        np.multiply(sign_hi, v_minus_hi, out=term_hi)
+        term[..., 0] = 0.0
+        pieces = np.multiply(term, plus_hi)
+        np.multiply(sign_lo, v_plus_lo, out=term_lo)
+        np.multiply(sign_hi, v_plus_hi, out=term_hi)
+        term[..., 0] = 0.0
+        pieces += np.multiply(term, minus_hi, out=term)
+        return out, pieces
+
+    return right_side
 
 
 def rhs_exact_coeffs(c, g, watch=None):
@@ -353,7 +405,7 @@ def rhs_exact_coeffs(c, g, watch=None):
     given, is called with the samples of V on the base lattice, which the
     first stage takes anyway (see `_right_side`).
     """
-    return _right_side(c, _workspace(g, c.shape), watch, False)[0]
+    return _workspace(g, c.shape).right_side(c, watch, False)[0]
 
 
 def rhs_terms_total_coeffs(c, g, watch=None):
@@ -370,9 +422,7 @@ def rhs_terms_total_coeffs(c, g, watch=None):
     The sum is taken into the fresh pieces (addition commutes, bit for bit),
     so the array returned is fresh.
     """
-    ws = _workspace(g, c.shape)
-    total, pieces = _right_side(c, ws, watch, True)
-    total *= ws.b.lo
+    total, pieces = _workspace(g, c.shape).right_side(c, watch, True)
     pieces *= -2j
     pieces += total
     return pieces
@@ -386,6 +436,5 @@ def profile_time_derivative_sup(V):
     so this is the sup of P_{+hi}(V . Pm dx W) and P_{-hi}(V . Pp dx W),
     the two V terms of the band system (seven padded transforms).
     """
-    _, pieces = _right_side(V.coeffs, _workspace(V.grid, V.coeffs.shape),
-                            None, True)
-    return float(np.max(np.abs(pieces)))
+    ws = _workspace(V.grid, V.coeffs.shape)
+    return float(np.max(np.abs(ws.right_side(V.coeffs, None, True)[1])))

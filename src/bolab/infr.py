@@ -158,7 +158,8 @@ class InfrParams:
 
     When no admissible sigma exists the instance is still constructed with
     ``feasible = False`` and the per-term table filled, so callers can see
-    which pieces keep a positive theta; the threshold accessors raise.
+    which pieces keep a positive theta; the threshold accessors past level
+    1 raise an ArgumentError naming ``s``.
     """
 
     s: float
@@ -177,9 +178,13 @@ class InfrParams:
     per_term: tuple = dataclass_field(default=())
 
     def c(self, j):
-        """Nonresonance threshold coefficient c_j = (j+1)^(2/theta), j >= 1."""
+        """Nonresonance threshold coefficient c_j = (j+1)^(2/theta), j >= 1.
+
+        Infeasible parameters have no c_j: an ArgumentError naming ``s``."""
         if not self.feasible:
-            raise ValueError(self.message)
+            raise ArgumentError(
+                "s", f"= {self.s} and eps = {self.eps} violate Assumption 1: "
+                f"theta = {self.theta:.4g} <= 0 at sigma = {self.sigma}")
         if j < 1:
             raise ValueError(f"level index must be >= 1, got {j}")
         return float(j + 1) ** (2.0 / self.theta)
@@ -227,7 +232,8 @@ def infr_params(s, eps, N_threshold=1000.0):
     Requires s > 0, 0 <= eps < min{s, 3/4} and N_threshold > 1, else an
     ArgumentError names the argument.  If theta ends up nonpositive the
     result is reported infeasible rather than rejected (the per-term table
-    shows which pieces survive); the threshold accessors then raise.
+    shows which pieces survive); the threshold accessors past level 1 then
+    raise an ArgumentError naming ``s``.
     """
     if not s > 0:
         raise ArgumentError("s", f"must be positive, got {s}")

@@ -122,6 +122,14 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("nfe", "--seed", "-1"), "data.seed"),
     (("simulate", "--kind", "rough-random", "--seed", "-1"), "data.seed"),
     (("nfe", "--kind", "gaussian-derivative"), "grid.half_length"),
+    # 1e298 steps: the march hung or its snapshot array could not be sized
+    (("smoothing", "--dt", "1e-300"), "time.dt"),
+    (("lipschitz", "--dt", "1e-300"), "time.dt"),
+    (("lemma21", "--dt", "1e-300"), "time.dt"),
+    (("gauge-check", "--dt", "1e-300"), "time.dt"),
+    (("simulate", "--dt", "1e-300"), "time.dt"),
+    (("nfe", "--dt", "1e-300"), "time.dt"),
+    (("nfe", "--s", "0.2"), "infr.s"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
 def test_unusable_value_is_config_error(tmp_path, capsys, args, key):
@@ -220,6 +228,15 @@ def test_params_prints_exponent_table(tmp_path, capsys):
         assert token in out
     assert (tmp_path / "params.json").exists()
     assert (tmp_path / "params.csv").exists()
+
+
+def test_params_reports_assumption_1_as_a_failed_check(tmp_path, capsys):
+    # the (s, eps) that nfe refuses with exit 2 (see above) is a report with
+    # a FAIL verdict here
+    assert run(tmp_path, "params", "--s", "0.2") == 1
+    assert "violate Assumption 1" in capsys.readouterr().out
+    rep = json.loads((tmp_path / "params.json").read_text())
+    assert rep["checks"]["feasible"] is False
 
 
 def test_gauge_check_roundtrip_line(tmp_path, capsys):

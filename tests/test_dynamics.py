@@ -9,7 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bolab import gauge
 from bolab.dynamics import (
+    MAX_STEPS,
     Trajectory,
     _ifrk4,
     _probe_dt,
@@ -228,7 +230,26 @@ def test_step_count_rejects_nonpositive(T, dt, name):
     assert err.value.argument == name
 
 
+@pytest.mark.parametrize("T, dt", [
+    (1.0, 1e-300), (0.25, 1e-300), (1.0, 0.99 / MAX_STEPS),
+    # T / dt overflows to inf, which round() could not convert
+    (1e300, 1e-300),
+])
+def test_step_count_refuses_steps_past_the_ceiling(T, dt):
+    with pytest.raises(ArgumentError, match=rf"^dt must be large enough for "
+                                            rf"at most {MAX_STEPS} steps") as err:
+        step_count(T, dt)
+    assert err.value.argument == "dt"
+
+
+def test_step_count_ceiling_sits_far_above_the_gates():
+    assert step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    # gate 9's longest run: 40,000 steps to T = 0.5
+    assert 100 * step_count(0.5, 0.5 / 40_000) < MAX_STEPS
+
+
 @pytest.mark.parametrize("kwargs, name", [
+    ({"T": 0.01, "dt": 1e-300}, "dt"),
     ({"T": 0.01, "dt": -0.001}, "dt"),
     ({"T": 0.01, "dt": 0.0}, "dt"),
     ({"T": -0.01, "dt": 1e-3}, "T"),
@@ -308,6 +329,24 @@ def test_unstable_dt_names_the_batch_member():
         evolve_gauged(unstable, T=0.5, dt=0.5)
     with pytest.raises(ValueError) as batch:
         evolve_gauged_batch([stable, unstable, stable], T=0.5, dt=0.5)
+    assert str(batch.value) == f"member 1: {alone.value}"
+
+
+@pytest.mark.parametrize("rhs_mode", ["exact", "terms"])
+def test_unstable_member_probed_at_a_new_shape_is_named(rhs_mode):
+    # with no workspace held, the per-member fallback of a failed (3, n)
+    # trial makes the first right-side call at (n,): its workspace and bound
+    # right side are built mid-probe, and the error still names the member
+    g = Grid(64, np.pi)
+    stable = gauge_forward(to_spectral(0.01 * np.sin(g.x), g))
+    unstable = gauge_forward(to_spectral(2.0 * (np.sin(g.x) + np.sin(10 * g.x)), g))
+    gauge._workspace.cache_clear()
+    with pytest.raises(ValueError) as batch:
+        evolve_gauged_batch([stable, unstable, stable], T=0.5, dt=0.5,
+                            rhs_mode=rhs_mode)
+    assert gauge._workspace.cache_info().currsize == 2
+    with pytest.raises(ValueError, match="stability bound") as alone:
+        evolve_gauged(unstable, T=0.5, dt=0.5, rhs_mode=rhs_mode)
     assert str(batch.value) == f"member 1: {alone.value}"
 
 

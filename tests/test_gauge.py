@@ -525,6 +525,50 @@ def _rough(shape, g, rng):
     return c
 
 
+@pytest.mark.parametrize("n, L", [(8, 8 * np.pi), (16, 8 * np.pi), (32, 8 * np.pi),
+                                  (64, np.pi), (128, 2.2 * np.pi)])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_band_side_on_and_off_the_low_band(n, L, batch):
+    # on the low band the band side is the exact side, byte for byte; off
+    # it, the values of the lattice-order oracle; its Nyquist slot is +0+0j,
+    # also where the low band reaches it (the whole lattice at n = 8 and 16
+    # with L = 8 pi)
+    g = Grid(n, L)
+    c = _rough(batch + (n,), g, np.random.default_rng(n))
+    got = rhs_terms_total_coeffs(c, g)
+    lo = region_mask(g.xi, "lo")
+    assert got[..., lo].tobytes() == rhs_exact_coeffs(c, g)[..., lo].tobytes()
+    want = lattice_order.rhs_terms_total_coeffs(c, g)
+    assert np.array_equal(got[..., ~lo], want[..., ~lo])
+    assert got[..., 0].tobytes() == np.zeros(batch, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_band_side_sums_over_the_whole_lattice(n):
+    # the band side is -2i times the pieces plus the masked exact side, as
+    # one sum over the whole lattice, byte for byte.  At the edge slots
+    # k = -(n/2 - 1) and n/2 - 1, V . Pp dx W and V . Pm dx W vanish up to
+    # rounding, so a piece there often has a component that is exactly
+    # zero, and the sum gives it the sign of zero of the masked exact side:
+    # a sum on the low band alone would move those bits
+    g = Grid(n, np.pi)
+    rng = np.random.default_rng(n)
+    lo = gauge._bands(g).lo
+    edge_zeros = 0
+    for _ in range(12):
+        V = gauge_forward(0.3 * random_real_field(g, rng, decay=1.0))
+        pieces = gauge._workspace(g, (n,)).right_side(V.coeffs, None, True)[1]
+        edge_zeros += np.count_nonzero(pieces[[1, -1]].view(np.float64) == 0.0)
+        want = pieces * -2j + rhs_exact_coeffs(V.coeffs, g) * lo
+        assert rhs_terms_total_coeffs(V.coeffs, g).tobytes() == want.tobytes()
+    assert edge_zeros  # the data reach the case
+    # zero data give +0 in every component of both right sides
+    for shape in ((n,), (3, n)):
+        zero = np.zeros(shape, dtype=complex)
+        for fn in (rhs_exact_coeffs, rhs_terms_total_coeffs):
+            assert fn(zero, g).tobytes() == zero.tobytes(), fn.__name__
+
+
 @pytest.mark.parametrize("fn", ["rhs_exact_coeffs", "rhs_terms_total_coeffs"])
 @pytest.mark.parametrize("n", [64, 2048])
 @pytest.mark.parametrize("batch", [(), (3,)])

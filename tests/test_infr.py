@@ -26,7 +26,7 @@ from bolab.infr import (
     term_blocks,
     term_values_on_lattice,
 )
-from bolab.spectral import Grid, SpectralField, dispersion, region_mask
+from bolab.spectral import ArgumentError, Grid, SpectralField, dispersion, region_mask
 
 
 def field_from_modes(grid, modes):
@@ -241,10 +241,13 @@ def test_params_reports_infeasible_instead_of_refusing():
     assert not per["quadratic"].feasible
     assert per["cubic"].feasible
     assert per["cubic"].theta == pytest.approx(0.05, abs=1e-12)
-    with pytest.raises(ValueError, match="Assumption 1"):
+    with pytest.raises(ArgumentError, match="^s = 0.5 and eps = 0.4 violate "
+                                            "Assumption 1") as err:
         p.c(1)
-    with pytest.raises(ValueError, match="Assumption 1"):
+    assert err.value.argument == "s"
+    with pytest.raises(ArgumentError, match="Assumption 1"):
         p.level_threshold(2, 100.0)
+    assert p.level_threshold(1) == p.N_threshold
 
 
 def test_params_domain_errors():
