@@ -249,13 +249,14 @@ def test_step_count_ceiling_sits_far_above_the_gates():
 
 
 @pytest.mark.parametrize("kwargs, name", [
-    ({"T": 0.01, "dt": 1e-300}, "dt"),
     ({"T": 0.01, "dt": -0.001}, "dt"),
     ({"T": 0.01, "dt": 0.0}, "dt"),
     ({"T": -0.01, "dt": 1e-3}, "T"),
     ({"T": 0.01, "dt": 1e-3, "snapshot_every": 0}, "snapshot_every"),
     # a kept step's slot is step // snapshot_every, an index
     ({"T": 0.01, "dt": 1e-3, "snapshot_every": 2.0}, "snapshot_every"),
+    # more steps than MAX_STEPS
+    ({"T": 0.01, "dt": 1e-300}, "dt"),
 ])
 def test_evolutions_reject_bad_time_arguments(monkeypatch, kwargs, name):
     # rejected before the stability probe takes a single step
