@@ -160,10 +160,11 @@ _NULLABLE = {path for path, _, default, _, _ in _SPEC if default is None}
 _SECTIONS = {path.rpartition(".")[0] for path in _TYPES} - {""}
 # the config key of an argument a library function refuses: the _SPEC path
 # of its leaf or of the list it is an entry of (term); data.amplitude for
-# zero data, grid.half_length for a mean (gaussian data decays in the box)
+# zero data, grid.half_length for a mean (gaussian data decays in the box),
+# time.dt for smoothing's reference step
 _KEYS = {path.rpartition(".")[2]: path for path, _, _, _, _ in _SPEC}
 _KEYS.update(u0="data.amplitude", traj="data.amplitude", u="grid.half_length",
-             term="experiment.terms")
+             term="experiment.terms", base_dt="time.dt")
 
 
 def _validate(node, path=""):

@@ -312,12 +312,24 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     data tail slope by at least 0.3 (slopes from the largest resolution).
     ``amplitude`` must not be zero: zero data has no remainder to measure.
     ``resolutions`` must be a strictly increasing list of grid sizes (see
-    ``_resolution_grids``).
+    ``_resolution_grids``).  Every resolution's step count is taken before
+    any evolution, and a step that `step_count` refuses is an ArgumentError
+    naming ``base_dt``, with the value passed and the resolution.
     """
     if amplitude == 0.0:
         raise ArgumentError("amplitude", f"must not be zero, got {amplitude!r}")
     grids = _resolution_grids(resolutions, half_length)
     resolutions = [g.n for g in grids]
+    steps = {}
+    for N in resolutions:
+        dt = base_dt * (512.0 / N) ** 1.5
+        try:
+            steps[N] = dt, step_count(T, dt)
+        except ArgumentError as e:
+            if e.argument != "dt":
+                raise
+            raise ArgumentError("base_dt", f"= {base_dt!r} gives the step "
+                                f"{dt:.3g} at N = {N}: {e}") from None
     eps_list = [float(e) for e in eps_list]
     rep = EstimateReport("smoothing", params={
         "seed": seed, "s": s, "eps_list": eps_list, "T": T,
@@ -328,9 +340,9 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
     slopes_v0 = {}
     for N, grid in zip(resolutions, grids):
         v0 = rough_profile_data(grid, s, seed, amplitude)
-        dt = base_dt * (512.0 / N) ** 1.5
+        dt, count = steps[N]
         traj = evolve_gauged(v0, T=T, dt=dt, rhs_mode="terms",
-                             snapshot_every=max(1, step_count(T, dt) // 10))
+                             snapshot_every=max(1, count // 10))
         omega = dispersion(grid.xi)
         c0 = traj.data[0]
         remainders = [np.exp(1j * omega * t) * traj.data[i] - c0

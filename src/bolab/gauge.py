@@ -74,7 +74,7 @@ IF-RK4 step updates its stages in place, and the march keeps the right
 sides of its snapshots.  Without the buffers, a (2, 2n) array at
 n = 2048 is 128 KiB, glibc's mmap threshold: freed, it goes back to the
 system, and the next call faults it in again.  Each entry also holds the
-right side bound to its buffers (`_right_side`): every view, half and
+right side bound to its buffers (`_right_side`): every view, run and
 factor that a call reads is resolved once, when the entry is made, so a
 call makes one cache lookup and no slice of a buffer.  The buffers make the
 right sides not re-entrant: a ``watch`` must not call one, nor may two
@@ -96,8 +96,10 @@ products keep their intermediates on the doubled lattice so the restriction
 to the base band is exact.  Every doubled-lattice array here is in FFT order
 with (-1)^k applied (see `spectral`): the padded coefficients of V and of
 dx W in the stages, the `rhs_cubic` intermediate, and the derivative symbol
-and half-line masks of `_bands`.  They pass through the FFT-order pair
-`spectral.fft_order_to_samples`/`samples_to_fft_order`, so no padded
+and half-line masks of `_bands`.  The base band sits in each as two runs,
+which this module takes from `spectral.band_runs`, `lattice_runs` and
+`band_signs` and never slices out itself.  They pass through the FFT-order
+pair `spectral.fft_order_to_samples`/`samples_to_fft_order`, so no padded
 transform swaps halves or applies (-1)^k, and each scale rides on the
 transform as pocketfft's factor (dx forward, (1/2n) (1/dx) inverse), so no
 scale takes a pass of its own.  Base-band coefficient arrays (inputs,
@@ -120,10 +122,13 @@ from .spectral import (
     ArgumentError,
     SpectralField,
     antiderivative_symbol,
+    band_runs,
+    band_signs,
     conj_reflect,
     dealiased_product,
     fft_order_to_samples,
     from_padded,
+    lattice_runs,
     padded_grid,
     region_mask,
     samples_to_fft_order,
@@ -148,14 +153,14 @@ def _bands(grid):
     the symbol of 2i Pm dx^2.  Masks are complex 0/1 arrays, the values
     numpy casts a boolean mask to in a complex product, so products are
     unchanged.  ``sign`` and ``gather`` are the factors (-1)^k and
-    -2i (-1)^k (the gather factor of the exact right side) as the halves
-    over k = 0 .. n/2-1 and k = -n/2 .. -1 that `spectral.pad_fft_order`
-    and `gather_fft_order` take.  Also m = 2n, mid = n/2 (the lattice index
-    of k = 0) and two_l = 2L.
+    -2i (-1)^k (the gather factor of the exact right side) over the two
+    runs of the base band, k = 0 .. n/2-1 and k = -n/2 .. -1, that
+    `spectral.band_signs` gives.  Also mid = n/2 (the lattice index of
+    k = 0) and two_l = 2L.
     """
     pg = padded_grid(grid)
     n = grid.n
-    xi, xi2 = grid.xi, np.fft.ifftshift(pg.xi)
+    xi, xi2 = grid.xi, np.concatenate(lattice_runs(pg.xi))
     masks = {"minus2": xi2 < 0.0, "plus2": xi2 > 0.0}
     arrays = {name: m.astype(np.complex128) for name, m in masks.items()}
     arrays["ixi2"] = 1j * xi2
@@ -164,14 +169,12 @@ def _bands(grid):
     for name, region in (("lo", "lo"), ("plus_hi", "+hi"), ("minus_hi", "-hi")):
         arrays[name] = region_mask(xi, region).astype(np.complex128)
     arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)
-    mid, phase = n // 2, grid._phase
-    factor = -2j * phase
-    halves = {"sign": (phase[mid:], phase[:mid]),
-              "gather": (factor[mid:], factor[:mid])}
-    for a in (*arrays.values(), *halves["sign"], *halves["gather"]):
+    sign = band_signs(pg)
+    gather = tuple(-2j * run for run in sign)
+    for a in (*arrays.values(), *gather):
         a.setflags(write=False)
-    return SimpleNamespace(pg=pg, m=2 * n, mid=mid,
-                           two_l=2.0 * grid.half_length, **arrays, **halves)
+    return SimpleNamespace(pg=pg, mid=n // 2, two_l=2.0 * grid.half_length,
+                           sign=sign, gather=gather, **arrays)
 
 
 # Workspaces held at once, the last used kept: one per (grid, batch shape)
@@ -192,19 +195,22 @@ def _workspace(grid, shape):
     (dwc in row 1; then the halves Pm dx W and Pp dx W) and ``work`` (W in
     row 0; then the samples of the halves and their products with V).  A
     call writes each entry of the last three before it reads it.  Two
-    (..., n) base-lattice buffers: ``total``, the gathered V term (the exact
-    right side inside the band side), and ``term``, for one product at a
-    time.  No right side returns any of these.
+    base-lattice buffers: ``total`` (..., n), the gathered V term (the exact
+    right side inside the band side), and ``terms`` (2, ..., n), whose row 0
+    holds one product of the exact side at a time and whose two rows then
+    hold the base band of the V terms of the band side.  ``pad_runs`` are
+    the runs of the base band of V's padded row (`spectral.band_runs`).  No
+    right side returns any of these.
     """
     b = _bands(grid)
-    doubled = (2,) + shape[:-1] + (b.m,)
+    doubled = (2,) + shape[:-1] + (2 * grid.n,)
     pad = np.zeros(doubled, dtype=np.complex128)
     samples, halves, work = (np.empty(doubled, dtype=np.complex128)
                              for _ in range(3))
     ws = SimpleNamespace(b=b, pad=pad, samples=samples, halves=halves,
                          work=work, total=np.empty(shape, dtype=np.complex128),
-                         term=np.empty(shape, dtype=np.complex128),
-                         pad_runs=(pad[0][..., :b.mid], pad[0][..., b.m - b.mid:]))
+                         terms=np.empty((2,) + shape, dtype=np.complex128),
+                         pad_runs=band_runs(pad[0]))
     # the entry holds the right side, which holds a namespace of its own: no
     # reference cycle, so an entry the cache drops is freed at once
     return SimpleNamespace(**vars(ws), right_side=_right_side(ws))
@@ -242,15 +248,16 @@ def gauge_forward(u):
 def _v_samples(c, ws):
     """Samples of V and V_x on the doubled lattice, a (2, ..., 2n) array:
     ``ws.samples`` of the workspace ws (see `_workspace`).  V is padded
-    straight into ``ws.pad`` (through its two halves ``ws.pad_runs``, as
-    `spectral.pad_fft_order` pads), and V_x is its whole-buffer product
-    with i xi (zero off the base band, as the padding is); one inverse
-    call: two padded transforms."""
-    b, pad, (pad_lo, pad_hi) = ws.b, ws.pad, ws.pad_runs
-    np.multiply(c[..., b.mid:], b.sign[0], out=pad_lo)
-    np.multiply(c[..., :b.mid], b.sign[1], out=pad_hi)
-    np.multiply(pad[0], b.ixi2, out=pad[1])
-    return fft_order_to_samples(pad, b.pg, out=ws.samples)
+    straight into ``ws.pad``, each run of c times (-1)^k into its run
+    ``ws.pad_runs``, as `spectral.to_padded` pads, and V_x is its
+    whole-buffer product with i xi (zero off the base band, as the padding
+    is); one inverse call: two padded transforms."""
+    (sign_lo, sign_hi), pad = ws.b.sign, ws.pad
+    (pad_lo, pad_hi), (c_lo, c_hi) = ws.pad_runs, lattice_runs(c)
+    np.multiply(c_lo, sign_lo, out=pad_lo)
+    np.multiply(c_hi, sign_hi, out=pad_hi)
+    np.multiply(pad[0], ws.b.ixi2, out=pad[1])
+    return fft_order_to_samples(pad, ws.b.pg, out=ws.samples)
 
 
 def require_invertible(vs, at=None):
@@ -313,7 +320,7 @@ def rhs_cubic(V, sign):
 
 def _right_side(ws):
     """The right side bound to the buffers of the workspace ws, with every
-    view, half and factor that it reads resolved here, once per workspace:
+    view, run and factor that it reads resolved here, once per workspace:
     ``right_side(c, watch, band)`` returns the exact right side of c, and
     with `band` the high-band pieces P_{+hi}(V . Pm dx W) + P_{-hi}(V . Pp dx W)
     before their factor -2i (else None), in the four transform calls that
@@ -321,37 +328,35 @@ def _right_side(ws):
 
     The first stage takes the samples of V and V_x, W = (1 + conj V) V_x,
     the padded coefficients dwc of dx W and sum(W^2) over the last axis,
-    one value per field.  Its mean term is the one product sum(W^2) (-i/m),
-    exact because m is a power of two, taken as a (..., 1) column so that
+    one value per field.  Its mean term is the one product sum(W^2) (-i/2n),
+    exact because 2n is a power of two, taken as a (..., 1) column so that
     a scalar and a batch both broadcast.  ``watch``, if given, is called
     first with the even entries of the samples of V, its values at the
     base-lattice points.  The exact right side is fresh without `band`;
     with it, it is the workspace's ``total`` times the ``lo`` mask.  The
-    pieces are fresh.  The transforms are looked up at call time, so a
+    band side gathers its two V terms as one stacked pair into ``terms``.
+    The pieces are fresh.  The transforms are looked up at call time, so a
     wrapper of `spectral`'s pair sees them.
     """
-    b, samples, work, total, term = ws.b, ws.samples, ws.work, ws.total, ws.term
-    pg, dx, h, m, two_l = b.pg, b.pg.dx, b.mid, b.m, b.two_l
+    b, samples, work, total, terms = ws.b, ws.samples, ws.work, ws.total, ws.terms
+    pg, dx, h, two_l = b.pg, b.pg.dx, b.mid, b.two_l
     ixi2, minus2, plus2, linear, lo, plus_hi, minus_hi = (
         b.ixi2, b.minus2, b.plus2, b.linear, b.lo, b.plus_hi, b.minus_hi)
     vs, dvs, vs_even = samples[0], samples[1], samples[0][..., ::2]
-    # the same buffers after the last transform: V . Pm dx W and V . Pp dx W
-    v_minus, v_plus = samples[0], samples[1]
+    # after the last transform: V . Pm dx W, and V . Pp dx W under it
+    v_minus, (term, term_plus) = samples[0], terms
     w, pm, dwc = work[0], ws.halves[0], ws.halves[1]
-    mean_scale = -1j / m
+    mean_scale = -1j / pg.n
     # by `band`: the halves transformed, their samples and products with V,
     # and the V terms
     halves = (ws.halves[:1], ws.halves)
     products = (work[:1], work)
     rows = (tuple(work[:1]), tuple(work))
     v_terms = (samples[:1], samples)
-    # the halves k >= 0 (first) and k < 0 of the base band, and their factors
+    # the runs k >= 0 (first) and k < 0 of the base band, and their factors
     (sign_lo, sign_hi), (gather_lo, gather_hi) = b.sign, b.gather
-    pm_lo, pm_hi = pm[..., :h], pm[..., m - h:]
-    v_minus_lo, v_minus_hi = v_minus[..., :h], v_minus[..., m - h:]
-    v_plus_lo, v_plus_hi = v_plus[..., :h], v_plus[..., m - h:]
-    total_lo, total_hi = total[..., h:], total[..., :h]
-    term_lo, term_hi = term[..., h:], term[..., :h]
+    (pm_lo, pm_hi), (v_lo, v_hi) = band_runs(pm), band_runs(samples)
+    (total_lo, total_hi), (terms_lo, terms_hi) = map(lattice_runs, (total, terms))
 
     def right_side(c, watch, band):
         _v_samples(c, ws)
@@ -382,14 +387,11 @@ def _right_side(ws):
         if not band:
             return out, None
         np.multiply(out, lo, out=out)
-        np.multiply(sign_lo, v_minus_lo, out=term_lo)
-        np.multiply(sign_hi, v_minus_hi, out=term_hi)
-        term[..., 0] = 0.0
+        np.multiply(sign_lo, v_lo, out=terms_lo)
+        np.multiply(sign_hi, v_hi, out=terms_hi)
+        terms[..., 0] = 0.0
         pieces = np.multiply(term, plus_hi)
-        np.multiply(sign_lo, v_plus_lo, out=term_lo)
-        np.multiply(sign_hi, v_plus_hi, out=term_hi)
-        term[..., 0] = 0.0
-        pieces += np.multiply(term, minus_hi, out=term)
+        pieces += np.multiply(term_plus, minus_hi, out=term_plus)
         return out, pieces
 
     return right_side

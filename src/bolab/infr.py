@@ -159,7 +159,7 @@ class InfrParams:
     When no admissible sigma exists the instance is still constructed with
     ``feasible = False`` and the per-term table filled, so callers can see
     which pieces keep a positive theta; the threshold accessors past level
-    1 raise an ArgumentError naming ``s``.
+    1 raise an ArgumentError naming ``s``, whose text is ``message``.
     """
 
     s: float
@@ -173,7 +173,6 @@ class InfrParams:
     delta: float
     N_threshold: float
     feasible: bool
-    message: str
     mu: float = 0.0
     per_term: tuple = dataclass_field(default=())
 
@@ -182,12 +181,20 @@ class InfrParams:
 
         Infeasible parameters have no c_j: an ArgumentError naming ``s``."""
         if not self.feasible:
-            raise ArgumentError(
-                "s", f"= {self.s} and eps = {self.eps} violate Assumption 1: "
-                f"theta = {self.theta:.4g} <= 0 at sigma = {self.sigma}")
+            raise self._violation()
         if j < 1:
             raise ValueError(f"level index must be >= 1, got {j}")
         return float(j + 1) ** (2.0 / self.theta)
+
+    def _violation(self):
+        return ArgumentError(
+            "s", f"= {self.s} and eps = {self.eps} violate Assumption 1: "
+            f"theta = {self.theta:.4g} <= 0 at sigma = {self.sigma}")
+
+    @property
+    def message(self):
+        """Why the parameters are infeasible, "" when they are feasible."""
+        return "" if self.feasible else str(self._violation())
 
     def level_threshold(self, j, phi1=None):
         """Splitting threshold at level j: N at level 1, c_j |Phi_1|^delta after.
@@ -256,10 +263,6 @@ def infr_params(s, eps, N_threshold=1000.0):
     theta = _theta(gamma)
     feasible = theta > 0
     delta = 0.5 * theta / BETA if feasible else 0.0
-    message = "" if feasible else (
-        f"parameters violate Assumption 1 at this (s, eps) = ({s}, {eps}): "
-        f"theta = {theta:.4g} <= 0 at sigma = {sigma}"
-    )
 
     per_term = []
     for name, g in (("quadratic", gq), ("cubic", gc)):
@@ -269,7 +272,7 @@ def infr_params(s, eps, N_threshold=1000.0):
     return InfrParams(
         s=float(s), eps=float(eps), gamma_quad=gq, gamma_cubic=gc, gamma=gamma,
         beta=BETA, sigma=sigma, theta=theta, delta=delta,
-        N_threshold=float(N_threshold), feasible=feasible, message=message,
+        N_threshold=float(N_threshold), feasible=feasible,
         per_term=tuple(per_term),
     )
 

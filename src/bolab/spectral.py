@@ -182,8 +182,9 @@ def to_physical(field):
 # coefficients), whose caller applies (-1)^k.  Lattice order (increasing k)
 # is the layout of SpectralField; `coeffs_to_samples`/`samples_to_coeffs`
 # convert it through the same pair.  n is even, so fftshift and ifftshift
-# are the same swap of the two halves; one concatenate does it at a fraction
-# of np.roll's per-call cost.
+# are the same swap of the two halves, the join of the two runs that
+# `lattice_runs` gives; one concatenate does it at a fraction of np.roll's
+# per-call cost.
 #
 # The pair calls numpy's pocketfft gufuncs (numpy.fft._pocketfft_umath,
 # numpy >= 2.0) directly: np.fft.ifft/fft spend about 4-5 us of Python per
@@ -226,8 +227,7 @@ def samples_to_fft_order(samples, scale, out=None):
 
 
 def _swap_halves(a):
-    h = a.shape[-1] // 2
-    return np.concatenate((a[..., h:], a[..., :h]), axis=-1)
+    return np.concatenate(lattice_runs(a), axis=-1)
 
 
 def coeffs_to_samples(coeffs, grid):
@@ -326,63 +326,60 @@ def sobolev_norm(field, s):
 # quadratic-of-quadratic cascades used here, because aliased images of the
 # final product land outside the retained band.
 #
-# The doubled lattice is only held in FFT order: `pad_fft_order` pads the
-# base band straight into it and `gather_fft_order` gathers the base band
-# straight out of it, each with a factor given as its two halves over
-# k = 0 .. n/2-1 and k = -n/2 .. -1, so no padded transform swaps halves.
-# Both write into a caller's array (`pad_fft_order` always, the gather and
-# the FFT-order pair when given ``out``), so the gauge stages run on
-# buffers they reuse from call to call.
-# `to_padded` and `from_padded` take (-1)^k as views of the doubled grid's,
-# so no padded call makes a cache lookup.  Lattice order is for base-grid
-# transforms only (`to_physical`, `to_spectral`).
+# The doubled lattice is only held in FFT order, and the base band sits in
+# it as two runs, k = 0 .. n/2-1 at its head and k = -n/2 .. -1 at its
+# tail.  The layout has one owner here: `lattice_runs` splits a
+# base-lattice array into the same two runs, `band_runs` finds them in a
+# doubled-lattice array and `band_signs` gives (-1)^k over them.  Each
+# returns views, so a caller that binds them once (as the gauge workspaces
+# do) pads and gathers with plain `np.multiply` calls and no slicing of its
+# own, and no padded transform swaps halves.  A pad multiplies coefficient
+# by factor and a gather factor by coefficient, each in one operand order.
+# Lattice order is for base-grid transforms only (`to_physical`,
+# `to_spectral`), whose swap of halves is the join of the two runs.
 
 @lru_cache(maxsize=64)
 def padded_grid(grid):
     return Grid(2 * grid.n, grid.half_length)
 
 
-def _band_signs(pgrid):
-    """(-1)^k over the two runs of the base band, k = 0 .. n/2-1 and
-    k = -n/2 .. -1, as views of the doubled lattice pgrid's."""
-    h = pgrid.n // 4
-    return pgrid._phase[2 * h : 3 * h], pgrid._phase[h : 2 * h]
+def lattice_runs(c):
+    """Views of the runs k = 0 .. n/2-1 and k = -n/2 .. -1 of the base-lattice
+    array c (lattice order, last axis)."""
+    h = c.shape[-1] // 2
+    return c[..., h:], c[..., :h]
 
 
-def pad_fft_order(coeffs, factor, out):
-    """Write base-lattice coefficients (last axis) times ``factor`` into the
-    base band of ``out``, a doubled-lattice FFT-order array that is zero
-    elsewhere; with (-1)^k as factor, out holds their padded coefficients."""
-    lo, hi = factor
-    h = coeffs.shape[-1] // 2
-    np.multiply(coeffs[..., h:], lo, out=out[..., :h])
-    np.multiply(coeffs[..., :h], hi, out=out[..., out.shape[-1] - h :])
-    return out
-
-
-def gather_fft_order(a, factor, out=None):
-    """``factor`` times the base band of the doubled-lattice FFT-order array
-    a, in lattice order with a zero Nyquist slot, written into ``out`` if
-    given."""
-    lo, hi = factor
+def band_runs(a):
+    """Views of the same two runs of the base band of a, a doubled-lattice
+    array in FFT order (last axis)."""
     h = a.shape[-1] // 4
-    if out is None:
-        out = np.empty(a.shape[:-1] + (2 * h,), dtype=np.complex128)
-    np.multiply(hi, a[..., 3 * h :], out=out[..., :h])
-    np.multiply(lo, a[..., :h], out=out[..., h:])
-    out[..., 0] = 0.0
-    return out
+    return a[..., :h], a[..., 3 * h :]
+
+
+def band_signs(pgrid):
+    """(-1)^k over the two runs of the base band of the doubled lattice
+    pgrid, as views of pgrid's read-only array."""
+    h = pgrid.n // 4
+    return lattice_runs(pgrid._phase[h : 3 * h])
 
 
 def to_padded(coeffs, pgrid):
     """Samples on the doubled lattice `pgrid` of base-lattice coefficients."""
     cf = np.zeros(coeffs.shape[:-1] + (pgrid.n,), dtype=np.complex128)
-    return fft_order_to_samples(pad_fft_order(coeffs, _band_signs(pgrid), cf), pgrid)
+    for run, c, sign in zip(band_runs(cf), lattice_runs(coeffs), band_signs(pgrid)):
+        np.multiply(c, sign, out=run)
+    return fft_order_to_samples(cf, pgrid)
 
 
 def from_padded(samples, pgrid):
     """Base-band coefficients of samples on the doubled lattice `pgrid`."""
-    return gather_fft_order(samples_to_fft_order(samples, pgrid.dx), _band_signs(pgrid))
+    a = samples_to_fft_order(samples, pgrid.dx)
+    out = np.empty(a.shape[:-1] + (pgrid.n // 2,), dtype=np.complex128)
+    for run, b, sign in zip(lattice_runs(out), band_runs(a), band_signs(pgrid)):
+        np.multiply(sign, b, out=run)
+    out[..., 0] = 0.0
+    return out
 
 
 def dealiased_product(c1, c2, pgrid):

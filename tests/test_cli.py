@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+import refusal_table
 from bolab import cli
 from bolab.cli import main, resolve_config, ConfigError
 
@@ -129,6 +130,8 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("gauge-check", "--dt", "1e-300"), "time.dt"),
     (("simulate", "--dt", "1e-300"), "time.dt"),
     (("nfe", "--dt", "1e-300"), "time.dt"),
+    # smoothing's reference step, refused at N = 128 before any evolution
+    (("smoothing", "--dt", "1e-9", "--resolutions", "128,256"), "time.dt"),
     (("nfe", "--s", "0.2"), "infr.s"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
@@ -136,6 +139,47 @@ def test_unusable_value_is_config_error(tmp_path, capsys, args, key):
     assert run(tmp_path, *args) == 2
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not os.listdir(tmp_path)  # rejected before any report is written
+
+
+# one value of each key's bad-value table, on a command that reads the key;
+# tests/refusal_table.py runs the whole table on every command
+_ONE_BAD_VALUE = {
+    "grid.n_points": ("simulate", "3"),
+    "grid.half_length": ("lipschitz", "1e-300"),
+    "time.T": ("smoothing", "1e-300"),
+    "time.dt": ("lemma21", "1e-300"),
+    "time.snapshot_every": ("nfe", "0"),
+    "data.kind": ("simulate", "bogus"),
+    "data.seed": ("nfe", "-1"),
+    "data.amplitude": ("gauge-check", "0"),
+    "data.regularity": ("simulate", "nan"),
+    "infr.s": ("smoothing", "-1"),
+    "infr.eps": ("params", "-1"),
+    "infr.eps_list": ("smoothing", "inf"),
+    "infr.N_threshold": ("nfe", "1e-300"),
+    "infr.J_max": ("nfe", "0"),
+    "experiment.alpha_list": ("estimates", "0"),
+    "experiment.M_list": ("estimates", "-1"),
+    "experiment.cutoff": ("estimates", "1e-300"),
+    "experiment.resolutions": ("lipschitz", "nan"),
+    "experiment.trials": ("estimates", "0"),
+    "experiment.perturbation_size": ("lipschitz", "1e-300"),
+    "experiment.amplitudes": ("lemma21", "0"),
+    "experiment.terms": ("estimates", ""),
+    "experiment.c_max": ("lipschitz", "0"),
+}
+
+
+def test_one_bad_value_per_key_is_from_the_table():
+    assert list(_ONE_BAD_VALUE) == list(refusal_table.FLAGS)
+    for path, (_, value) in _ONE_BAD_VALUE.items():
+        assert (path, value) in refusal_table.TABLE, path
+
+
+@pytest.mark.parametrize("path", _ONE_BAD_VALUE)
+def test_one_bad_value_per_key(tmp_path, capsys, path):
+    command, value = _ONE_BAD_VALUE[path]
+    refusal_table.check_bad_value(tmp_path, capsys, command, path, value)
 
 
 def test_spec_leaves_are_unique():

@@ -257,6 +257,24 @@ def test_smoothing_zero_amplitude_raises(monkeypatch):
                              resolutions=[128, 256], amplitude=0.0)
 
 
+@pytest.mark.parametrize("base_dt, N", [(1e-8, 2048), (1e-9, 128), (0.0, 128)])
+def test_smoothing_refuses_a_step_before_any_run(monkeypatch, base_dt, N):
+    # base_dt (512/N)^{3/2} is each resolution's step, so a base_dt that N =
+    # 128 accepts (3.1e6 steps at 1e-8) can ask for more than MAX_STEPS at
+    # N = 2048: every step count is taken before the first evolution, and
+    # the refusal names base_dt, the value passed and the resolution
+    monkeypatch.setattr(experiments, "evolve_gauged", None)
+    with pytest.raises(ArgumentError, match=f"^base_dt = {base_dt!r} gives "
+                       f"the step .* at N = {N}: dt must be ") as err:
+        smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=0.25,
+                             resolutions=[128, 2048], base_dt=base_dt)
+    assert err.value.argument == "base_dt"
+    # a refused T keeps its own name
+    with pytest.raises(ArgumentError, match="^T ") as err:
+        smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=-1.0,
+                             resolutions=[128, 2048])
+
+
 def test_gauge_check_zero_data_raises(monkeypatch):
     # zero data makes the relative round trip 0/0: refused before any run
     monkeypatch.setattr(experiments, "evolve_bo", None)

@@ -586,7 +586,7 @@ def test_right_sides_return_fresh_arrays(fn, n, batch):
     assert not np.shares_memory(first, second)
     assert first.tobytes() == kept.tobytes()
     ws = gauge._workspace(g, c1.shape)
-    for buf in (ws.pad, ws.samples, ws.halves, ws.work, ws.total, ws.term):
+    for buf in (ws.pad, ws.samples, ws.halves, ws.work, ws.total, ws.terms):
         assert not np.shares_memory(first, buf)
         assert not np.shares_memory(second, buf)
 
@@ -615,7 +615,7 @@ def test_workspaces_held_are_bounded():
     g = Grid(64, np.pi)
     held_max = gauge.WORKSPACES
     shapes = [(b, g.n) for b in range(1, 3 * held_max + 1)]
-    per_field = (4 * 2 * 2 * g.n + 2 * g.n) * 16
+    per_field = (4 * 2 * 2 * g.n + 3 * g.n) * 16
     gauge._workspace.cache_clear()
     tracemalloc.start()
     try:

@@ -245,6 +245,7 @@ def test_params_reports_infeasible_instead_of_refusing():
                                             "Assumption 1") as err:
         p.c(1)
     assert err.value.argument == "s"
+    assert p.message == str(err.value)  # one text, printed by `bolab params`
     with pytest.raises(ArgumentError, match="Assumption 1"):
         p.level_threshold(2, 100.0)
     assert p.level_threshold(1) == p.N_threshold

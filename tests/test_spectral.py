@@ -451,19 +451,43 @@ def test_pair_equals_the_public_fft(n, L):
 
 
 @pytest.mark.parametrize("n", [8, 1024])
-def test_pair_and_gather_write_into_out(n):
-    # given ``out``, the pair and the gather write their result there, as
-    # the gauge stages' reused buffers need, byte for byte as a fresh call
+def test_pair_writes_into_out(n):
+    # given ``out``, the pair writes its result there, as the gauge stages'
+    # reused buffers need, byte for byte as a fresh call
     pg = sp.padded_grid(sp.Grid(n, np.pi))
-    factor = sp._band_signs(pg)
     for form, a in _pair_inputs(n, np.random.default_rng(n)).items():
         for fn, arg in ((sp.fft_order_to_samples, pg), (sp.samples_to_fft_order, pg.dx)):
             out = np.full(a.shape, np.nan, dtype=np.complex128)
             assert fn(a, arg, out=out) is out, form
             assert out.tobytes() == fn(a, arg).tobytes(), form
-        out = np.full(a.shape[:-1] + (n,), np.nan, dtype=np.complex128)
-        assert sp.gather_fft_order(a, factor, out=out) is out, form
-        assert out.tobytes() == sp.gather_fft_order(a, factor).tobytes(), form
+
+
+@pytest.mark.parametrize("n", [2**p for p in range(3, 12)])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_runs_are_views_of_the_fft_order_halves(n, batch):
+    # the runs k = 0 .. n/2-1 and k = -n/2 .. -1 are the halves of
+    # np.fft.ifftshift, taken as views: a base-lattice array's, the base
+    # band's of its padded FFT-order array, and (-1)^k over them
+    h = n // 2
+    pg = sp.padded_grid(sp.Grid(n, np.pi))
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
+    a = np.zeros(batch + (2 * n,), dtype=complex)
+    a[..., n // 2 : 3 * n // 2] = c  # lattice order on the doubled lattice
+    a = np.fft.ifftshift(a, axes=-1)
+    signs = sp.band_signs(pg)
+    want = np.fft.ifftshift(c, axes=-1)
+    want_signs = np.fft.ifftshift((-1.0) ** np.arange(-h, h))
+    for whole, runs in ((c, sp.lattice_runs(c)), (a, sp.band_runs(a)),
+                        (pg._phase, signs)):
+        assert all(np.shares_memory(run, whole) for run in runs)
+    for runs in (sp.lattice_runs(c), sp.band_runs(a)):
+        assert [r.shape for r in runs] == [batch + (h,)] * 2
+        assert np.array_equal(runs[0], want[..., :h])
+        assert np.array_equal(runs[1], want[..., h:])
+    assert np.array_equal(signs[0], want_signs[:h])
+    assert np.array_equal(signs[1], want_signs[h:])
+    assert not any(run.flags.writeable for run in signs)
 
 
 @pytest.mark.parametrize("m", [2**p for p in range(3, 13)])
@@ -546,5 +570,24 @@ def test_the_pair_owns_every_transform():
         found = _fft_calls(path.read_text())
         if path.name == "spectral.py":
             assert found and all(_GUFUNCS in f for f in found), found
+        else:
+            assert found == [], (path.name, found)
+
+
+def _phase_reads(source):
+    """Lines of ``source`` that read an attribute named ``_phase``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_phase"]
+
+
+def test_spectral_owns_the_fft_order_signs():
+    # (-1)^k, Grid._phase, relates FFT order to samples; only spectral reads
+    # it, and the runs of the doubled lattice reach the gauge stages through
+    # band_signs, so the layout has one owner
+    assert _phase_reads("g._phase\nx = grid._phase[2:4]\nphase = 1\n") == [1, 2]
+    for path in sorted(pathlib.Path(sp.__file__).parent.glob("*.py")):
+        found = _phase_reads(path.read_text())
+        if path.name == "spectral.py":
+            assert found, path.name
         else:
             assert found == [], (path.name, found)
