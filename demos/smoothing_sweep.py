@@ -13,7 +13,7 @@ from bolab.experiments import smoothing_experiment
 
 
 def main():
-    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.4], T=0.25,
+    rep = smoothing_experiment(seed=42, s=0.5, eps=0.4, T=0.25,
                                resolutions=[256, 512])
     sups = {r["n"]: r["value"] for r in rep.samples
             if r["kind"] == "remainder_sup"}

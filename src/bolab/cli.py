@@ -83,7 +83,6 @@ _SPEC = (
     ("data.regularity", float, 0.5, "--regularity", None),
     ("infr.s", float, 0.5, "--s", None),
     ("infr.eps", float, 0.0, "--eps", None),
-    ("infr.eps_list", _floats, None, "--eps-list", None),
     ("infr.N_threshold", float, 1000.0, "--n-threshold", None),
     ("infr.J_max", int, 2, "--j-max", None),
     ("experiment.alpha_list", _floats, [128.0, 256.0, 512.0, 1024.0],
@@ -118,7 +117,7 @@ DEFAULTS = _nest((path, default) for path, _, default, _, _ in _SPEC)
 COMMAND_DEFAULTS = {
     "estimates": {"grid": {"n_points": 128, "half_length": np.pi}},
     "smoothing": {"data": {"kind": "rough-random", "amplitude": 0.5},
-                  "time": {"dt": 1e-4}, "infr": {"eps_list": [0.4]},
+                  "time": {"dt": 1e-4}, "infr": {"eps": 0.4},
                   "grid": {"half_length": np.pi}},
     "lipschitz": {"data": {"kind": "rough-random", "amplitude": 0.6},
                   "time": {"dt": 4e-4, "T": 0.5},
@@ -280,7 +279,7 @@ def _cmd_estimates(cfg, outdir):
 def _cmd_smoothing(cfg, outdir):
     t, infr, d, exp = cfg["time"], cfg["infr"], cfg["data"], cfg["experiment"]
     rep = smoothing_experiment(
-        seed=d["seed"], s=infr["s"], eps_list=infr["eps_list"] or [infr["eps"]],
+        seed=d["seed"], s=infr["s"], eps=infr["eps"],
         T=t["T"], resolutions=exp["resolutions"], amplitude=d["amplitude"],
         base_dt=t["dt"], half_length=cfg["grid"]["half_length"])
     return [("smoothing", rep)]
@@ -298,7 +297,7 @@ def _cmd_lipschitz(cfg, outdir):
 
 def _cmd_lemma21(cfg, outdir):
     rep = lemma21_experiment(
-        cfg["experiment"]["amplitudes"], cfg["infr"]["s"], cfg["time"]["T"],
+        cfg["experiment"]["amplitudes"], cfg["time"]["T"],
         n_points=cfg["grid"]["n_points"], dt=cfg["time"]["dt"],
         seed=cfg["data"]["seed"], half_length=cfg["grid"]["half_length"])
     return [("lemma21", rep)]

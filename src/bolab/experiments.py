@@ -17,10 +17,12 @@ Each measurement runs on its input as given or refuses it: an argument it
 cannot use (no trials, an unfittable window list, a perturbation that is
 zero or whose calibrated gap is rounding noise, a zero amplitude or
 ``u0``, a ``u`` with a mean, no grid size, resolutions out of order, a
-seed numpy's generator refuses) is an
+seed numpy's generator refuses, a ``c_max`` that is not positive) is an
 :class:`~bolab.spectral.ArgumentError` carrying its name; a window list
 with no alpha fit or M-sweep anchor, or a remainder sup of zero, leaves
-its check "inconclusive".
+its check "inconclusive".  Every driver that reads ``eps`` takes its
+(s, eps) through :func:`~bolab.infr.infr_params`, the one owner of the
+rule s > 0, 0 <= eps < min(s, 3/4), and of the gammas.
 
 All randomness flows through seeded generators recorded in the report, so
 reports are bit-reproducible.  Every check read off a power-law fit goes
@@ -33,8 +35,7 @@ from .spectral import (ArgumentError, Grid, SpectralField, dispersion,
                        sobolev_norm, to_physical)
 from .dynamics import evolve_bo, evolve_gauged, evolve_gauged_batch, step_count
 from .gauge import gauge_forward, gauge_inverse, profile_time_derivative_sup
-from .infr import (_replay, bo_terms, gamma_cubic, gamma_quadratic,
-                   window_indicator)
+from .infr import _replay, bo_terms, infr_params, window_indicator
 from .integrals import cubic_integral_I, quad_integral_J
 from .reports import EstimateReport, PowerFit, fit_power
 
@@ -177,8 +178,9 @@ def verify_operator_estimate(term, s, eps,
 
     Checks (upper bounds, tolerance 0.1): strong alpha exponent vs
     gamma(eps); mean M exponent vs 1/2; weak-form (Fourier-sup) alpha
-    exponent vs gamma(0).  ``trials`` must be at least 1, ``alpha_list``
-    must hold two distinct values and ``M_list`` two distinct positive ones.
+    exponent vs gamma(0), the gammas of ``infr_params`` at (s, eps) and
+    (s, 0).  ``trials`` must be at least 1, ``alpha_list`` must hold two
+    distinct values and ``M_list`` two distinct positive ones.
     """
     if trials < 1:
         raise ArgumentError("trials", f"must be at least 1, got {trials!r}")
@@ -196,8 +198,8 @@ def verify_operator_estimate(term, s, eps,
         raise ArgumentError("M_list",
                             f"needs two distinct positive widths, got {M_list}")
     arity = term.arity
-    gamma = gamma_quadratic(s, eps) if arity == 2 else gamma_cubic(s, eps)
-    gamma0 = gamma_quadratic(s, 0.0) if arity == 2 else gamma_cubic(s, 0.0)
+    gamma, gamma0 = (p.gamma_quad if arity == 2 else p.gamma_cubic
+                     for p in (infr_params(s, eps), infr_params(s, 0.0)))
     rep = EstimateReport("operator_estimate", params={
         "term": term.name, "s": s, "eps": eps, "trials": trials,
         "n_points": grid_n, "half_length": half_length, "seed": seed,
@@ -290,32 +292,34 @@ def _resolution_grids(resolutions, half_length):
     return grids
 
 
-def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
+def smoothing_experiment(seed, s, eps, T, resolutions, amplitude=0.5,
                          base_dt=1e-4, half_length=np.pi):
     """Remainder-norm stability under resolution doubling.
 
     For each resolution N the same seeded rough data (tail exactly
-    H^{s+1}) is evolved once and the profile remainder
-    R(t) = e^{it omega} V(t) - V(0) is measured at ~10 snapshots; every eps
-    in ``eps_list`` reads its H^{s+1+eps} norms off the same trajectory.
-    The time step follows base_dt * (512/N)^{3/2}, which keeps the
-    integrator noise in the top bands (weighted by <k>^{s+1+eps}) below a
-    percent of the remainder at every N tested.
+    H^{s+1}) is evolved once, and the profile remainder
+    R(t) = e^{it omega} V(t) - V(0) is measured in H^{s+1+eps} at ~10
+    snapshots.  The time step follows base_dt * (512/N)^{3/2}, which keeps
+    the integrator noise in the top bands (weighted by <k>^{s+1+eps}) below
+    a percent of the remainder at every N tested.
 
     The evolution runs the band system ("terms"): the measurement
     targets the high-band profile equations, whose restricted nonlinearity
-    is exactly what the remainder bound is made of.  Checks per eps:
-    remainder sup stable within 10% across consecutive resolutions
-    (inconclusive where a sup is zero, as when T is too short to move the
-    data); fitted growth of ||V0||_{H^{s+1+eps}} vs N within 0.1 of the
-    construction rate eps - 0.01; remainder tail slope steeper than the
-    data tail slope by at least 0.3 (slopes from the largest resolution).
+    is exactly what the remainder bound is made of.  Checks, each named
+    with its eps: remainder sup stable within 10% across consecutive
+    resolutions (inconclusive where a sup is zero, as when T is too short
+    to move the data); fitted growth of ||V0||_{H^{s+1+eps}} vs N within
+    0.1 of the construction rate eps - 0.01; remainder tail slope steeper
+    than the data tail slope by at least 0.3 (slopes from the largest
+    resolution).  ``infr_params`` refuses an (s, eps) outside its rule.
     ``amplitude`` must not be zero: zero data has no remainder to measure.
     ``resolutions`` must be a strictly increasing list of grid sizes (see
     ``_resolution_grids``).  Every resolution's step count is taken before
     any evolution, and a step that `step_count` refuses is an ArgumentError
     naming ``base_dt``, with the value passed and the resolution.
     """
+    eps = infr_params(s, eps).eps
+    tag = f"eps{eps:g}"
     if amplitude == 0.0:
         raise ArgumentError("amplitude", f"must not be zero, got {amplitude!r}")
     grids = _resolution_grids(resolutions, half_length)
@@ -330,14 +334,11 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
                 raise
             raise ArgumentError("base_dt", f"= {base_dt!r} gives the step "
                                 f"{dt:.3g} at N = {N}: {e}") from None
-    eps_list = [float(e) for e in eps_list]
     rep = EstimateReport("smoothing", params={
-        "seed": seed, "s": s, "eps_list": eps_list, "T": T,
+        "seed": seed, "s": s, "eps": eps, "T": T,
         "resolutions": resolutions, "amplitude": amplitude,
         "base_dt": base_dt, "rhs": "terms", "half_length": half_length})
-    sups = {e: [] for e in eps_list}
-    slopes_r = {e: {} for e in eps_list}
-    slopes_v0 = {}
+    sups, slopes_r, slopes_v0 = [], [], []
     for N, grid in zip(resolutions, grids):
         v0 = rough_profile_data(grid, s, seed, amplitude)
         dt, count = steps[N]
@@ -347,49 +348,39 @@ def smoothing_experiment(seed, s, eps_list, T, resolutions, amplitude=0.5,
         c0 = traj.data[0]
         remainders = [np.exp(1j * omega * t) * traj.data[i] - c0
                       for i, t in enumerate(traj.times)]
-        slope_v0 = _dyadic_tail_slope(grid, c0)
-        slopes_v0[N] = slope_v0
-        for eps in eps_list:
-            norms = [sobolev_norm(SpectralField(grid, r), s + 1.0 + eps)
-                     for r in remainders]
-            i_sup = int(np.argmax(norms))
-            sup = norms[i_sup]
-            slope_r = _dyadic_tail_slope(grid, remainders[i_sup])
-            v0_norm = sobolev_norm(v0, s + 1.0 + eps)
-            sups[eps].append(sup)
-            slopes_r[eps][N] = slope_r
-            rep.add_sample(sup, kind="remainder_sup", eps=eps, n=N, dt=dt,
-                           tail_slope=slope_r)
-            rep.add_sample(v0_norm, fit=f"v0_growth_eps{eps:g}",
-                           kind="initial_norm", eps=eps, n=N, dt=dt,
-                           tail_slope=slope_v0)
-    for eps in eps_list:
-        vals = sups[eps]
-        zeros = [N for N, v in zip(resolutions, vals) if v == 0.0]
-        if zeros:
-            rep.checks[f"remainder_stable_eps{eps:g}"] = "inconclusive"
-            rep.notes.append(f"remainder sup is 0 at eps={eps:g}, n = "
-                             f"{', '.join(map(str, zeros))}: no ratio to test")
-        else:
-            rep.checks[f"remainder_stable_eps{eps:g}"] = all(
-                abs(b / a - 1.0) <= 0.10 for a, b in zip(vals, vals[1:]))
-        if len(resolutions) > 1 and eps > 0.02:
-            predicted = eps - 0.01
-            rep.check_fit(f"v0_rate_eps{eps:g}",
-                          rep.fit_samples(f"v0_growth_eps{eps:g}", "n"),
-                          lambda p: abs(p - predicted) <= EXPONENT_TOL)
-        N_top = resolutions[-1]
-        gap = slopes_v0[N_top] - slopes_r[eps][N_top]
-        if np.isfinite(gap):
-            rep.checks[f"tail_gap_eps{eps:g}"] = bool(gap >= 0.3)
-            rep.params[f"tail_gap_eps{eps:g}"] = float(gap)
-        else:
-            rep.checks[f"tail_gap_eps{eps:g}"] = "inconclusive"
-        if rep.checks[f"remainder_stable_eps{eps:g}"] is True and \
-                rep.checks.get(f"v0_rate_eps{eps:g}") in (True, None):
-            rep.notes.append(f"smoothing observed at eps={eps:g}: remainder "
-                             f"sup {max(vals):.6g} stable while data norm "
-                             f"diverges")
+        norms = [sobolev_norm(SpectralField(grid, r), s + 1.0 + eps)
+                 for r in remainders]
+        i_sup = int(np.argmax(norms))
+        sups.append(norms[i_sup])
+        slopes_r.append(_dyadic_tail_slope(grid, remainders[i_sup]))
+        slopes_v0.append(_dyadic_tail_slope(grid, c0))
+        rep.add_sample(sups[-1], kind="remainder_sup", eps=eps, n=N, dt=dt,
+                       tail_slope=slopes_r[-1])
+        rep.add_sample(sobolev_norm(v0, s + 1.0 + eps), fit=f"v0_growth_{tag}",
+                       kind="initial_norm", eps=eps, n=N, dt=dt,
+                       tail_slope=slopes_v0[-1])
+    zeros = [N for N, v in zip(resolutions, sups) if v == 0.0]
+    if zeros:
+        rep.checks[f"remainder_stable_{tag}"] = "inconclusive"
+        rep.notes.append(f"remainder sup is 0 at eps={eps:g}, n = "
+                         f"{', '.join(map(str, zeros))}: no ratio to test")
+    else:
+        rep.checks[f"remainder_stable_{tag}"] = all(
+            abs(b / a - 1.0) <= 0.10 for a, b in zip(sups, sups[1:]))
+    if len(resolutions) > 1 and eps > 0.02:
+        rep.check_fit(f"v0_rate_{tag}", rep.fit_samples(f"v0_growth_{tag}", "n"),
+                      lambda p: abs(p - (eps - 0.01)) <= EXPONENT_TOL)
+    gap = slopes_v0[-1] - slopes_r[-1]
+    if np.isfinite(gap):
+        rep.checks[f"tail_gap_{tag}"] = bool(gap >= 0.3)
+        rep.params[f"tail_gap_{tag}"] = float(gap)
+    else:
+        rep.checks[f"tail_gap_{tag}"] = "inconclusive"
+    if rep.checks[f"remainder_stable_{tag}"] is True and \
+            rep.checks.get(f"v0_rate_{tag}") in (True, None):
+        rep.notes.append(f"smoothing observed at eps={eps:g}: remainder "
+                         f"sup {max(sups):.6g} stable while data norm "
+                         f"diverges")
     return rep
 
 
@@ -417,13 +408,17 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
     `evolve_gauged_batch` call.  Checks: every sup ratio at most
     ``c_max``; sups within a factor 2 across resolution doubling at fixed
     size and across size halving at fixed resolution.
-    ``perturbation_size`` must be positive and large enough for the gauge
-    map to resolve: every calibrated gap, at every resolution, within a
-    factor GAP_FACTOR of its requested size, checked before any evolution
-    (a gap made of rounding noise is not the requested perturbation).
+    ``c_max`` must be positive: a sup ratio is, so a bound that is not
+    could only fail.  ``perturbation_size`` must be positive and large
+    enough for the gauge map to resolve: every calibrated gap, at every
+    resolution, within a factor GAP_FACTOR of its requested size, checked
+    before any evolution (a gap made of rounding noise is not the requested
+    perturbation).
     ``resolutions`` must be a strictly increasing list of grid sizes (see
     ``_resolution_grids``).
     """
+    if not c_max > 0.0:
+        raise ArgumentError("c_max", f"must be positive, got {c_max!r}")
     if not perturbation_size > 0.0:
         raise ArgumentError(
             "perturbation_size", f"must be positive, got {perturbation_size!r}")
@@ -497,7 +492,7 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
 # amplitude scaling of the profile time derivative
 # ---------------------------------------------------------------------------
 
-def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
+def lemma21_experiment(amplitudes, T, n_points=256, dt=5e-5, seed=7,
                        half_length=np.pi):
     """Amplitude sweep of sup_t sup_xi |profile time derivative|.
 
@@ -508,16 +503,17 @@ def lemma21_experiment(amplitudes, s, T, n_points=256, dt=5e-5, seed=7,
     C (h^2 + h^3) with a single constant C over the whole sweep — C is
     fitted as the geometric midpoint of the extreme per-h ratios and every
     ratio must lie within a factor 1.5 of C (-33% to +50%).  The small-h
-    power is fitted over the amplitudes at most 0.2.  All amplitudes are
-    evolved in one `evolve_gauged_batch` call.  ``amplitudes`` must be
-    nonempty and all positive.
+    power is fitted over the amplitudes at most 0.2.  The sup is pointwise in
+    xi and the bump is smooth, so the sweep takes no regularity index.  All
+    amplitudes are evolved in one `evolve_gauged_batch` call.
+    ``amplitudes`` must be nonempty and all positive.
     """
     amplitudes = [float(h) for h in amplitudes]
     if not amplitudes or not all(h > 0.0 for h in amplitudes):
         raise ArgumentError(
             "amplitudes", f"must be nonempty and all positive, got {amplitudes!r}")
     rep = EstimateReport("lemma21", params={
-        "amplitudes": amplitudes, "s": s, "T": T, "n_points": n_points,
+        "amplitudes": amplitudes, "T": T, "n_points": n_points,
         "dt": dt, "seed": seed, "half_length": half_length})
     grid = Grid(n_points, half_length)
     shape = bump_shape(grid, seed=seed)
@@ -605,14 +601,15 @@ def integral_scaling_experiment(s, eps, cutoff):
 
     The integrals are the squared dual quantities, so the caps double the
     operator exponents: M-slope <= 1 + 2 gamma + 0.15, alpha-slope <=
-    2 gamma + 0.15.  A cutoff-doubling cell guards tail convergence.
+    2 gamma + 0.15, with the gammas of ``infr_params(s, eps)``.  A
+    cutoff-doubling cell guards tail convergence.
     """
+    p = infr_params(s, eps)
     rep = EstimateReport("integral_scaling", params={
         "s": s, "eps": eps, "cutoff": cutoff,
-        "gamma_quad": gamma_quadratic(s, eps),
-        "gamma_cubic": gamma_cubic(s, eps)})
-    kinds = (("quad", quad_integral_J, gamma_quadratic(s, eps)),
-             ("cubic", cubic_integral_I, gamma_cubic(s, eps)))
+        "gamma_quad": p.gamma_quad, "gamma_cubic": p.gamma_cubic})
+    kinds = (("quad", quad_integral_J, p.gamma_quad),
+             ("cubic", cubic_integral_I, p.gamma_cubic))
     # (fit key, alpha, M): the M-sweep at alpha = 0, the alpha-sweep at M = 2
     cells = ([("m", 0.0, M) for M in (2.0, 4.0, 8.0, 16.0, 32.0)]
              + [("alpha", a, 2.0) for a in (4.0, 8.0, 16.0, 32.0)])

@@ -2,7 +2,7 @@
 
 Each key takes the bad values of its flag type (`BAD_VALUES`), on each of
 the eight commands at the light configs of the golden reports
-(`test_golden.CASES`): 101 values, 808 runs, about a minute on one core.
+(`test_golden.CASES`): 96 values, 768 runs, about a minute on one core.
 A run must end within `BUDGET_S` with an exit in {0, 1, 2, 3} and no
 exception escaping `cli.main`.  Exit 2 names a `_SPEC` row, as
 "config error: <key>: " (or, for a value argparse cannot parse, as

@@ -328,7 +328,7 @@ def test_gate_09_nonlinear_smoothing():
     10% across N in {512, 1024, 2048} while the data norm grows like
     N^{0.4 +- 0.1}; remainder tail steeper by >= 0.3; < 30 min."""
     t0 = time.perf_counter()
-    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.4], T=0.5,
+    rep = smoothing_experiment(seed=42, s=0.5, eps=0.4, T=0.5,
                                resolutions=[512, 1024, 2048])
     sups = [r["value"] for r in rep.samples if r["kind"] == "remainder_sup"]
     rate = rep.fits["v0_growth_eps0.4"].exponent
@@ -370,7 +370,7 @@ def test_gate_11_small_amplitude_quadratic_rate():
     """Profile time-derivative sup scales like h^{2.0 +- 0.3}; one constant
     covers h <= 0.5 within a factor 1.5 of C (-33% to +50%); < 10 min."""
     t0 = time.perf_counter()
-    rep = lemma21_experiment([0.05, 0.1, 0.2, 0.35, 0.5], 0.5, T=0.25)
+    rep = lemma21_experiment([0.05, 0.1, 0.2, 0.35, 0.5], T=0.25)
     power = rep.fits["small_h_power"].exponent
     cstar = rep.params["fitted_constant"]
     checks_ok = all(v is True for v in rep.checks.values())

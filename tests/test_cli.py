@@ -133,6 +133,10 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     # smoothing's reference step, refused at N = 128 before any evolution
     (("smoothing", "--dt", "1e-9", "--resolutions", "128,256"), "time.dt"),
     (("nfe", "--s", "0.2"), "infr.s"),
+    # infr_params owns the (s, eps) rule for every command that reads eps
+    (("smoothing", "--eps", "-1"), "infr.eps"),
+    (("estimates", "--eps", "0.9"), "infr.eps"),
+    (("lipschitz", "--c-max", "0"), "experiment.c_max"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
 def test_unusable_value_is_config_error(tmp_path, capsys, args, key):
@@ -155,7 +159,6 @@ _ONE_BAD_VALUE = {
     "data.regularity": ("simulate", "nan"),
     "infr.s": ("smoothing", "-1"),
     "infr.eps": ("params", "-1"),
-    "infr.eps_list": ("smoothing", "inf"),
     "infr.N_threshold": ("nfe", "1e-300"),
     "infr.J_max": ("nfe", "0"),
     "experiment.alpha_list": ("estimates", "0"),
@@ -185,7 +188,7 @@ def test_one_bad_value_per_key(tmp_path, capsys, path):
 def test_spec_leaves_are_unique():
     # main names the key of a refused library argument by its leaf
     leaves = [path.rpartition(".")[2] for path, _, _, _, _ in cli._SPEC]
-    assert len(set(leaves)) == len(leaves) == 24
+    assert len(set(leaves)) == len(leaves) == 23
 
 
 def test_estimates_alphas_below_the_unrolling_bound_are_inconclusive(
@@ -347,6 +350,19 @@ def test_smoothing_cli_default_scale(tmp_path, capsys):
     assert rep["checks"]["v0_rate_eps0.4"] is True
     assert rep["params"]["config"]["data"]["kind"] == "rough-random"
     capsys.readouterr()
+
+
+def test_smoothing_cli_measures_at_its_eps(tmp_path, capsys):
+    # the remainder is measured at --eps: every check and sample carries it
+    code = run(tmp_path, "smoothing", "--eps", "0.2", "--resolutions", "64,128",
+               "--T", "0.002")
+    capsys.readouterr()
+    assert code in (0, 1)  # verdicts at this scale are not the point
+    rep = json.loads((tmp_path / "smoothing.json").read_text())
+    assert rep["params"]["eps"] == 0.2
+    assert rep["checks"] and all(name.endswith("_eps0.2")
+                                 for name in rep["checks"])
+    assert rep["samples"] and all(r["eps"] == 0.2 for r in rep["samples"])
 
 
 def test_smoothing_cli_zero_remainder_exits_1(tmp_path, capsys):

@@ -16,7 +16,7 @@ import pytest
 import bolab.experiments as experiments
 from bolab import infr
 from bolab.experiments import (bump_shape, gauge_check_experiment,
-                               lemma21_experiment,
+                               integral_scaling_experiment, lemma21_experiment,
                                lipschitz_experiment, rough_profile_data,
                                rough_real_data, smoothing_experiment,
                                unit_rough_field, verify_operator_estimate)
@@ -224,7 +224,7 @@ def test_operator_without_an_anchor_has_no_m_fit():
 # ---------------------------------------------------------------------------
 
 def test_smoothing_report_smoke():
-    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.4], T=0.05,
+    rep = smoothing_experiment(seed=42, s=0.5, eps=0.4, T=0.05,
                                resolutions=[128, 256])
     print(rep.summary())
     assert rep.checks["remainder_stable_eps0.4"] is True
@@ -241,7 +241,7 @@ def test_smoothing_report_smoke():
 def test_smoothing_zero_remainder_sup_is_inconclusive():
     # at T = 1e-300 the flow leaves the data as it is: no remainder, so no
     # stability ratio, and the note names the zero sups
-    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.4], T=1e-300,
+    rep = smoothing_experiment(seed=42, s=0.5, eps=0.4, T=1e-300,
                                resolutions=[128, 256])
     assert rep.checks["remainder_stable_eps0.4"] == "inconclusive"
     assert "remainder sup is 0 at eps=0.4, n = 128, 256: no ratio to test" \
@@ -253,7 +253,7 @@ def test_smoothing_zero_amplitude_raises(monkeypatch):
     # zero data has no remainder to measure: refused before any run
     monkeypatch.setattr(experiments, "evolve_gauged", None)
     with pytest.raises(ValueError, match="amplitude"):
-        smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=0.02,
+        smoothing_experiment(seed=1, s=0.5, eps=0.4, T=0.02,
                              resolutions=[128, 256], amplitude=0.0)
 
 
@@ -266,12 +266,12 @@ def test_smoothing_refuses_a_step_before_any_run(monkeypatch, base_dt, N):
     monkeypatch.setattr(experiments, "evolve_gauged", None)
     with pytest.raises(ArgumentError, match=f"^base_dt = {base_dt!r} gives "
                        f"the step .* at N = {N}: dt must be ") as err:
-        smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=0.25,
+        smoothing_experiment(seed=1, s=0.5, eps=0.4, T=0.25,
                              resolutions=[128, 2048], base_dt=base_dt)
     assert err.value.argument == "base_dt"
     # a refused T keeps its own name
     with pytest.raises(ArgumentError, match="^T ") as err:
-        smoothing_experiment(seed=1, s=0.5, eps_list=[0.4], T=-1.0,
+        smoothing_experiment(seed=1, s=0.5, eps=0.4, T=-1.0,
                              resolutions=[128, 2048])
 
 
@@ -296,18 +296,45 @@ def test_smoothing_tail_gap_bound_is_0_3(monkeypatch, p, passes):
                                data=np.array([c0, later]))
 
     monkeypatch.setattr(experiments, "evolve_gauged", flow)
-    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.4], T=0.05,
+    rep = smoothing_experiment(seed=42, s=0.5, eps=0.4, T=0.05,
                                resolutions=[256, 512])
     assert rep.params["tail_gap_eps0.4"] == pytest.approx(p, abs=0.01)
     assert rep.checks["tail_gap_eps0.4"] is passes
 
 
 def test_smoothing_csv_has_fixed_schema():
-    rep = smoothing_experiment(seed=42, s=0.5, eps_list=[0.2], T=0.02,
+    rep = smoothing_experiment(seed=42, s=0.5, eps=0.2, T=0.02,
                                resolutions=[128])
     header = rep.csv_text().splitlines()[0].split(",")
     assert header[0] == "experiment"
     assert header[-4:] == ["value", "fit_exponent", "fit_residual", "verdict"]
+
+
+# every driver that reads eps takes (s, eps) through infr_params: a pair it
+# refuses is refused by each of them with the same error, before any run
+_EPS_READERS = {
+    "smoothing": lambda s, eps: smoothing_experiment(
+        seed=1, s=s, eps=eps, T=0.02, resolutions=[128, 256]),
+    "operator": lambda s, eps: verify_operator_estimate(
+        "Q+", s, eps, trials=1, grid_n=32),
+    "integrals": lambda s, eps: integral_scaling_experiment(s, eps, 48.0),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_EPS_READERS))
+@pytest.mark.parametrize("s, eps", [(0.5, -1.0), (0.5, 0.5), (1.0, 0.75),
+                                    (0.5, np.nan), (0.0, 0.0)])
+def test_eps_readers_refuse_what_infr_params_refuses(monkeypatch, reader, s,
+                                                     eps):
+    for run in ("evolve_gauged", "_replay", "quad_integral_J",
+                "cubic_integral_I"):
+        monkeypatch.setattr(experiments, run, None)
+    with pytest.raises(ArgumentError) as owner:
+        infr.infr_params(s, eps)
+    with pytest.raises(ArgumentError) as refused:
+        _EPS_READERS[reader](s, eps)
+    assert refused.value.argument == owner.value.argument
+    assert str(refused.value) == str(owner.value)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +371,7 @@ def test_lipschitz_and_lemma21_evolve_once_per_grid(monkeypatch):
     monkeypatch.setattr(experiments, "evolve_gauged_batch", counting)
     lipschitz_experiment(seed=42, s=0.5, T=0.004, perturbation_size=1e-3,
                          resolutions=[64, 128])
-    lemma21_experiment([0.05, 0.1, 0.2], 0.5, T=0.002, n_points=64, dt=2e-4)
+    lemma21_experiment([0.05, 0.1, 0.2], T=0.002, n_points=64, dt=2e-4)
     assert calls == [3, 3, 3]
 
 
@@ -382,6 +409,18 @@ def test_lipschitz_zero_perturbation_raises(monkeypatch):
                                  perturbation_size=size, resolutions=[128])
 
 
+@pytest.mark.parametrize("c_max", [0.0, -1.0, np.nan])
+def test_lipschitz_refuses_a_bound_that_is_not_positive(monkeypatch, c_max):
+    # a sup ratio is positive, so such a bound could only fail: refused
+    # before any run
+    monkeypatch.setattr(experiments, "evolve_gauged_batch", None)
+    monkeypatch.setattr(experiments, "gauge_forward", None)
+    with pytest.raises(ArgumentError, match="^c_max must be positive") as err:
+        lipschitz_experiment(seed=5, s=0.5, T=0.02, perturbation_size=1e-3,
+                             resolutions=[128], c_max=c_max)
+    assert err.value.argument == "c_max"
+
+
 def test_lipschitz_refuses_a_gap_of_rounding_noise(monkeypatch):
     # at 1e-14 an n = 256 gap calibrates to over twice its size: rounding,
     # not the requested perturbation, so the size is refused before any run;
@@ -405,7 +444,7 @@ def test_lipschitz_refuses_a_gap_of_rounding_noise(monkeypatch):
 
 _RESOLUTION_SWEEPS = {
     "smoothing": lambda **kw: smoothing_experiment(
-        seed=1, s=0.5, eps_list=[0.4], T=0.02, **kw),
+        seed=1, s=0.5, eps=0.4, T=0.02, **kw),
     "lipschitz": lambda **kw: lipschitz_experiment(
         seed=5, s=0.5, T=0.02, perturbation_size=1e-3, **kw),
 }
@@ -439,7 +478,7 @@ def test_resolution_sweeps_refuse_unusable_grids(monkeypatch, sweep, kwargs,
 # ---------------------------------------------------------------------------
 
 def test_lemma21_smoke():
-    rep = lemma21_experiment([0.05, 0.1, 0.2], 0.5, T=0.05,
+    rep = lemma21_experiment([0.05, 0.1, 0.2], T=0.05,
                              n_points=64, dt=2e-4)
     print(rep.summary())
     assert rep.checks["small_h_power_near_2"] is True
@@ -456,10 +495,10 @@ def test_lemma21_unusable_amplitudes_raise(monkeypatch, amplitudes):
     monkeypatch.setattr(experiments, "evolve_gauged", None)
     monkeypatch.setattr(experiments, "evolve_gauged_batch", None)
     with pytest.raises(ValueError, match="amplitudes"):
-        lemma21_experiment(amplitudes, 0.5, T=0.05, n_points=64, dt=2e-4)
+        lemma21_experiment(amplitudes, T=0.05, n_points=64, dt=2e-4)
 
 
 def test_lemma21_no_small_amplitudes_inconclusive():
-    rep = lemma21_experiment([0.35], 0.5, T=0.02, n_points=64, dt=2e-4)
+    rep = lemma21_experiment([0.35], T=0.02, n_points=64, dt=2e-4)
     assert rep.checks["small_h_power_near_2"] == "inconclusive"
     assert rep.verdict == "inconclusive"
