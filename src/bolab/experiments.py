@@ -17,7 +17,7 @@ Each measurement runs on its input as given or refuses it: an argument it
 cannot use (no trials, an unfittable window list, a perturbation that is
 zero or whose calibrated gap is rounding noise, a zero amplitude or
 ``u0``, a ``u`` with a mean, no grid size, resolutions out of order, a
-seed numpy's generator refuses, a ``c_max`` that is not positive) is an
+seed numpy's generator refuses, a ``c_max`` below 1) is an
 :class:`~bolab.spectral.ArgumentError` carrying its name; a window list
 with no alpha fit or M-sweep anchor, or a remainder sup of zero, leaves
 its check "inconclusive".  Every driver that reads ``eps`` takes its
@@ -408,17 +408,18 @@ def lipschitz_experiment(seed, s, T, perturbation_size, resolutions,
     `evolve_gauged_batch` call.  Checks: every sup ratio at most
     ``c_max``; sups within a factor 2 across resolution doubling at fixed
     size and across size halving at fixed resolution.
-    ``c_max`` must be positive: a sup ratio is, so a bound that is not
-    could only fail.  ``perturbation_size`` must be positive and large
-    enough for the gauge map to resolve: every calibrated gap, at every
-    resolution, within a factor GAP_FACTOR of its requested size, checked
-    before any evolution (a gap made of rounding noise is not the requested
-    perturbation).
+    ``c_max`` must be at least 1: every ratio starts at exactly 1, so a
+    smaller bound could only fail.  ``perturbation_size`` must be positive
+    and large enough for the gauge map to resolve: every calibrated gap, at
+    every resolution, within a factor GAP_FACTOR of its requested size,
+    checked before any evolution (a gap made of rounding noise is not the
+    requested perturbation).
     ``resolutions`` must be a strictly increasing list of grid sizes (see
     ``_resolution_grids``).
     """
-    if not c_max > 0.0:
-        raise ArgumentError("c_max", f"must be positive, got {c_max!r}")
+    if not c_max >= 1.0:
+        raise ArgumentError("c_max", f"must be at least 1: every ratio starts at "
+                            f"exactly 1, so a smaller bound cannot pass, got {c_max!r}")
     if not perturbation_size > 0.0:
         raise ArgumentError(
             "perturbation_size", f"must be positive, got {perturbation_size!r}")

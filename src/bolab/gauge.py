@@ -43,13 +43,13 @@ Its first stage takes the samples of V and V_x (one stacked inverse call,
 (1 + V) Pm dx W as Pm dx W, read off its padded coefficients with no
 transform, plus V . Pm dx W (samples of Pm dx W, one inverse call, and one
 forward call, 2).  It sums the two in FFT order and gathers the base band
-once, with the factor -2i (-1)^k, which carries the -2i of the right side:
-5 transform rows in 4 calls.  The band side stacks Pp dx W under Pm dx W in
-those two calls, so they transform two rows each: it takes the +hi band
-from the V term of the exact side alone and the -hi band from V . Pp dx W,
-7 rows in 4 calls.  The unit term stays out of the high-band pieces:
-carried through a transform with them, its rounding would be relative to
-Pm dx W, about eps / amp relative to the band pieces at amplitude amp.
+once, times -2i, the factor of the right side: 5 transform rows in 4
+calls.  The band side stacks Pp dx W under Pm dx W in those two calls, so
+they transform two rows each: it takes the +hi band from the V term of the
+exact side alone and the -hi band from V . Pp dx W, 7 rows in 4 calls.
+The unit term stays out of the high-band pieces: carried through a
+transform with them, its rounding would be relative to Pm dx W, about
+eps / amp relative to the band pieces at amplitude amp.
 `rhs_quadratic` and `rhs_cubic` keep the piece-by-piece form as the oracles
 of these identities.
 
@@ -74,12 +74,11 @@ IF-RK4 step updates its stages in place, and the march keeps the right
 sides of its snapshots.  Without the buffers, a (2, 2n) array at
 n = 2048 is 128 KiB, glibc's mmap threshold: freed, it goes back to the
 system, and the next call faults it in again.  Each entry also holds the
-right side bound to its buffers (`_right_side`): every view, run and
-factor that a call reads is resolved once, when the entry is made, so a
-call makes one cache lookup and no slice of a buffer.  The buffers make the
-right sides not re-entrant: a ``watch`` must not call one, nor may two
-threads run one at one grid and batch shape at once (bolab starts no
-thread).
+right side bound to its buffers (`_right_side`): every view and run that
+a call reads is resolved once, when the entry is made, so a call makes one
+cache lookup and no slice of a buffer.  The buffers make the right sides
+not re-entrant: a ``watch`` must not call one, nor may two threads run one
+at one grid and batch shape at once (bolab starts no thread).
 
 The band side forms the exact right side on the whole lattice and masks it
 with P_lo, although only the low band keeps it.  Formed on the low band
@@ -93,17 +92,19 @@ apart costs about what the low band saves at n <= 1024.
 All products are dealiased on the doubled lattice.  Base-band products go
 through `spectral.to_padded`/`from_padded`/`dealiased_product`; cascaded
 products keep their intermediates on the doubled lattice so the restriction
-to the base band is exact.  Every doubled-lattice array here is in FFT order
-with (-1)^k applied (see `spectral`): the padded coefficients of V and of
-dx W in the stages, the `rhs_cubic` intermediate, and the derivative symbol
-and half-line masks of `_bands`.  The base band sits in each as two runs,
-which this module takes from `spectral.band_runs`, `lattice_runs` and
-`band_signs` and never slices out itself.  They pass through the FFT-order
+to the base band is exact.  Every doubled-lattice array here is in FFT
+order, its samples taken from x = 0 (see `spectral`): the padded
+coefficients of V and of dx W in the stages, the `rhs_cubic` intermediate,
+and the derivative symbol and half-line masks of `_bands`.  The stages are
+pointwise products and Fourier multipliers, which commute with a
+translation, so where the samples start moves no value.  The base band sits
+in each as two runs, which this module takes from `spectral.band_runs` and
+`lattice_runs` and never slices out itself.  They pass through the FFT-order
 pair `spectral.fft_order_to_samples`/`samples_to_fft_order`, so no padded
-transform swaps halves or applies (-1)^k, and each scale rides on the
-transform as pocketfft's factor (dx forward, (1/2n) (1/dx) inverse), so no
-scale takes a pass of its own.  Base-band coefficient arrays (inputs,
-outputs and the base masks of `_bands`) stay in lattice order.  `_bands`
+transform swaps halves, and each scale rides on the transform as
+pocketfft's factor (dx forward, (1/2n) (1/dx) inverse).  Base-band
+coefficient arrays (inputs, outputs and the base masks of `_bands`) stay in
+lattice order.  `_bands`
 holds every per-grid constant that a right side reads, and `_workspace`
 holds them beside the buffers, so a right side makes one cache lookup.
 
@@ -123,7 +124,6 @@ from .spectral import (
     SpectralField,
     antiderivative_symbol,
     band_runs,
-    band_signs,
     conj_reflect,
     dealiased_product,
     fft_order_to_samples,
@@ -152,11 +152,7 @@ def _bands(grid):
     order): the band masks ``lo``, ``plus_hi``, ``minus_hi`` and ``linear``,
     the symbol of 2i Pm dx^2.  Masks are complex 0/1 arrays, the values
     numpy casts a boolean mask to in a complex product, so products are
-    unchanged.  ``sign`` and ``gather`` are the factors (-1)^k and
-    -2i (-1)^k (the gather factor of the exact right side) over the two
-    runs of the base band, k = 0 .. n/2-1 and k = -n/2 .. -1, that
-    `spectral.band_signs` gives.  Also mid = n/2 (the lattice index of
-    k = 0) and two_l = 2L.
+    unchanged.  Also mid = n/2 (the lattice index of k = 0) and two_l = 2L.
     """
     pg = padded_grid(grid)
     n = grid.n
@@ -169,12 +165,9 @@ def _bands(grid):
     for name, region in (("lo", "lo"), ("plus_hi", "+hi"), ("minus_hi", "-hi")):
         arrays[name] = region_mask(xi, region).astype(np.complex128)
     arrays["linear"] = 2j * (-(xi**2)) * (xi < 0.0)
-    sign = band_signs(pg)
-    gather = tuple(-2j * run for run in sign)
-    for a in (*arrays.values(), *gather):
+    for a in arrays.values():
         a.setflags(write=False)
-    return SimpleNamespace(pg=pg, mid=n // 2, two_l=2.0 * grid.half_length,
-                           sign=sign, gather=gather, **arrays)
+    return SimpleNamespace(pg=pg, mid=n // 2, two_l=2.0 * grid.half_length, **arrays)
 
 
 # Workspaces held at once, the last used kept: one per (grid, batch shape)
@@ -247,15 +240,14 @@ def gauge_forward(u):
 
 def _v_samples(c, ws):
     """Samples of V and V_x on the doubled lattice, a (2, ..., 2n) array:
-    ``ws.samples`` of the workspace ws (see `_workspace`).  V is padded
-    straight into ``ws.pad``, each run of c times (-1)^k into its run
-    ``ws.pad_runs``, as `spectral.to_padded` pads, and V_x is its
+    ``ws.samples`` of the workspace ws (see `_workspace`), taken from
+    x = 0.  V is padded straight into ``ws.pad``, each run of c copied into
+    its run ``ws.pad_runs``, as `spectral.to_padded` pads, and V_x is its
     whole-buffer product with i xi (zero off the base band, as the padding
     is); one inverse call: two padded transforms."""
-    (sign_lo, sign_hi), pad = ws.b.sign, ws.pad
-    (pad_lo, pad_hi), (c_lo, c_hi) = ws.pad_runs, lattice_runs(c)
-    np.multiply(c_lo, sign_lo, out=pad_lo)
-    np.multiply(c_hi, sign_hi, out=pad_hi)
+    pad = ws.pad
+    for run, c_run in zip(ws.pad_runs, lattice_runs(c)):
+        np.copyto(run, c_run)
     np.multiply(pad[0], ws.b.ixi2, out=pad[1])
     return fft_order_to_samples(pad, ws.b.pg, out=ws.samples)
 
@@ -320,7 +312,7 @@ def rhs_cubic(V, sign):
 
 def _right_side(ws):
     """The right side bound to the buffers of the workspace ws, with every
-    view, run and factor that it reads resolved here, once per workspace:
+    view and run that it reads resolved here, once per workspace:
     ``right_side(c, watch, band)`` returns the exact right side of c, and
     with `band` the high-band pieces P_{+hi}(V . Pm dx W) + P_{-hi}(V . Pp dx W)
     before their factor -2i (else None), in the four transform calls that
@@ -334,9 +326,11 @@ def _right_side(ws):
     first with the even entries of the samples of V, its values at the
     base-lattice points.  The exact right side is fresh without `band`;
     with it, it is the workspace's ``total`` times the ``lo`` mask.  The
-    band side gathers its two V terms as one stacked pair into ``terms``.
-    The pieces are fresh.  The transforms are looked up at call time, so a
-    wrapper of `spectral`'s pair sees them.
+    gather of the exact side multiplies each run by -2i, which is exact, so
+    its operand order moves no bit; the band side joins the runs of its two
+    V terms, as one stacked pair, into ``terms``.  The pieces are fresh.
+    The transforms are looked up at call time, so a wrapper of `spectral`'s
+    pair sees them.
     """
     b, samples, work, total, terms = ws.b, ws.samples, ws.work, ws.total, ws.terms
     pg, dx, h, two_l = b.pg, b.pg.dx, b.mid, b.two_l
@@ -353,10 +347,8 @@ def _right_side(ws):
     products = (work[:1], work)
     rows = (tuple(work[:1]), tuple(work))
     v_terms = (samples[:1], samples)
-    # the runs k >= 0 (first) and k < 0 of the base band, and their factors
-    (sign_lo, sign_hi), (gather_lo, gather_hi) = b.sign, b.gather
+    # the runs k >= 0 (first) and k < 0 of the base band
     (pm_lo, pm_hi), (v_lo, v_hi) = band_runs(pm), band_runs(samples)
-    (total_lo, total_hi), (terms_lo, terms_hi) = map(lattice_runs, (total, terms))
 
     def right_side(c, watch, band):
         _v_samples(c, ws)
@@ -377,8 +369,8 @@ def _right_side(ws):
             np.multiply(vs, row, out=row)
         samples_to_fft_order(products[band], dx, out=v_terms[band])
         np.add(pm, v_minus, out=pm)
-        np.multiply(gather_lo, pm_lo, out=total_lo)
-        np.multiply(gather_hi, pm_hi, out=total_hi)
+        np.concatenate((pm_hi, pm_lo), axis=-1, out=total)
+        np.multiply(total, -2j, out=total)
         out = np.add(total, np.multiply(linear, c, out=term),
                      out=total if band else None)
         out += np.multiply(mean_term[..., None], c, out=term)
@@ -387,8 +379,7 @@ def _right_side(ws):
         if not band:
             return out, None
         np.multiply(out, lo, out=out)
-        np.multiply(sign_lo, v_lo, out=terms_lo)
-        np.multiply(sign_hi, v_hi, out=terms_hi)
+        np.concatenate((v_hi, v_lo), axis=-1, out=terms)
         terms[..., 0] = 0.0
         pieces = np.multiply(term, plus_hi)
         pieces += np.multiply(term_plus, minus_hi, out=term_plus)

@@ -52,7 +52,7 @@ class Grid:
     ``half_length`` finite and >= pi, or an ArgumentError.
     """
 
-    __slots__ = ("n", "half_length", "dx", "dxi", "x", "k", "xi", "_phase")
+    __slots__ = ("n", "half_length", "dx", "dxi", "x", "k", "xi")
 
     def __init__(self, n_points, half_length):
         n = int(n_points) if n_points % 1 == 0 else 0
@@ -71,11 +71,7 @@ class Grid:
         self.x = -L + self.dx * np.arange(n)
         self.k = np.arange(-n // 2, n // 2)
         self.xi = self.dxi * self.k
-        # (-1)^k on the shifted lattice; relates FFT order to samples at x=-L.
-        # Complex, the dtype of every array it multiplies, so that no product
-        # casts it per call (the values are those of the cast).
-        self._phase = np.where(self.k % 2 == 0, 1.0 + 0j, -1.0 + 0j)
-        for a in (self.x, self.k, self.xi, self._phase):
+        for a in (self.x, self.k, self.xi):
             a.setflags(write=False)
 
     def __eq__(self, other):
@@ -175,16 +171,17 @@ def to_physical(field):
 # grid is transformed row by row in one call.
 #
 # Two layouts share one transform pair.  FFT order is the layout of np.fft:
-# k = 0 .. n/2-1 then k = -n/2 .. -1, with (-1)^k already applied to the
-# coefficients (it relates FFT order to samples taken from x = -L).
+# k = 0 .. n/2-1 then k = -n/2 .. -1, with samples taken from x = 0.
 # `fft_order_to_samples` is the inverse transform with its 1/dx scale;
 # `samples_to_fft_order` is the forward FFT times the caller's scale (dx for
-# coefficients), whose caller applies (-1)^k.  Lattice order (increasing k)
-# is the layout of SpectralField; `coeffs_to_samples`/`samples_to_coeffs`
-# convert it through the same pair.  n is even, so fftshift and ifftshift
-# are the same swap of the two halves, the join of the two runs that
-# `lattice_runs` gives; one concatenate does it at a fraction of np.roll's
-# per-call cost.
+# coefficients).  Lattice order (increasing k) is the layout of
+# SpectralField; `coeffs_to_samples`/`samples_to_coeffs` convert it through
+# the same pair.  n is even, so fftshift and ifftshift are the same swap of
+# the two halves, the join of the two runs that `lattice_runs` gives; one
+# concatenate does it at a fraction of np.roll's per-call cost.  Swapping
+# the samples moves their origin from x = 0 to x = -L, where those of the
+# base-grid pair start: to pocketfft, value for value, that is a factor
+# (-1)^k on the coefficients, which no array carries.
 #
 # The pair calls numpy's pocketfft gufuncs (numpy.fft._pocketfft_umath,
 # numpy >= 2.0) directly: np.fft.ifft/fft spend about 4-5 us of Python per
@@ -206,8 +203,8 @@ _CORE_AXES = [(-1,), (), (-1,)]
 
 
 def fft_order_to_samples(cf, grid, out=None):
-    """Samples of coefficients in FFT order with (-1)^k applied, written
-    into ``out`` if given.
+    """Samples from x = 0 of coefficients in FFT order, written into
+    ``out`` if given.
 
     The 1/dx scale is a product with the reciprocal: numpy divides a complex
     array by a real as (a + i b) * (1 / dx), by Smith's formula, so this is
@@ -220,7 +217,7 @@ def fft_order_to_samples(cf, grid, out=None):
 
 def samples_to_fft_order(samples, scale, out=None):
     """FFT of samples times ``scale``, written into ``out`` if given; with
-    scale dx, the coefficients in FFT order with (-1)^k applied."""
+    scale dx, the coefficients in FFT order of samples from x = 0."""
     if out is None:
         out = np.empty(samples.shape, dtype=np.complex128)
     return _pocketfft.fft(samples, scale, axes=_CORE_AXES, out=out)
@@ -231,11 +228,11 @@ def _swap_halves(a):
 
 
 def coeffs_to_samples(coeffs, grid):
-    return fft_order_to_samples(_swap_halves(coeffs * grid._phase), grid)
+    return _swap_halves(fft_order_to_samples(_swap_halves(coeffs), grid))
 
 
 def samples_to_coeffs(samples, grid):
-    c = grid._phase * _swap_halves(samples_to_fft_order(samples, grid.dx))
+    c = _swap_halves(samples_to_fft_order(_swap_halves(samples), grid.dx))
     c[..., 0] = 0.0
     return c
 
@@ -326,16 +323,16 @@ def sobolev_norm(field, s):
 # quadratic-of-quadratic cascades used here, because aliased images of the
 # final product land outside the retained band.
 #
-# The doubled lattice is only held in FFT order, and the base band sits in
-# it as two runs, k = 0 .. n/2-1 at its head and k = -n/2 .. -1 at its
-# tail.  The layout has one owner here: `lattice_runs` splits a
-# base-lattice array into the same two runs, `band_runs` finds them in a
-# doubled-lattice array and `band_signs` gives (-1)^k over them.  Each
-# returns views, so a caller that binds them once (as the gauge workspaces
-# do) pads and gathers with plain `np.multiply` calls and no slicing of its
-# own, and no padded transform swaps halves.  A pad multiplies coefficient
-# by factor and a gather factor by coefficient, each in one operand order.
-# Lattice order is for base-grid transforms only (`to_physical`,
+# The doubled lattice is only held in FFT order, with samples from x = 0,
+# and the base band sits in it as two runs, k = 0 .. n/2-1 at its head and
+# k = -n/2 .. -1 at its tail.  The layout has one owner here:
+# `lattice_runs` splits a base-lattice array into the same two runs and
+# `band_runs` finds them in a doubled-lattice array.  Each returns views, so
+# a caller that binds them once (as the gauge workspaces do) pads and
+# gathers run by run with no slicing of its own, and no padded transform
+# swaps halves.  Where the samples start does not matter there: a pad,
+# pointwise products and a gather commute with a translation of the
+# samples.  Lattice order is for base-grid transforms only (`to_physical`,
 # `to_spectral`), whose swap of halves is the join of the two runs.
 
 @lru_cache(maxsize=64)
@@ -357,27 +354,20 @@ def band_runs(a):
     return a[..., :h], a[..., 3 * h :]
 
 
-def band_signs(pgrid):
-    """(-1)^k over the two runs of the base band of the doubled lattice
-    pgrid, as views of pgrid's read-only array."""
-    h = pgrid.n // 4
-    return lattice_runs(pgrid._phase[h : 3 * h])
-
-
 def to_padded(coeffs, pgrid):
-    """Samples on the doubled lattice `pgrid` of base-lattice coefficients."""
+    """Samples on the doubled lattice `pgrid` of base-lattice coefficients,
+    taken from x = 0: the values at ``pgrid.x + L``."""
     cf = np.zeros(coeffs.shape[:-1] + (pgrid.n,), dtype=np.complex128)
-    for run, c, sign in zip(band_runs(cf), lattice_runs(coeffs), band_signs(pgrid)):
-        np.multiply(c, sign, out=run)
+    for run, c in zip(band_runs(cf), lattice_runs(coeffs)):
+        np.copyto(run, c)
     return fft_order_to_samples(cf, pgrid)
 
 
 def from_padded(samples, pgrid):
-    """Base-band coefficients of samples on the doubled lattice `pgrid`."""
-    a = samples_to_fft_order(samples, pgrid.dx)
-    out = np.empty(a.shape[:-1] + (pgrid.n // 2,), dtype=np.complex128)
-    for run, b, sign in zip(lattice_runs(out), band_runs(a), band_signs(pgrid)):
-        np.multiply(sign, b, out=run)
+    """Base-band coefficients of samples on the doubled lattice `pgrid`,
+    taken from x = 0 as `to_padded` gives them."""
+    nonneg, neg = band_runs(samples_to_fft_order(samples, pgrid.dx))
+    out = np.concatenate((neg, nonneg), axis=-1)
     out[..., 0] = 0.0
     return out
 

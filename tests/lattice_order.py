@@ -1,14 +1,22 @@
 """The doubled lattice in lattice order: the oracle of the FFT-order stages.
 
-`spectral` and `gauge` hold the doubled lattice only in FFT order.  This
-module keeps the path they replaced: base-band coefficients are padded into
-the doubled lattice in increasing-k order and transformed by the pair
-below, which swaps halves and applies (-1)^k on every call.  The pair is
-written on `np.fft` here, from the conventions of `bolab.spectral` (samples
-from x = -L, the integral weights dx and 1/dx), and shares no code with the
-library's transforms, so a change to their scale or sign shows.  The right
-sides below are the same stages, operation for operation, so the FFT-order
-results must equal them value for value (`np.array_equal`).
+`spectral` and `gauge` hold the doubled lattice only in FFT order, and take
+its samples from x = 0.  This module keeps the path they replaced:
+base-band coefficients are padded into the doubled lattice in increasing-k
+order and transformed by the pair below, which swaps halves and applies
+(-1)^k on every call, so that its samples start at x = -L.  The pair is
+written on `np.fft` here, from the conventions of `bolab.spectral` (the
+integral weights dx and 1/dx), and shares no code with the library's
+transforms, so a change to their scale or origin shows.  On the base grid,
+whose samples start at x = -L in both, the library's pair must equal it
+value for value (`np.array_equal`).  On the doubled lattice, the samples
+of `spectral.to_padded` are those of `to_padded` below rolled by half their
+2n points, and `from_padded` takes them back the same way.  The right sides
+below are the same stages, operation for operation, and pointwise products
+commute with the roll, so the FFT-order results must equal them value for
+value.  The one sum, of the mean term over 2n samples, does too from
+2n = 128 on, where numpy adds two halves that the roll only swaps; below
+that its unrolled loop adds in an order the roll changes.
 """
 
 import numpy as np

@@ -137,6 +137,8 @@ def test_nfe_j_max_out_of_range_is_config_error(tmp_path, capsys, j_max):
     (("smoothing", "--eps", "-1"), "infr.eps"),
     (("estimates", "--eps", "0.9"), "infr.eps"),
     (("lipschitz", "--c-max", "0"), "experiment.c_max"),
+    # every ratio starts at exactly 1, so a positive bound below 1 cannot pass
+    (("lipschitz", "--c-max", "0.5"), "experiment.c_max"),
 ], ids=lambda v: "_".join(a.removeprefix("--") or "empty" for a in v)
     if isinstance(v, tuple) else v)
 def test_unusable_value_is_config_error(tmp_path, capsys, args, key):

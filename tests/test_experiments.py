@@ -409,13 +409,13 @@ def test_lipschitz_zero_perturbation_raises(monkeypatch):
                                  perturbation_size=size, resolutions=[128])
 
 
-@pytest.mark.parametrize("c_max", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("c_max", [0.0, -1.0, np.nan, 0.5, 1e-300])
 def test_lipschitz_refuses_a_bound_that_is_not_positive(monkeypatch, c_max):
-    # a sup ratio is positive, so such a bound could only fail: refused
-    # before any run
+    # every ratio starts at exactly 1, so a bound below 1 (a positive one
+    # included) could only fail: refused before any run
     monkeypatch.setattr(experiments, "evolve_gauged_batch", None)
     monkeypatch.setattr(experiments, "gauge_forward", None)
-    with pytest.raises(ArgumentError, match="^c_max must be positive") as err:
+    with pytest.raises(ArgumentError, match="^c_max must be at least 1: ") as err:
         lipschitz_experiment(seed=5, s=0.5, T=0.02, perturbation_size=1e-3,
                              resolutions=[128], c_max=c_max)
     assert err.value.argument == "c_max"

@@ -382,8 +382,10 @@ def test_transforms_on_last_axis_equal_row_calls(n):
 @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
 @pytest.mark.parametrize("L", [np.pi, 8 * np.pi])
 def test_padded_pair_equals_lattice_order_oracle(n, L):
-    # the doubled lattice is held in FFT order; padding into it and gathering
-    # the base band out of it give the values of the lattice-order path
+    # the doubled lattice is held in FFT order and sampled from x = 0;
+    # padding into it and gathering the base band out of it give the values
+    # of the lattice-order path, whose samples start at x = -L, rolled by
+    # half the 2n samples
     g = sp.Grid(n, L)
     pg = sp.padded_grid(g)
     rng = np.random.default_rng(n)
@@ -391,9 +393,26 @@ def test_padded_pair_equals_lattice_order_oracle(n, L):
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         wide = shape[:-1] + (2 * n,)
         s = rng.standard_normal(wide) + 1j * rng.standard_normal(wide)
-        got, want = sp.to_padded(c, pg), lattice_order.to_padded(c, pg)
+        got = sp.to_padded(c, pg)
+        want = np.roll(lattice_order.to_padded(c, pg), n, axis=-1)
         assert got.shape == want.shape and np.array_equal(got, want)
-        got, want = sp.from_padded(s, pg), lattice_order.from_padded(s, pg)
+        got = sp.from_padded(s, pg)
+        want = lattice_order.from_padded(np.roll(s, n, axis=-1), pg)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2**p for p in range(3, 13)])
+@pytest.mark.parametrize("L", [np.pi, 8 * np.pi, 10.0])
+def test_base_pair_equals_lattice_order_oracle(n, L):
+    # the base-grid pair, whose samples start at x = -L, gives the values
+    # of the lattice-order path, for one field and for a batch
+    g = sp.Grid(n, L)
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (3, n)):
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, want = sp.coeffs_to_samples(c, g), lattice_order.coeffs_to_samples(c, g)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        got, want = sp.samples_to_coeffs(c, g), lattice_order.samples_to_coeffs(c, g)
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -466,28 +485,20 @@ def test_pair_writes_into_out(n):
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_runs_are_views_of_the_fft_order_halves(n, batch):
     # the runs k = 0 .. n/2-1 and k = -n/2 .. -1 are the halves of
-    # np.fft.ifftshift, taken as views: a base-lattice array's, the base
-    # band's of its padded FFT-order array, and (-1)^k over them
+    # np.fft.ifftshift, taken as views: a base-lattice array's, and the base
+    # band's of its padded FFT-order array
     h = n // 2
-    pg = sp.padded_grid(sp.Grid(n, np.pi))
     rng = np.random.default_rng(n)
     c = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
     a = np.zeros(batch + (2 * n,), dtype=complex)
     a[..., n // 2 : 3 * n // 2] = c  # lattice order on the doubled lattice
     a = np.fft.ifftshift(a, axes=-1)
-    signs = sp.band_signs(pg)
     want = np.fft.ifftshift(c, axes=-1)
-    want_signs = np.fft.ifftshift((-1.0) ** np.arange(-h, h))
-    for whole, runs in ((c, sp.lattice_runs(c)), (a, sp.band_runs(a)),
-                        (pg._phase, signs)):
+    for whole, runs in ((c, sp.lattice_runs(c)), (a, sp.band_runs(a))):
         assert all(np.shares_memory(run, whole) for run in runs)
-    for runs in (sp.lattice_runs(c), sp.band_runs(a)):
         assert [r.shape for r in runs] == [batch + (h,)] * 2
         assert np.array_equal(runs[0], want[..., :h])
         assert np.array_equal(runs[1], want[..., h:])
-    assert np.array_equal(signs[0], want_signs[:h])
-    assert np.array_equal(signs[1], want_signs[h:])
-    assert not any(run.flags.writeable for run in signs)
 
 
 @pytest.mark.parametrize("m", [2**p for p in range(3, 13)])
@@ -570,24 +581,5 @@ def test_the_pair_owns_every_transform():
         found = _fft_calls(path.read_text())
         if path.name == "spectral.py":
             assert found and all(_GUFUNCS in f for f in found), found
-        else:
-            assert found == [], (path.name, found)
-
-
-def _phase_reads(source):
-    """Lines of ``source`` that read an attribute named ``_phase``."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == "_phase"]
-
-
-def test_spectral_owns_the_fft_order_signs():
-    # (-1)^k, Grid._phase, relates FFT order to samples; only spectral reads
-    # it, and the runs of the doubled lattice reach the gauge stages through
-    # band_signs, so the layout has one owner
-    assert _phase_reads("g._phase\nx = grid._phase[2:4]\nphase = 1\n") == [1, 2]
-    for path in sorted(pathlib.Path(sp.__file__).parent.glob("*.py")):
-        found = _phase_reads(path.read_text())
-        if path.name == "spectral.py":
-            assert found, path.name
         else:
             assert found == [], (path.name, found)
